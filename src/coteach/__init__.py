@@ -17,10 +17,10 @@ from .engine import (OptimizerState, RunHistory, TrainConfig, adam_update,
 from .evaluation import (MetricsReport, RankedGroup, compute_metrics, ema,
                          filter_degenerate, paired_t_test, per_group_metrics,
                          rank_group, rank_test_groups)
-from .losses import (LearningProtocol, cross_entropy, hinge_with_margin,
-                     weighted_ce_sum)
+from .losses import LearningProtocol, cross_entropy, hinge_with_margin
 from .matcher import (MatcherSpec, ModelState, finite_diff_check, init_params,
-                      load_checkpoint, loss_and_grad, save_checkpoint, score)
+                      load_checkpoint, loss_and_grad, save_checkpoint, score,
+                      scores)
 from .strategies import curriculum_protocol, margin_protocol, weighting_protocol
 
 __all__ = [
@@ -33,9 +33,9 @@ __all__ = [
     "MetricsReport", "RankedGroup", "compute_metrics", "ema",
     "filter_degenerate", "paired_t_test", "per_group_metrics", "rank_group",
     "rank_test_groups",
-    "LearningProtocol", "cross_entropy", "hinge_with_margin", "weighted_ce_sum",
+    "LearningProtocol", "cross_entropy", "hinge_with_margin",
     "MatcherSpec", "ModelState", "finite_diff_check", "init_params",
-    "load_checkpoint", "loss_and_grad", "save_checkpoint", "score",
+    "load_checkpoint", "loss_and_grad", "save_checkpoint", "score", "scores",
     "curriculum_protocol", "margin_protocol", "weighting_protocol",
 ]
 

@@ -104,7 +104,7 @@ def _matcher_spec(config, vocab_size, prefix="") -> matcher.MatcherSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _corpus_dir(config, args) -> Path:
+def _corpus_dir(config) -> Path:
     return Path(_get(config, "corpus_dir", str, "corpus"))
 
 
@@ -148,7 +148,7 @@ def _train_config(config, args, strategy: str) -> engine.TrainConfig:
 def cmd_generate(config, args) -> int:
     gen = _gen_config(config, args.seed)
     corpus = generate_synthetic_corpus(gen)
-    out = _corpus_dir(config, args)
+    out = _corpus_dir(config)
     try:
         save_corpus(corpus, out)
     except OSError as exc:
@@ -163,7 +163,7 @@ def cmd_generate(config, args) -> int:
 
 
 def cmd_pretrain(config, args) -> int:
-    corpus = _load_corpus(_corpus_dir(config, args))
+    corpus = _load_corpus(_corpus_dir(config))
     spec = _matcher_spec(config, corpus.vocab_size)
     seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
     try:
@@ -176,9 +176,9 @@ def cmd_pretrain(config, args) -> int:
             seed=seed,
             eval_every=_get(config, "eval_every", int, 50),
         )
+        model = engine.pretrain(spec, corpus, train_config)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    model = engine.pretrain(spec, corpus, train_config)
     run_dir = _run_dir(config, args)
     matcher.save_checkpoint(model, run_dir / "pretrained.ckpt")
     p1 = engine.validation_p_at_1(model, corpus.valid)
@@ -186,32 +186,35 @@ def cmd_pretrain(config, args) -> int:
     return 0
 
 
-def _init_peers(config, args, run_dir, corpus):
+def _load_checkpoint(path, corpus, hint=""):
+    """Load a checkpoint whose vocabulary must match the corpus; ``hint``
+    follows the message when the file is missing."""
+    if not Path(path).exists():
+        raise DataError(f"checkpoint not found: {path}{hint}")
+    try:
+        model = matcher.load_checkpoint(path)
+    except ValueError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from exc
+    if model.spec.vocab_size != corpus.vocab_size:
+        raise DataError(
+            f"checkpoint {path} vocab {model.spec.vocab_size} does not match "
+            f"corpus vocab {corpus.vocab_size}")
+    return model
+
+
+def _init_peers(config, run_dir, corpus):
     """Clone the pre-trained checkpoint, or load two distinct checkpoints
     when the two-network mode keys are present."""
     ckpt_a = config.get("checkpoint_a")
     ckpt_b = config.get("checkpoint_b")
     if (ckpt_a is None) != (ckpt_b is None):
         raise UsageError("two-network mode needs both checkpoint_a and checkpoint_b")
-    if ckpt_a is not None:
-        for p in (ckpt_a, ckpt_b):
-            if not Path(p).exists():
-                raise DataError(f"checkpoint not found: {p}")
-        model_a = matcher.load_checkpoint(ckpt_a)
-        model_b = matcher.load_checkpoint(ckpt_b)
-    else:
-        path = run_dir / "pretrained.ckpt"
-        if not path.exists():
-            raise DataError(f"pretrained checkpoint not found: {path} "
-                            "(run 'coteach pretrain')")
-        model_a = matcher.load_checkpoint(path)
-        model_b = matcher.load_checkpoint(path)
-    for m in (model_a, model_b):
-        if m.spec.vocab_size != corpus.vocab_size:
-            raise DataError(
-                f"checkpoint vocab {m.spec.vocab_size} does not match corpus "
-                f"vocab {corpus.vocab_size}")
-    return model_a, model_b
+    hint = ""
+    if ckpt_a is None:
+        ckpt_a = ckpt_b = run_dir / "pretrained.ckpt"
+        hint = " (run 'coteach pretrain')"
+    return (_load_checkpoint(ckpt_a, corpus, hint),
+            _load_checkpoint(ckpt_b, corpus, hint))
 
 
 def _strategy(config, args) -> str:
@@ -223,14 +226,23 @@ def _strategy(config, args) -> str:
     return strategy
 
 
+def _coteach(config, run_dir, corpus, train_config, checkpoint_dir=None):
+    """Co-teach the initial peers; a too-small training set is a usage error."""
+    model_a, model_b = _init_peers(config, run_dir, corpus)
+    try:
+        return engine.coteach_train(model_a, model_b, corpus, train_config,
+                                    checkpoint_dir=checkpoint_dir)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_coteach(config, args) -> int:
-    corpus = _load_corpus(_corpus_dir(config, args))
+    corpus = _load_corpus(_corpus_dir(config))
     run_dir = _run_dir(config, args)
     strategy = _strategy(config, args)
     train_config = _train_config(config, args, strategy)
-    model_a, model_b = _init_peers(config, args, run_dir, corpus)
-    model_a, model_b, history = engine.coteach_train(
-        model_a, model_b, corpus, train_config, checkpoint_dir=run_dir)
+    model_a, model_b, history = _coteach(config, run_dir, corpus, train_config,
+                                         checkpoint_dir=run_dir)
     matcher.save_checkpoint(model_a, run_dir / "A_final.ckpt")
     matcher.save_checkpoint(model_b, run_dir / "B_final.ckpt")
     engine.write_history(history, run_dir / "history.csv")
@@ -265,28 +277,34 @@ def _read_per_group_dump(path):
         raise DataError(f"baseline per-group dump not found: {path}")
     columns = {k: [] for k in METRIC_KEYS}
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
+        for line_no, row in enumerate(csv.DictReader(f), start=2):
             for k in METRIC_KEYS:
                 if k not in row or row[k] is None:
                     raise DataError(f"{path}: missing column {k!r}")
-                columns[k].append(float(row[k]))
+                try:
+                    columns[k].append(float(row[k]))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line_no}: column {k!r}: {exc}") from exc
     return columns
 
 
-def cmd_evaluate(config, args) -> int:
-    corpus = _load_corpus(_corpus_dir(config, args))
-    run_dir = _run_dir(config, args)
-    path_a, path_b = run_dir / "A_final.ckpt", run_dir / "B_final.ckpt"
-    for p in (path_a, path_b):
-        if not p.exists():
-            raise DataError(f"checkpoint not found: {p} (run 'coteach coteach')")
-    model = engine.select_model(matcher.load_checkpoint(path_a),
-                                matcher.load_checkpoint(path_b), corpus.valid)
+def _rank_test_set(model_a, model_b, corpus):
+    """Rank the non-degenerate test groups with the peer that wins on
+    validation; returns (ranked groups, number of groups removed)."""
+    model = engine.select_model(model_a, model_b, corpus.valid)
     groups, n_removed = evaluation.filter_degenerate(corpus.test)
     if not groups:
         raise DataError("all test groups are degenerate")
-    ranked = evaluation.rank_test_groups(model, groups)
+    return evaluation.rank_test_groups(model, groups), n_removed
+
+
+def cmd_evaluate(config, args) -> int:
+    corpus = _load_corpus(_corpus_dir(config))
+    run_dir = _run_dir(config, args)
+    hint = " (run 'coteach coteach')"
+    ranked, n_removed = _rank_test_set(
+        _load_checkpoint(run_dir / "A_final.ckpt", corpus, hint),
+        _load_checkpoint(run_dir / "B_final.ckpt", corpus, hint), corpus)
     per_group = evaluation.per_group_metrics(ranked)
     report = evaluation.compute_metrics(ranked)
 
@@ -318,7 +336,7 @@ def cmd_evaluate(config, args) -> int:
 
 
 def cmd_sweep(config, args) -> int:
-    corpus = _load_corpus(_corpus_dir(config, args))
+    corpus = _load_corpus(_corpus_dir(config))
     run_dir = _run_dir(config, args)
     param = _get(config, "sweep_param", str, "")
     if param not in ("lambda", "delta"):
@@ -339,11 +357,9 @@ def cmd_sweep(config, args) -> int:
         point_config[param] = str(value)
         point_config["strategy"] = strategy
         train_config = _train_config(point_config, args, strategy)
-        model_a, model_b = _init_peers(config, args, run_dir, corpus)
-        model_a, model_b, _ = engine.coteach_train(model_a, model_b, corpus, train_config)
-        model = engine.select_model(model_a, model_b, corpus.valid)
-        groups, _ = evaluation.filter_degenerate(corpus.test)
-        report = evaluation.compute_metrics(evaluation.rank_test_groups(model, groups))
+        model_a, model_b, _ = _coteach(config, run_dir, corpus, train_config)
+        ranked, _ = _rank_test_set(model_a, model_b, corpus)
+        report = evaluation.compute_metrics(ranked)
         rows.append([param, repr(value)] + _metrics_row(run_dir.name, strategy, report))
         print(f"{param}={value}: P@1={report.p_at_1:.4f}")
     with open(run_dir / "sweep.csv", "w", newline="") as f:

@@ -209,6 +209,12 @@ def to_pointwise(triples) -> list[PointwiseExample]:
     return out
 
 
+def pair_dialogues(triples) -> list[TokenizedDialogue]:
+    """The (c, r+) dialogue of every triple, then the (c, r-) of every one."""
+    return ([TokenizedDialogue(t.context, t.pos_response) for t in triples]
+            + [TokenizedDialogue(t.context, t.neg_response) for t in triples])
+
+
 def truncate(dialogue: TokenizedDialogue, max_turns: int = 10,
              max_tokens: int = 50) -> TokenizedDialogue:
     """Truncate to the last ``max_turns`` utterances and the first

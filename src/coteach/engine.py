@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, matcher, strategies
-from .corpus import Corpus, TokenizedDialogue, to_pointwise
+from .corpus import Corpus, pair_dialogues, to_pointwise
 from .losses import LearningProtocol
 
 STRATEGIES = ("margin", "weighting", "curriculum", "none")
@@ -131,12 +131,19 @@ def validation_p_at_1(model: matcher.ModelState, triples) -> float:
     """
     if not triples:
         raise ValueError("empty validation set")
-    hits = 0
-    for t in triples:
-        s_pos = matcher.score(model, TokenizedDialogue(t.context, t.pos_response))
-        s_neg = matcher.score(model, TokenizedDialogue(t.context, t.neg_response))
-        hits += s_pos >= s_neg
-    return hits / len(triples)
+    n = len(triples)
+    s = matcher.scores(model, pair_dialogues(triples))
+    return int(np.count_nonzero(s[:n] >= s[n:])) / n
+
+
+def _n_batches(corpus: Corpus, config: TrainConfig) -> int:
+    """Full batches per epoch; a training set without one is an error."""
+    n = len(corpus.train) // config.batch_size
+    if n == 0:
+        raise ValueError(
+            f"training set of {len(corpus.train)} triples is smaller than "
+            f"one batch ({config.batch_size})")
+    return n
 
 
 def _plain_ce_protocol(triples) -> LearningProtocol:
@@ -230,10 +237,10 @@ def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
     model = matcher.init_params(spec, int(_stream(config.seed, "init").integers(2 ** 31)))
     if config.n_epochs == 0:
         return model
+    n_batches = _n_batches(corpus, config)
     opt = init_optimizer(config, model.params.size)
     best = model
     best_p1 = validation_p_at_1(model, corpus.valid)
-    n_batches = len(corpus.train) // config.batch_size
     iteration = 0
     for epoch in range(config.n_epochs):
         rng = _stream(config.seed, "shuffle", epoch)
@@ -292,8 +299,7 @@ def coteach_train(init_a: matcher.ModelState, init_b: matcher.ModelState,
     checkpointed if ``checkpoint_dir`` is given) every ``eval_every``
     iterations. Fully deterministic in (seed, config, corpus).
     """
-    if not corpus.train:
-        raise ValueError("empty training set")
+    n_batches = _n_batches(corpus, config)
     model_a, model_b = init_a, init_b
     opt_a = init_optimizer(config, model_a.params.size)
     opt_b = init_optimizer(config, model_b.params.size)
@@ -301,7 +307,6 @@ def coteach_train(init_a: matcher.ModelState, init_b: matcher.ModelState,
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    n_batches = len(corpus.train) // config.batch_size
     iteration = 0
     for epoch in range(config.n_epochs):
         shuffle_rng = _stream(config.seed, "shuffle", epoch)

@@ -55,11 +55,10 @@ def rank_group(model: matcher.ModelState, context, candidates,
     """Score and sort one context's candidates (stable on ties)."""
     if not candidates:
         raise ValueError("empty candidate list")
-    scored = []
-    for idx, (response, label) in enumerate(candidates):
-        s = matcher.score(model, TokenizedDialogue(context, response))
-        scored.append((idx, s, label))
-    scored.sort(key=lambda e: (-e[1], e[0]))
+    s = matcher.scores(model, [TokenizedDialogue(context, response)
+                               for response, _ in candidates]).tolist()
+    scored = sorted(((i, s[i], label) for i, (_, label) in enumerate(candidates)),
+                    key=lambda e: (-e[1], e[0]))
     return RankedGroup(context_id, tuple(scored))
 
 

@@ -9,8 +9,9 @@ student's gradient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import PairwiseTriple, PointwiseExample
 
@@ -57,26 +58,17 @@ class LearningProtocol:
                 raise ValueError(f"weight {weight} outside [0, 1]")
 
 
-def cross_entropy(y: int, s: float) -> float:
-    """Binary cross-entropy -y*log(s) - (1-y)*log(1-s), score clamped."""
-    s = min(max(s, CE_EPS), 1.0 - CE_EPS)
-    if y == 1:
-        return -math.log(s)
-    return -math.log(1.0 - s)
+def cross_entropy(y, s):
+    """Binary cross-entropy -y*log(s) - (1-y)*log(1-s), score clamped.
+
+    Element-wise over arrays of labels and scores; scalars give a scalar.
+    """
+    s = np.clip(s, CE_EPS, 1.0 - CE_EPS)
+    return -np.log(np.where(np.equal(y, 1), s, 1.0 - s))
 
 
-def hinge_with_margin(s_pos: float, s_neg: float, margin: float) -> float:
-    """Ranking hinge max(0, margin - s_pos + s_neg)."""
-    if margin < 0:
-        raise ValueError(f"negative margin {margin}")
-    return max(0.0, margin - s_pos + s_neg)
-
-
-def weighted_ce_sum(instances) -> float:
-    """Sum of w_i * cross_entropy(y_i, s_i) over (weight, y, score) tuples."""
-    total = 0.0
-    for w, y, s in instances:
-        if w < 0:
-            raise ValueError(f"negative weight {w}")
-        total += w * cross_entropy(y, s)
-    return total
+def hinge_with_margin(s_pos, s_neg, margin):
+    """Ranking hinge max(0, margin - s_pos + s_neg), element-wise."""
+    if np.any(np.less(margin, 0)):
+        raise ValueError(f"negative margin {np.min(margin)}")
+    return np.maximum(0.0, margin - s_pos + s_neg)

@@ -9,20 +9,25 @@ Two small reference architectures share one interface:
 
 Parameters live in a single flat float64 vector with a fixed layout
 (embedding table first, then the head), which keeps optimizer state,
-checkpoints and finite-difference checking trivial. All gradients are
-hand-derived; a central finite-difference checker is provided as the
-correctness oracle.
+checkpoints and finite-difference checking trivial.
+
+Every computation is batched: ``_pack`` validates and flattens dialogues
+once, then one ``_forward``, ``_loss`` and ``_backward`` serve scoring,
+training and the finite-difference checker (the correctness oracle, which
+differences the loss in extended precision). All gradients are
+hand-derived.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import losses
-from .corpus import TokenizedDialogue
+from .corpus import TokenizedDialogue, pair_dialogues
 from .losses import LearningProtocol
 
 MEAN_EMBEDDING_BILINEAR = "mean-embedding-bilinear"
@@ -111,109 +116,143 @@ def init_params(spec: MatcherSpec, seed: int) -> ModelState:
     return ModelState(spec, params)
 
 
-def _sigmoid(z: float) -> tuple[float, float]:
-    """Clamped logistic; returns (s, ds/dz)."""
-    zc = min(max(z, -_Z_CLAMP), _Z_CLAMP)
-    s = 1.0 / (1.0 + math.exp(-zc))
-    dsdz = s * (1.0 - s) if -_Z_CLAMP < z < _Z_CLAMP else 0.0
-    return s, dsdz
+class _Packed(NamedTuple):
+    """Flat token ids of all context utterances, dialogue by dialogue, then
+    of one response per dialogue; segment k has ``lengths[k]`` tokens, and
+    dialogue i has ``n_utts[i]`` context segments."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    n_utts: np.ndarray
 
 
-def _pool(dialogue: TokenizedDialogue, E: np.ndarray):
-    """Mean-pooled context/response vectors plus what backward needs."""
-    vocab = E.shape[0]
-    utt_arrays = []
-    u = np.zeros(E.shape[1])
-    for utt in dialogue.context:
-        ids = np.asarray(utt, dtype=np.intp)
-        if ids.size == 0:
-            raise ValueError("empty utterance")
-        if ids.min() < 0 or ids.max() >= vocab:
-            raise ValueError("token ID out of range for vocab")
-        utt_arrays.append(ids)
-        u += E[ids].mean(axis=0)
-    if not utt_arrays:
+def _pack(dialogues, vocab_size: int) -> _Packed:
+    """Flatten a sequence of dialogues, validating every token once."""
+    n_utts = np.fromiter((len(d.context) for d in dialogues), np.intp, len(dialogues))
+    if not n_utts.all():
         raise ValueError("dialogue has no context utterances")
-    u /= len(utt_arrays)
-    resp = np.asarray(dialogue.response, dtype=np.intp)
-    if resp.size == 0:
+    segments = [utt for d in dialogues for utt in d.context]
+    n_ctx = len(segments)
+    segments += [d.response for d in dialogues]
+    lengths = np.fromiter(map(len, segments), np.intp, len(segments))
+    if not lengths[:n_ctx].all():
+        raise ValueError("empty utterance")
+    if not lengths[n_ctx:].all():
         raise ValueError("empty response")
-    if resp.min() < 0 or resp.max() >= vocab:
+    ids = np.fromiter(chain.from_iterable(segments), np.intp, int(lengths.sum()))
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError("token ID out of range for vocab")
-    v = E[resp].mean(axis=0)
-    return u, v, utt_arrays, resp
+    return _Packed(ids, lengths, n_utts)
 
 
-class _Forward:
-    """One forward pass with enough cached state to backpropagate dz."""
+def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
+    """Scores, ds/dz and the backward cache of a packed batch.
 
-    __slots__ = ("model", "s", "dsdz", "u", "v", "utts", "resp", "cache")
+    Runs in the dtype of ``params``. Every reduction stays inside one
+    dialogue (``reduceat`` over its segments, ``einsum`` over its row; BLAS
+    matmul would block rows differently for different batch sizes), so a
+    dialogue's score does not depend on the rest of the batch, bit for bit.
+    """
+    n = packed.n_utts.size
+    d = spec.embedding_dim
+    layout = param_layout(spec)
+    E = params[layout["E"]].reshape(spec.vocab_size, d)
+    starts = np.cumsum(packed.lengths) - packed.lengths
+    seg = np.add.reduceat(E[packed.ids], starts, axis=0) / packed.lengths[:, None]
+    ctx_starts = np.cumsum(packed.n_utts) - packed.n_utts
+    u = np.add.reduceat(seg[:-n], ctx_starts, axis=0) / packed.n_utts[:, None]
+    v = seg[-n:]
+    if spec.kind == MEAN_EMBEDDING_BILINEAR:
+        W = params[layout["W"]].reshape(d, d)
+        Wv = np.einsum("ij,nj->ni", W, v)
+        z = np.einsum("ni,ni->n", u, Wv) + params[layout["b"]][0]
+        cache = (u, v, W, Wv)
+    else:
+        W1 = params[layout["W1"]].reshape(spec.hidden_dim, 3 * d)
+        w2 = params[layout["w2"]]
+        f = np.concatenate([u, v, u * v], axis=1)
+        a = np.tanh(np.einsum("hk,nk->nh", W1, f) + params[layout["b1"]])
+        z = np.einsum("nh,h->n", a, w2) + params[layout["b2"]][0]
+        cache = (u, v, W1, w2, f, a)
+    s = 1.0 / (1.0 + np.exp(-np.clip(z, -_Z_CLAMP, _Z_CLAMP)))
+    dsdz = np.where(np.abs(z) < _Z_CLAMP, s * (1.0 - s), 0.0)
+    return s, dsdz, cache
 
-    def __init__(self, model: ModelState, dialogue: TokenizedDialogue):
-        spec = model.spec
-        d = spec.embedding_dim
-        layout = param_layout(spec)
-        E = model.params[layout["E"]].reshape(spec.vocab_size, d)
-        u, v, utts, resp = _pool(dialogue, E)
-        if spec.kind == MEAN_EMBEDDING_BILINEAR:
-            W = model.params[layout["W"]].reshape(d, d)
-            b = model.params[layout["b"]][0]
-            Wv = W @ v
-            z = float(u @ Wv + b)
-            self.cache = (W, Wv)
-        else:
-            h = spec.hidden_dim
-            W1 = model.params[layout["W1"]].reshape(h, 3 * d)
-            b1 = model.params[layout["b1"]]
-            w2 = model.params[layout["w2"]]
-            b2 = model.params[layout["b2"]][0]
-            f = np.concatenate([u, v, u * v])
-            a = np.tanh(W1 @ f + b1)
-            z = float(w2 @ a + b2)
-            self.cache = (W1, w2, f, a)
-        self.model = model
-        self.u, self.v, self.utts, self.resp = u, v, utts, resp
-        self.s, self.dsdz = _sigmoid(z)
 
-    def accumulate_grad(self, coeff: float, grad: np.ndarray) -> None:
-        """Add coeff * dz/dtheta into ``grad`` (flat, same layout)."""
-        if coeff == 0.0:
-            return
-        spec = self.model.spec
-        d = spec.embedding_dim
-        layout = param_layout(spec)
-        u, v = self.u, self.v
-        if spec.kind == MEAN_EMBEDDING_BILINEAR:
-            W, Wv = self.cache
-            du = coeff * Wv
-            dv = coeff * (W.T @ u)
-            grad[layout["W"]] += coeff * np.outer(u, v).ravel()
-            grad[layout["b"]] += coeff
-        else:
-            W1, w2, f, a = self.cache
-            dpre = coeff * w2 * (1.0 - a * a)
-            grad[layout["W1"]] += np.outer(dpre, f).ravel()
-            grad[layout["b1"]] += dpre
-            grad[layout["w2"]] += coeff * a
-            grad[layout["b2"]] += coeff
-            df = W1.T @ dpre
-            du = df[:d] + df[2 * d:] * v
-            dv = df[d:2 * d] + df[2 * d:] * u
-        E_grad = grad[layout["E"]].reshape(spec.vocab_size, d)
-        n_utts = len(self.utts)
-        for ids in self.utts:
-            np.add.at(E_grad, ids, du / (n_utts * ids.size))
-        np.add.at(E_grad, self.resp, dv / self.resp.size)
+def _backward(spec: MatcherSpec, packed: _Packed, cache, dL_dz: np.ndarray,
+              grad: np.ndarray) -> None:
+    """Add sum_i dL_dz[i] * dz_i/dtheta into ``grad`` (flat, same layout)."""
+    d = spec.embedding_dim
+    layout = param_layout(spec)
+    c = dL_dz[:, None]
+    if spec.kind == MEAN_EMBEDDING_BILINEAR:
+        u, v, W, Wv = cache
+        du = c * Wv
+        dv = c * (u @ W)
+        grad[layout["W"]] += ((c * u).T @ v).ravel()
+        grad[layout["b"]] += dL_dz.sum()
+    else:
+        u, v, W1, w2, f, a = cache
+        dpre = c * w2 * (1.0 - a * a)
+        grad[layout["W1"]] += (dpre.T @ f).ravel()
+        grad[layout["b1"]] += dpre.sum(axis=0)
+        grad[layout["w2"]] += dL_dz @ a
+        grad[layout["b2"]] += dL_dz.sum()
+        df = dpre @ W1
+        du = df[:, :d] + df[:, 2 * d:] * v
+        dv = df[:, d:2 * d] + df[:, 2 * d:] * u
+    # A context token gets 1/(n_utts * length) of du, a response token
+    # 1/length of dv.
+    seg_grad = np.concatenate([
+        np.repeat(du / packed.n_utts[:, None], packed.n_utts, axis=0), dv])
+    seg_grad /= packed.lengths[:, None]
+    E_grad = grad[layout["E"]].reshape(spec.vocab_size, d)
+    np.add.at(E_grad, packed.ids, np.repeat(seg_grad, packed.lengths, axis=0))
+
+
+def _protocol_arrays(protocol: LearningProtocol, vocab_size: int):
+    """A protocol's packed dialogues, labels and per-instance coefficients.
+
+    Hinge: the positive dialogues then the negative ones, no labels, the
+    margins. Cross-entropy: one dialogue per example, the labels y, the
+    weights (all 1 for plain cross-entropy).
+    """
+    if protocol.loss_kind == losses.HINGE_WITH_MARGIN:
+        triples, margins = zip(*protocol.pairwise)
+        return _pack(pair_dialogues(triples), vocab_size), None, np.array(margins)
+    examples, weights = zip(*protocol.pointwise)
+    if protocol.loss_kind == losses.CROSS_ENTROPY:
+        weights = [1.0] * len(examples)
+    return (_pack([e.dialogue for e in examples], vocab_size),
+            np.array([e.y for e in examples]), np.array(weights))
+
+
+def _loss(loss_kind: str, s: np.ndarray, dsdz: np.ndarray, labels, coef):
+    """Total protocol loss and dL/dz for the scores of ``_protocol_arrays``."""
+    if loss_kind == losses.HINGE_WITH_MARGIN:
+        n = coef.size
+        hinge = losses.hinge_with_margin(s[:n], s[n:], coef)
+        active = (hinge > 0.0).astype(s.dtype)
+        return hinge.sum(), np.concatenate([-active, active]) * dsdz
+    ce = coef * losses.cross_entropy(labels, s)
+    # Inside the clamp, d(ce)/dz = s - y; at or beyond the clamp the loss is
+    # locally constant in the parameters.
+    inside = (losses.CE_EPS < s) & (s < 1.0 - losses.CE_EPS)
+    return ce.sum(), np.where(inside, coef * (s - labels), 0.0)
+
+
+def scores(model: ModelState, dialogues) -> np.ndarray:
+    """Matching scores s(c, r) in (0, 1) for a sequence of dialogues.
+
+    Each entry equals, bit for bit, the score of that dialogue alone.
+    """
+    s, _, _ = _forward(model.spec, model.params, _pack(dialogues, model.spec.vocab_size))
+    return s
 
 
 def score(model: ModelState, dialogue: TokenizedDialogue) -> float:
-    """Matching score s(c, r) in (0, 1)."""
-    return _Forward(model, dialogue).s
-
-
-def _check_protocol(model: ModelState, protocol: LearningProtocol) -> None:
-    if not protocol.pairwise and not protocol.pointwise:
-        raise ValueError("empty protocol")
+    """Matching score s(c, r) in (0, 1) of one dialogue."""
+    return float(scores(model, [dialogue])[0])
 
 
 def loss_and_grad(model: ModelState, protocol: LearningProtocol):
@@ -222,81 +261,19 @@ def loss_and_grad(model: ModelState, protocol: LearningProtocol):
     Teacher-provided margins and weights are constants; no gradient flows
     through them.
     """
-    _check_protocol(model, protocol)
+    packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
+    s, dsdz, cache = _forward(model.spec, model.params, packed)
+    total, dL_dz = _loss(protocol.loss_kind, s, dsdz, labels, coef)
     grad = np.zeros_like(model.params)
-    total = 0.0
-    if protocol.loss_kind == losses.HINGE_WITH_MARGIN:
-        for triple, margin in protocol.pairwise:
-            fwd_pos = _Forward(model, TokenizedDialogue(triple.context, triple.pos_response))
-            fwd_neg = _Forward(model, TokenizedDialogue(triple.context, triple.neg_response))
-            hinge = margin - fwd_pos.s + fwd_neg.s
-            if hinge > 0.0:
-                total += hinge
-                fwd_pos.accumulate_grad(-fwd_pos.dsdz, grad)
-                fwd_neg.accumulate_grad(fwd_neg.dsdz, grad)
-    else:
-        for example, weight in protocol.pointwise:
-            if protocol.loss_kind == losses.CROSS_ENTROPY:
-                weight = 1.0
-            fwd = _Forward(model, example.dialogue)
-            total += weight * losses.cross_entropy(example.y, fwd.s)
-            # Inside the clamp, d(ce)/dz = s - y; at or beyond the clamp the
-            # loss is locally constant in the parameters.
-            if losses.CE_EPS < fwd.s < 1.0 - losses.CE_EPS:
-                fwd.accumulate_grad(weight * (fwd.s - example.y), grad)
-    return total, grad
-
-
-def _score_value(spec: MatcherSpec, params: np.ndarray,
-                 dialogue: TokenizedDialogue):
-    """Dtype-generic forward pass (no gradient state).
-
-    Works in whatever float dtype ``params`` carries; the fd checker runs
-    it in extended precision so roundoff in the central differences stays
-    far below the checked tolerance.
-    """
-    d = spec.embedding_dim
-    layout = param_layout(spec)
-    E = params[layout["E"]].reshape(spec.vocab_size, d)
-    u, v, _, _ = _pool(dialogue, E)
-    if spec.kind == MEAN_EMBEDDING_BILINEAR:
-        W = params[layout["W"]].reshape(d, d)
-        z = u @ (W @ v) + params[layout["b"]][0]
-    else:
-        h = spec.hidden_dim
-        W1 = params[layout["W1"]].reshape(h, 3 * d)
-        f = np.concatenate([u, v, u * v])
-        a = np.tanh(W1 @ f + params[layout["b1"]])
-        z = params[layout["w2"]] @ a + params[layout["b2"]][0]
-    z = np.clip(z, -_Z_CLAMP, _Z_CLAMP)
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _loss_value(spec: MatcherSpec, params: np.ndarray,
-                protocol: LearningProtocol):
-    """Dtype-generic total protocol loss."""
-    one = params.dtype.type(1.0)
-    eps = params.dtype.type(losses.CE_EPS)
-    total = params.dtype.type(0.0)
-    if protocol.loss_kind == losses.HINGE_WITH_MARGIN:
-        for triple, margin in protocol.pairwise:
-            s_pos = _score_value(spec, params, TokenizedDialogue(triple.context, triple.pos_response))
-            s_neg = _score_value(spec, params, TokenizedDialogue(triple.context, triple.neg_response))
-            total += max(params.dtype.type(0.0), margin - s_pos + s_neg)
-    else:
-        for example, weight in protocol.pointwise:
-            if protocol.loss_kind == losses.CROSS_ENTROPY:
-                weight = 1.0
-            s = np.clip(_score_value(spec, params, example.dialogue), eps, one - eps)
-            ce = -np.log(s) if example.y == 1 else -np.log(one - s)
-            total += weight * ce
-    return total
+    _backward(model.spec, packed, cache, dL_dz, grad)
+    return float(total), grad
 
 
 def protocol_loss(model: ModelState, protocol: LearningProtocol) -> float:
-    """Total protocol loss without the gradient (used by the fd checker)."""
-    _check_protocol(model, protocol)
-    return float(_loss_value(model.spec, model.params, protocol))
+    """Total protocol loss without the gradient."""
+    packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
+    s, dsdz, _ = _forward(model.spec, model.params, packed)
+    return float(_loss(protocol.loss_kind, s, dsdz, labels, coef)[0])
 
 
 def finite_diff_check(model: ModelState, protocol: LearningProtocol,
@@ -305,21 +282,27 @@ def finite_diff_check(model: ModelState, protocol: LearningProtocol,
 
     Per coordinate the relative error is |g - fd| / max(|g|, |fd|, 1e-8).
     The difference quotient is evaluated in extended precision so its
-    roundoff cannot mask genuine gradient bugs at small step sizes.
+    roundoff cannot mask genuine gradient bugs at small step sizes. It
+    differences the loss only, so it is independent of the backward.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    _check_protocol(model, protocol)
     _, grad = loss_and_grad(model, protocol)
+    packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
+
+    def loss_at(params):
+        s, dsdz, _ = _forward(model.spec, params, packed)
+        return _loss(protocol.loss_kind, s, dsdz, labels, coef)[0]
+
     worst = 0.0
     params = model.params.astype(np.longdouble)
     step_ld = np.longdouble(step)
     for i in range(params.size):
         saved = params[i]
         params[i] = saved + step_ld
-        f_plus = _loss_value(model.spec, params, protocol)
+        f_plus = loss_at(params)
         params[i] = saved - step_ld
-        f_minus = _loss_value(model.spec, params, protocol)
+        f_minus = loss_at(params)
         params[i] = saved
         fd = float((f_plus - f_minus) / (2.0 * step_ld))
         err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)

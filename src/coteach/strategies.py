@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import losses, matcher
-from .corpus import TokenizedDialogue
+from .corpus import pair_dialogues
 from .losses import LearningProtocol
 
 
@@ -26,12 +28,12 @@ def margin_protocol(teacher: matcher.ModelState, sub_batch,
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    annotated = []
-    for triple in sub_batch:
-        s_pos = matcher.score(teacher, TokenizedDialogue(triple.context, triple.pos_response))
-        s_neg = matcher.score(teacher, TokenizedDialogue(triple.context, triple.neg_response))
-        annotated.append((triple, max(0.0, lam * (s_pos - s_neg))))
-    return LearningProtocol(losses.HINGE_WITH_MARGIN, pairwise=tuple(annotated))
+    sub_batch = list(sub_batch)
+    n = len(sub_batch)
+    s = matcher.scores(teacher, pair_dialogues(sub_batch))
+    margins = np.maximum(0.0, lam * (s[:n] - s[n:])).tolist()
+    return LearningProtocol(losses.HINGE_WITH_MARGIN,
+                            pairwise=tuple(zip(sub_batch, margins)))
 
 
 def weighting_protocol(teacher: matcher.ModelState, sub_batch) -> LearningProtocol:
@@ -41,14 +43,12 @@ def weighting_protocol(teacher: matcher.ModelState, sub_batch) -> LearningProtoc
     teacher scores highly (suspected false negatives) are downweighted
     toward 0.
     """
-    annotated = []
-    for example in sub_batch:
-        if example.y == 1:
-            w = 1.0
-        else:
-            w = 1.0 - matcher.score(teacher, example.dialogue)
-        annotated.append((example, w))
-    return LearningProtocol(losses.WEIGHTED_CROSS_ENTROPY, pointwise=tuple(annotated))
+    sub_batch = list(sub_batch)
+    neg_weights = iter((1.0 - matcher.scores(
+        teacher, [ex.dialogue for ex in sub_batch if ex.y != 1])).tolist())
+    annotated = tuple((ex, 1.0 if ex.y == 1 else next(neg_weights))
+                      for ex in sub_batch)
+    return LearningProtocol(losses.WEIGHTED_CROSS_ENTROPY, pointwise=annotated)
 
 
 def curriculum_protocol(teacher: matcher.ModelState, sub_batch,
@@ -64,12 +64,10 @@ def curriculum_protocol(teacher: matcher.ModelState, sub_batch,
     sub_batch = list(sub_batch)
     if not sub_batch:
         raise ValueError("empty sub-batch")
-    teacher_losses = [
-        losses.cross_entropy(ex.y, matcher.score(teacher, ex.dialogue))
-        for ex in sub_batch
-    ]
+    teacher_losses = losses.cross_entropy(
+        np.array([ex.y for ex in sub_batch]),
+        matcher.scores(teacher, [ex.dialogue for ex in sub_batch]))
     keep = math.ceil(delta * len(sub_batch))
-    order = sorted(range(len(sub_batch)), key=lambda i: (teacher_losses[i], i))
-    selected = sorted(order[:keep])
-    annotated = tuple((sub_batch[i], 1.0) for i in selected)
-    return LearningProtocol(losses.CROSS_ENTROPY, pointwise=annotated)
+    selected = np.sort(np.argsort(teacher_losses, kind="stable")[:keep])
+    return LearningProtocol(losses.CROSS_ENTROPY,
+                            pointwise=tuple((sub_batch[i], 1.0) for i in selected))

@@ -80,8 +80,8 @@ def test_2_strategy_formulas(capsys):
 
     # margin: hold the teacher's scores fixed and verify the formula exactly
     fixed = {(2,): 0.9, (3,): 0.1, (4,): 0.2, (5,): 0.7}
-    real_score = matcher.score
-    matcher.score = lambda m, d: fixed[d.response]
+    real_scores = matcher.scores
+    matcher.scores = lambda m, ds: np.array([fixed[d.response] for d in ds])
     try:
         confident = strategies.margin_protocol(
             teacher, [ct.PairwiseTriple(((1,),), (2,), (3,))], lam=0.5)
@@ -104,7 +104,7 @@ def test_2_strategy_formulas(capsys):
         checks.append([e for e, _ in selected.pointwise]
                       == [cur_examples[0], cur_examples[2]])
     finally:
-        matcher.score = real_score
+        matcher.scores = real_scores
 
     # curriculum equals the full-sort oracle on 1000 random sub-batches
     rng = np.random.default_rng(202)

@@ -50,6 +50,12 @@ def _pipeline(workdir, run_dir, strategy, seed=None, extra=()):
     assert _run("evaluate", *args, "--strategy", strategy, *extra) == 0
 
 
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
 class TestParseConfig:
     def test_values_and_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -90,6 +96,20 @@ class TestExitCodes:
         assert _run("generate", "--config", "exp.cfg") == 0
         assert _run("pretrain", "--config", "exp.cfg") == 0
         assert _run("coteach", "--config", "exp.cfg") == 1
+
+    def test_training_set_smaller_than_batch_is_usage_error(self, workdir, capsys):
+        small = TINY_CONFIG.replace("n_train = 120", "n_train = 4")
+        (workdir / "small.cfg").write_text(small)
+        assert _run("generate", "--config", "small.cfg") == 0
+        capsys.readouterr()
+        assert _run("pretrain", "--config", "small.cfg") == 1
+        _one_line_error(capsys, "error: training set of 4 triples")
+        (workdir / "small.cfg").write_text(small + "pretrain_epochs = 0\n")
+        assert _run("pretrain", "--config", "small.cfg") == 0
+        capsys.readouterr()
+        assert _run("coteach", "--config", "small.cfg", "--strategy", "margin") == 1
+        _one_line_error(capsys, "error: training set of 4 triples")
+        assert not (workdir / "run" / "history.csv").exists()
 
 
 class TestGenerate:
@@ -147,6 +167,38 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "t-test AP: p=" in out and "t-test P@1: p=" in out
         assert (workdir / "base_groups.csv").exists()
+
+    def test_non_numeric_baseline_dump_is_data_error(self, workdir, capsys):
+        _pipeline(workdir, "run", "margin",
+                  extra=["--per-group-dump", "groups.csv"])
+        lines = (workdir / "groups.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "x"  # the AP cell of group 1
+        lines[2] = ",".join(cells)
+        (workdir / "groups.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert _run("evaluate", "--config", "exp.cfg", "--run-dir", "run",
+                    "--baseline-dump", "groups.csv") == 2
+        _one_line_error(capsys, "data error: groups.csv:3: column 'AP'")
+
+    def test_unknown_checkpoint_kind_is_data_error(self, workdir, capsys):
+        _pipeline(workdir, "run", "margin")
+        path = workdir / "run" / "A_final.ckpt"
+        path.write_bytes(path.read_bytes().replace(
+            b"mean-embedding-bilinear", b"transformer", 1))
+        capsys.readouterr()
+        assert _run("evaluate", "--config", "exp.cfg", "--run-dir", "run") == 2
+        assert "unknown matcher kind" in _one_line_error(capsys, "data error:")
+
+    def test_checkpoint_vocab_mismatch_is_data_error(self, workdir, capsys):
+        _pipeline(workdir, "run", "margin")
+        (workdir / "v90.cfg").write_text(
+            TINY_CONFIG.replace("vocab_size = 60", "vocab_size = 90"))
+        assert _run("generate", "--config", "v90.cfg") == 0
+        capsys.readouterr()
+        assert _run("evaluate", "--config", "v90.cfg", "--run-dir", "run") == 2
+        assert "vocab 60 does not match corpus vocab 90" in _one_line_error(
+            capsys, "data error:")
 
     def test_two_network_mode_uses_named_checkpoints(self, workdir):
         _pipeline(workdir, "seed-a", "none", seed=1)

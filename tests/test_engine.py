@@ -113,14 +113,16 @@ class TestValidationP1:
         triples = [PairwiseTriple(((1,),), (2,), (3,)),
                    PairwiseTriple(((1,),), (4,), (5,))]
         table = {(2,): 0.8, (3,): 0.2, (4,): 0.1, (5,): 0.9}
-        monkeypatch.setattr(matcher, "score",
-                            lambda model, d: table[d.response])
+        monkeypatch.setattr(matcher, "scores",
+                            lambda model, ds: np.array([table[d.response]
+                                                        for d in ds]))
         model = init_params(SPEC, 0)
         assert validation_p_at_1(model, triples) == 0.5
 
     def test_tie_counts_for_positive(self, monkeypatch):
         triples = [PairwiseTriple(((1,),), (2,), (3,))]
-        monkeypatch.setattr(matcher, "score", lambda model, d: 0.5)
+        monkeypatch.setattr(matcher, "scores",
+                            lambda model, ds: np.full(len(ds), 0.5))
         assert validation_p_at_1(init_params(SPEC, 0), triples) == 1.0
 
     def test_empty_validation_rejected(self):
@@ -252,6 +254,12 @@ class TestCoteachTrain:
             assert (tmp_path / f"A_{i}.ckpt").exists()
             assert (tmp_path / f"B_{i}.ckpt").exists()
 
+    def test_training_set_smaller_than_batch_rejected(self, corpus):
+        small = replace(corpus, train=corpus.train[:4])
+        init = init_params(SPEC, 0)
+        with pytest.raises(ValueError, match="smaller than one batch"):
+            coteach_train(init, init, small, _config(batch_size=10))
+
 
 class TestPretrain:
     def test_zero_epochs_returns_initialization(self, corpus):
@@ -270,6 +278,11 @@ class TestPretrain:
     def test_requires_none_strategy(self, corpus):
         with pytest.raises(ValueError):
             pretrain(SPEC, corpus, _config(strategy="margin", lam=0.5))
+
+    def test_training_set_smaller_than_batch_rejected(self, corpus):
+        small = replace(corpus, train=corpus.train[:4])
+        with pytest.raises(ValueError, match="smaller than one batch"):
+            pretrain(SPEC, small, _config(batch_size=10))
 
     def test_clean_corpus_is_learnable(self):
         corpus = generate_synthetic_corpus(

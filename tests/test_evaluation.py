@@ -43,14 +43,15 @@ class TestFilterDegenerate:
 
 class TestRankGroup:
     def test_equal_scores_preserve_order(self, small_model, monkeypatch):
-        monkeypatch.setattr(matcher, "score", lambda m, d: 0.5)
+        monkeypatch.setattr(matcher, "scores", lambda m, ds: np.full(len(ds), 0.5))
         candidates = [((i,), i % 2) for i in range(6)]
         ranked = rank_group(small_model, ((1,),), candidates)
         assert [idx for idx, _, _ in ranked.entries] == list(range(6))
 
     def test_descending_scores_identity_permutation(self, small_model, monkeypatch):
-        monkeypatch.setattr(matcher, "score",
-                            lambda m, d: 1.0 - 0.1 * d.response[0])
+        monkeypatch.setattr(matcher, "scores",
+                            lambda m, ds: np.array([1.0 - 0.1 * d.response[0]
+                                                    for d in ds]))
         candidates = [((i,), 1) for i in range(5)]
         ranked = rank_group(small_model, ((1,),), candidates)
         assert [idx for idx, _, _ in ranked.entries] == list(range(5))

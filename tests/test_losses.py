@@ -5,8 +5,7 @@ import math
 import pytest
 
 from coteach import (LearningProtocol, PairwiseTriple, PointwiseExample,
-                     TokenizedDialogue, cross_entropy, hinge_with_margin,
-                     weighted_ce_sum)
+                     TokenizedDialogue, cross_entropy, hinge_with_margin)
 from coteach.losses import (CE_EPS, CROSS_ENTROPY, HINGE_WITH_MARGIN,
                             WEIGHTED_CROSS_ENTROPY)
 
@@ -64,28 +63,6 @@ class TestHingeWithMargin:
         for s_pos, s_neg, margin in [(0.8, 0.3, 0.5), (0.9, 0.1, 0.2)]:
             expected = 0.0 if s_pos - s_neg >= margin else margin - s_pos + s_neg
             assert hinge_with_margin(s_pos, s_neg, margin) == pytest.approx(expected)
-
-
-class TestWeightedCeSum:
-    def test_identity_weights_match_plain_sum(self):
-        instances = [(1.0, 1, 0.7), (1.0, 0, 0.3), (1.0, 1, 0.9)]
-        plain = sum(cross_entropy(y, s) for _, y, s in instances)
-        assert weighted_ce_sum(instances) == pytest.approx(plain, abs=1e-12)
-
-    def test_zero_weights_annihilate(self):
-        assert weighted_ce_sum([(0.0, 1, 0.3), (0.0, 0, 0.9)]) == 0.0
-
-    def test_single_instance_value(self):
-        assert weighted_ce_sum([(0.5, 0, 0.5)]) == pytest.approx(0.5 * math.log(2),
-                                                                 abs=1e-9)
-
-    def test_linear_in_each_weight(self):
-        base = weighted_ce_sum([(1.0, 0, 0.6)])
-        assert weighted_ce_sum([(0.25, 0, 0.6)]) == pytest.approx(0.25 * base)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_ce_sum([(-0.1, 1, 0.5)])
 
 
 class TestLearningProtocol:

@@ -8,13 +8,44 @@ import pytest
 from coteach import (LearningProtocol, MatcherSpec, ModelState, PairwiseTriple,
                      PointwiseExample, TokenizedDialogue, finite_diff_check,
                      init_params, load_checkpoint, loss_and_grad,
-                     save_checkpoint, score)
+                     save_checkpoint, score, scores)
 from coteach import matcher
 from coteach.losses import (CROSS_ENTROPY, HINGE_WITH_MARGIN,
                             WEIGHTED_CROSS_ENTROPY)
 from coteach.matcher import n_params, param_layout, protocol_loss
 
 from conftest import random_dialogue, random_triple
+
+
+def _ragged_tokens(rng, vocab_size=20):
+    return tuple(int(t) for t in rng.integers(0, vocab_size, size=rng.integers(1, 11)))
+
+
+def _ragged_dialogue(rng):
+    """1-3 context utterances and a response, each of 1-10 tokens."""
+    context = tuple(_ragged_tokens(rng) for _ in range(rng.integers(1, 4)))
+    return TokenizedDialogue(context, _ragged_tokens(rng))
+
+
+def _ragged_triple(rng):
+    d = _ragged_dialogue(rng)
+    return PairwiseTriple(d.context, d.response, _ragged_tokens(rng))
+
+
+def _reference_score(model, dialogue):
+    """Per-dialogue forward: mean of utterance means, head, clamped sigmoid."""
+    spec, p = model.spec, model.params
+    layout, d = param_layout(spec), spec.embedding_dim
+    E = p[layout["E"]].reshape(spec.vocab_size, d)
+    u = np.mean([E[list(utt)].mean(axis=0) for utt in dialogue.context], axis=0)
+    v = E[list(dialogue.response)].mean(axis=0)
+    if spec.kind == "mean-embedding-bilinear":
+        z = u @ p[layout["W"]].reshape(d, d) @ v + p[layout["b"]][0]
+    else:
+        W1 = p[layout["W1"]].reshape(spec.hidden_dim, 3 * d)
+        a = np.tanh(W1 @ np.concatenate([u, v, u * v]) + p[layout["b1"]])
+        z = p[layout["w2"]] @ a + p[layout["b2"]][0]
+    return 1.0 / (1.0 + math.exp(-min(max(z, -30.0), 30.0)))
 
 
 class TestSpecAndLayout:
@@ -109,18 +140,39 @@ class TestScore:
         with pytest.raises(ValueError):
             score(small_model, TokenizedDialogue(((),), (1,)))
 
+    @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
+    @pytest.mark.parametrize("dim", [4, 16, 32])
+    def test_batch_equals_one_at_a_time_bit_for_bit(self, kind, dim):
+        # Row-blocked BLAS products break this only at some sizes, so try
+        # several widths and batch sizes.
+        model = init_params(MatcherSpec(kind, vocab_size=20, embedding_dim=dim,
+                                        hidden_dim=dim), seed=11)
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5, 17, 40, 96, 200):
+            dialogues = [_ragged_dialogue(rng) for _ in range(n)]
+            batched = scores(model, dialogues)
+            assert batched.tolist() == [score(model, d) for d in dialogues]
 
-def _pointwise_protocol(rng, kind, n=4):
+    def test_matches_per_dialogue_reference(self, small_spec):
+        rng = np.random.default_rng(13)
+        # Large weights push some bilinear logits past the sigmoid clamp.
+        model = ModelState(small_spec, rng.normal(0.0, 3.0, n_params(small_spec)))
+        dialogues = [_ragged_dialogue(rng) for _ in range(40)]
+        expected = [_reference_score(model, d) for d in dialogues]
+        assert np.allclose(scores(model, dialogues), expected, rtol=0, atol=1e-12)
+
+
+def _pointwise_protocol(rng, kind, n=4, make_dialogue=random_dialogue):
     instances = []
     for i in range(n):
         y = int(rng.integers(2))
         weight = 1.0 if kind == CROSS_ENTROPY else float(rng.uniform(0, 1))
-        instances.append((PointwiseExample(y, random_dialogue(rng)), weight))
+        instances.append((PointwiseExample(y, make_dialogue(rng)), weight))
     return LearningProtocol(kind, pointwise=tuple(instances))
 
 
-def _pairwise_protocol(rng, n=4):
-    instances = tuple((random_triple(rng), float(rng.uniform(0, 0.5)))
+def _pairwise_protocol(rng, n=4, make_triple=random_triple):
+    instances = tuple((make_triple(rng), float(rng.uniform(0, 0.5)))
                       for _ in range(n))
     return LearningProtocol(HINGE_WITH_MARGIN, pairwise=instances)
 
@@ -163,11 +215,32 @@ class TestLossAndGrad:
             assert loss == pytest.approx(protocol_loss(small_model, protocol),
                                          abs=1e-9)
 
-    @pytest.mark.parametrize("loss_kind", ["hinge", "ce", "wce"])
+    @pytest.mark.parametrize("kind", [CROSS_ENTROPY, WEIGHTED_CROSS_ENTROPY,
+                                      HINGE_WITH_MARGIN])
+    def test_batch_loss_and_grad_is_sum_of_single_instances(self, small_model, kind):
+        rng = np.random.default_rng(14)
+        if kind == HINGE_WITH_MARGIN:
+            # Margins up to 0.5 keep most hinges active at init.
+            protocol = _pairwise_protocol(rng, n=8, make_triple=_ragged_triple)
+            singles = [LearningProtocol(kind, pairwise=(inst,))
+                       for inst in protocol.pairwise]
+        else:
+            protocol = _pointwise_protocol(rng, kind, n=8,
+                                           make_dialogue=_ragged_dialogue)
+            singles = [LearningProtocol(kind, pointwise=(inst,))
+                       for inst in protocol.pointwise]
+        loss, grad = loss_and_grad(small_model, protocol)
+        parts = [loss_and_grad(small_model, p) for p in singles]
+        assert loss == pytest.approx(sum(l for l, _ in parts), rel=0, abs=1e-12)
+        assert np.allclose(grad, sum(g for _, g in parts), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("loss_kind", ["hinge", "ce", "wce", "ragged-hinge"])
     def test_gradient_matches_finite_differences(self, small_spec, loss_kind):
         rng = np.random.default_rng(5)
         model = init_params(small_spec, seed=int(rng.integers(1000)))
-        if loss_kind == "hinge":
+        if loss_kind == "ragged-hinge":
+            protocol = _pairwise_protocol(rng, make_triple=_ragged_triple)
+        elif loss_kind == "hinge":
             protocol = _pairwise_protocol(rng)
         else:
             kind = CROSS_ENTROPY if loss_kind == "ce" else WEIGHTED_CROSS_ENTROPY

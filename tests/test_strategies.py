@@ -21,12 +21,12 @@ def _dialogue(tag):
 
 
 def _fixed_score_teacher(monkeypatch, table):
-    """Make matcher.score return table[response] regardless of the model."""
+    """Make matcher.scores return table[response] regardless of the model."""
 
-    def fake_score(model, dialogue):
-        return table[dialogue.response]
+    def fake_scores(model, dialogues):
+        return np.array([table[d.response] for d in dialogues])
 
-    monkeypatch.setattr(matcher, "score", fake_score)
+    monkeypatch.setattr(matcher, "scores", fake_scores)
 
 
 @pytest.fixture
