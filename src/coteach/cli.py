@@ -14,7 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from . import engine, evaluation, matcher
 from .corpus import (CorpusFormatError, GenConfig, generate_synthetic_corpus,
@@ -37,6 +40,7 @@ STRATEGY_LEARNING_RATES = {
     "curriculum": 1e-4,
     "none": 1e-4,
 }
+PRETRAIN_LEARNING_RATE = 1e-3
 
 METRICS_COLUMNS = ["run", "strategy", "MAP", "MRR", "P@1",
                    "R10@1", "R10@2", "R10@5", "n_contexts"]
@@ -118,29 +122,55 @@ def _run_dir(config, args) -> Path:
 
 
 def _load_corpus(path):
+    """Load the corpus; every command that does needs validation triples."""
     if not Path(path).exists():
         raise DataError(f"corpus directory not found: {path} (run 'coteach generate')")
     try:
-        return load_corpus(path)
+        corpus = load_corpus(path)
     except CorpusFormatError as exc:
         raise DataError(str(exc)) from exc
+    if not corpus.valid:
+        raise DataError(f"{Path(path) / 'valid.txt'}: empty validation set")
+    return corpus
 
 
-def _train_config(config, args, strategy: str) -> engine.TrainConfig:
+def _train_config(config, args, strategy: str,
+                  pretraining: bool = False) -> engine.TrainConfig:
+    """Pretraining reads 'pretrain_lr' and 'pretrain_epochs' where
+    co-teaching reads 'learning_rate' and 'n_epochs'."""
     seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
-    lr_default = STRATEGY_LEARNING_RATES[strategy]
+    if pretraining:
+        lr_key, lr_default, epochs_key = (
+            "pretrain_lr", PRETRAIN_LEARNING_RATE, "pretrain_epochs")
+    else:
+        lr_key, lr_default, epochs_key = (
+            "learning_rate", STRATEGY_LEARNING_RATES[strategy], "n_epochs")
     try:
         return engine.TrainConfig(
             strategy=strategy,
             lam=_get(config, "lambda", float, -1.0) if strategy == "margin" else None,
             delta=_get(config, "delta", float, -1.0) if strategy == "curriculum" else None,
-            learning_rate=_get(config, "learning_rate", float, lr_default),
+            learning_rate=_get(config, lr_key, float, lr_default),
             batch_size=_get(config, "batch_size", int, 50),
-            n_epochs=_get(config, "n_epochs", int, 3),
+            n_epochs=_get(config, epochs_key, int, 3),
             optimizer=_get(config, "optimizer", str, "adam"),
             seed=seed,
             eval_every=_get(config, "eval_every", int, 50),
         )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+@contextmanager
+def _training(lr_key: str):
+    """Report a training set without a full batch, or a run whose gradient
+    stopped being finite, as a usage error. The finiteness check reports a
+    diverging run, so numpy's overflow warnings on the way are silenced."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except FloatingPointError as exc:
+        raise UsageError(f"training diverged ({exc}); try a lower {lr_key!r}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -165,20 +195,9 @@ def cmd_generate(config, args) -> int:
 def cmd_pretrain(config, args) -> int:
     corpus = _load_corpus(_corpus_dir(config))
     spec = _matcher_spec(config, corpus.vocab_size)
-    seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
-    try:
-        train_config = engine.TrainConfig(
-            strategy="none",
-            learning_rate=_get(config, "pretrain_lr", float, 1e-3),
-            batch_size=_get(config, "batch_size", int, 50),
-            n_epochs=_get(config, "pretrain_epochs", int, 3),
-            optimizer=_get(config, "optimizer", str, "adam"),
-            seed=seed,
-            eval_every=_get(config, "eval_every", int, 50),
-        )
+    train_config = _train_config(config, args, "none", pretraining=True)
+    with _training("pretrain_lr"):
         model = engine.pretrain(spec, corpus, train_config)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     run_dir = _run_dir(config, args)
     matcher.save_checkpoint(model, run_dir / "pretrained.ckpt")
     p1 = engine.validation_p_at_1(model, corpus.valid)
@@ -227,13 +246,11 @@ def _strategy(config, args) -> str:
 
 
 def _coteach(config, run_dir, corpus, train_config, checkpoint_dir=None):
-    """Co-teach the initial peers; a too-small training set is a usage error."""
+    """Co-teach the initial peers."""
     model_a, model_b = _init_peers(config, run_dir, corpus)
-    try:
+    with _training("learning_rate"):
         return engine.coteach_train(model_a, model_b, corpus, train_config,
                                     checkpoint_dir=checkpoint_dir)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def cmd_coteach(config, args) -> int:

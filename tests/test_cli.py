@@ -111,6 +111,35 @@ class TestExitCodes:
         _one_line_error(capsys, "error: training set of 4 triples")
         assert not (workdir / "run" / "history.csv").exists()
 
+    def test_diverging_training_is_usage_error(self, workdir, capsys):
+        (workdir / "div.cfg").write_text(
+            TINY_CONFIG + "pretrain_lr = 1e300\nlearning_rate = 1e300\n")
+        assert _run("generate", "--config", "div.cfg") == 0
+        capsys.readouterr()
+        assert _run("pretrain", "--config", "div.cfg") == 1
+        err = _one_line_error(capsys, "error: training diverged (non-finite "
+                                      "gradient entry at index ")
+        assert "'pretrain_lr'" in err
+        assert not (workdir / "run" / "pretrained.ckpt").exists()
+        assert _run("pretrain", "--config", "exp.cfg") == 0
+        capsys.readouterr()
+        assert _run("coteach", "--config", "div.cfg", "--strategy", "margin") == 1
+        err = _one_line_error(capsys, "error: training diverged (non-finite "
+                                      "gradient entry at index ")
+        assert "'learning_rate'" in err
+        assert not (workdir / "run" / "history.csv").exists()
+
+    def test_empty_validation_set_is_data_error(self, workdir, capsys):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        assert _run("pretrain", "--config", "exp.cfg") == 0
+        assert _run("coteach", "--config", "exp.cfg", "--strategy", "margin") == 0
+        valid = workdir / "corpus" / "valid.txt"
+        valid.write_text(valid.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        for command in ("pretrain", "coteach", "evaluate"):
+            assert _run(command, "--config", "exp.cfg", "--strategy", "margin") == 2
+            assert "empty validation set" in _one_line_error(capsys, "data error:")
+
 
 class TestGenerate:
     def test_writes_corpus_and_summary(self, workdir, capsys):

@@ -50,6 +50,19 @@ class TestTrainConfig:
             _config(optimizer="rmsprop")
 
 
+def _adam_reference(params, grad, state, lr, beta1, beta2, eps):
+    """The whole-vector Adam step the blocked kernel must reproduce bit for bit."""
+    t = state.t + 1
+    m = beta1 * state.m + (1.0 - beta1) * grad
+    v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v, t
+
+
+B = engine.ADAM_BLOCK
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = np.array([1.0, -2.0])
@@ -85,6 +98,62 @@ class TestAdam:
         state = OptimizerState(np.zeros(2), np.zeros(2), 0)
         with pytest.raises(ValueError):
             adam_update(np.zeros(2), np.zeros(3), state, lr=0.1)
+
+    @staticmethod
+    def _inputs(n, seed, sparse):
+        rng = np.random.default_rng(seed)
+        grad = rng.standard_normal(n) * rng.uniform(1e-6, 10.0)
+        if sparse:
+            grad[rng.random(n) >= 0.02] = 0.0
+        state = OptimizerState(rng.standard_normal(n) * 0.01,
+                               rng.random(n) * 1e-3, int(rng.integers(0, 5000)))
+        hyper = dict(lr=float(rng.uniform(0, 1e-2)),
+                     beta1=float(rng.uniform(0.5, 0.99)),
+                     beta2=float(rng.uniform(0.9, 0.9999)),
+                     eps=float(10.0 ** rng.uniform(-10, -6)))
+        return rng.standard_normal(n), grad, state, hyper
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7, 641_025])
+    def test_bit_identical_to_whole_vector_step(self, n, sparse):
+        params, grad, state, hyper = self._inputs(n, n + sparse, sparse)
+        new_params, new_state = adam_update(params, grad, state, **hyper)
+        ref_params, ref_m, ref_v, ref_t = _adam_reference(params, grad, state, **hyper)
+        assert new_params.tobytes() == ref_params.tobytes()
+        assert new_state.m.tobytes() == ref_m.tobytes()
+        assert new_state.v.tobytes() == ref_v.tobytes()
+        assert new_state.t == ref_t
+
+    def test_inputs_are_not_written(self):
+        params, grad, state, hyper = self._inputs(3 * B + 7, 0, False)
+        before = [a.tobytes() for a in (params, grad, state.m, state.v)]
+        adam_update(params, grad, state, **hyper)
+        assert [a.tobytes() for a in (params, grad, state.m, state.v)] == before
+
+    def test_nonfinite_entry_in_last_block_reported_at_its_index(self):
+        n = 3 * B + 7
+        grad = np.zeros(n)
+        grad[n - 3] = np.inf
+        state = OptimizerState(np.zeros(n), np.zeros(n), 0)
+        with pytest.raises(FloatingPointError, match=f"index {n - 3}$"):
+            adam_update(np.zeros(n), grad, state, lr=0.1)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_mis_sized_state_rejected(self, size):
+        state = OptimizerState(np.zeros(size), np.zeros(size), 0)
+        with pytest.raises(ValueError, match="optimizer state"):
+            adam_update(np.zeros(3), np.zeros(3), state, lr=0.1)
+        with pytest.raises(ValueError, match="optimizer state"):
+            adam_update(np.zeros(3), np.zeros(3),
+                        OptimizerState(np.zeros(3), np.zeros(size), 0), lr=0.1)
+
+    def test_sgd_shares_the_first_bad_index_report(self):
+        model = init_params(SPEC, 0)
+        grad = np.zeros(model.params.size)
+        grad[[5, 9]] = np.nan
+        config = _config(optimizer="sgd")
+        with pytest.raises(FloatingPointError, match="index 5$"):
+            engine._apply_update(model, grad, init_optimizer(config, grad.size), config)
 
 
 class TestSplitBatch:
