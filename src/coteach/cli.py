@@ -197,10 +197,9 @@ def cmd_pretrain(config, args) -> int:
     spec = _matcher_spec(config, corpus.vocab_size)
     train_config = _train_config(config, args, "none", pretraining=True)
     with _training("pretrain_lr"):
-        model = engine.pretrain(spec, corpus, train_config)
+        model, p1 = engine.pretrain(spec, corpus, train_config, return_p1=True)
     run_dir = _run_dir(config, args)
     matcher.save_checkpoint(model, run_dir / "pretrained.ckpt")
-    p1 = engine.validation_p_at_1(model, corpus.valid)
     print(f"wrote {run_dir / 'pretrained.ckpt'} (validation P@1 = {p1:.4f})")
     return 0
 

@@ -126,7 +126,7 @@ def _topic_range(config: GenConfig, topic: int) -> tuple[int, int]:
 
 def _sample_utterance(rng, config: GenConfig, topic: int) -> tuple[int, ...]:
     lo, hi = _topic_range(config, topic)
-    return tuple(int(t) for t in rng.integers(lo, hi, size=config.tokens_per_utterance))
+    return tuple(rng.integers(lo, hi, size=config.tokens_per_utterance).tolist())
 
 
 def _sample_context(rng, config: GenConfig, topic: int):
@@ -249,10 +249,13 @@ def _format_header(corpus: Corpus) -> str:
     return f"#vocab={corpus.vocab_size} candidates={corpus.n_candidates}"
 
 
-def _format_utterances(context, response) -> str:
-    fields = [" ".join(str(t) for t in utt) for utt in context]
-    fields.append(" ".join(str(t) for t in response))
-    return "\t".join(fields)
+def _format_tokens(tokens) -> str:
+    return " ".join(map(str, tokens))
+
+
+def _format_context(context) -> str:
+    """The context's fields, each followed by the tab before the response."""
+    return "".join(_format_tokens(utt) + "\t" for utt in context)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -264,14 +267,16 @@ def save_corpus(corpus: Corpus, path) -> None:
     for name, triples in (("train.txt", corpus.train), ("valid.txt", corpus.valid)):
         lines = [header]
         for t in triples:
-            lines.append("POS\t" + _format_utterances(t.context, t.pos_response))
-            lines.append("NEG\t" + _format_utterances(t.context, t.neg_response))
+            context = _format_context(t.context)
+            lines.append(f"POS\t{context}{_format_tokens(t.pos_response)}")
+            lines.append(f"NEG\t{context}{_format_tokens(t.neg_response)}")
         (path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     lines = [header]
     for group in corpus.test:
+        context = _format_context(group.context)
         for response, label in group.candidates:
-            lines.append(f"{label}\t" + _format_utterances(group.context, response))
+            lines.append(f"{label}\t{context}{_format_tokens(response)}")
     (path / "test.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     meta = {
@@ -299,48 +304,71 @@ def _parse_header(line: str, path, line_no: int) -> tuple[int, int]:
         cands = int(cand_part.split("=", 1)[1])
     except (ValueError, IndexError) as exc:
         raise CorpusFormatError(path, line_no, f"malformed header: {line!r}") from exc
+    if vocab <= 0 or cands <= 0:
+        raise CorpusFormatError(
+            path, line_no, f"header needs a positive vocab and candidate count: {line!r}")
     return vocab, cands
 
 
 def _parse_tokens(field: str, vocab_size: int, path, line_no: int) -> tuple[int, ...]:
     try:
-        tokens = tuple(int(t) for t in field.split())
+        tokens = tuple(map(int, field.split()))
     except ValueError as exc:
         raise CorpusFormatError(path, line_no, f"non-integer token in {field!r}") from exc
-    for t in tokens:
-        if not 0 <= t < vocab_size:
-            raise CorpusFormatError(
-                path, line_no, f"token ID {t} outside vocab of size {vocab_size}")
+    if tokens and (min(tokens) < 0 or max(tokens) >= vocab_size):
+        bad = next(t for t in tokens if not 0 <= t < vocab_size)
+        raise CorpusFormatError(
+            path, line_no, f"token ID {bad} outside vocab of size {vocab_size}")
     return tokens
 
 
-def _parse_dialogue_fields(fields, vocab_size, path, line_no):
+def _parse_dialogue_fields(fields, vocab_size, path, line_no, parsed):
+    """(context, response) of one line's fields. ``parsed`` maps field text
+    to its tokens for one file; a field that fails is never added to it, so
+    every error is raised at the line it is on."""
     if len(fields) < 2:
         raise CorpusFormatError(
             path, line_no, "need at least one utterance and a response")
-    parsed = [_parse_tokens(f, vocab_size, path, line_no) for f in fields]
-    return tuple(parsed[:-1]), parsed[-1]
+    tokens = []
+    for field in fields:
+        t = parsed.get(field)
+        if t is None:
+            t = parsed[field] = _parse_tokens(field, vocab_size, path, line_no)
+        tokens.append(t)
+    return tuple(tokens[:-1]), tokens[-1]
+
+
+def _read_text(path) -> str:
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line of the first bad byte, counted as str.splitlines counts.
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise CorpusFormatError(
+            path, line_no, f"invalid UTF-8 at byte {exc.start}") from exc
 
 
 def _read_lines(path):
     if not path.exists():
         return None, []
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         return None, []
     header = _parse_header(lines[0], path, 1)
     return header, [(i + 2, line) for i, line in enumerate(lines[1:]) if line]
 
 
-def _load_triples(path, noise_flags):
+def _load_triples(path):
+    """(context, pos, neg) rows and the header of a train/valid file."""
     header, lines = _read_lines(path)
     if header is None:
         return [], None
     vocab_size, _ = header
     if len(lines) % 2 != 0:
         raise CorpusFormatError(path, lines[-1][0], "dangling POS line without NEG")
-    triples = []
+    rows = []
+    parsed = {}
     for (pos_no, pos_line), (neg_no, neg_line) in zip(lines[::2], lines[1::2]):
         pos_fields = pos_line.split("\t")
         neg_fields = neg_line.split("\t")
@@ -348,15 +376,28 @@ def _load_triples(path, noise_flags):
             raise CorpusFormatError(path, pos_no, f"expected POS line, got {pos_fields[0]!r}")
         if neg_fields[0] != "NEG":
             raise CorpusFormatError(path, neg_no, f"expected NEG line, got {neg_fields[0]!r}")
-        context, pos = _parse_dialogue_fields(pos_fields[1:], vocab_size, path, pos_no)
-        neg_context, neg = _parse_dialogue_fields(neg_fields[1:], vocab_size, path, neg_no)
+        context, pos = _parse_dialogue_fields(
+            pos_fields[1:], vocab_size, path, pos_no, parsed)
+        neg_context, neg = _parse_dialogue_fields(
+            neg_fields[1:], vocab_size, path, neg_no, parsed)
         if neg_context != context:
             raise CorpusFormatError(path, neg_no, "NEG line context differs from its POS line")
-        flag = None
-        if noise_flags is not None:
-            flag = bool(noise_flags[len(triples)])
-        triples.append(PairwiseTriple(context, pos, neg, noise_flag=flag))
-    return triples, header
+        rows.append((context, pos, neg))
+    return rows, header
+
+
+def _with_noise_flags(rows, meta, key, meta_path):
+    """Triples from (context, pos, neg) rows, flagged from ``meta[key]``
+    when present; the list must hold one 0/1 flag per row."""
+    flags = meta.get(key)
+    if flags is None:
+        return tuple(PairwiseTriple(c, p, n) for c, p, n in rows)
+    if not (isinstance(flags, list) and len(flags) == len(rows)
+            and all(f in (0, 1) for f in flags)):
+        raise CorpusFormatError(
+            meta_path, 1, f"{key} must list one 0/1 flag per triple ({len(rows)})")
+    return tuple(PairwiseTriple(c, p, n, noise_flag=bool(f))
+                 for (c, p, n), f in zip(rows, flags))
 
 
 def _load_test(path):
@@ -369,6 +410,7 @@ def _load_test(path):
             path, lines[-1][0],
             f"test line count not a multiple of {n_candidates} candidates")
     groups = []
+    parsed = {}
     for start in range(0, len(lines), n_candidates):
         block = lines[start:start + n_candidates]
         context = None
@@ -377,7 +419,8 @@ def _load_test(path):
             fields = line.split("\t")
             if fields[0] not in ("0", "1"):
                 raise CorpusFormatError(path, line_no, f"expected 0/1 label, got {fields[0]!r}")
-            ctx, response = _parse_dialogue_fields(fields[1:], vocab_size, path, line_no)
+            ctx, response = _parse_dialogue_fields(
+                fields[1:], vocab_size, path, line_no, parsed)
             if context is None:
                 context = ctx
             elif ctx != context:
@@ -387,16 +430,26 @@ def _load_test(path):
     return groups, header
 
 
+def _read_meta(path) -> dict:
+    """The sidecar's JSON object; a missing sidecar means no metadata."""
+    if not path.exists():
+        return {}
+    try:
+        meta = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(path, exc.lineno, f"malformed JSON: {exc.msg}") from exc
+    if not isinstance(meta, dict):
+        raise CorpusFormatError(path, 1, "expected a JSON object")
+    return meta
+
+
 def load_corpus(path) -> Corpus:
     """Load a corpus directory written by :func:`save_corpus`."""
     path = Path(path)
-    meta = {}
     meta_path = path / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-
-    train, h_train = _load_triples(path / "train.txt", meta.get("train_noise_flags"))
-    valid, h_valid = _load_triples(path / "valid.txt", meta.get("valid_noise_flags"))
+    meta = _read_meta(meta_path)
+    train, h_train = _load_triples(path / "train.txt")
+    valid, h_valid = _load_triples(path / "valid.txt")
     test, h_test = _load_test(path / "test.txt")
 
     headers = [h for h in (h_train, h_valid, h_test) if h is not None]
@@ -406,6 +459,8 @@ def load_corpus(path) -> Corpus:
         raise CorpusFormatError(path, 1, f"inconsistent headers across files: {headers}")
     vocab_size, n_candidates = headers[0]
 
-    return Corpus(train=tuple(train), valid=tuple(valid), test=tuple(test),
+    return Corpus(train=_with_noise_flags(train, meta, "train_noise_flags", meta_path),
+                  valid=_with_noise_flags(valid, meta, "valid_noise_flags", meta_path),
+                  test=tuple(test),
                   vocab_size=vocab_size, n_candidates=n_candidates,
                   seed=meta.get("seed"), noise_rate=meta.get("noise_rate"))

@@ -271,12 +271,13 @@ def read_history(path) -> RunHistory:
 
 
 def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
-             config: TrainConfig) -> matcher.ModelState:
+             config: TrainConfig, return_p1: bool = False):
     """Train a single model on the full (noisy) training set.
 
     Plain cross-entropy on the pointwise view, shuffled each epoch; returns
     the evaluated checkpoint with the best validation P@1 (the initial
-    model counts as a candidate, ties keep the earlier checkpoint).
+    model counts as a candidate, ties keep the earlier checkpoint). With
+    ``return_p1`` it returns (model, its validation P@1).
     """
     if config.strategy != "none":
         raise ValueError("pretrain requires strategy 'none'")
@@ -284,7 +285,7 @@ def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
         raise ValueError("empty training set")
     model = matcher.init_params(spec, int(_stream(config.seed, "init").integers(2 ** 31)))
     if config.n_epochs == 0:
-        return model
+        return (model, validation_p_at_1(model, corpus.valid)) if return_p1 else model
     n_batches = _n_batches(corpus, config)
     opt = init_optimizer(config, model.params.size)
     best = model
@@ -307,7 +308,7 @@ def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
         p1 = validation_p_at_1(model, corpus.valid)
         if p1 > best_p1:
             best, best_p1 = model, p1
-    return best
+    return (best, best_p1) if return_p1 else best
 
 
 def coteach_step(model_a: matcher.ModelState, model_b: matcher.ModelState,

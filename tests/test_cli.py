@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line pipeline."""
 
+import json
 import shutil
 
 import pytest
 
+from coteach import engine, load_checkpoint, load_corpus
 from coteach.cli import main, parse_config
-from coteach import load_checkpoint
 
 TINY_CONFIG = """\
 # desk-scale experiment
@@ -135,10 +136,43 @@ class TestExitCodes:
         assert _run("coteach", "--config", "exp.cfg", "--strategy", "margin") == 0
         valid = workdir / "corpus" / "valid.txt"
         valid.write_text(valid.read_text().splitlines()[0] + "\n")
+        # meta.json must list one noise flag per remaining validation triple.
+        _edit_meta(workdir, valid_noise_flags=[])
         capsys.readouterr()
         for command in ("pretrain", "coteach", "evaluate"):
             assert _run(command, "--config", "exp.cfg", "--strategy", "margin") == 2
             assert "empty validation set" in _one_line_error(capsys, "data error:")
+
+    @pytest.mark.parametrize("damage, message", [
+        ("utf8", "train.txt:3: invalid UTF-8"),
+        ("json", "meta.json:1: malformed JSON"),
+        ("short_flags", "meta.json:1: train_noise_flags must list one"),
+        ("long_flags", "meta.json:1: train_noise_flags must list one"),
+    ], ids=["utf8", "json", "short-flags", "long-flags"])
+    def test_malformed_corpus_file_is_data_error(self, workdir, capsys,
+                                                 damage, message):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        corpus = workdir / "corpus"
+        if damage == "utf8":
+            lines = (corpus / "train.txt").read_bytes().split(b"\n")
+            lines[2] = lines[2].replace(b"\t", b"\t\xff", 1)
+            (corpus / "train.txt").write_bytes(b"\n".join(lines))
+        elif damage == "json":
+            (corpus / "meta.json").write_text('{"seed": 7,')
+        else:
+            flags = json.loads((corpus / "meta.json").read_text())["train_noise_flags"]
+            _edit_meta(workdir, train_noise_flags=(
+                flags[:-1] if damage == "short_flags" else flags + [0]))
+        capsys.readouterr()
+        assert _run("pretrain", "--config", "exp.cfg") == 2
+        assert message in _one_line_error(capsys, "data error: corpus/")
+
+
+def _edit_meta(workdir, **fields):
+    path = workdir / "corpus" / "meta.json"
+    meta = json.loads(path.read_text())
+    meta.update(fields)
+    path.write_text(json.dumps(meta))
 
 
 class TestGenerate:
@@ -154,6 +188,31 @@ class TestGenerate:
         first = (workdir / "corpus" / "train.txt").read_bytes()
         assert _run("generate", "--config", "exp.cfg", "--seed", "8") == 0
         assert (workdir / "corpus" / "train.txt").read_bytes() != first
+
+
+class TestPretrain:
+    @pytest.mark.parametrize("epochs, evaluations", [(0, 1), (1, 3)])
+    def test_prints_p1_of_saved_model_without_rescoring(
+            self, workdir, capsys, monkeypatch, epochs, evaluations):
+        (workdir / "pre.cfg").write_text(TINY_CONFIG + f"pretrain_epochs = {epochs}\n")
+        assert _run("generate", "--config", "pre.cfg") == 0
+        calls = []
+        original = engine.validation_p_at_1
+
+        def counted(model, triples):
+            calls.append(len(triples))
+            return original(model, triples)
+
+        monkeypatch.setattr(engine, "validation_p_at_1", counted)
+        capsys.readouterr()
+        assert _run("pretrain", "--config", "pre.cfg") == 0
+        # 12 steps with eval_every = 6: the initial model, step 6, step 12.
+        assert len(calls) == evaluations
+        monkeypatch.undo()
+        model = load_checkpoint(workdir / "run" / "pretrained.ckpt")
+        p1 = engine.validation_p_at_1(model, load_corpus(workdir / "corpus").valid)
+        assert capsys.readouterr().out == (
+            f"wrote run/pretrained.ckpt (validation P@1 = {p1:.4f})\n")
 
 
 class TestPipeline:

@@ -1,5 +1,7 @@
 """Unit tests for corpus generation, views, truncation and file IO."""
 
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -39,6 +41,16 @@ class TestGeneration:
         a = generate_synthetic_corpus(tiny_gen_config)
         b = generate_synthetic_corpus(tiny_gen_config)
         assert a == b
+
+    def test_saved_bytes_are_pinned(self, tiny_corpus, tmp_path):
+        # Generation draws one fixed RNG stream and saving formats it one
+        # fixed way; a change to either changes every corpus on disk.
+        save_corpus(tiny_corpus, tmp_path)
+        digest = hashlib.sha256()
+        for name in ("train.txt", "valid.txt", "test.txt", "meta.json"):
+            digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == (
+            "d577d7161dccce1d6751b848edc0016ac6b6b5fb86fabd3d9d0d9fd1279ff1dc")
 
     def test_different_seed_changes_corpus(self, tiny_gen_config):
         other = generate_synthetic_corpus(replace(tiny_gen_config, seed=8))
@@ -193,3 +205,109 @@ class TestFileIO:
         for name in ("train.txt", "valid.txt", "test.txt", "meta.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+
+def _saved(corpus, tmp_path):
+    save_corpus(corpus, tmp_path / "c")
+    return tmp_path / "c"
+
+
+def _replace_line(path, index, edit):
+    lines = path.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestFieldCache:
+    """Each field's text is parsed once per file; these pin down that the
+    cache changes neither what loads nor where an error is reported."""
+
+    def test_bad_token_after_cached_context_reported_at_its_line(
+            self, tiny_corpus, tmp_path):
+        path = _saved(tiny_corpus, tmp_path) / "test.txt"
+        # Line 4 is the third candidate of the first group: its context
+        # fields were parsed on lines 2 and 3.
+        _replace_line(path, 3, lambda line: line + " 60")
+        with pytest.raises(CorpusFormatError, match=r"test\.txt:4: token ID 60"):
+            load_corpus(path.parent)
+
+    def test_bad_neg_response_reported_at_neg_line(self, tiny_corpus, tmp_path):
+        path = _saved(tiny_corpus, tmp_path) / "train.txt"
+        _replace_line(path, 4, lambda line: line + " -1")
+        with pytest.raises(CorpusFormatError, match=r"train\.txt:5: token ID -1"):
+            load_corpus(path.parent)
+
+    def test_repeated_bad_field_reported_at_first_line(self, tiny_corpus, tmp_path):
+        path = _saved(tiny_corpus, tmp_path) / "train.txt"
+        for index in (3, 4):  # both lines of the second triple
+            _replace_line(path, index, lambda line: line.replace("\t", "\t99 ", 1))
+        with pytest.raises(CorpusFormatError, match=r"train\.txt:4: token ID 99"):
+            load_corpus(path.parent)
+
+    def test_cache_does_not_outlive_a_load(self, tiny_corpus, tmp_path):
+        narrow = _saved(tiny_corpus, tmp_path)
+        _replace_line(narrow / "train.txt", 1, lambda line: line + " 80")
+        wide = tmp_path / "wide"
+        wide.mkdir()
+        for name in ("train.txt", "valid.txt", "test.txt", "meta.json"):
+            text = (narrow / name).read_text()
+            (wide / name).write_text(text.replace("#vocab=60 ", "#vocab=100 "))
+        assert load_corpus(wide).vocab_size == 100
+        with pytest.raises(CorpusFormatError, match=r"train\.txt:2: token ID 80"):
+            load_corpus(narrow)
+
+    def test_contexts_differing_only_in_whitespace_load(self, tiny_corpus, tmp_path):
+        root = _saved(tiny_corpus, tmp_path)
+
+        def respace(line):
+            fields = line.split("\t")
+            fields[1] = " " + fields[1].replace(" ", "  ") + " "
+            return "\t".join(fields)
+
+        _replace_line(root / "train.txt", 2, respace)  # a NEG line
+        _replace_line(root / "test.txt", 2, respace)   # a second candidate
+        assert load_corpus(root) == tiny_corpus
+
+
+class TestMalformedFiles:
+    def test_invalid_utf8_names_its_line(self, tiny_corpus, tmp_path):
+        path = _saved(tiny_corpus, tmp_path) / "valid.txt"
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = b"\xc3(" + lines[3]  # a truncated 2-byte sequence opens line 4
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorpusFormatError, match=r"valid\.txt:4: invalid UTF-8"):
+            load_corpus(path.parent)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": ', r"meta\.json:1: malformed JSON"),
+        ('{\n"seed": 1,\n}', r"meta\.json:3: malformed JSON"),
+        ("[1, 2]", r"meta\.json:1: expected a JSON object"),
+    ], ids=["truncated", "trailing-comma", "list"])
+    def test_malformed_meta_rejected(self, tiny_corpus, tmp_path, text, message):
+        root = _saved(tiny_corpus, tmp_path)
+        (root / "meta.json").write_text(text)
+        with pytest.raises(CorpusFormatError, match=message):
+            load_corpus(root)
+
+    @pytest.mark.parametrize("edit", [
+        lambda flags: flags[:-1],
+        lambda flags: flags + [0],
+        lambda flags: [2] + flags[1:],
+        lambda flags: 1,
+    ], ids=["short", "long", "not-0/1", "not-a-list"])
+    def test_noise_flags_must_match_triples(self, tiny_corpus, tmp_path, edit):
+        root = _saved(tiny_corpus, tmp_path)
+        meta = json.loads((root / "meta.json").read_text())
+        meta["valid_noise_flags"] = edit(meta["valid_noise_flags"])
+        (root / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(CorpusFormatError,
+                           match="valid_noise_flags must list one 0/1 flag per triple"):
+            load_corpus(root)
+
+    @pytest.mark.parametrize("header", ["#vocab=60 candidates=0",
+                                        "#vocab=0 candidates=6"])
+    def test_nonpositive_header_counts_rejected(self, tiny_corpus, tmp_path, header):
+        path = _saved(tiny_corpus, tmp_path) / "test.txt"
+        _replace_line(path, 0, lambda line: header)
+        with pytest.raises(CorpusFormatError, match=r"test\.txt:1: header needs"):
+            load_corpus(path.parent)

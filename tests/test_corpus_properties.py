@@ -1,0 +1,120 @@
+"""Property tests of the corpus file format: fuzzed text either loads or
+raises CorpusFormatError, and generated corpora are saved as a reference
+formatter writes them and load back equal."""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from coteach import Corpus, PairwiseTriple, load_corpus, save_corpus
+from coteach.corpus import CorpusFormatError
+from coteach.corpus import TestGroup as CandidateGroup
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# Pieces of well-formed lines, so fuzzed text gets past the header and
+# into the field parser instead of failing on the first byte.
+PIECES = st.sampled_from(["POS", "NEG", "0", "1", "2", "7", "12", "-3", "x",
+                          "\t", " ", "  ", "\n", "\r\n", "#vocab=", "=",
+                          "candidates=", " ", "٣", "_", "+"])
+BODY = st.one_of(st.lists(PIECES, max_size=60).map("".join), st.text(max_size=80))
+HEADER = st.builds("#vocab={} candidates={}\n".format,
+                   st.integers(-1, 20), st.integers(-1, 4))
+
+
+def _load_or_format_error(files: dict):
+    """load_corpus on a fresh directory holding ``files`` (name -> bytes);
+    any exception but CorpusFormatError fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        try:
+            load_corpus(tmp)
+        except CorpusFormatError:
+            pass
+
+
+@SETTINGS
+@given(header=HEADER, train=BODY, test=BODY)
+def test_fuzzed_text_raises_only_format_errors(header, train, test):
+    _load_or_format_error({"train.txt": (header + train).encode(),
+                           "test.txt": (header + test).encode()})
+
+
+@SETTINGS
+@given(header=HEADER, body=st.binary(max_size=80),
+       name=st.sampled_from(["train.txt", "valid.txt", "test.txt", "meta.json"]))
+def test_fuzzed_bytes_raise_only_format_errors(header, body, name):
+    _load_or_format_error({"valid.txt": header.encode(),
+                           name: header.encode() + body})
+
+
+# ---------------------------------------------------------------------------
+# Generated corpora
+
+
+@st.composite
+def corpora(draw):
+    vocab = draw(st.integers(1, 30))
+    n_candidates = draw(st.integers(1, 4))
+    tokens = st.lists(st.integers(0, vocab - 1), max_size=4).map(tuple)
+    # A context without utterances is saved, but does not load.
+    contexts = st.lists(tokens, max_size=3).map(tuple)
+
+    def triples(flagged):
+        flag = st.booleans() if flagged else st.none()
+        return st.lists(st.builds(PairwiseTriple, contexts, tokens, tokens, flag),
+                        max_size=5).map(tuple)
+
+    candidate = st.tuples(tokens, st.integers(0, 1))
+    groups = st.lists(st.builds(CandidateGroup, contexts,
+                                st.lists(candidate, min_size=n_candidates,
+                                         max_size=n_candidates).map(tuple)),
+                      max_size=4).map(tuple)
+    return Corpus(train=draw(triples(draw(st.booleans()))),
+                  valid=draw(triples(draw(st.booleans()))),
+                  test=draw(groups), vocab_size=vocab, n_candidates=n_candidates,
+                  seed=draw(st.none() | st.integers(0, 2 ** 31)),
+                  noise_rate=draw(st.none() | st.floats(0.0, 1.0)))
+
+
+def _reference_format(context, response) -> str:
+    """The fields of one line after its label, formatted the plain way."""
+    fields = [" ".join(str(t) for t in utt) for utt in context]
+    fields.append(" ".join(str(t) for t in response))
+    return "\t".join(fields)
+
+
+def _reference_files(corpus: Corpus) -> dict:
+    header = f"#vocab={corpus.vocab_size} candidates={corpus.n_candidates}"
+    files = {}
+    for name, triples in (("train.txt", corpus.train), ("valid.txt", corpus.valid)):
+        lines = [header]
+        for t in triples:
+            lines.append("POS\t" + _reference_format(t.context, t.pos_response))
+            lines.append("NEG\t" + _reference_format(t.context, t.neg_response))
+        files[name] = "\n".join(lines) + "\n"
+    lines = [header] + [f"{label}\t" + _reference_format(g.context, response)
+                        for g in corpus.test for response, label in g.candidates]
+    files["test.txt"] = "\n".join(lines) + "\n"
+    return files
+
+
+@SETTINGS
+@given(corpus=corpora())
+def test_save_matches_reference_and_load_inverts_it(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus(corpus, tmp)
+        for name, text in _reference_files(corpus).items():
+            assert (Path(tmp) / name).read_bytes() == text.encode(), name
+        contexts = ([t.context for t in corpus.train + corpus.valid]
+                    + [g.context for g in corpus.test])
+        if all(contexts):
+            assert load_corpus(tmp) == corpus
+        else:
+            with pytest.raises(CorpusFormatError, match="at least one utterance"):
+                load_corpus(tmp)

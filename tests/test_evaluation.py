@@ -1,6 +1,10 @@
 """Unit tests for ranking metrics, significance testing and smoothing."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,9 @@ from scipy import stats
 from coteach import (MetricsReport, RankedGroup, compute_metrics, ema,
                      filter_degenerate, paired_t_test, per_group_metrics,
                      rank_group, rank_test_groups)
-from coteach.corpus import TestGroup as CandidateGroup
+import coteach
 from coteach import matcher
+from coteach.corpus import TestGroup as CandidateGroup
 
 from conftest import random_dialogue
 
@@ -169,6 +174,21 @@ class TestPairedTTest:
         assert t == pytest.approx(ref.statistic, abs=1e-10)
         assert p == pytest.approx(ref.pvalue, abs=1e-3)
 
+    def test_p_is_bit_identical_to_scipy_stats(self):
+        # Differences of mean ``offset`` and scale ``spread``; |t| runs from
+        # below 1e-10 to above 1e15 over the grid.
+        rng = np.random.default_rng(4)
+        ts = []
+        for df in (1, 2, 5, 29, 199, 5000):
+            for offset in (0.0, 1e-12, 0.01, 0.3, 1.0):
+                for spread in (1e-15, 1e-6, 0.1, 10.0):
+                    z = rng.standard_normal(df + 1)
+                    a = offset + spread * (z - z.mean())
+                    t, p = paired_t_test(a, np.zeros(df + 1))
+                    assert p == 2.0 * float(stats.t.sf(abs(t), df)), (df, t)
+                    ts.append(abs(t))
+        assert min(ts) < 1e-10 and max(ts) > 1e15
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             paired_t_test([0.1, 0.2], [0.1])
@@ -176,6 +196,18 @@ class TestPairedTTest:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             paired_t_test([0.1], [0.2])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a second to import, and every coteach
+    # command would pay for it.
+    code = "import sys, coteach.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(coteach.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out == "False\n"
 
 
 class TestEma:
