@@ -10,7 +10,7 @@ with analytic gradients, a ranking-evaluation harness, and a CLI pipeline.
 
 from .corpus import (Corpus, GenConfig, PairwiseTriple, PointwiseExample,
                      TestGroup, TokenizedDialogue, generate_synthetic_corpus,
-                     load_corpus, save_corpus, to_pointwise, truncate)
+                     load_corpus, save_corpus, to_pointwise)
 from .engine import (OptimizerState, RunHistory, TrainConfig, adam_update,
                      coteach_step, coteach_train, pretrain, select_model,
                      split_batch, validation_p_at_1)
@@ -26,7 +26,7 @@ from .strategies import curriculum_protocol, margin_protocol, weighting_protocol
 __all__ = [
     "Corpus", "GenConfig", "PairwiseTriple", "PointwiseExample", "TestGroup",
     "TokenizedDialogue", "generate_synthetic_corpus", "load_corpus",
-    "save_corpus", "to_pointwise", "truncate",
+    "save_corpus", "to_pointwise",
     "OptimizerState", "RunHistory", "TrainConfig", "adam_update",
     "coteach_step", "coteach_train", "pretrain", "select_model",
     "split_batch", "validation_p_at_1",

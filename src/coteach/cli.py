@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import engine, evaluation, matcher
 from .corpus import (CorpusFormatError, GenConfig, generate_synthetic_corpus,
-                     load_corpus, save_corpus)
+                     load_corpus, read_text, save_corpus)
 
 
 class UsageError(Exception):
@@ -95,14 +96,13 @@ def _gen_config(config, seed_override=None) -> GenConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _matcher_spec(config, vocab_size, prefix="") -> matcher.MatcherSpec:
+def _matcher_spec(config, vocab_size) -> matcher.MatcherSpec:
     try:
         return matcher.MatcherSpec(
-            kind=_get(config, prefix + "matcher_kind", str,
-                      matcher.MEAN_EMBEDDING_BILINEAR),
+            kind=_get(config, "matcher_kind", str, matcher.MEAN_EMBEDDING_BILINEAR),
             vocab_size=vocab_size,
-            embedding_dim=_get(config, prefix + "embedding_dim", int, 32),
-            hidden_dim=_get(config, prefix + "hidden_dim", int, 32),
+            embedding_dim=_get(config, "embedding_dim", int, 32),
+            hidden_dim=_get(config, "hidden_dim", int, 32),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -153,7 +153,6 @@ def _train_config(config, args, strategy: str,
             learning_rate=_get(config, lr_key, float, lr_default),
             batch_size=_get(config, "batch_size", int, 50),
             n_epochs=_get(config, epochs_key, int, 3),
-            optimizer=_get(config, "optimizer", str, "adam"),
             seed=seed,
             eval_every=_get(config, "eval_every", int, 50),
         )
@@ -291,16 +290,23 @@ def _read_per_group_dump(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"baseline per-group dump not found: {path}")
+    try:
+        reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    except CorpusFormatError as exc:
+        raise DataError(str(exc)) from exc
     columns = {k: [] for k in METRIC_KEYS}
-    with open(path, newline="") as f:
-        for line_no, row in enumerate(csv.DictReader(f), start=2):
+    try:
+        for row in reader:
             for k in METRIC_KEYS:
                 if k not in row or row[k] is None:
                     raise DataError(f"{path}: missing column {k!r}")
                 try:
                     columns[k].append(float(row[k]))
                 except ValueError as exc:
-                    raise DataError(f"{path}:{line_no}: column {k!r}: {exc}") from exc
+                    raise DataError(
+                        f"{path}:{reader.line_num}: column {k!r}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return columns
 
 
@@ -327,9 +333,12 @@ def cmd_evaluate(config, args) -> int:
     stars = {}
     if args.baseline_dump:
         baseline = _read_per_group_dump(args.baseline_dump)
+        if any(len(baseline[key]) != len(ranked) for key in METRIC_KEYS):
+            raise DataError("baseline dump group count does not match test set")
+        if len(ranked) < 2:
+            raise DataError(f"a paired t-test needs at least 2 test groups, "
+                            f"{len(ranked)} left after removing degenerate ones")
         for key in METRIC_KEYS:
-            if len(baseline[key]) != len(per_group[key]):
-                raise DataError("baseline dump group count does not match test set")
             _, p_value = evaluation.paired_t_test(per_group[key], baseline[key])
             stars[key] = p_value < 0.05
             print(f"t-test {key}: p={p_value:.6g}"
@@ -391,7 +400,10 @@ def cmd_report(config, args) -> int:
     history_path = run_dir / "history.csv"
     if not history_path.exists():
         raise DataError(f"history not found: {history_path} (run 'coteach coteach')")
-    history = engine.read_history(history_path)
+    try:
+        history = engine.read_history(history_path)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     alpha = _get(config, "ema_alpha", float, 0.3)
     try:
         loss_a = evaluation.ema([r.loss_a for r in history.records], alpha)

@@ -215,18 +215,6 @@ def pair_dialogues(triples) -> list[TokenizedDialogue]:
             + [TokenizedDialogue(t.context, t.neg_response) for t in triples])
 
 
-def truncate(dialogue: TokenizedDialogue, max_turns: int = 10,
-             max_tokens: int = 50) -> TokenizedDialogue:
-    """Truncate to the last ``max_turns`` utterances and the first
-    ``max_tokens`` tokens of each utterance and of the response.
-
-    Recent history is the informative part of a conversation, hence last
-    turns but first tokens. Idempotent.
-    """
-    context = tuple(utt[:max_tokens] for utt in dialogue.context[-max_turns:])
-    return TokenizedDialogue(context, dialogue.response[:max_tokens])
-
-
 # ----------------------------------------------------------------------
 # File IO
 #
@@ -338,8 +326,9 @@ def _parse_dialogue_fields(fields, vocab_size, path, line_no, parsed):
     return tuple(tokens[:-1]), tokens[-1]
 
 
-def _read_text(path) -> str:
-    data = path.read_bytes()
+def read_text(path) -> str:
+    """A file's UTF-8 text; invalid UTF-8 raises CorpusFormatError."""
+    data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -352,7 +341,7 @@ def _read_text(path) -> str:
 def _read_lines(path):
     if not path.exists():
         return None, []
-    lines = _read_text(path).splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         return None, []
     header = _parse_header(lines[0], path, 1)
@@ -435,7 +424,7 @@ def _read_meta(path) -> dict:
     if not path.exists():
         return {}
     try:
-        meta = json.loads(_read_text(path))
+        meta = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(path, exc.lineno, f"malformed JSON: {exc.msg}") from exc
     if not isinstance(meta, dict):

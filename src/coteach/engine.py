@@ -15,13 +15,14 @@ evaluation cadence never perturbs the data order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import io
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import losses, matcher, strategies
-from .corpus import Corpus, pair_dialogues, to_pointwise
+from .corpus import Corpus, pair_dialogues, read_text, to_pointwise
 from .losses import LearningProtocol
 
 STRATEGIES = ("margin", "weighting", "curriculum", "none")
@@ -41,10 +42,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 50
     n_epochs: int = 1
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     eval_every: int = 50
 
@@ -55,8 +52,6 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ValueError("batch size must be even and at least 2")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.strategy == "margin" and (self.lam is None or self.lam <= 0):
             raise ValueError("margin strategy requires lam > 0")
         if self.strategy == "curriculum" and (
@@ -70,30 +65,20 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adam moment vectors and step counter; empty arrays for SGD."""
+    """Adam moment vectors and step counter."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
 
 
-def init_optimizer(config: TrainConfig, n: int) -> OptimizerState:
-    if config.optimizer == "sgd":
-        return OptimizerState(np.zeros(0), np.zeros(0), 0)
+def init_optimizer(n: int) -> OptimizerState:
     return OptimizerState(np.zeros(n), np.zeros(n), 0)
 
 
 # Entries per block of ``adam_update``: 16,384 float64 entries are 128 KB,
 # so the nine arrays one block touches fit in a 2 MB per-core L2 cache.
 ADAM_BLOCK = 16384
-
-
-def _require_finite(grad: np.ndarray) -> None:
-    """Raise FloatingPointError naming the first non-finite gradient entry."""
-    finite = np.isfinite(grad)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise FloatingPointError(f"non-finite gradient entry at index {bad}")
 
 
 def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
@@ -122,7 +107,10 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
         raise ValueError(
             f"optimizer state shapes {state.m.shape}/{state.v.shape} do not "
             f"match params {params.shape}")
-    _require_finite(grad)
+    finite = np.isfinite(grad)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise FloatingPointError(f"non-finite gradient entry at index {bad}")
     t = state.t + 1
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
@@ -152,13 +140,7 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
 
 def _apply_update(model: matcher.ModelState, grad: np.ndarray,
                   opt: OptimizerState, config: TrainConfig):
-    if config.optimizer == "sgd":
-        _require_finite(grad)
-        params = model.params - config.learning_rate * grad
-        opt = replace(opt, t=opt.t + 1)
-    else:
-        params, opt = adam_update(model.params, grad, opt, config.learning_rate,
-                                  config.beta1, config.beta2, config.adam_eps)
+    params, opt = adam_update(model.params, grad, opt, config.learning_rate)
     return matcher.ModelState(model.spec, params), opt
 
 
@@ -235,12 +217,11 @@ class RunHistory:
         self.records.append(record)
 
 
-HISTORY_COLUMNS = ["iter", "loss_A", "loss_B", "valid_P@1_A", "valid_P@1_B", "wall_ms"]
+HISTORY_COLUMNS = ["iter", "loss_A", "loss_B", "valid_P@1_A", "valid_P@1_B"]
 
 
 def write_history(history: RunHistory, path) -> None:
-    """Write history.csv. The wall_ms column is kept for schema parity but
-    written as 0 so identical runs produce byte-identical files."""
+    """Write history.csv; identical runs produce byte-identical files."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(HISTORY_COLUMNS)
@@ -251,22 +232,34 @@ def write_history(history: RunHistory, path) -> None:
                 repr(r.loss_b),
                 "" if r.valid_p1_a is None else repr(r.valid_p1_a),
                 "" if r.valid_p1_b is None else repr(r.valid_p1_b),
-                0,
             ])
 
 
+def _history_record(row: dict) -> HistoryRecord:
+    if any(row[c] is None for c in HISTORY_COLUMNS):
+        raise ValueError(f"expected {len(HISTORY_COLUMNS)} fields")
+    p1_a = float(row["valid_P@1_A"]) if row["valid_P@1_A"] else None
+    p1_b = float(row["valid_P@1_B"]) if row["valid_P@1_B"] else None
+    if (p1_a is None) != (p1_b is None):
+        raise ValueError("valid_P@1_A and valid_P@1_B must both be set or both empty")
+    return HistoryRecord(int(row["iter"]), float(row["loss_A"]),
+                         float(row["loss_B"]), p1_a, p1_b)
+
+
 def read_history(path) -> RunHistory:
+    """Load a history.csv. Columns past ``HISTORY_COLUMNS``, such as the
+    always-0 ``wall_ms`` of older files, are ignored. A malformed file
+    raises ValueError naming the file and line."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     history = RunHistory()
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+    try:
+        missing = [c for c in HISTORY_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"missing column(s) {', '.join(missing)}")
         for row in reader:
-            history.append(HistoryRecord(
-                iteration=int(row["iter"]),
-                loss_a=float(row["loss_A"]),
-                loss_b=float(row["loss_B"]),
-                valid_p1_a=float(row["valid_P@1_A"]) if row["valid_P@1_A"] else None,
-                valid_p1_b=float(row["valid_P@1_B"]) if row["valid_P@1_B"] else None,
-            ))
+            history.append(_history_record(row))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
     return history
 
 
@@ -287,7 +280,7 @@ def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
     if config.n_epochs == 0:
         return (model, validation_p_at_1(model, corpus.valid)) if return_p1 else model
     n_batches = _n_batches(corpus, config)
-    opt = init_optimizer(config, model.params.size)
+    opt = init_optimizer(model.params.size)
     best = model
     best_p1 = validation_p_at_1(model, corpus.valid)
     iteration = 0
@@ -350,8 +343,8 @@ def coteach_train(init_a: matcher.ModelState, init_b: matcher.ModelState,
     """
     n_batches = _n_batches(corpus, config)
     model_a, model_b = init_a, init_b
-    opt_a = init_optimizer(config, model_a.params.size)
-    opt_b = init_optimizer(config, model_b.params.size)
+    opt_a = init_optimizer(model_a.params.size)
+    opt_b = init_optimizer(model_b.params.size)
     history = RunHistory()
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)

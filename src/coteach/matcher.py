@@ -269,13 +269,6 @@ def loss_and_grad(model: ModelState, protocol: LearningProtocol):
     return float(total), grad
 
 
-def protocol_loss(model: ModelState, protocol: LearningProtocol) -> float:
-    """Total protocol loss without the gradient."""
-    packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
-    s, dsdz, _ = _forward(model.spec, model.params, packed)
-    return float(_loss(protocol.loss_kind, s, dsdz, labels, coef)[0])
-
-
 def finite_diff_check(model: ModelState, protocol: LearningProtocol,
                       step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
@@ -329,7 +322,9 @@ def load_checkpoint(path) -> ModelState:
         spec = MatcherSpec(kind=kind, vocab_size=vocab, embedding_dim=d, hidden_dim=h)
         if count != n_params(spec):
             raise ValueError(f"checkpoint param count {count} does not match spec layout")
-        params = np.frombuffer(f.read(count * 8), dtype="<f8").astype(np.float64)
-    if params.size != count:
-        raise ValueError(f"truncated checkpoint {path}")
-    return ModelState(spec, params)
+        # Read what is there, not count * 8 bytes: the header may lie.
+        data = f.read()
+    if len(data) != count * 8:
+        raise ValueError(f"truncated or oversized checkpoint {path}: "
+                         f"{len(data)} parameter bytes, expected {count * 8}")
+    return ModelState(spec, np.frombuffer(data, dtype="<f8").astype(np.float64))

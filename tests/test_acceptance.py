@@ -155,8 +155,8 @@ def test_3_coteaching_loop_fidelity(capsys):
     def run(update_order):
         model_a = ct.init_params(spec, 1)
         model_b = ct.init_params(spec, 2)
-        opt_a = engine.init_optimizer(config, model_a.params.size)
-        opt_b = engine.init_optimizer(config, model_b.params.size)
+        opt_a = engine.init_optimizer(model_a.params.size)
+        opt_b = engine.init_optimizer(model_b.params.size)
         iters = 0
         for epoch in range(config.n_epochs):
             shuffle_rng = engine._stream(config.seed, "shuffle", epoch)

@@ -31,6 +31,9 @@ delta = 0.9
 """
 
 
+HISTORY_HEADER = b"iter,loss_A,loss_B,valid_P@1_A,valid_P@1_B\n"
+
+
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -166,6 +169,48 @@ class TestExitCodes:
         capsys.readouterr()
         assert _run("pretrain", "--config", "exp.cfg") == 2
         assert message in _one_line_error(capsys, "data error: corpus/")
+
+    @pytest.mark.parametrize("history, message", [
+        (b"foo,bar\n1,2\n", "history.csv:1: missing column(s) iter,"),
+        (HISTORY_HEADER + b"x,0.5,0.6,,\n", "history.csv:2: invalid literal"),
+        (HISTORY_HEADER + b"2,0.5,0.6,,\n1,0.4,0.5,,\n",
+         "history.csv:3: iteration indices must be strictly increasing"),
+        (HISTORY_HEADER + b"1,0.5,0.6,,\n2,0.4\xff,0.5,,\n",
+         "history.csv:3: invalid UTF-8"),
+        (HISTORY_HEADER + b"1,0.5,0.6,0.75,\n", "history.csv:2: valid_P@1_A and"),
+    ], ids=["header", "iter-cell", "order", "utf8", "one-sided-p1"])
+    def test_malformed_history_is_data_error(self, workdir, capsys, history, message):
+        (workdir / "run").mkdir()
+        (workdir / "run" / "history.csv").write_bytes(history)
+        assert _run("report", "--config", "exp.cfg") == 2
+        assert message in _one_line_error(capsys, "data error: run/history.csv:")
+        assert not (workdir / "run" / "curves.csv").exists()
+
+    def test_baseline_t_test_with_one_test_group_is_data_error(self, workdir, capsys):
+        (workdir / "one.cfg").write_text(
+            TINY_CONFIG.replace("n_test_contexts = 12", "n_test_contexts = 1"))
+        assert _run("generate", "--config", "one.cfg") == 0
+        assert _run("pretrain", "--config", "one.cfg") == 0
+        assert _run("coteach", "--config", "one.cfg", "--strategy", "margin") == 0
+        assert _run("evaluate", "--config", "one.cfg",
+                    "--per-group-dump", "groups.csv") == 0
+        capsys.readouterr()
+        assert _run("evaluate", "--config", "one.cfg",
+                    "--baseline-dump", "groups.csv") == 2
+        _one_line_error(capsys, "data error: a paired t-test needs at least 2 "
+                                "test groups, 1 left")
+
+    def test_checkpoint_with_a_huge_parameter_count_is_data_error(
+            self, workdir, capsys):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        assert _run("pretrain", "--config", "exp.cfg") == 0
+        count = 10 ** 18 * 4 + 4 * 4 + 1
+        (workdir / "run" / "pretrained.ckpt").write_bytes(
+            f"mean-embedding-bilinear {10 ** 18} 4 4 {count}\n".encode())
+        capsys.readouterr()
+        assert _run("coteach", "--config", "exp.cfg", "--strategy", "margin") == 2
+        assert "truncated or oversized checkpoint" in _one_line_error(
+            capsys, "data error: checkpoint run/pretrained.ckpt:")
 
 
 def _edit_meta(workdir, **fields):

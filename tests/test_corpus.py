@@ -1,4 +1,4 @@
-"""Unit tests for corpus generation, views, truncation and file IO."""
+"""Unit tests for corpus generation, views and file IO."""
 
 import hashlib
 import json
@@ -7,9 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from coteach import (Corpus, GenConfig, PairwiseTriple, TokenizedDialogue,
+from coteach import (Corpus, GenConfig, PairwiseTriple,
                      generate_synthetic_corpus, load_corpus, save_corpus,
-                     to_pointwise, truncate)
+                     to_pointwise)
 from coteach.corpus import CorpusFormatError
 
 
@@ -114,32 +114,6 @@ class TestToPointwise:
         examples = to_pointwise(tiny_corpus.train)
         ones = sum(e.y for e in examples)
         assert ones == len(examples) - ones == len(tiny_corpus.train)
-
-
-class TestTruncate:
-    def test_keeps_last_turns(self):
-        context = tuple((i,) for i in range(12))
-        out = truncate(TokenizedDialogue(context, (0,)), max_turns=10)
-        assert out.context == context[-10:]
-
-    def test_under_limit_unchanged(self):
-        d = TokenizedDialogue(((1,), (2,), (3,)), (4, 5))
-        assert truncate(d) == d
-
-    def test_keeps_first_tokens(self):
-        response = tuple(range(60))
-        out = truncate(TokenizedDialogue(((1,),), response), max_tokens=50)
-        assert out.response == response[:50]
-
-    def test_truncates_utterance_tokens(self):
-        utt = tuple(range(60))
-        out = truncate(TokenizedDialogue((utt,), (1,)), max_tokens=50)
-        assert out.context[0] == utt[:50]
-
-    def test_idempotent(self):
-        d = TokenizedDialogue(tuple((i,) * 60 for i in range(12)), tuple(range(55)))
-        once = truncate(d)
-        assert truncate(once) == once
 
 
 class TestFileIO:

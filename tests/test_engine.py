@@ -45,10 +45,6 @@ class TestTrainConfig:
             _config(strategy="curriculum", delta=1.5)
         _config(strategy="curriculum", delta=0.9)
 
-    def test_unknown_optimizer_rejected(self):
-        with pytest.raises(ValueError):
-            _config(optimizer="rmsprop")
-
 
 def _adam_reference(params, grad, state, lr, beta1, beta2, eps):
     """The whole-vector Adam step the blocked kernel must reproduce bit for bit."""
@@ -147,14 +143,6 @@ class TestAdam:
             adam_update(np.zeros(3), np.zeros(3),
                         OptimizerState(np.zeros(3), np.zeros(size), 0), lr=0.1)
 
-    def test_sgd_shares_the_first_bad_index_report(self):
-        model = init_params(SPEC, 0)
-        grad = np.zeros(model.params.size)
-        grad[[5, 9]] = np.nan
-        config = _config(optimizer="sgd")
-        with pytest.raises(FloatingPointError, match="index 5$"):
-            engine._apply_update(model, grad, init_optimizer(config, grad.size), config)
-
 
 class TestSplitBatch:
     def test_halves_are_disjoint_and_cover(self):
@@ -222,8 +210,8 @@ class TestCoteachStep:
         config = _config(strategy=strategy, **extra)
         model_a = init_params(SPEC, 1)
         model_b = init_params(SPEC, 2)
-        opt_a = init_optimizer(config, model_a.params.size)
-        opt_b = init_optimizer(config, model_b.params.size)
+        opt_a = init_optimizer(model_a.params.size)
+        opt_b = init_optimizer(model_b.params.size)
         batch = _batch(corpus)
         out_ab = coteach_step(model_a, model_b, opt_a, opt_b, batch, config,
                               np.random.default_rng(7), update_order=("A", "B"))
@@ -234,11 +222,11 @@ class TestCoteachStep:
         assert out_ab[4] == out_ba[4] and out_ab[5] == out_ba[5]
 
     def test_zero_learning_rate_keeps_models_but_reports_loss(self, corpus):
-        config = _config(learning_rate=0.0, optimizer="sgd")
+        config = _config(learning_rate=0.0)
         model_a = init_params(SPEC, 1)
         model_b = init_params(SPEC, 2)
-        opt_a = init_optimizer(config, model_a.params.size)
-        opt_b = init_optimizer(config, model_b.params.size)
+        opt_a = init_optimizer(model_a.params.size)
+        opt_b = init_optimizer(model_b.params.size)
         new_a, new_b, _, _, loss_a, loss_b = coteach_step(
             model_a, model_b, opt_a, opt_b, _batch(corpus), config,
             np.random.default_rng(0))
@@ -253,8 +241,8 @@ class TestCoteachStep:
         results = []
         for config in (_config(strategy="curriculum", delta=1.0, **kwargs),
                        _config(strategy="none", **kwargs)):
-            opt_a = init_optimizer(config, model_a.params.size)
-            opt_b = init_optimizer(config, model_b.params.size)
+            opt_a = init_optimizer(model_a.params.size)
+            opt_b = init_optimizer(model_b.params.size)
             results.append(coteach_step(model_a, model_b, opt_a, opt_b,
                                         _batch(corpus), config,
                                         np.random.default_rng(3)))
@@ -402,8 +390,18 @@ class TestHistory:
         write_history(history, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         header, row = (tmp_path / "a.csv").read_text().splitlines()
-        assert header.split(",")[-1] == "wall_ms"
-        assert row.split(",")[-1] == "0"
+        assert header == "iter,loss_A,loss_B,valid_P@1_A,valid_P@1_B"
+        assert row == "1,0.5,0.6,,"
+
+    def test_reads_files_with_the_old_wall_ms_column(self, tmp_path):
+        path = tmp_path / "history.csv"
+        path.write_text("iter,loss_A,loss_B,valid_P@1_A,valid_P@1_B,wall_ms\n"
+                        "1,0.5,0.6,,,0\n2,0.4,0.5,0.75,0.8,0\n")
+        records = read_history(path).records
+        assert records == [HistoryRecord(1, 0.5, 0.6),
+                           HistoryRecord(2, 0.4, 0.5, 0.75, 0.8)]
+        write_history(read_history(path), tmp_path / "new.csv")
+        assert read_history(tmp_path / "new.csv").records == records
 
     def test_two_network_mode_supports_mixed_kinds(self, corpus):
         # peers of different architecture kinds co-teach without error
