@@ -22,7 +22,7 @@ import numpy as np
 
 from . import engine, evaluation, matcher
 from .corpus import (CorpusFormatError, GenConfig, generate_synthetic_corpus,
-                     load_corpus, read_text, save_corpus)
+                     load_corpus, read_text, save_corpus, write_csv)
 
 
 class UsageError(Exception):
@@ -278,12 +278,10 @@ def _metrics_row(run_name, strategy, report, stars=None):
 
 
 def _write_per_group_dump(per_group, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["group_id"] + METRIC_KEYS)
-        n = len(per_group[METRIC_KEYS[0]])
-        for i in range(n):
-            writer.writerow([i] + [repr(float(per_group[k][i])) for k in METRIC_KEYS])
+    n = len(per_group[METRIC_KEYS[0]])
+    write_csv(path, ["group_id"] + METRIC_KEYS,
+              ([i] + [repr(float(per_group[k][i])) for k in METRIC_KEYS]
+               for i in range(n)))
 
 
 def _read_per_group_dump(path):
@@ -301,10 +299,13 @@ def _read_per_group_dump(path):
                 if k not in row or row[k] is None:
                     raise DataError(f"{path}: missing column {k!r}")
                 try:
-                    columns[k].append(float(row[k]))
+                    value = float(row[k])
+                    if not 0.0 <= value <= 1.0:  # also rejects nan
+                        raise ValueError(f"{row[k]!r} is not a metric in [0, 1]")
                 except ValueError as exc:
                     raise DataError(
                         f"{path}:{reader.line_num}: column {k!r}: {exc}") from exc
+                columns[k].append(value)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return columns
@@ -351,10 +352,7 @@ def cmd_evaluate(config, args) -> int:
     row = _metrics_row(run_dir.name, strategy, report, stars)
     print(",".join(METRICS_COLUMNS))
     print(",".join(row))
-    with open(run_dir / "metrics.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(METRICS_COLUMNS)
-        writer.writerow(row)
+    write_csv(run_dir / "metrics.csv", METRICS_COLUMNS, [row])
     if n_removed:
         print(f"removed {n_removed} degenerate test contexts")
     return 0
@@ -387,10 +385,7 @@ def cmd_sweep(config, args) -> int:
         report = evaluation.compute_metrics(ranked)
         rows.append([param, repr(value)] + _metrics_row(run_dir.name, strategy, report))
         print(f"{param}={value}: P@1={report.p_at_1:.4f}")
-    with open(run_dir / "sweep.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["param", "value"] + METRICS_COLUMNS)
-        writer.writerows(rows)
+    write_csv(run_dir / "sweep.csv", ["param", "value"] + METRICS_COLUMNS, rows)
     print(f"wrote {run_dir / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 
@@ -415,15 +410,14 @@ def cmd_report(config, args) -> int:
     p1_b = evaluation.ema([r.valid_p1_b for r in eval_records], alpha)
     p1_by_iter = {r.iteration: (a, b) for r, a, b in zip(eval_records, p1_a, p1_b)}
     out = run_dir / "curves.csv"
-    with open(out, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iter", "loss_A_ema", "loss_B_ema",
-                         "valid_P@1_A_ema", "valid_P@1_B_ema"])
-        for r, la, lb in zip(history.records, loss_a, loss_b):
-            pa, pb = p1_by_iter.get(r.iteration, ("", ""))
-            writer.writerow([r.iteration, repr(la), repr(lb),
-                             repr(pa) if pa != "" else "",
-                             repr(pb) if pb != "" else ""])
+    rows = []
+    for r, la, lb in zip(history.records, loss_a, loss_b):
+        pa, pb = p1_by_iter.get(r.iteration, ("", ""))
+        rows.append([r.iteration, repr(la), repr(lb),
+                     repr(pa) if pa != "" else "",
+                     repr(pb) if pb != "" else ""])
+    write_csv(out, ["iter", "loss_A_ema", "loss_B_ema",
+                    "valid_P@1_A_ema", "valid_P@1_B_ema"], rows)
     print(f"wrote {out} ({len(history.records)} rows, ema_alpha={alpha})")
     return 0
 

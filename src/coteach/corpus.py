@@ -10,6 +10,7 @@ perfectly good response that is nevertheless labeled negative.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -218,54 +219,56 @@ def pair_dialogues(triples) -> list[TokenizedDialogue]:
 # ----------------------------------------------------------------------
 # File IO
 #
-# Line-delimited UTF-8. Train/valid files hold two lines per triple:
-#   POS<TAB>utt_1<TAB>...<TAB>utt_k<TAB>pos_response
-#   NEG<TAB>utt_1<TAB>...<TAB>utt_k<TAB>neg_response
-# Test files hold one line per candidate, n_candidates consecutive lines
-# per context:
+# Line-delimited UTF-8. Every file starts with the header line
+# `#vocab=<V> candidates=<n>`; each following line is
 #   label<TAB>utt_1<TAB>...<TAB>utt_k<TAB>response
-# Every file starts with the header line `#vocab=<V> candidates=<n>`.
-# Tokens are space-separated decimal token IDs. Generation metadata and the
-# diagnostic noise flags live in a sidecar meta.json, keeping the text
-# format self-contained.
+# with every field a non-empty run of space-separated decimal token IDs.
+# Lines come in blocks that share one context, and each position in a
+# block allows its own labels: a train/valid block is a POS line then a NEG
+# line (one triple), a test block is n_candidates lines labelled 0 or 1
+# (one judged group). Generation metadata and the diagnostic noise flags
+# live in a sidecar meta.json, keeping the text format self-contained.
 # ----------------------------------------------------------------------
 
 _HEADER_PREFIX = "#vocab="
 
 
-def _format_header(corpus: Corpus) -> str:
-    return f"#vocab={corpus.vocab_size} candidates={corpus.n_candidates}"
+# The labels each line of a block allows, given the header's candidate
+# count, each mapped to the value a loaded block holds for it.
+def _triple_labels(n_candidates):
+    return {"POS": 1}, {"NEG": 0}
+
+
+def _group_labels(n_candidates):
+    return ({"0": 0, "1": 1},) * n_candidates
 
 
 def _format_tokens(tokens) -> str:
     return " ".join(map(str, tokens))
 
 
-def _format_context(context) -> str:
-    """The context's fields, each followed by the tab before the response."""
-    return "".join(_format_tokens(utt) + "\t" for utt in context)
+def _write_blocks(path, header: str, blocks) -> None:
+    """Write ``header`` and ``blocks`` of (context, ((response, label), ...))."""
+    lines = [header]
+    for context, candidates in blocks:
+        # The context's fields, each followed by the tab before the response.
+        context = "".join(_format_tokens(utt) + "\t" for utt in context)
+        for response, label in candidates:
+            lines.append(f"{label}\t{context}{_format_tokens(response)}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write ``corpus`` under directory ``path`` (created if needed)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    header = _format_header(corpus)
-
+    header = f"#vocab={corpus.vocab_size} candidates={corpus.n_candidates}"
     for name, triples in (("train.txt", corpus.train), ("valid.txt", corpus.valid)):
-        lines = [header]
-        for t in triples:
-            context = _format_context(t.context)
-            lines.append(f"POS\t{context}{_format_tokens(t.pos_response)}")
-            lines.append(f"NEG\t{context}{_format_tokens(t.neg_response)}")
-        (path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = [header]
-    for group in corpus.test:
-        context = _format_context(group.context)
-        for response, label in group.candidates:
-            lines.append(f"{label}\t{context}{_format_tokens(response)}")
-    (path / "test.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_blocks(path / name, header,
+                      ((t.context, ((t.pos_response, "POS"), (t.neg_response, "NEG")))
+                       for t in triples))
+    _write_blocks(path / "test.txt", header,
+                  ((g.context, g.candidates) for g in corpus.test))
 
     meta = {
         "seed": corpus.seed,
@@ -310,22 +313,6 @@ def _parse_tokens(field: str, vocab_size: int, path, line_no: int) -> tuple[int,
     return tokens
 
 
-def _parse_dialogue_fields(fields, vocab_size, path, line_no, parsed):
-    """(context, response) of one line's fields. ``parsed`` maps field text
-    to its tokens for one file; a field that fails is never added to it, so
-    every error is raised at the line it is on."""
-    if len(fields) < 2:
-        raise CorpusFormatError(
-            path, line_no, "need at least one utterance and a response")
-    tokens = []
-    for field in fields:
-        t = parsed.get(field)
-        if t is None:
-            t = parsed[field] = _parse_tokens(field, vocab_size, path, line_no)
-        tokens.append(t)
-    return tuple(tokens[:-1]), tokens[-1]
-
-
 def read_text(path) -> str:
     """A file's UTF-8 text; invalid UTF-8 raises CorpusFormatError."""
     data = Path(path).read_bytes()
@@ -338,85 +325,81 @@ def read_text(path) -> str:
             path, line_no, f"invalid UTF-8 at byte {exc.start}") from exc
 
 
-def _read_lines(path):
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then ``rows`` of ready-formatted cells as CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_blocks(path, block_labels):
+    """The header and the blocks of one corpus file, or (None, []) for a
+    missing or empty file. A block is (context, [(response, value), ...]),
+    where ``block_labels(n_candidates)`` maps the labels each line of a
+    block allows to their values."""
     if not path.exists():
         return None, []
     lines = read_text(path).splitlines()
     if not lines:
         return None, []
-    header = _parse_header(lines[0], path, 1)
-    return header, [(i + 2, line) for i, line in enumerate(lines[1:]) if line]
-
-
-def _load_triples(path):
-    """(context, pos, neg) rows and the header of a train/valid file."""
-    header, lines = _read_lines(path)
-    if header is None:
-        return [], None
-    vocab_size, _ = header
-    if len(lines) % 2 != 0:
-        raise CorpusFormatError(path, lines[-1][0], "dangling POS line without NEG")
-    rows = []
+    header = vocab_size, n_candidates = _parse_header(lines[0], path, 1)
+    lines = [(line_no, line) for line_no, line in enumerate(lines[1:], 2) if line]
+    allowed = block_labels(n_candidates)
+    size = len(allowed)
+    if len(lines) % size:
+        raise CorpusFormatError(
+            path, lines[-1][0], f"dangling line: blocks hold {size} lines")
+    blocks = []
+    # Field text -> tokens, for this file only. A field that fails is never
+    # added, so every error is raised at the line it is on.
     parsed = {}
-    for (pos_no, pos_line), (neg_no, neg_line) in zip(lines[::2], lines[1::2]):
-        pos_fields = pos_line.split("\t")
-        neg_fields = neg_line.split("\t")
-        if pos_fields[0] != "POS":
-            raise CorpusFormatError(path, pos_no, f"expected POS line, got {pos_fields[0]!r}")
-        if neg_fields[0] != "NEG":
-            raise CorpusFormatError(path, neg_no, f"expected NEG line, got {neg_fields[0]!r}")
-        context, pos = _parse_dialogue_fields(
-            pos_fields[1:], vocab_size, path, pos_no, parsed)
-        neg_context, neg = _parse_dialogue_fields(
-            neg_fields[1:], vocab_size, path, neg_no, parsed)
-        if neg_context != context:
-            raise CorpusFormatError(path, neg_no, "NEG line context differs from its POS line")
-        rows.append((context, pos, neg))
-    return rows, header
+    for index, (line_no, line) in enumerate(lines):
+        position = index % size
+        label, *fields = line.split("\t")
+        value = allowed[position].get(label)
+        if value is None:
+            expected = "/".join(allowed[position])
+            raise CorpusFormatError(path, line_no, f"expected label {expected}, got {label!r}")
+        if len(fields) < 2:
+            raise CorpusFormatError(
+                path, line_no, "need at least one utterance and a response")
+        tokens = []
+        for field in fields:
+            t = parsed.get(field)
+            if t is None:
+                t = _parse_tokens(field, vocab_size, path, line_no)
+                if not t:
+                    i = len(tokens) + 1
+                    raise CorpusFormatError(path, line_no, f"empty utterance {i}"
+                                            if i < len(fields) else "empty response")
+                parsed[field] = t
+            tokens.append(t)
+        context = tuple(tokens[:-1])
+        if not position:
+            first, candidates = context, []
+            blocks.append((context, candidates))
+        elif context != first:
+            raise CorpusFormatError(
+                path, line_no, "context differs from the first line of its block")
+        candidates.append((tokens[-1], value))
+    return header, blocks
 
 
-def _with_noise_flags(rows, meta, key, meta_path):
-    """Triples from (context, pos, neg) rows, flagged from ``meta[key]``
-    when present; the list must hold one 0/1 flag per row."""
+def _with_noise_flags(blocks, meta, key, meta_path):
+    """Triples from POS/NEG blocks, flagged from ``meta[key]`` when
+    present; the list must hold one 0/1 flag per triple."""
     flags = meta.get(key)
     if flags is None:
-        return tuple(PairwiseTriple(c, p, n) for c, p, n in rows)
-    if not (isinstance(flags, list) and len(flags) == len(rows)
-            and all(f in (0, 1) for f in flags)):
+        flags = [None] * len(blocks)
+    elif not (isinstance(flags, list) and len(flags) == len(blocks)
+              and all(f in (0, 1) for f in flags)):
         raise CorpusFormatError(
-            meta_path, 1, f"{key} must list one 0/1 flag per triple ({len(rows)})")
-    return tuple(PairwiseTriple(c, p, n, noise_flag=bool(f))
-                 for (c, p, n), f in zip(rows, flags))
-
-
-def _load_test(path):
-    header, lines = _read_lines(path)
-    if header is None:
-        return [], None
-    vocab_size, n_candidates = header
-    if len(lines) % n_candidates != 0:
-        raise CorpusFormatError(
-            path, lines[-1][0],
-            f"test line count not a multiple of {n_candidates} candidates")
-    groups = []
-    parsed = {}
-    for start in range(0, len(lines), n_candidates):
-        block = lines[start:start + n_candidates]
-        context = None
-        candidates = []
-        for line_no, line in block:
-            fields = line.split("\t")
-            if fields[0] not in ("0", "1"):
-                raise CorpusFormatError(path, line_no, f"expected 0/1 label, got {fields[0]!r}")
-            ctx, response = _parse_dialogue_fields(
-                fields[1:], vocab_size, path, line_no, parsed)
-            if context is None:
-                context = ctx
-            elif ctx != context:
-                raise CorpusFormatError(path, line_no, "context changed inside a candidate block")
-            candidates.append((response, int(fields[0])))
-        groups.append(TestGroup(context, tuple(candidates)))
-    return groups, header
+            meta_path, 1, f"{key} must list one 0/1 flag per triple ({len(blocks)})")
+    else:
+        flags = [bool(f) for f in flags]
+    return tuple(PairwiseTriple(c, pos, neg, noise_flag=flag)
+                 for (c, ((pos, _), (neg, _))), flag in zip(blocks, flags))
 
 
 def _read_meta(path) -> dict:
@@ -437,9 +420,9 @@ def load_corpus(path) -> Corpus:
     path = Path(path)
     meta_path = path / "meta.json"
     meta = _read_meta(meta_path)
-    train, h_train = _load_triples(path / "train.txt")
-    valid, h_valid = _load_triples(path / "valid.txt")
-    test, h_test = _load_test(path / "test.txt")
+    h_train, train = _read_blocks(path / "train.txt", _triple_labels)
+    h_valid, valid = _read_blocks(path / "valid.txt", _triple_labels)
+    h_test, test = _read_blocks(path / "test.txt", _group_labels)
 
     headers = [h for h in (h_train, h_valid, h_test) if h is not None]
     if not headers:
@@ -450,6 +433,6 @@ def load_corpus(path) -> Corpus:
 
     return Corpus(train=_with_noise_flags(train, meta, "train_noise_flags", meta_path),
                   valid=_with_noise_flags(valid, meta, "valid_noise_flags", meta_path),
-                  test=tuple(test),
+                  test=tuple(TestGroup(c, tuple(candidates)) for c, candidates in test),
                   vocab_size=vocab_size, n_candidates=n_candidates,
                   seed=meta.get("seed"), noise_rate=meta.get("noise_rate"))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, matcher, strategies
-from .corpus import Corpus, pair_dialogues, read_text, to_pointwise
+from .corpus import Corpus, pair_dialogues, read_text, to_pointwise, write_csv
 from .losses import LearningProtocol
 
 STRATEGIES = ("margin", "weighting", "curriculum", "none")
@@ -222,17 +222,13 @@ HISTORY_COLUMNS = ["iter", "loss_A", "loss_B", "valid_P@1_A", "valid_P@1_B"]
 
 def write_history(history: RunHistory, path) -> None:
     """Write history.csv; identical runs produce byte-identical files."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(HISTORY_COLUMNS)
-        for r in history.records:
-            writer.writerow([
-                r.iteration,
-                repr(r.loss_a),
-                repr(r.loss_b),
-                "" if r.valid_p1_a is None else repr(r.valid_p1_a),
-                "" if r.valid_p1_b is None else repr(r.valid_p1_b),
-            ])
+    write_csv(path, HISTORY_COLUMNS, ([
+        r.iteration,
+        repr(r.loss_a),
+        repr(r.loss_b),
+        "" if r.valid_p1_a is None else repr(r.valid_p1_a),
+        "" if r.valid_p1_b is None else repr(r.valid_p1_b),
+    ] for r in history.records))
 
 
 def _history_record(row: dict) -> HistoryRecord:

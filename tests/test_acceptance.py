@@ -333,20 +333,19 @@ def test_6_peer_co_evolution(capsys, noise_experiment):
 
 
 def test_7_curriculum_budget_sensitivity(capsys):
-    seeds = (1, 2, 3, 4, 5)
-    means = {}
-    for delta in (0.1, 0.5, 0.9):
-        values = []
-        for seed in seeds:
-            corpus = _experiment_corpus(seed, n_valid=600)
-            pre = _pretrained(corpus, seed)
+    # Each seed's corpus and pretrained model serve every keep fraction.
+    values = {0.1: [], 0.5: [], 0.9: []}
+    for seed in (1, 2, 3, 4, 5):
+        corpus = _experiment_corpus(seed, n_valid=600)
+        pre = _pretrained(corpus, seed)
+        for delta, p1s in values.items():
             config = ct.TrainConfig(strategy="curriculum", delta=delta,
                                     learning_rate=1e-4, batch_size=6,
                                     n_epochs=3, seed=seed, eval_every=100000)
             model_a, model_b, _ = engine.coteach_train(pre, pre, corpus, config)
             selected = engine.select_model(model_a, model_b, corpus.valid)
-            values.append(_clean_test_p1(selected, corpus))
-        means[delta] = statistics.fmean(values)
+            p1s.append(_clean_test_p1(selected, corpus))
+    means = {delta: statistics.fmean(p1s) for delta, p1s in values.items()}
     ok = means[0.1] < means[0.9]
     _report(capsys, 7, ok,
             f"mean clean-test P@1 by keep fraction: 0.1 -> {means[0.1]:.4f}, "

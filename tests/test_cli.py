@@ -3,9 +3,10 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from coteach import engine, load_checkpoint, load_corpus
+from coteach import MetricsReport, cli, engine, load_checkpoint, load_corpus
 from coteach.cli import main, parse_config
 
 TINY_CONFIG = """\
@@ -170,6 +171,25 @@ class TestExitCodes:
         assert _run("pretrain", "--config", "exp.cfg") == 2
         assert message in _one_line_error(capsys, "data error: corpus/")
 
+    @pytest.mark.parametrize("field, message", [
+        (1, "corpus/valid.txt:2: empty utterance 1"),
+        (-1, "corpus/valid.txt:2: empty response"),
+    ], ids=["utterance", "response"])
+    def test_empty_corpus_field_is_data_error(self, workdir, capsys, field, message):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        assert _run("pretrain", "--config", "exp.cfg") == 0
+        assert _run("coteach", "--config", "exp.cfg", "--strategy", "margin") == 0
+        path = workdir / "corpus" / "valid.txt"
+        lines = path.read_text().splitlines()
+        fields = lines[1].split("\t")  # the POS line of the first triple
+        fields[field] = ""
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for command in ("pretrain", "coteach", "evaluate"):
+            assert _run(command, "--config", "exp.cfg", "--strategy", "margin") == 2
+            assert message in _one_line_error(capsys, "data error:")
+
     @pytest.mark.parametrize("history, message", [
         (b"foo,bar\n1,2\n", "history.csv:1: missing column(s) iter,"),
         (HISTORY_HEADER + b"x,0.5,0.6,,\n", "history.csv:2: invalid literal"),
@@ -314,6 +334,22 @@ class TestPipeline:
                     "--baseline-dump", "groups.csv") == 2
         _one_line_error(capsys, "data error: groups.csv:3: column 'AP'")
 
+    def test_baseline_dump_cell_outside_unit_interval_is_data_error(
+            self, workdir, capsys):
+        _pipeline(workdir, "run", "margin",
+                  extra=["--per-group-dump", "groups.csv"])
+        lines = (workdir / "groups.csv").read_text().splitlines()
+        for cell in ("nan", "inf", "1.5", "-0.5"):
+            cells = lines[2].split(",")
+            cells[3] = cell  # the P@1 cell of group 1
+            (workdir / "bad.csv").write_text(
+                "\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+            capsys.readouterr()
+            assert _run("evaluate", "--config", "exp.cfg", "--run-dir", "run",
+                        "--baseline-dump", "bad.csv") == 2
+            err = _one_line_error(capsys, "data error: bad.csv:3: column 'P@1'")
+            assert f"{cell!r} is not a metric in [0, 1]" in err
+
     def test_unknown_checkpoint_kind_is_data_error(self, workdir, capsys):
         _pipeline(workdir, "run", "margin")
         path = workdir / "run" / "A_final.ckpt"
@@ -379,3 +415,54 @@ class TestPipeline:
     def test_report_without_history_is_data_error(self, workdir):
         shutil.rmtree(workdir / "run", ignore_errors=True)
         assert _run("report", "--config", "exp.cfg", "--run-dir", "run") == 2
+
+
+class TestArtifactBytes:
+    """Exact bytes of CSV artifacts built from inputs that involve no linear
+    algebra, so they are the same on every machine: CRLF line ends, floats
+    as repr, empty cells for missing values."""
+
+    REPORT = MetricsReport(map=0.75, mrr=2 / 3, p_at_1=0.5, r10_at_1=0.5,
+                           r10_at_2=0.1 + 0.2, r10_at_5=1.0, n_contexts=2)
+    PER_GROUP = {"AP": np.array([1.0, 0.5]), "RR": np.array([1.0, 1 / 3]),
+                 "P@1": np.array([1.0, 0.0]), "R@1": np.array([1.0, 0.0]),
+                 "R@2": np.array([0.1 + 0.2, 0.3]), "R@5": np.array([1.0, 1.0])}
+
+    def test_curves_csv_from_a_written_history(self, workdir):
+        (workdir / "run").mkdir()
+        (workdir / "run" / "history.csv").write_bytes(
+            HISTORY_HEADER + b"1,0.5,0.25,,\n2,0.25,0.5,0.5,0.75\n"
+            b"3,0.125,1.0,,\n4,0.75,0.0,1.0,0.25\n")
+        assert _run("report", "--config", "exp.cfg") == 0
+        assert (workdir / "run" / "curves.csv").read_bytes() == (
+            b"iter,loss_A_ema,loss_B_ema,valid_P@1_A_ema,valid_P@1_B_ema\r\n"
+            b"1,0.5,0.25,,\r\n"
+            b"2,0.425,0.32499999999999996,0.5,0.75\r\n"
+            b"3,0.33499999999999996,0.5275,,\r\n"
+            b"4,0.4594999999999999,0.36924999999999997,"
+            b"0.6499999999999999,0.5999999999999999\r\n")
+
+    def test_evaluate_writes_fixed_metrics_and_dump(self, workdir, monkeypatch):
+        # Everything before the writers is replaced by fixed results.
+        monkeypatch.setattr(cli, "_load_corpus", lambda path: None)
+        monkeypatch.setattr(cli, "_load_checkpoint", lambda *args: None)
+        monkeypatch.setattr(cli, "_rank_test_set", lambda *args: ([None] * 2, 0))
+        monkeypatch.setattr(cli.evaluation, "per_group_metrics",
+                            lambda ranked: self.PER_GROUP)
+        monkeypatch.setattr(cli.evaluation, "compute_metrics",
+                            lambda ranked: self.REPORT)
+        assert _run("evaluate", "--config", "exp.cfg", "--strategy", "margin",
+                    "--per-group-dump", "groups.csv") == 0
+        assert (workdir / "run" / "metrics.csv").read_bytes() == (
+            b"run,strategy,MAP,MRR,P@1,R10@1,R10@2,R10@5,n_contexts\r\n"
+            b"run,margin,0.750000,0.666667,0.500000,0.500000,0.300000,1.000000,2\r\n")
+        assert (workdir / "groups.csv").read_bytes() == (
+            b"group_id,AP,RR,P@1,R@1,R@2,R@5\r\n"
+            b"0,1.0,1.0,1.0,1.0,0.30000000000000004,1.0\r\n"
+            b"1,0.5,0.3333333333333333,0.0,0.0,0.3,1.0\r\n")
+
+    def test_metrics_row_stars_significant_metrics(self):
+        assert cli._metrics_row("run", "margin", self.REPORT,
+                                {"AP": True, "RR": False, "R@5": True}) == [
+            "run", "margin", "0.750000*", "0.666667", "0.500000", "0.500000",
+            "0.300000", "1.000000*", "2"]

@@ -278,6 +278,23 @@ class TestMalformedFiles:
                            match="valid_noise_flags must list one 0/1 flag per triple"):
             load_corpus(root)
 
+    @pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "spaces"])
+    @pytest.mark.parametrize("field, message", [
+        (1, "empty utterance 1"), (2, "empty utterance 2"), (-1, "empty response"),
+    ], ids=["first-utterance", "last-utterance", "response"])
+    def test_empty_field_rejected_at_its_line(self, tiny_corpus, tmp_path,
+                                             field, message, blank):
+        path = _saved(tiny_corpus, tmp_path) / "test.txt"
+
+        def blank_field(line):
+            fields = line.split("\t")
+            fields[field] = blank
+            return "\t".join(fields)
+
+        _replace_line(path, 3, blank_field)
+        with pytest.raises(CorpusFormatError, match=rf"test\.txt:4: {message}$"):
+            load_corpus(path.parent)
+
     @pytest.mark.parametrize("header", ["#vocab=60 candidates=0",
                                         "#vocab=0 candidates=6"])
     def test_nonpositive_header_counts_rejected(self, tiny_corpus, tmp_path, header):

@@ -61,9 +61,11 @@ def test_fuzzed_bytes_raise_only_format_errors(header, body, name):
 def corpora(draw):
     vocab = draw(st.integers(1, 30))
     n_candidates = draw(st.integers(1, 4))
-    tokens = st.lists(st.integers(0, vocab - 1), max_size=4).map(tuple)
-    # A context without utterances is saved, but does not load.
-    contexts = st.lists(tokens, max_size=3).map(tuple)
+    # Empty contexts, utterances and responses are saved, but do not load;
+    # half the corpora have none, so the round trip is exercised too.
+    least = draw(st.integers(0, 1))
+    tokens = st.lists(st.integers(0, vocab - 1), min_size=least, max_size=4).map(tuple)
+    contexts = st.lists(tokens, min_size=least, max_size=3).map(tuple)
 
     def triples(flagged):
         flag = st.booleans() if flagged else st.none()
@@ -111,10 +113,14 @@ def test_save_matches_reference_and_load_inverts_it(corpus):
         save_corpus(corpus, tmp)
         for name, text in _reference_files(corpus).items():
             assert (Path(tmp) / name).read_bytes() == text.encode(), name
-        contexts = ([t.context for t in corpus.train + corpus.valid]
-                    + [g.context for g in corpus.test])
-        if all(contexts):
+        blocks = ([(t.context, (t.pos_response, t.neg_response))
+                   for t in corpus.train + corpus.valid]
+                  + [(g.context, [r for r, _ in g.candidates]) for g in corpus.test])
+        # Only non-empty contexts, utterances and responses load back.
+        if all(context and all(context) and all(responses)
+               for context, responses in blocks):
             assert load_corpus(tmp) == corpus
         else:
-            with pytest.raises(CorpusFormatError, match="at least one utterance"):
+            with pytest.raises(CorpusFormatError, match="at least one utterance"
+                                                        "|empty (utterance|response)"):
                 load_corpus(tmp)
