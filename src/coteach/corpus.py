@@ -233,14 +233,12 @@ def pair_dialogues(triples) -> list[TokenizedDialogue]:
 _HEADER_PREFIX = "#vocab="
 
 
-# The labels each line of a block allows, given the header's candidate
-# count, each mapped to the value a loaded block holds for it.
-def _triple_labels(n_candidates):
-    return {"POS": 1}, {"NEG": 0}
-
-
-def _group_labels(n_candidates):
-    return ({"0": 0, "1": 1},) * n_candidates
+# (lines per block, labels by position): each position's labels map to the
+# value a loaded block holds for them, and positions past the last reuse the
+# labels from the first. None lines per block means the header's candidate
+# count, so nothing is ever sized by that untrusted count.
+_TRIPLE_BLOCK = 2, ({"POS": 1}, {"NEG": 0})
+_GROUP_BLOCK = None, ({"0": 0, "1": 1},)
 
 
 def _format_tokens(tokens) -> str:
@@ -333,11 +331,10 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_blocks(path, block_labels):
+def _read_blocks(path, block):
     """The header and the blocks of one corpus file, or (None, []) for a
     missing or empty file. A block is (context, [(response, value), ...]),
-    where ``block_labels(n_candidates)`` maps the labels each line of a
-    block allows to their values."""
+    laid out as ``block`` (_TRIPLE_BLOCK or _GROUP_BLOCK) says."""
     if not path.exists():
         return None, []
     lines = read_text(path).splitlines()
@@ -345,8 +342,8 @@ def _read_blocks(path, block_labels):
         return None, []
     header = vocab_size, n_candidates = _parse_header(lines[0], path, 1)
     lines = [(line_no, line) for line_no, line in enumerate(lines[1:], 2) if line]
-    allowed = block_labels(n_candidates)
-    size = len(allowed)
+    size, allowed = block
+    size = size or n_candidates
     if len(lines) % size:
         raise CorpusFormatError(
             path, lines[-1][0], f"dangling line: blocks hold {size} lines")
@@ -357,9 +354,10 @@ def _read_blocks(path, block_labels):
     for index, (line_no, line) in enumerate(lines):
         position = index % size
         label, *fields = line.split("\t")
-        value = allowed[position].get(label)
+        labels = allowed[position % len(allowed)]
+        value = labels.get(label)
         if value is None:
-            expected = "/".join(allowed[position])
+            expected = "/".join(labels)
             raise CorpusFormatError(path, line_no, f"expected label {expected}, got {label!r}")
         if len(fields) < 2:
             raise CorpusFormatError(
@@ -420,9 +418,9 @@ def load_corpus(path) -> Corpus:
     path = Path(path)
     meta_path = path / "meta.json"
     meta = _read_meta(meta_path)
-    h_train, train = _read_blocks(path / "train.txt", _triple_labels)
-    h_valid, valid = _read_blocks(path / "valid.txt", _triple_labels)
-    h_test, test = _read_blocks(path / "test.txt", _group_labels)
+    h_train, train = _read_blocks(path / "train.txt", _TRIPLE_BLOCK)
+    h_valid, valid = _read_blocks(path / "valid.txt", _TRIPLE_BLOCK)
+    h_test, test = _read_blocks(path / "test.txt", _GROUP_BLOCK)
 
     headers = [h for h in (h_train, h_valid, h_test) if h is not None]
     if not headers:

@@ -295,6 +295,41 @@ class TestMalformedFiles:
         with pytest.raises(CorpusFormatError, match=rf"test\.txt:4: {message}$"):
             load_corpus(path.parent)
 
+    @pytest.mark.parametrize("name, index, edit, message", [
+        ("valid.txt", 1, lambda line: line.replace("POS", "NEG", 1),
+         r"valid\.txt:2: expected label POS, got 'NEG'"),
+        ("valid.txt", 2, lambda line: line.replace("NEG", "POS", 1),
+         r"valid\.txt:3: expected label NEG, got 'POS'"),
+        ("test.txt", 3, lambda line: "2" + line[1:],
+         r"test\.txt:4: expected label 0/1, got '2'"),
+        ("valid.txt", 2, lambda line: line.replace("\t", "\t0 ", 1),
+         r"valid\.txt:3: context differs from the first line of its block"),
+        ("test.txt", 4, lambda line: line.replace("\t", "\t0 ", 1),
+         r"test\.txt:5: context differs from the first line of its block"),
+    ], ids=["neg-on-pos-line", "pos-on-neg-line", "test-label-2",
+            "neg-context", "later-candidate-context"])
+    def test_block_rule_broken_at_its_line(self, tiny_corpus, tmp_path,
+                                           name, index, edit, message):
+        path = _saved(tiny_corpus, tmp_path) / name
+        _replace_line(path, index, edit)
+        with pytest.raises(CorpusFormatError, match=message):
+            load_corpus(path.parent)
+
+    @pytest.mark.parametrize("count", [10**9, 10**19], ids=["1e9", "1e19"])
+    @pytest.mark.parametrize("keep_groups, message", [
+        (True, r"test\.txt:121: dangling line"),
+        (False, "inconsistent headers"),
+    ], ids=["with-groups", "header-only"])
+    def test_huge_candidate_count_rejected(self, tiny_corpus, tmp_path,
+                                           count, keep_groups, message):
+        # The count comes from the file, so nothing may be sized by it.
+        path = _saved(tiny_corpus, tmp_path) / "test.txt"
+        lines = path.read_text().splitlines()
+        lines = [f"#vocab=60 candidates={count}"] + lines[1:] * keep_groups
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match=message):
+            load_corpus(path.parent)
+
     @pytest.mark.parametrize("header", ["#vocab=60 candidates=0",
                                         "#vocab=0 candidates=6"])
     def test_nonpositive_header_counts_rejected(self, tiny_corpus, tmp_path, header):
