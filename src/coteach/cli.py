@@ -22,7 +22,7 @@ import numpy as np
 
 from . import engine, evaluation, matcher
 from .corpus import (CorpusFormatError, GenConfig, generate_synthetic_corpus,
-                     load_corpus, read_text, save_corpus, write_csv)
+                     load_corpus, parse_metric, read_text, save_corpus, write_csv)
 
 
 class UsageError(Exception):
@@ -54,8 +54,12 @@ def parse_config(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
+    try:
+        text = read_text(path)
+    except CorpusFormatError as exc:
+        raise UsageError(str(exc)) from exc
     config: dict[str, str] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -299,13 +303,10 @@ def _read_per_group_dump(path):
                 if k not in row or row[k] is None:
                     raise DataError(f"{path}: missing column {k!r}")
                 try:
-                    value = float(row[k])
-                    if not 0.0 <= value <= 1.0:  # also rejects nan
-                        raise ValueError(f"{row[k]!r} is not a metric in [0, 1]")
+                    columns[k].append(parse_metric(row[k]))
                 except ValueError as exc:
                     raise DataError(
                         f"{path}:{reader.line_num}: column {k!r}: {exc}") from exc
-                columns[k].append(value)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return columns

@@ -323,6 +323,14 @@ def read_text(path) -> str:
             path, line_no, f"invalid UTF-8 at byte {exc.start}") from exc
 
 
+def parse_metric(cell: str) -> float:
+    """The number in a CSV cell that holds a metric, which lies in [0, 1]."""
+    value = float(cell)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise ValueError(f"{cell!r} is not a metric in [0, 1]")
+    return value
+
+
 def write_csv(path, header, rows) -> None:
     """Write a header row and then ``rows`` of ready-formatted cells as CSV."""
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -9,7 +9,8 @@ applied cannot matter.
 
 Randomness is organized as one RNG stream per concern (init / shuffle /
 split), each seeded by (seed, concern, epoch), so e.g. changing the
-evaluation cadence never perturbs the data order.
+evaluation cadence never perturbs the data order. That order lives in
+``_batches``: both pretraining and co-teaching walk the batches it yields.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, matcher, strategies
-from .corpus import Corpus, pair_dialogues, read_text, to_pointwise, write_csv
+from .corpus import (Corpus, pair_dialogues, parse_metric, read_text,
+                     to_pointwise, write_csv)
 from .losses import LearningProtocol
 
 STRATEGIES = ("margin", "weighting", "curriculum", "none")
@@ -166,14 +168,25 @@ def validation_p_at_1(model: matcher.ModelState, triples) -> float:
     return int(np.count_nonzero(s[:n] >= s[n:])) / n
 
 
-def _n_batches(corpus: Corpus, config: TrainConfig) -> int:
-    """Full batches per epoch; a training set without one is an error."""
-    n = len(corpus.train) // config.batch_size
-    if n == 0:
+def _batches(corpus: Corpus, config: TrainConfig):
+    """(iteration, batch, split_rng) for each full batch of every epoch's
+    shuffle, numbered from 1; split_rng is the epoch's stream for halving
+    batches. Raises on the call if the training set holds no full batch."""
+    size = config.batch_size
+    n_batches = len(corpus.train) // size
+    if n_batches == 0:
         raise ValueError(
             f"training set of {len(corpus.train)} triples is smaller than "
-            f"one batch ({config.batch_size})")
-    return n
+            f"one batch ({size})")
+
+    def walk():
+        for epoch in range(config.n_epochs):
+            perm = _stream(config.seed, "shuffle", epoch).permutation(len(corpus.train))
+            split_rng = _stream(config.seed, "split", epoch)
+            for k in range(n_batches):
+                batch = [corpus.train[i] for i in perm[k * size:(k + 1) * size]]
+                yield epoch * n_batches + k + 1, batch, split_rng
+    return walk()
 
 
 def _plain_ce_protocol(triples) -> LearningProtocol:
@@ -231,15 +244,22 @@ def write_history(history: RunHistory, path) -> None:
     ] for r in history.records))
 
 
+def _parse_loss(cell: str) -> float:
+    loss = float(cell)
+    if not 0.0 <= loss < np.inf:  # also rejects nan
+        raise ValueError(f"{cell!r} is not a finite non-negative loss")
+    return loss
+
+
 def _history_record(row: dict) -> HistoryRecord:
     if any(row[c] is None for c in HISTORY_COLUMNS):
         raise ValueError(f"expected {len(HISTORY_COLUMNS)} fields")
-    p1_a = float(row["valid_P@1_A"]) if row["valid_P@1_A"] else None
-    p1_b = float(row["valid_P@1_B"]) if row["valid_P@1_B"] else None
+    p1_a = parse_metric(row["valid_P@1_A"]) if row["valid_P@1_A"] else None
+    p1_b = parse_metric(row["valid_P@1_B"]) if row["valid_P@1_B"] else None
     if (p1_a is None) != (p1_b is None):
         raise ValueError("valid_P@1_A and valid_P@1_B must both be set or both empty")
-    return HistoryRecord(int(row["iter"]), float(row["loss_A"]),
-                         float(row["loss_B"]), p1_a, p1_b)
+    return HistoryRecord(int(row["iter"]), _parse_loss(row["loss_A"]),
+                         _parse_loss(row["loss_B"]), p1_a, p1_b)
 
 
 def read_history(path) -> RunHistory:
@@ -259,6 +279,21 @@ def read_history(path) -> RunHistory:
     return history
 
 
+def _pretrain_candidates(model: matcher.ModelState, batches, config: TrainConfig):
+    """The models pretraining evaluates: ``model``, then the model after
+    every ``eval_every``-th step and after the last step."""
+    yield model
+    opt = init_optimizer(model.params.size)
+    iteration = 0
+    for iteration, batch, _ in batches:
+        _, grad = matcher.loss_and_grad(model, _plain_ce_protocol(batch))
+        model, opt = _apply_update(model, grad, opt, config)
+        if iteration % config.eval_every == 0:
+            yield model
+    if iteration % config.eval_every != 0:
+        yield model
+
+
 def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
              config: TrainConfig, return_p1: bool = False):
     """Train a single model on the full (noisy) training set.
@@ -273,30 +308,13 @@ def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
     if not corpus.train:
         raise ValueError("empty training set")
     model = matcher.init_params(spec, int(_stream(config.seed, "init").integers(2 ** 31)))
-    if config.n_epochs == 0:
-        return (model, validation_p_at_1(model, corpus.valid)) if return_p1 else model
-    n_batches = _n_batches(corpus, config)
-    opt = init_optimizer(model.params.size)
-    best = model
-    best_p1 = validation_p_at_1(model, corpus.valid)
-    iteration = 0
-    for epoch in range(config.n_epochs):
-        rng = _stream(config.seed, "shuffle", epoch)
-        perm = rng.permutation(len(corpus.train))
-        for k in range(n_batches):
-            batch = [corpus.train[i] for i in perm[k * config.batch_size:
-                                                   (k + 1) * config.batch_size]]
-            _, grad = matcher.loss_and_grad(model, _plain_ce_protocol(batch))
-            model, opt = _apply_update(model, grad, opt, config)
-            iteration += 1
-            if iteration % config.eval_every == 0:
-                p1 = validation_p_at_1(model, corpus.valid)
-                if p1 > best_p1:
-                    best, best_p1 = model, p1
-    if iteration % config.eval_every != 0:
-        p1 = validation_p_at_1(model, corpus.valid)
+    # Zero epochs return the initialization, even without a full batch.
+    batches = _batches(corpus, config) if config.n_epochs else ()
+    best, best_p1 = None, -1.0
+    for candidate in _pretrain_candidates(model, batches, config):
+        p1 = validation_p_at_1(candidate, corpus.valid)
         if p1 > best_p1:
-            best, best_p1 = model, p1
+            best, best_p1 = candidate, p1
     return (best, best_p1) if return_p1 else best
 
 
@@ -337,7 +355,7 @@ def coteach_train(init_a: matcher.ModelState, init_b: matcher.ModelState,
     checkpointed if ``checkpoint_dir`` is given) every ``eval_every``
     iterations. Fully deterministic in (seed, config, corpus).
     """
-    n_batches = _n_batches(corpus, config)
+    batches = _batches(corpus, config)
     model_a, model_b = init_a, init_b
     opt_a = init_optimizer(model_a.params.size)
     opt_b = init_optimizer(model_b.params.size)
@@ -345,26 +363,18 @@ def coteach_train(init_a: matcher.ModelState, init_b: matcher.ModelState,
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    iteration = 0
-    for epoch in range(config.n_epochs):
-        shuffle_rng = _stream(config.seed, "shuffle", epoch)
-        split_rng = _stream(config.seed, "split", epoch)
-        perm = shuffle_rng.permutation(len(corpus.train))
-        for k in range(n_batches):
-            batch = [corpus.train[i] for i in perm[k * config.batch_size:
-                                                   (k + 1) * config.batch_size]]
-            model_a, model_b, opt_a, opt_b, loss_a, loss_b = coteach_step(
-                model_a, model_b, opt_a, opt_b, batch, config, split_rng,
-                split_hook=split_hook)
-            iteration += 1
-            p1_a = p1_b = None
-            if iteration % config.eval_every == 0:
-                p1_a = validation_p_at_1(model_a, corpus.valid)
-                p1_b = validation_p_at_1(model_b, corpus.valid)
-                if checkpoint_dir is not None:
-                    matcher.save_checkpoint(model_a, checkpoint_dir / f"A_{iteration}.ckpt")
-                    matcher.save_checkpoint(model_b, checkpoint_dir / f"B_{iteration}.ckpt")
-            history.append(HistoryRecord(iteration, loss_a, loss_b, p1_a, p1_b))
+    for iteration, batch, split_rng in batches:
+        model_a, model_b, opt_a, opt_b, loss_a, loss_b = coteach_step(
+            model_a, model_b, opt_a, opt_b, batch, config, split_rng,
+            split_hook=split_hook)
+        p1_a = p1_b = None
+        if iteration % config.eval_every == 0:
+            p1_a = validation_p_at_1(model_a, corpus.valid)
+            p1_b = validation_p_at_1(model_b, corpus.valid)
+            if checkpoint_dir is not None:
+                matcher.save_checkpoint(model_a, checkpoint_dir / f"A_{iteration}.ckpt")
+                matcher.save_checkpoint(model_b, checkpoint_dir / f"B_{iteration}.ckpt")
+        history.append(HistoryRecord(iteration, loss_a, loss_b, p1_a, p1_b))
     return model_a, model_b, history
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import matcher
-from .corpus import TestGroup, TokenizedDialogue
+from .corpus import TokenizedDialogue
 
 RECALL_KS = (1, 2, 5)
 

@@ -34,7 +34,7 @@ class LearningProtocol:
 
     Exactly one of ``pairwise`` / ``pointwise`` is nonempty: the hinge loss
     consumes (triple, margin) pairs, the cross-entropy losses consume
-    (example, weight) pairs.
+    (example, weight) pairs. Plain cross-entropy weights are all 1.
     """
 
     loss_kind: str
@@ -56,6 +56,8 @@ class LearningProtocol:
         for _, weight in self.pointwise:
             if not 0.0 <= weight <= 1.0:
                 raise ValueError(f"weight {weight} outside [0, 1]")
+            if weight != 1.0 and self.loss_kind == CROSS_ENTROPY:
+                raise ValueError(f"plain cross-entropy weight {weight} is not 1")
 
 
 def cross_entropy(y, s):

@@ -221,8 +221,6 @@ def _protocol_arrays(protocol: LearningProtocol, vocab_size: int):
         triples, margins = zip(*protocol.pairwise)
         return _pack(pair_dialogues(triples), vocab_size), None, np.array(margins)
     examples, weights = zip(*protocol.pointwise)
-    if protocol.loss_kind == losses.CROSS_ENTROPY:
-        weights = [1.0] * len(examples)
     return (_pack([e.dialogue for e in examples], vocab_size),
             np.array([e.y for e in examples]), np.array(weights))
 

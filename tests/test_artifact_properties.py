@@ -1,7 +1,9 @@
 """Property tests of the run artifacts the CLI reads back: fuzzed checkpoint
 bytes either load or raise ValueError, fuzzed per-group dumps either load or
-raise DataError, and fuzzed history files either load or raise ValueError."""
+raise DataError, and fuzzed history files either raise ValueError or load
+with finite non-negative losses and P@1 in [0, 1]."""
 
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -137,3 +139,6 @@ def test_fuzzed_history_raises_only_value_errors(body, tail):
     assert isinstance(history, RunHistory)
     for r in history.records:
         assert (r.valid_p1_a is None) == (r.valid_p1_b is None)
+        assert 0.0 <= r.loss_a < math.inf and 0.0 <= r.loss_b < math.inf
+        if r.valid_p1_a is not None:
+            assert 0.0 <= r.valid_p1_a <= 1.0 and 0.0 <= r.valid_p1_b <= 1.0

@@ -85,6 +85,13 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self, workdir):
         assert _run("transmogrify", "--config", "exp.cfg") == 1
 
+    def test_config_with_invalid_utf8_is_usage_error(self, workdir, capsys):
+        (workdir / "bad.cfg").write_bytes(b"seed = 1\xff\n")
+        assert _run("generate", "--config", "bad.cfg") == 1
+        assert _one_line_error(capsys, "error: ") == (
+            "error: bad.cfg:1: invalid UTF-8 at byte 8\n")
+        assert not (workdir / "corpus").exists()
+
     def test_missing_corpus_is_data_error(self, workdir):
         assert _run("pretrain", "--config", "exp.cfg") == 2
 
@@ -196,7 +203,23 @@ class TestExitCodes:
         (HISTORY_HEADER + b"1,0.5,0.6,,\n2,0.4\xff,0.5,,\n",
          "history.csv:3: invalid UTF-8"),
         (HISTORY_HEADER + b"1,0.5,0.6,0.75,\n", "history.csv:2: valid_P@1_A and"),
-    ], ids=["header", "iter-cell", "order", "utf8", "one-sided-p1"])
+        (HISTORY_HEADER + b"1,nan,0.6,,\n",
+         "history.csv:2: 'nan' is not a finite non-negative loss"),
+        (HISTORY_HEADER + b"1,0.5,0.6,,\n2,0.5,inf,,\n",
+         "history.csv:3: 'inf' is not a finite non-negative loss"),
+        (HISTORY_HEADER + b"1,-1,0.6,,\n",
+         "history.csv:2: '-1' is not a finite non-negative loss"),
+        (HISTORY_HEADER + b"1,0.5,0.6,nan,0.5\n",
+         "history.csv:2: 'nan' is not a metric in [0, 1]"),
+        (HISTORY_HEADER + b"1,0.5,0.6,0.5,inf\n",
+         "history.csv:2: 'inf' is not a metric in [0, 1]"),
+        (HISTORY_HEADER + b"1,0.5,0.6,7.5,0.5\n",
+         "history.csv:2: '7.5' is not a metric in [0, 1]"),
+        (HISTORY_HEADER + b"1,0.5,0.6,0.5,-1\n",
+         "history.csv:2: '-1' is not a metric in [0, 1]"),
+    ], ids=["header", "iter-cell", "order", "utf8", "one-sided-p1", "nan-loss",
+            "inf-loss", "negative-loss", "nan-p1", "inf-p1", "p1-above-1",
+            "p1-below-0"])
     def test_malformed_history_is_data_error(self, workdir, capsys, history, message):
         (workdir / "run").mkdir()
         (workdir / "run" / "history.csv").write_bytes(history)
@@ -254,10 +277,14 @@ class TestGenerate:
 
 
 class TestPretrain:
-    @pytest.mark.parametrize("epochs, evaluations", [(0, 1), (1, 3)])
+    # 12 steps with eval_every = 6: the initial model, step 6, step 12. With
+    # eval_every = 5 the last step is off the cadence: initial, 5, 10, 12.
+    @pytest.mark.parametrize("epochs, eval_every, evaluations",
+                             [(0, 6, 1), (1, 6, 3), (1, 5, 4)])
     def test_prints_p1_of_saved_model_without_rescoring(
-            self, workdir, capsys, monkeypatch, epochs, evaluations):
-        (workdir / "pre.cfg").write_text(TINY_CONFIG + f"pretrain_epochs = {epochs}\n")
+            self, workdir, capsys, monkeypatch, epochs, eval_every, evaluations):
+        (workdir / "pre.cfg").write_text(
+            TINY_CONFIG + f"pretrain_epochs = {epochs}\neval_every = {eval_every}\n")
         assert _run("generate", "--config", "pre.cfg") == 0
         calls = []
         original = engine.validation_p_at_1
@@ -269,7 +296,6 @@ class TestPretrain:
         monkeypatch.setattr(engine, "validation_p_at_1", counted)
         capsys.readouterr()
         assert _run("pretrain", "--config", "pre.cfg") == 0
-        # 12 steps with eval_every = 6: the initial model, step 6, step 12.
         assert len(calls) == evaluations
         monkeypatch.undo()
         model = load_checkpoint(workdir / "run" / "pretrained.ckpt")

@@ -311,11 +311,13 @@ class TestCoteachTrain:
             assert (tmp_path / f"A_{i}.ckpt").exists()
             assert (tmp_path / f"B_{i}.ckpt").exists()
 
-    def test_training_set_smaller_than_batch_rejected(self, corpus):
+    def test_training_set_smaller_than_batch_rejected(self, corpus, tmp_path):
         small = replace(corpus, train=corpus.train[:4])
         init = init_params(SPEC, 0)
         with pytest.raises(ValueError, match="smaller than one batch"):
-            coteach_train(init, init, small, _config(batch_size=10))
+            coteach_train(init, init, small, _config(batch_size=10),
+                          checkpoint_dir=tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
 
 
 class TestPretrain:

@@ -92,6 +92,12 @@ class TestLearningProtocol:
             LearningProtocol(WEIGHTED_CROSS_ENTROPY,
                              pointwise=((_example(), -0.1),))
 
+    def test_plain_cross_entropy_rejects_weight_other_than_1(self):
+        for weight in (0.0, 0.5):
+            with pytest.raises(ValueError, match="plain cross-entropy weight"):
+                LearningProtocol(CROSS_ENTROPY, pointwise=((_example(), 1.0),
+                                                           (_example(), weight)))
+
     def test_rejects_unknown_loss_kind(self):
         with pytest.raises(ValueError):
             LearningProtocol("squared_error", pointwise=((_example(), 1.0),))
