@@ -51,11 +51,10 @@ METRIC_KEYS = ["AP", "RR", "P@1", "R@1", "R@2", "R@5"]
 
 
 def parse_config(path) -> dict[str, str]:
-    path = Path(path)
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
     try:
         text = read_text(path)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
     except CorpusFormatError as exc:
         raise UsageError(str(exc)) from exc
     config: dict[str, str] = {}

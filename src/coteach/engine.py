@@ -258,7 +258,10 @@ def _history_record(row: dict) -> HistoryRecord:
     p1_b = parse_metric(row["valid_P@1_B"]) if row["valid_P@1_B"] else None
     if (p1_a is None) != (p1_b is None):
         raise ValueError("valid_P@1_A and valid_P@1_B must both be set or both empty")
-    return HistoryRecord(int(row["iter"]), _parse_loss(row["loss_A"]),
+    iteration = int(row["iter"])
+    if iteration < 1:
+        raise ValueError(f"iteration {iteration} is below 1")
+    return HistoryRecord(iteration, _parse_loss(row["loss_A"]),
                          _parse_loss(row["loss_B"]), p1_a, p1_b)
 
 

@@ -15,7 +15,9 @@ Every computation is batched: ``_pack`` validates and flattens dialogues
 once, then one ``_forward``, ``_loss`` and ``_backward`` serve scoring,
 training and the finite-difference checker (the correctness oracle, which
 differences the loss in extended precision). All gradients are
-hand-derived.
+hand-derived. Scoring pools each run of consecutive dialogues that share a
+context once (a ranked group's candidates, a triple's pointwise pair);
+training packs one context per dialogue.
 """
 
 from __future__ import annotations
@@ -117,21 +119,31 @@ def init_params(spec: MatcherSpec, seed: int) -> ModelState:
 
 
 class _Packed(NamedTuple):
-    """Flat token ids of all context utterances, dialogue by dialogue, then
+    """Flat token ids of all context utterances, context by context, then
     of one response per dialogue; segment k has ``lengths[k]`` tokens, and
-    dialogue i has ``n_utts[i]`` context segments."""
+    context j has ``n_utts[j]`` utterance segments. Context j serves
+    dialogue j, or with ``runs`` set, the next ``runs[j]`` dialogues."""
 
     ids: np.ndarray
     lengths: np.ndarray
     n_utts: np.ndarray
+    runs: np.ndarray | None
 
 
-def _pack(dialogues, vocab_size: int) -> _Packed:
-    """Flatten a sequence of dialogues, validating every token once."""
-    n_utts = np.fromiter((len(d.context) for d in dialogues), np.intp, len(dialogues))
+def _pack(dialogues, vocab_size: int, pool: bool = False) -> _Packed:
+    """Flatten a sequence of dialogues, validating every token once. With
+    ``pool``, each run of consecutive equal contexts is packed once."""
+    contexts = [d.context for d in dialogues]
+    runs = None
+    if pool:
+        firsts = [i for i, c in enumerate(contexts) if i == 0 or c != contexts[i - 1]]
+        if len(firsts) < len(contexts):
+            runs = np.diff(np.array(firsts + [len(contexts)], np.intp))
+            contexts = [contexts[i] for i in firsts]
+    n_utts = np.fromiter(map(len, contexts), np.intp, len(contexts))
     if not n_utts.all():
         raise ValueError("dialogue has no context utterances")
-    segments = [utt for d in dialogues for utt in d.context]
+    segments = [utt for c in contexts for utt in c]
     n_ctx = len(segments)
     segments += [d.response for d in dialogues]
     lengths = np.fromiter(map(len, segments), np.intp, len(segments))
@@ -142,7 +154,7 @@ def _pack(dialogues, vocab_size: int) -> _Packed:
     ids = np.fromiter(chain.from_iterable(segments), np.intp, int(lengths.sum()))
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError("token ID out of range for vocab")
-    return _Packed(ids, lengths, n_utts)
+    return _Packed(ids, lengths, n_utts, runs)
 
 
 def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
@@ -152,8 +164,9 @@ def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
     dialogue (``reduceat`` over its segments, ``einsum`` over its row; BLAS
     matmul would block rows differently for different batch sizes), so a
     dialogue's score does not depend on the rest of the batch, bit for bit.
+    A pooled context is pooled by the same reduction as an unpooled one.
     """
-    n = packed.n_utts.size
+    n = packed.n_utts.size if packed.runs is None else int(packed.runs.sum())
     d = spec.embedding_dim
     layout = param_layout(spec)
     E = params[layout["E"]].reshape(spec.vocab_size, d)
@@ -161,6 +174,8 @@ def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
     seg = np.add.reduceat(E[packed.ids], starts, axis=0) / packed.lengths[:, None]
     ctx_starts = np.cumsum(packed.n_utts) - packed.n_utts
     u = np.add.reduceat(seg[:-n], ctx_starts, axis=0) / packed.n_utts[:, None]
+    if packed.runs is not None:
+        u = np.repeat(u, packed.runs, axis=0)
     v = seg[-n:]
     if spec.kind == MEAN_EMBEDDING_BILINEAR:
         W = params[layout["W"]].reshape(d, d)
@@ -181,7 +196,11 @@ def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
 
 def _backward(spec: MatcherSpec, packed: _Packed, cache, dL_dz: np.ndarray,
               grad: np.ndarray) -> None:
-    """Add sum_i dL_dz[i] * dz_i/dtheta into ``grad`` (flat, same layout)."""
+    """Add sum_i dL_dz[i] * dz_i/dtheta into ``grad`` (flat, same layout).
+
+    ``packed`` holds one context per dialogue (``_pack`` without ``pool``),
+    so every dialogue's context tokens get their own ``np.add.at`` rows.
+    """
     d = spec.embedding_dim
     layout = param_layout(spec)
     c = dL_dz[:, None]
@@ -242,9 +261,12 @@ def _loss(loss_kind: str, s: np.ndarray, dsdz: np.ndarray, labels, coef):
 def scores(model: ModelState, dialogues) -> np.ndarray:
     """Matching scores s(c, r) in (0, 1) for a sequence of dialogues.
 
+    Each run of consecutive dialogues with equal contexts has its context
+    pooled once, so order the candidates of one context next to each other.
     Each entry equals, bit for bit, the score of that dialogue alone.
     """
-    s, _, _ = _forward(model.spec, model.params, _pack(dialogues, model.spec.vocab_size))
+    packed = _pack(dialogues, model.spec.vocab_size, pool=True)
+    s, _, _ = _forward(model.spec, model.params, packed)
     return s
 
 

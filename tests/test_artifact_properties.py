@@ -138,6 +138,7 @@ def test_fuzzed_history_raises_only_value_errors(body, tail):
         return
     assert isinstance(history, RunHistory)
     for r in history.records:
+        assert r.iteration >= 1
         assert (r.valid_p1_a is None) == (r.valid_p1_b is None)
         assert 0.0 <= r.loss_a < math.inf and 0.0 <= r.loss_b < math.inf
         if r.valid_p1_a is not None:

@@ -82,6 +82,13 @@ class TestExitCodes:
     def test_missing_config_is_usage_error(self, workdir):
         assert _run("generate", "--config", "absent.cfg") == 1
 
+    def test_config_that_is_a_directory_is_usage_error(self, workdir, capsys):
+        (workdir / "adir").mkdir()
+        assert _run("generate", "--config", "adir") == 1
+        assert _one_line_error(capsys, "error: ") == (
+            "error: cannot read config file adir: Is a directory\n")
+        assert not (workdir / "corpus").exists()
+
     def test_unknown_command_is_usage_error(self, workdir):
         assert _run("transmogrify", "--config", "exp.cfg") == 1
 
@@ -200,6 +207,8 @@ class TestExitCodes:
         (HISTORY_HEADER + b"x,0.5,0.6,,\n", "history.csv:2: invalid literal"),
         (HISTORY_HEADER + b"2,0.5,0.6,,\n1,0.4,0.5,,\n",
          "history.csv:3: iteration indices must be strictly increasing"),
+        (HISTORY_HEADER + b"0,0.5,0.6,,\n", "history.csv:2: iteration 0 is below 1"),
+        (HISTORY_HEADER + b"-5,0.5,0.5,,\n", "history.csv:2: iteration -5 is below 1"),
         (HISTORY_HEADER + b"1,0.5,0.6,,\n2,0.4\xff,0.5,,\n",
          "history.csv:3: invalid UTF-8"),
         (HISTORY_HEADER + b"1,0.5,0.6,0.75,\n", "history.csv:2: valid_P@1_A and"),
@@ -217,9 +226,9 @@ class TestExitCodes:
          "history.csv:2: '7.5' is not a metric in [0, 1]"),
         (HISTORY_HEADER + b"1,0.5,0.6,0.5,-1\n",
          "history.csv:2: '-1' is not a metric in [0, 1]"),
-    ], ids=["header", "iter-cell", "order", "utf8", "one-sided-p1", "nan-loss",
-            "inf-loss", "negative-loss", "nan-p1", "inf-p1", "p1-above-1",
-            "p1-below-0"])
+    ], ids=["header", "iter-cell", "order", "iter-zero", "iter-negative", "utf8",
+            "one-sided-p1", "nan-loss", "inf-loss", "negative-loss", "nan-p1",
+            "inf-p1", "p1-above-1", "p1-below-0"])
     def test_malformed_history_is_data_error(self, workdir, capsys, history, message):
         (workdir / "run").mkdir()
         (workdir / "run" / "history.csv").write_bytes(history)

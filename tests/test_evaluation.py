@@ -74,6 +74,28 @@ class TestRankGroup:
             oracle = sorted(range(10), key=lambda i: (-scores[i], i))
             assert [idx for idx, _, _ in ranked.entries] == oracle
 
+    def test_rank_test_groups_matches_per_group_sort_oracle(self, small_model):
+        rng = np.random.default_rng(6)
+        responses = [random_dialogue(rng).response for _ in range(4)]
+        groups = []
+        for _ in range(150):  # more than one scoring call's worth
+            context = random_dialogue(rng, n_utts=int(rng.integers(1, 4))).context
+            # Few distinct responses, so most groups hold tied scores.
+            groups.append(CandidateGroup(context, tuple(
+                (responses[int(rng.integers(4))], int(rng.integers(2)))
+                for _ in range(int(rng.integers(1, 9))))))
+        ranked = rank_test_groups(small_model, groups)
+        n_tied = 0
+        for i, (g, r) in enumerate(zip(groups, ranked)):
+            s = [matcher.score(small_model, matcher.TokenizedDialogue(g.context, c))
+                 for c, _ in g.candidates]
+            oracle = sorted(range(len(s)), key=lambda k: (-s[k], k))
+            assert r == RankedGroup(i, tuple((k, s[k], g.candidates[k][1])
+                                             for k in oracle))
+            assert r == rank_group(small_model, g.context, g.candidates, i)
+            n_tied += len(set(s)) < len(s)
+        assert n_tied >= 50
+
     def test_empty_candidates_rejected(self, small_model):
         with pytest.raises(ValueError):
             rank_group(small_model, ((1,),), [])
@@ -198,16 +220,39 @@ class TestPairedTTest:
             paired_t_test([0.1], [0.2])
 
 
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a new Python that imports this
+    checkout's coteach."""
+    src = str(Path(coteach.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats takes most of a second to import, and every coteach
     # command would pay for it.
     code = "import sys, coteach.cli; print('scipy.stats' in sys.modules)"
-    src = str(Path(coteach.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out == "False\n"
+    assert _fresh_interpreter(code) == "False\n"
+
+
+def test_imports_leave_out_scipy_until_the_t_test():
+    # scipy.special takes longer to import than all of coteach, and only
+    # the t-test of ``evaluate --baseline-dump`` needs it.
+    code = """
+import sys
+import coteach
+print('scipy' in sys.modules)
+import coteach.cli
+print('scipy' in sys.modules)
+import numpy as np
+a = np.random.default_rng(5).normal(0.02, 0.1, size=30)
+t, p = coteach.paired_t_test(a, np.zeros(30))
+from scipy import stats
+print(p == 2.0 * float(stats.t.sf(abs(t), 29)), 0.0 < p < 1.0)
+"""
+    assert _fresh_interpreter(code) == "False\nFalse\nTrue True\n"
 
 
 class TestEma:

@@ -153,6 +153,24 @@ class TestScore:
             batched = scores(model, dialogues)
             assert batched.tolist() == [score(model, d) for d in dialogues]
 
+    @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
+    def test_pooled_contexts_score_bit_for_bit_alone(self, kind):
+        model = init_params(MatcherSpec(kind, vocab_size=20, embedding_dim=8,
+                                        hidden_dim=8), seed=14)
+        rng = np.random.default_rng(15)
+        one, two, three = (tuple(_ragged_tokens(rng) for _ in range(k))
+                           for k in (1, 2, 3))
+        twin = tuple(tuple(list(utt)) for utt in two)  # equal, not the same object
+        assert twin == two and twin is not two
+        runs = [(three, 3), (two, 1), (twin, 1), (one, 1), (three, 2), (one, 4)]
+        batch = [TokenizedDialogue(context, _ragged_tokens(rng))
+                 for context, n in runs for _ in range(n)]
+        packed = matcher._pack(batch, 20, pool=True)
+        assert packed.runs.tolist() == [3, 2, 1, 2, 4]
+        assert packed.n_utts.tolist() == [3, 2, 1, 3, 1]
+        assert np.array_equal(scores(model, batch),
+                              np.array([score(model, d) for d in batch]))
+
     def test_matches_per_dialogue_reference(self, small_spec):
         rng = np.random.default_rng(13)
         # Large weights push some bilinear logits past the sigmoid clamp.
