@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -78,6 +79,13 @@ def _get(config, key, cast, default=None):
         return cast(config[key])
     except ValueError as exc:
         raise UsageError(f"config key {key!r}: {exc}") from exc
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _gen_config(config, seed_override=None) -> GenConfig:
@@ -151,9 +159,11 @@ def _train_config(config, args, strategy: str,
     try:
         return engine.TrainConfig(
             strategy=strategy,
-            lam=_get(config, "lambda", float, -1.0) if strategy == "margin" else None,
-            delta=_get(config, "delta", float, -1.0) if strategy == "curriculum" else None,
-            learning_rate=_get(config, lr_key, float, lr_default),
+            lam=(_get(config, "lambda", _finite_float, -1.0)
+                 if strategy == "margin" else None),
+            delta=(_get(config, "delta", _finite_float, -1.0)
+                   if strategy == "curriculum" else None),
+            learning_rate=_get(config, lr_key, _finite_float, lr_default),
             batch_size=_get(config, "batch_size", int, 50),
             n_epochs=_get(config, epochs_key, int, 3),
             seed=seed,
@@ -166,8 +176,9 @@ def _train_config(config, args, strategy: str,
 @contextmanager
 def _training(lr_key: str):
     """Report a training set without a full batch, or a run whose gradient
-    stopped being finite, as a usage error. The finiteness check reports a
-    diverging run, so numpy's overflow warnings on the way are silenced."""
+    or parameters stopped being finite, as a usage error. The finiteness
+    check reports a diverging run, so numpy's overflow warnings on the way
+    are silenced."""
     try:
         with np.errstate(all="ignore"):
             yield
@@ -256,9 +267,9 @@ def _coteach(config, run_dir, corpus, train_config, checkpoint_dir=None):
 
 def cmd_coteach(config, args) -> int:
     corpus = _load_corpus(_corpus_dir(config))
-    run_dir = _run_dir(config, args)
     strategy = _strategy(config, args)
     train_config = _train_config(config, args, strategy)
+    run_dir = _run_dir(config, args)
     model_a, model_b, history = _coteach(config, run_dir, corpus, train_config,
                                          checkpoint_dir=run_dir)
     matcher.save_checkpoint(model_a, run_dir / "A_final.ckpt")
@@ -368,7 +379,7 @@ def cmd_sweep(config, args) -> int:
     if not raw_values:
         raise UsageError("missing config key 'sweep_values'")
     try:
-        values = [float(v) for v in raw_values.split(",")]
+        values = [_finite_float(v) for v in raw_values.split(",")]
     except ValueError as exc:
         raise UsageError(f"sweep_values: {exc}") from exc
 

@@ -216,6 +216,13 @@ def pair_dialogues(triples) -> list[TokenizedDialogue]:
             + [TokenizedDialogue(t.context, t.neg_response) for t in triples])
 
 
+def interleaved_dialogues(triples) -> list[TokenizedDialogue]:
+    """The (c, r+) then the (c, r-) dialogue of each triple in turn, so
+    ``matcher.scores`` pools each triple's context once."""
+    return [TokenizedDialogue(t.context, r) for t in triples
+            for r in (t.pos_response, t.neg_response)]
+
+
 # ----------------------------------------------------------------------
 # File IO
 #

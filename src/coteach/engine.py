@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, matcher, strategies
-from .corpus import (Corpus, pair_dialogues, parse_metric, read_text,
+from .corpus import (Corpus, interleaved_dialogues, parse_metric, read_text,
                      to_pointwise, write_csv)
 from .losses import LearningProtocol
 
@@ -50,12 +50,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0 <= self.learning_rate < np.inf:  # also rejects nan
+            raise ValueError("learning rate must be finite and non-negative")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ValueError("batch size must be even and at least 2")
-        if self.strategy == "margin" and (self.lam is None or self.lam <= 0):
-            raise ValueError("margin strategy requires lam > 0")
+        if self.strategy == "margin" and (
+                self.lam is None or not 0 < self.lam < np.inf):
+            raise ValueError("margin strategy requires a finite lam > 0")
         if self.strategy == "curriculum" and (
                 self.delta is None or not 0.0 < self.delta <= 1.0):
             raise ValueError("curriculum strategy requires delta in (0, 1]")
@@ -102,6 +103,14 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
     order, as the one-line whole-vector form; each rounds identically, so
     the result is bit-for-bit the same whatever the block size. The inputs
     are never written: callers keep them as snapshots.
+
+    Finiteness is checked per block, on the new params while they are in
+    cache. A non-finite gradient entry always makes its parameter
+    non-finite, so a block that fails first sends the whole gradient
+    through the check: the error names the first non-finite gradient entry
+    if there is one, else the block's first non-finite parameter. Either
+    is a ``FloatingPointError``; the invalid and divide-by-zero results
+    that lead to it raise no numpy warning.
     """
     if params.shape != grad.shape:
         raise ValueError("params/grad length mismatch")
@@ -109,41 +118,50 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
         raise ValueError(
             f"optimizer state shapes {state.m.shape}/{state.v.shape} do not "
             f"match params {params.shape}")
-    finite = np.isfinite(grad)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise FloatingPointError(f"non-finite gradient entry at index {bad}")
     t = state.t + 1
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     n = params.size
     m, v, new_params = np.empty(n), np.empty(n), np.empty(n)
     a, b = np.empty(min(ADAM_BLOCK, n)), np.empty(min(ADAM_BLOCK, n))
-    for lo in range(0, n, ADAM_BLOCK):
-        s = slice(lo, lo + ADAM_BLOCK)
-        g, mb, vb = grad[s], m[s], v[s]
-        ta, tb = a[:g.size], b[:g.size]
-        np.multiply(beta1, state.m[s], out=mb)
-        np.multiply(1.0 - beta1, g, out=ta)
-        np.add(mb, ta, out=mb)
-        np.multiply(beta2, state.v[s], out=vb)
-        np.multiply(1.0 - beta2, g, out=ta)
-        np.multiply(ta, g, out=ta)
-        np.add(vb, ta, out=vb)
-        np.divide(mb, c1, out=ta)
-        np.divide(vb, c2, out=tb)
-        np.sqrt(tb, out=tb)
-        np.add(tb, eps, out=tb)
-        np.multiply(lr, ta, out=ta)
-        np.divide(ta, tb, out=ta)
-        np.subtract(params[s], ta, out=new_params[s])
+    finite = np.empty(min(ADAM_BLOCK, n), dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for lo in range(0, n, ADAM_BLOCK):
+            s = slice(lo, lo + ADAM_BLOCK)
+            g, mb, vb, pb = grad[s], m[s], v[s], new_params[s]
+            ta, tb, fb = a[:g.size], b[:g.size], finite[:g.size]
+            np.multiply(beta1, state.m[s], out=mb)
+            np.multiply(1.0 - beta1, g, out=ta)
+            np.add(mb, ta, out=mb)
+            np.multiply(beta2, state.v[s], out=vb)
+            np.multiply(1.0 - beta2, g, out=ta)
+            np.multiply(ta, g, out=ta)
+            np.add(vb, ta, out=vb)
+            np.divide(mb, c1, out=ta)
+            np.divide(vb, c2, out=tb)
+            np.sqrt(tb, out=tb)
+            np.add(tb, eps, out=tb)
+            np.multiply(lr, ta, out=ta)
+            np.divide(ta, tb, out=ta)
+            np.subtract(params[s], ta, out=pb)
+            if not np.logical_and.reduce(np.isfinite(pb, out=fb)):
+                _raise_first_nonfinite(grad, "gradient entry")
+                _raise_first_nonfinite(pb, "parameter", lo)
     return new_params, OptimizerState(m, v, t)
+
+
+def _raise_first_nonfinite(values: np.ndarray, what: str, offset: int = 0):
+    """Raise FloatingPointError naming the first non-finite entry, if any."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FloatingPointError(f"non-finite {what} at index {offset + int(bad[0])}")
 
 
 def _apply_update(model: matcher.ModelState, grad: np.ndarray,
                   opt: OptimizerState, config: TrainConfig):
     params, opt = adam_update(model.params, grad, opt, config.learning_rate)
-    return matcher.ModelState(model.spec, params), opt
+    # adam_update has checked every new parameter, and kept the shape.
+    return matcher.ModelState._unchecked(model.spec, params), opt
 
 
 def split_batch(batch, rng: np.random.Generator):
@@ -164,8 +182,8 @@ def validation_p_at_1(model: matcher.ModelState, triples) -> float:
     if not triples:
         raise ValueError("empty validation set")
     n = len(triples)
-    s = matcher.scores(model, pair_dialogues(triples))
-    return int(np.count_nonzero(s[:n] >= s[n:])) / n
+    s = matcher.scores(model, interleaved_dialogues(triples))
+    return int(np.count_nonzero(s[0::2] >= s[1::2])) / n
 
 
 def _batches(corpus: Corpus, config: TrainConfig):

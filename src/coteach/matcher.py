@@ -92,6 +92,12 @@ class ModelState:
 
     Treated as immutable: optimizer steps build a new ModelState rather
     than writing into ``params``.
+
+    The constructor checks the layout length and that every parameter is
+    finite, so ``init_params``, ``load_checkpoint`` and any caller's params
+    are checked at the boundary. Only the optimizer step skips it, through
+    ``_unchecked``: ``engine.adam_update`` has just checked the new params
+    block by block.
     """
 
     spec: MatcherSpec
@@ -104,6 +110,15 @@ class ModelState:
                 f"params length {self.params.shape} does not match layout ({expected},)")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("params contain non-finite entries")
+
+    @classmethod
+    def _unchecked(cls, spec: MatcherSpec, params: np.ndarray) -> ModelState:
+        """A ModelState from params of the right length already known to be
+        finite, built without ``__post_init__``'s checks."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "spec", spec)
+        object.__setattr__(model, "params", params)
+        return model
 
 
 def init_params(spec: MatcherSpec, seed: int) -> ModelState:

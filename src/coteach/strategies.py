@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import losses, matcher
-from .corpus import pair_dialogues
+from .corpus import interleaved_dialogues
 from .losses import LearningProtocol
 
 
@@ -26,12 +26,11 @@ def margin_protocol(teacher: matcher.ModelState, sub_batch,
     teacher that ranks the negative above the positive (a likely false
     negative) hands the student margin 0, flattening that instance's loss.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:  # also rejects nan
+        raise ValueError("lambda must be positive and finite")
     sub_batch = list(sub_batch)
-    n = len(sub_batch)
-    s = matcher.scores(teacher, pair_dialogues(sub_batch))
-    margins = np.maximum(0.0, lam * (s[:n] - s[n:])).tolist()
+    s = matcher.scores(teacher, interleaved_dialogues(sub_batch))
+    margins = np.maximum(0.0, lam * (s[0::2] - s[1::2])).tolist()
     return LearningProtocol(losses.HINGE_WITH_MARGIN,
                             pairwise=tuple(zip(sub_batch, margins)))
 

@@ -6,7 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
-from coteach import MetricsReport, cli, engine, load_checkpoint, load_corpus
+from coteach import (MetricsReport, cli, engine, load_checkpoint, load_corpus,
+                     matcher)
 from coteach.cli import main, parse_config
 
 TINY_CONFIG = """\
@@ -147,6 +148,45 @@ class TestExitCodes:
                                       "gradient entry at index ")
         assert "'learning_rate'" in err
         assert not (workdir / "run" / "history.csv").exists()
+
+    def test_parameter_overflow_with_finite_gradient_is_divergence(
+            self, workdir, capsys):
+        # Hidden unit 0 is saturated (tanh = -1), so w2[0] gets a gradient
+        # of about the number of positives and a step near the float maximum
+        # overflows it; every gradient entry stays finite.
+        spec = matcher.MatcherSpec("interaction-mlp", vocab_size=60,
+                                   embedding_dim=8, hidden_dim=4)
+        layout = matcher.param_layout(spec)
+        params = matcher.init_params(spec, 0).params.copy()
+        params[layout["b1"].start], params[layout["w2"].start] = -1e300, 0.0
+        params[layout["b2"]] = -9.0
+        matcher.save_checkpoint(matcher.ModelState(spec, params), workdir / "sat.ckpt")
+        (workdir / "sat.cfg").write_text(
+            TINY_CONFIG + "checkpoint_a = sat.ckpt\ncheckpoint_b = sat.ckpt\n"
+            "learning_rate = 1.7e308\n")
+        assert _run("generate", "--config", "sat.cfg") == 0
+        capsys.readouterr()
+        assert _run("coteach", "--config", "sat.cfg", "--strategy", "none") == 1
+        assert _one_line_error(capsys, "error: ") == (
+            f"error: training diverged (non-finite parameter at index "
+            f"{layout['w2'].start}); try a lower 'learning_rate'\n")
+        assert not (workdir / "run" / "history.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["pretrain_lr", "learning_rate", "lambda"])
+    def test_nonfinite_learning_rate_or_lambda_is_usage_error(
+            self, workdir, capsys, key, value):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        command = "pretrain" if key == "pretrain_lr" else "coteach"
+        if command == "coteach":
+            assert _run("pretrain", "--config", "exp.cfg") == 0
+        (workdir / "bad.cfg").write_text(TINY_CONFIG + f"{key} = {value}\n")
+        before = sorted(workdir.rglob("*"))
+        capsys.readouterr()
+        assert _run(command, "--config", "bad.cfg", "--strategy", "margin") == 1
+        assert _one_line_error(capsys, "error: ") == (
+            f"error: config key {key!r}: {value!r} is not a finite number\n")
+        assert sorted(workdir.rglob("*")) == before
 
     def test_empty_validation_set_is_data_error(self, workdir, capsys):
         assert _run("generate", "--config", "exp.cfg") == 0

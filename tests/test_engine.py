@@ -1,14 +1,15 @@
 """Unit tests for the training engine: Adam, the co-teaching loop, history."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coteach import (GenConfig, MatcherSpec, OptimizerState, PairwiseTriple,
-                     TrainConfig, adam_update, coteach_step, coteach_train,
-                     generate_synthetic_corpus, init_params, pretrain,
-                     select_model, split_batch, validation_p_at_1)
+                     TokenizedDialogue, TrainConfig, adam_update, coteach_step,
+                     coteach_train, generate_synthetic_corpus, init_params,
+                     pretrain, select_model, split_batch, validation_p_at_1)
 from coteach import engine, matcher
 from coteach.engine import (HistoryRecord, RunHistory, init_optimizer,
                             read_history, write_history)
@@ -44,6 +45,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             _config(strategy="curriculum", delta=1.5)
         _config(strategy="curriculum", delta=0.9)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_learning_rate_rejected(self, value):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            _config(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_lambda_rejected(self, value):
+        with pytest.raises(ValueError, match="finite lam"):
+            _config(strategy="margin", lam=value)
 
 
 def _adam_reference(params, grad, state, lr, beta1, beta2, eps):
@@ -134,6 +145,37 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match=f"index {n - 3}$"):
             adam_update(np.zeros(n), grad, state, lr=0.1)
 
+    def test_overflowed_parameter_reported_at_its_index(self):
+        # A finite gradient whose step takes a parameter past the float range.
+        n = 3 * B + 7
+        params, grad = np.zeros(n), np.zeros(n)
+        params[B + 5], grad[B + 5] = -1.7e308, 1.0
+        state = OptimizerState(np.zeros(n), np.zeros(n), 0)
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(FloatingPointError,
+                              match=f"non-finite parameter at index {B + 5}$"):
+            adam_update(params, grad, state, lr=1e308)
+
+    def test_gradient_in_a_later_block_is_reported_before_a_parameter(self):
+        n = 3 * B + 7
+        params, grad = np.zeros(n), np.zeros(n)
+        params[5], grad[5] = -1.7e308, 1.0
+        grad[2 * B + 3] = np.nan
+        state = OptimizerState(np.zeros(n), np.zeros(n), 0)
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(FloatingPointError,
+                              match=f"non-finite gradient entry at index {2 * B + 3}$"):
+            adam_update(params, grad, state, lr=1e308)
+
+    def test_nonfinite_gradient_raises_no_numpy_warning(self):
+        # inf/inf and inf - inf inside the step would warn "invalid value".
+        grad = np.array([0.0, np.inf, -np.inf, np.nan, 1.0])
+        state = OptimizerState(np.ones(5), np.ones(5), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="index 1$"):
+                adam_update(np.full(5, np.inf), grad, state, lr=0.1)
+
     @pytest.mark.parametrize("size", [1, 2, 4])
     def test_mis_sized_state_rejected(self, size):
         state = OptimizerState(np.zeros(size), np.zeros(size), 0)
@@ -185,6 +227,24 @@ class TestValidationP1:
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
             validation_p_at_1(init_params(SPEC, 0), [])
+
+    def test_equals_per_dialogue_oracle_bit_for_bit(self, corpus, monkeypatch):
+        rng = np.random.default_rng(8)
+        model = matcher.ModelState(SPEC, rng.normal(0.0, 1.0, matcher.n_params(SPEC)))
+        triples = corpus.valid
+        pairs = [(matcher.score(model, TokenizedDialogue(t.context, t.pos_response)),
+                  matcher.score(model, TokenizedDialogue(t.context, t.neg_response)))
+                 for t in triples]
+        scored = []
+        real_scores = matcher.scores
+        monkeypatch.setattr(matcher, "scores", lambda m, ds: (
+            scored.append(real_scores(m, ds)) or scored[-1]))
+        p1 = validation_p_at_1(model, triples)
+        assert p1 == sum(pos >= neg for pos, neg in pairs) / len(triples)
+        # One call, the two dialogues of each triple side by side, so each
+        # context is pooled once; every score is the per-dialogue one.
+        [s] = scored
+        assert s.tobytes() == np.array(pairs).ravel().tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -76,6 +76,33 @@ class TestMarginProtocol:
         with pytest.raises(ValueError):
             margin_protocol(teacher, [random_triple(rng)], 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_lambda_rejected(self, teacher, lam):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            margin_protocol(teacher, [random_triple(rng)], lam)
+
+    def test_margins_equal_per_dialogue_oracle_bit_for_bit(
+            self, small_spec, monkeypatch):
+        rng = np.random.default_rng(4)
+        teacher = matcher.ModelState(
+            small_spec, rng.normal(0.0, 1.0, matcher.n_params(small_spec)))
+        sub_batch = [random_triple(rng) for _ in range(40)]
+        lam = 0.7
+        expected = [max(0.0, lam * (
+            matcher.score(teacher, TokenizedDialogue(t.context, t.pos_response))
+            - matcher.score(teacher, TokenizedDialogue(t.context, t.neg_response))))
+            for t in sub_batch]
+        scored = []
+        real_scores = matcher.scores
+        monkeypatch.setattr(matcher, "scores", lambda model, ds: (
+            scored.append(list(ds)) or real_scores(model, ds)))
+        margins = [m for _, m in margin_protocol(teacher, sub_batch, lam).pairwise]
+        assert np.array(margins).tobytes() == np.array(expected).tobytes()
+        # One call, each triple's two dialogues side by side: one pooled context.
+        [dialogues] = scored
+        assert [d.context for d in dialogues[0::2]] == [d.context for d in dialogues[1::2]]
+
     def test_pure_function(self, teacher):
         rng = np.random.default_rng(3)
         sub_batch = [random_triple(rng) for _ in range(4)]
