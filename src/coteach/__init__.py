@@ -16,7 +16,7 @@ from .engine import (OptimizerState, RunHistory, TrainConfig, adam_update,
                      split_batch, validation_p_at_1)
 from .evaluation import (MetricsReport, RankedGroup, compute_metrics, ema,
                          filter_degenerate, paired_t_test, per_group_metrics,
-                         rank_group, rank_test_groups)
+                         rank_test_groups)
 from .losses import LearningProtocol, cross_entropy, hinge_with_margin
 from .matcher import (MatcherSpec, ModelState, finite_diff_check, init_params,
                       load_checkpoint, loss_and_grad, save_checkpoint, score,
@@ -31,7 +31,7 @@ __all__ = [
     "coteach_step", "coteach_train", "pretrain", "select_model",
     "split_batch", "validation_p_at_1",
     "MetricsReport", "RankedGroup", "compute_metrics", "ema",
-    "filter_degenerate", "paired_t_test", "per_group_metrics", "rank_group",
+    "filter_degenerate", "paired_t_test", "per_group_metrics",
     "rank_test_groups",
     "LearningProtocol", "cross_entropy", "hinge_with_margin",
     "MatcherSpec", "ModelState", "finite_diff_check", "init_params",

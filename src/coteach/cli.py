@@ -6,7 +6,7 @@ comments. All outputs are CSV or checkpoint files; given the same config
 and seed every command writes byte-identical data files.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (missing or
-malformed artifacts).
+malformed artifacts, or an artifact path that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -124,12 +124,10 @@ def _corpus_dir(config) -> Path:
 
 
 def _run_dir(config, args) -> Path:
+    """The run directory; commands that write into it create it first."""
     if args.run_dir is not None:
-        path = Path(args.run_dir)
-    else:
-        path = Path(_get(config, "run_dir", str, "run"))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+        return Path(args.run_dir)
+    return Path(_get(config, "run_dir", str, "run"))
 
 
 def _load_corpus(path):
@@ -192,10 +190,7 @@ def cmd_generate(config, args) -> int:
     gen = _gen_config(config, args.seed)
     corpus = generate_synthetic_corpus(gen)
     out = _corpus_dir(config)
-    try:
-        save_corpus(corpus, out)
-    except OSError as exc:
-        raise DataError(f"cannot write corpus to {out}: {exc}") from exc
+    save_corpus(corpus, out)
     noisy = sum(1 for t in corpus.train if t.noise_flag)
     print(f"wrote corpus to {out}")
     print(f"train={len(corpus.train)} valid={len(corpus.valid)} "
@@ -212,6 +207,7 @@ def cmd_pretrain(config, args) -> int:
     with _training("pretrain_lr"):
         model, p1 = engine.pretrain(spec, corpus, train_config, return_p1=True)
     run_dir = _run_dir(config, args)
+    run_dir.mkdir(parents=True, exist_ok=True)
     matcher.save_checkpoint(model, run_dir / "pretrained.ckpt")
     print(f"wrote {run_dir / 'pretrained.ckpt'} (validation P@1 = {p1:.4f})")
     return 0
@@ -396,6 +392,7 @@ def cmd_sweep(config, args) -> int:
         report = evaluation.compute_metrics(ranked)
         rows.append([param, repr(value)] + _metrics_row(run_dir.name, strategy, report))
         print(f"{param}={value}: P@1={report.p_at_1:.4f}")
+    run_dir.mkdir(parents=True, exist_ok=True)
     write_csv(run_dir / "sweep.csv", ["param", "value"] + METRICS_COLUMNS, rows)
     print(f"wrote {run_dir / 'sweep.csv'} ({len(rows)} rows)")
     return 0
@@ -474,6 +471,10 @@ def main(argv=None) -> int:
         return 1
     except (DataError, CorpusFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an artifact path that cannot be read or written
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"data error: {where}", file=sys.stderr)
         return 2
 
 

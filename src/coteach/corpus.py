@@ -105,11 +105,13 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("vocab_size", "n_topics", "n_train", "n_valid",
-                     "n_test_contexts", "n_candidates", "turns_per_context",
-                     "tokens_per_utterance"):
+        for name in ("vocab_size", "n_train", "n_valid", "n_test_contexts",
+                     "n_candidates", "turns_per_context", "tokens_per_utterance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.n_topics < 2:
+            raise ValueError("n_topics must be at least 2: negatives come from "
+                             "another topic")
         if not 0.0 <= self.false_negative_rate <= 1.0:
             raise ValueError("false_negative_rate must lie in [0, 1]")
         if self.vocab_size // self.n_topics < 2:
@@ -163,7 +165,7 @@ def _sample_test_group(rng, config: GenConfig) -> TestGroup:
     while True:
         candidates = []
         for _ in range(config.n_candidates):
-            if config.n_topics == 1 or rng.random() < _TEST_POSITIVE_PROB:
+            if rng.random() < _TEST_POSITIVE_PROB:
                 cand_topic = topic
             else:
                 cand_topic = int(rng.integers(config.n_topics - 1))
@@ -208,19 +210,6 @@ def to_pointwise(triples) -> list[PointwiseExample]:
         out.append(PointwiseExample(1, TokenizedDialogue(t.context, t.pos_response)))
         out.append(PointwiseExample(0, TokenizedDialogue(t.context, t.neg_response)))
     return out
-
-
-def pair_dialogues(triples) -> list[TokenizedDialogue]:
-    """The (c, r+) dialogue of every triple, then the (c, r-) of every one."""
-    return ([TokenizedDialogue(t.context, t.pos_response) for t in triples]
-            + [TokenizedDialogue(t.context, t.neg_response) for t in triples])
-
-
-def interleaved_dialogues(triples) -> list[TokenizedDialogue]:
-    """The (c, r+) then the (c, r-) dialogue of each triple in turn, so
-    ``matcher.scores`` pools each triple's context once."""
-    return [TokenizedDialogue(t.context, r) for t in triples
-            for r in (t.pos_response, t.neg_response)]
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, matcher, strategies
-from .corpus import (Corpus, interleaved_dialogues, parse_metric, read_text,
-                     to_pointwise, write_csv)
+from .corpus import Corpus, parse_metric, read_text, to_pointwise, write_csv
 from .losses import LearningProtocol
 
 STRATEGIES = ("margin", "weighting", "curriculum", "none")
@@ -182,7 +181,8 @@ def validation_p_at_1(model: matcher.ModelState, triples) -> float:
     if not triples:
         raise ValueError("empty validation set")
     n = len(triples)
-    s = matcher.scores(model, interleaved_dialogues(triples))
+    s = matcher.scores(model, [(t.context, (t.pos_response, t.neg_response))
+                               for t in triples])
     return int(np.count_nonzero(s[0::2] >= s[1::2])) / n
 
 
@@ -342,8 +342,7 @@ def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
 def coteach_step(model_a: matcher.ModelState, model_b: matcher.ModelState,
                  opt_a: OptimizerState, opt_b: OptimizerState,
                  batch, config: TrainConfig, rng: np.random.Generator,
-                 update_order: tuple[str, str] = ("A", "B"),
-                 split_hook=None):
+                 update_order: tuple[str, str] = ("A", "B")):
     """One co-teaching iteration; returns (A, B, optA, optB, lossA, lossB).
 
     Protocols and gradients are computed from the entry snapshots of both
@@ -351,8 +350,6 @@ def coteach_step(model_a: matcher.ModelState, model_b: matcher.ModelState,
     change the result; it exists to make that property testable.
     """
     sub_a, sub_b = split_batch(batch, rng)
-    if split_hook is not None:
-        split_hook(batch, sub_a, sub_b)
     protocol_a = build_protocol(config.strategy, model_b, sub_a, config)
     protocol_b = build_protocol(config.strategy, model_a, sub_b, config)
     loss_a, grad_a = matcher.loss_and_grad(model_a, protocol_a)
@@ -369,7 +366,7 @@ def coteach_step(model_a: matcher.ModelState, model_b: matcher.ModelState,
 
 def coteach_train(init_a: matcher.ModelState, init_b: matcher.ModelState,
                   corpus: Corpus, config: TrainConfig,
-                  checkpoint_dir=None, split_hook=None):
+                  checkpoint_dir=None):
     """Run the full co-teaching loop; returns (A, B, RunHistory).
 
     Validation P@1 for both peers is recorded (and both models are
@@ -386,8 +383,7 @@ def coteach_train(init_a: matcher.ModelState, init_b: matcher.ModelState,
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
     for iteration, batch, split_rng in batches:
         model_a, model_b, opt_a, opt_b, loss_a, loss_b = coteach_step(
-            model_a, model_b, opt_a, opt_b, batch, config, split_rng,
-            split_hook=split_hook)
+            model_a, model_b, opt_a, opt_b, batch, config, split_rng)
         p1_a = p1_b = None
         if iteration % config.eval_every == 0:
             p1_a = validation_p_at_1(model_a, corpus.valid)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcher
-from .corpus import TestGroup, TokenizedDialogue
 
 RECALL_KS = (1, 2, 5)
 # Groups ranked per scoring call. At 10 candidates a group, one call
@@ -53,26 +52,18 @@ def filter_degenerate(groups):
     return kept, len(groups) - len(kept)
 
 
-def rank_group(model: matcher.ModelState, context, candidates,
-               context_id: int = 0) -> RankedGroup:
-    """Score and sort one context's candidates (stable on ties)."""
-    (ranked,) = rank_test_groups(model, [TestGroup(context, candidates)])
-    return RankedGroup(context_id, ranked.entries)
-
-
 def rank_test_groups(model: matcher.ModelState, groups) -> list[RankedGroup]:
     """Score and sort the candidates of every group; group i gets context
     id i. Each ``matcher.scores`` call takes ``_GROUPS_PER_CALL`` groups,
-    each group's candidates next to each other so that its context is
-    pooled once."""
+    each scored as one (context, candidate responses) group, so that its
+    context is pooled once."""
     if not all(g.candidates for g in groups):
         raise ValueError("empty candidate list")
     ranked = []
     for lo in range(0, len(groups), _GROUPS_PER_CALL):
         part = groups[lo:lo + _GROUPS_PER_CALL]
-        s = iter(matcher.scores(model, [TokenizedDialogue(g.context, response)
-                                        for g in part
-                                        for response, _ in g.candidates]).tolist())
+        s = iter(matcher.scores(model, [(g.context, [r for r, _ in g.candidates])
+                                        for g in part]).tolist())
         for g in part:
             scored = sorted(((i, next(s), label)
                              for i, (_, label) in enumerate(g.candidates)),

@@ -11,13 +11,13 @@ Parameters live in a single flat float64 vector with a fixed layout
 (embedding table first, then the head), which keeps optimizer state,
 checkpoints and finite-difference checking trivial.
 
-Every computation is batched: ``_pack`` validates and flattens dialogues
-once, then one ``_forward``, ``_loss`` and ``_backward`` serve scoring,
-training and the finite-difference checker (the correctness oracle, which
-differences the loss in extended precision). All gradients are
-hand-derived. Scoring pools each run of consecutive dialogues that share a
-context once (a ranked group's candidates, a triple's pointwise pair);
-training packs one context per dialogue.
+Every computation is batched: ``_pack`` validates and flattens a sequence
+of (context, responses) groups once, then one ``_forward``, ``_loss`` and
+``_backward`` serve scoring, training and the finite-difference checker
+(the correctness oracle, which differences the loss in extended
+precision). All gradients are hand-derived. Each group's context is pooled
+once: scoring passes a ranked group's candidates or a triple's two
+responses as one group, while training passes one response per group.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import losses
-from .corpus import TokenizedDialogue, pair_dialogues
+from .corpus import TokenizedDialogue
 from .losses import LearningProtocol
 
 MEAN_EMBEDDING_BILINEAR = "mean-embedding-bilinear"
@@ -135,32 +135,26 @@ def init_params(spec: MatcherSpec, seed: int) -> ModelState:
 
 class _Packed(NamedTuple):
     """Flat token ids of all context utterances, context by context, then
-    of one response per dialogue; segment k has ``lengths[k]`` tokens, and
-    context j has ``n_utts[j]`` utterance segments. Context j serves
-    dialogue j, or with ``runs`` set, the next ``runs[j]`` dialogues."""
+    of every response; segment k has ``lengths[k]`` tokens, context j has
+    ``n_utts[j]`` utterance segments and serves the next ``runs[j]``
+    responses."""
 
     ids: np.ndarray
     lengths: np.ndarray
     n_utts: np.ndarray
-    runs: np.ndarray | None
+    runs: np.ndarray
 
 
-def _pack(dialogues, vocab_size: int, pool: bool = False) -> _Packed:
-    """Flatten a sequence of dialogues, validating every token once. With
-    ``pool``, each run of consecutive equal contexts is packed once."""
-    contexts = [d.context for d in dialogues]
-    runs = None
-    if pool:
-        firsts = [i for i, c in enumerate(contexts) if i == 0 or c != contexts[i - 1]]
-        if len(firsts) < len(contexts):
-            runs = np.diff(np.array(firsts + [len(contexts)], np.intp))
-            contexts = [contexts[i] for i in firsts]
-    n_utts = np.fromiter(map(len, contexts), np.intp, len(contexts))
+def _pack(groups, vocab_size: int) -> _Packed:
+    """Flatten a sequence of (context, responses) groups, validating every
+    token once; each group's context is packed once."""
+    runs = np.fromiter((len(rs) for _, rs in groups), np.intp, len(groups))
+    n_utts = np.fromiter((len(c) for c, _ in groups), np.intp, len(groups))
     if not n_utts.all():
         raise ValueError("dialogue has no context utterances")
-    segments = [utt for c in contexts for utt in c]
+    segments = [utt for c, _ in groups for utt in c]
     n_ctx = len(segments)
-    segments += [d.response for d in dialogues]
+    segments += [r for _, rs in groups for r in rs]
     lengths = np.fromiter(map(len, segments), np.intp, len(segments))
     if not lengths[:n_ctx].all():
         raise ValueError("empty utterance")
@@ -179,9 +173,10 @@ def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
     dialogue (``reduceat`` over its segments, ``einsum`` over its row; BLAS
     matmul would block rows differently for different batch sizes), so a
     dialogue's score does not depend on the rest of the batch, bit for bit.
-    A pooled context is pooled by the same reduction as an unpooled one.
+    A context shared by several responses is pooled once, by the same
+    reduction as a context of one response.
     """
-    n = packed.n_utts.size if packed.runs is None else int(packed.runs.sum())
+    n = int(packed.runs.sum())
     d = spec.embedding_dim
     layout = param_layout(spec)
     E = params[layout["E"]].reshape(spec.vocab_size, d)
@@ -189,8 +184,7 @@ def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
     seg = np.add.reduceat(E[packed.ids], starts, axis=0) / packed.lengths[:, None]
     ctx_starts = np.cumsum(packed.n_utts) - packed.n_utts
     u = np.add.reduceat(seg[:-n], ctx_starts, axis=0) / packed.n_utts[:, None]
-    if packed.runs is not None:
-        u = np.repeat(u, packed.runs, axis=0)
+    u = np.repeat(u, packed.runs, axis=0)
     v = seg[-n:]
     if spec.kind == MEAN_EMBEDDING_BILINEAR:
         W = params[layout["W"]].reshape(d, d)
@@ -213,8 +207,8 @@ def _backward(spec: MatcherSpec, packed: _Packed, cache, dL_dz: np.ndarray,
               grad: np.ndarray) -> None:
     """Add sum_i dL_dz[i] * dz_i/dtheta into ``grad`` (flat, same layout).
 
-    ``packed`` holds one context per dialogue (``_pack`` without ``pool``),
-    so every dialogue's context tokens get their own ``np.add.at`` rows.
+    ``packed`` holds groups of one response each, so every dialogue's
+    context tokens get their own ``np.add.at`` rows.
     """
     d = spec.embedding_dim
     layout = param_layout(spec)
@@ -245,17 +239,21 @@ def _backward(spec: MatcherSpec, packed: _Packed, cache, dL_dz: np.ndarray,
 
 
 def _protocol_arrays(protocol: LearningProtocol, vocab_size: int):
-    """A protocol's packed dialogues, labels and per-instance coefficients.
+    """A protocol's packed groups, labels and per-instance coefficients;
+    each group holds one response.
 
-    Hinge: the positive dialogues then the negative ones, no labels, the
-    margins. Cross-entropy: one dialogue per example, the labels y, the
+    Hinge: every triple's positive, then every triple's negative, no labels,
+    the margins. Cross-entropy: one group per example, the labels y, the
     weights (all 1 for plain cross-entropy).
     """
     if protocol.loss_kind == losses.HINGE_WITH_MARGIN:
         triples, margins = zip(*protocol.pairwise)
-        return _pack(pair_dialogues(triples), vocab_size), None, np.array(margins)
+        groups = ([(t.context, (t.pos_response,)) for t in triples]
+                  + [(t.context, (t.neg_response,)) for t in triples])
+        return _pack(groups, vocab_size), None, np.array(margins)
     examples, weights = zip(*protocol.pointwise)
-    return (_pack([e.dialogue for e in examples], vocab_size),
+    return (_pack([(e.dialogue.context, (e.dialogue.response,)) for e in examples],
+                  vocab_size),
             np.array([e.y for e in examples]), np.array(weights))
 
 
@@ -273,21 +271,19 @@ def _loss(loss_kind: str, s: np.ndarray, dsdz: np.ndarray, labels, coef):
     return ce.sum(), np.where(inside, coef * (s - labels), 0.0)
 
 
-def scores(model: ModelState, dialogues) -> np.ndarray:
-    """Matching scores s(c, r) in (0, 1) for a sequence of dialogues.
-
-    Each run of consecutive dialogues with equal contexts has its context
-    pooled once, so order the candidates of one context next to each other.
-    Each entry equals, bit for bit, the score of that dialogue alone.
+def scores(model: ModelState, groups) -> np.ndarray:
+    """Matching scores s(c, r) in (0, 1) of a sequence of (context,
+    responses) groups: every response of the first group in order, then of
+    the next. Each group's context is pooled once, and each entry equals,
+    bit for bit, the score of that dialogue alone.
     """
-    packed = _pack(dialogues, model.spec.vocab_size, pool=True)
-    s, _, _ = _forward(model.spec, model.params, packed)
+    s, _, _ = _forward(model.spec, model.params, _pack(groups, model.spec.vocab_size))
     return s
 
 
 def score(model: ModelState, dialogue: TokenizedDialogue) -> float:
     """Matching score s(c, r) in (0, 1) of one dialogue."""
-    return float(scores(model, [dialogue])[0])
+    return float(scores(model, [(dialogue.context, (dialogue.response,))])[0])
 
 
 def loss_and_grad(model: ModelState, protocol: LearningProtocol):

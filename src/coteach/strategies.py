@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from . import losses, matcher
-from .corpus import interleaved_dialogues
 from .losses import LearningProtocol
 
 
@@ -29,7 +28,8 @@ def margin_protocol(teacher: matcher.ModelState, sub_batch,
     if not 0 < lam < math.inf:  # also rejects nan
         raise ValueError("lambda must be positive and finite")
     sub_batch = list(sub_batch)
-    s = matcher.scores(teacher, interleaved_dialogues(sub_batch))
+    s = matcher.scores(teacher, [(t.context, (t.pos_response, t.neg_response))
+                                 for t in sub_batch])
     margins = np.maximum(0.0, lam * (s[0::2] - s[1::2])).tolist()
     return LearningProtocol(losses.HINGE_WITH_MARGIN,
                             pairwise=tuple(zip(sub_batch, margins)))
@@ -44,7 +44,8 @@ def weighting_protocol(teacher: matcher.ModelState, sub_batch) -> LearningProtoc
     """
     sub_batch = list(sub_batch)
     neg_weights = iter((1.0 - matcher.scores(
-        teacher, [ex.dialogue for ex in sub_batch if ex.y != 1])).tolist())
+        teacher, [(ex.dialogue.context, (ex.dialogue.response,))
+                  for ex in sub_batch if ex.y != 1])).tolist())
     annotated = tuple((ex, 1.0 if ex.y == 1 else next(neg_weights))
                       for ex in sub_batch)
     return LearningProtocol(losses.WEIGHTED_CROSS_ENTROPY, pointwise=annotated)
@@ -65,7 +66,8 @@ def curriculum_protocol(teacher: matcher.ModelState, sub_batch,
         raise ValueError("empty sub-batch")
     teacher_losses = losses.cross_entropy(
         np.array([ex.y for ex in sub_batch]),
-        matcher.scores(teacher, [ex.dialogue for ex in sub_batch]))
+        matcher.scores(teacher, [(ex.dialogue.context, (ex.dialogue.response,))
+                                 for ex in sub_batch]))
     keep = math.ceil(delta * len(sub_batch))
     selected = np.sort(np.argsort(teacher_losses, kind="stable")[:keep])
     return LearningProtocol(losses.CROSS_ENTROPY,

@@ -81,7 +81,8 @@ def test_2_strategy_formulas(capsys):
     # margin: hold the teacher's scores fixed and verify the formula exactly
     fixed = {(2,): 0.9, (3,): 0.1, (4,): 0.2, (5,): 0.7}
     real_scores = matcher.scores
-    matcher.scores = lambda m, ds: np.array([fixed[d.response] for d in ds])
+    matcher.scores = lambda m, groups: np.array([fixed[r] for _, rs in groups
+                                                 for r in rs])
     try:
         confident = strategies.margin_protocol(
             teacher, [ct.PairwiseTriple(((1,),), (2,), (3,))], lam=0.5)
@@ -135,7 +136,7 @@ def test_2_strategy_formulas(capsys):
 # ---------------------------------------------------------------- check 3
 
 
-def test_3_coteaching_loop_fidelity(capsys):
+def test_3_coteaching_loop_fidelity(capsys, monkeypatch):
     gen = ct.GenConfig(vocab_size=60, n_topics=3, n_train=100, n_valid=30,
                        n_test_contexts=5, n_candidates=6, turns_per_context=2,
                        tokens_per_utterance=5, false_negative_rate=0.3, seed=3)
@@ -145,12 +146,17 @@ def test_3_coteaching_loop_fidelity(capsys):
     config = ct.TrainConfig(strategy="margin", lam=0.5, learning_rate=1e-3,
                             batch_size=10, n_epochs=5, seed=0, eval_every=1000)
     split_ok = [True]
+    real_split = engine.split_batch
 
-    def check_split(batch, sub_a, sub_b):
+    def check_split(batch, rng):
+        sub_a, sub_b = real_split(batch, rng)
         ids_ok = (len(sub_a) == len(sub_b) == len(batch) // 2
                   and sorted([id(t) for t in sub_a + sub_b])
                   == sorted(id(t) for t in batch))
         split_ok[0] = split_ok[0] and ids_ok
+        return sub_a, sub_b
+
+    monkeypatch.setattr(engine, "split_batch", check_split)
 
     def run(update_order):
         model_a = ct.init_params(spec, 1)
@@ -168,7 +174,7 @@ def test_3_coteaching_loop_fidelity(capsys):
                                        (k + 1) * config.batch_size]]
                 model_a, model_b, opt_a, opt_b, _, _ = engine.coteach_step(
                     model_a, model_b, opt_a, opt_b, batch, config, split_rng,
-                    update_order=update_order, split_hook=check_split)
+                    update_order=update_order)
                 iters += 1
         return model_a, model_b, iters
 

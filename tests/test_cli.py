@@ -473,10 +473,13 @@ class TestPipeline:
         assert len(lines) == 3
         assert lines[1].split(",")[:2] == ["delta", "0.5"]
 
-    def test_sweep_rejects_unknown_param(self, workdir):
+    def test_sweep_rejects_unknown_param(self, workdir, capsys):
         (workdir / "bad.cfg").write_text(
             TINY_CONFIG + "sweep_param = gamma\nsweep_values = 1\n")
+        capsys.readouterr()
         assert _run("sweep", "--config", "bad.cfg") == 1
+        _one_line_error(capsys, "error: config key 'sweep_param'")
+        assert not (workdir / "run").exists()
 
     def test_report_smooths_history(self, workdir):
         _pipeline(workdir, "run", "margin")
@@ -485,9 +488,76 @@ class TestPipeline:
         assert lines[0] == "iter,loss_A_ema,loss_B_ema,valid_P@1_A_ema,valid_P@1_B_ema"
         assert len(lines) == 1 + 12  # one row per training iteration
 
-    def test_report_without_history_is_data_error(self, workdir):
+    def test_report_without_history_is_data_error(self, workdir, capsys):
         shutil.rmtree(workdir / "run", ignore_errors=True)
+        capsys.readouterr()
         assert _run("report", "--config", "exp.cfg", "--run-dir", "run") == 2
+        _one_line_error(capsys, "data error: history not found")
+        assert not (workdir / "run").exists()
+
+
+class TestFailingCommandWritesNothing:
+    """A failing command exits with its code and a one-line message, no
+    traceback, and leaves no file or directory behind."""
+
+    @pytest.mark.parametrize("rate", ["0.3", "1.0"])
+    def test_generate_with_one_topic_is_usage_error(self, workdir, capsys,
+                                                     monkeypatch, rate):
+        (workdir / "one.cfg").write_text(
+            TINY_CONFIG + f"n_topics = 1\nfalse_negative_rate = {rate}\n")
+
+        def generator_reached(config):
+            raise AssertionError("the config was not rejected")
+
+        monkeypatch.setattr(cli, "generate_synthetic_corpus", generator_reached)
+        assert _run("generate", "--config", "one.cfg") == 1
+        assert _one_line_error(capsys, "error: ") == (
+            "error: n_topics must be at least 2: negatives come from another topic\n")
+        assert not (workdir / "corpus").exists()
+
+    def test_unwritable_corpus_dir_is_data_error(self, workdir, capsys):
+        (workdir / "afile").write_text("")
+        (workdir / "gen.cfg").write_text(TINY_CONFIG + "corpus_dir = afile\n")
+        assert _run("generate", "--config", "gen.cfg") == 2
+        assert _one_line_error(capsys, "data error: ") == (
+            "data error: afile: File exists\n")
+
+    def test_run_dir_that_is_a_file_is_data_error(self, workdir, capsys):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        (workdir / "afile").write_text("")
+        capsys.readouterr()
+        assert _run("pretrain", "--config", "exp.cfg", "--run-dir", "afile") == 2
+        assert _one_line_error(capsys, "data error: ") == (
+            "data error: afile: File exists\n")
+        assert (workdir / "afile").read_text() == ""
+
+    def test_per_group_dump_in_missing_directory_is_data_error(self, workdir, capsys):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        assert _run("pretrain", "--config", "exp.cfg") == 0
+        assert _run("coteach", "--config", "exp.cfg", "--strategy", "margin") == 0
+        capsys.readouterr()
+        assert _run("evaluate", "--config", "exp.cfg",
+                    "--per-group-dump", "nodir/x.csv") == 2
+        assert _one_line_error(capsys, "data error: ") == (
+            "data error: nodir/x.csv: No such file or directory\n")
+        assert not (workdir / "run" / "metrics.csv").exists()
+
+    def test_baseline_dump_that_is_a_directory_is_data_error(self, workdir, capsys):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        assert _run("pretrain", "--config", "exp.cfg") == 0
+        assert _run("coteach", "--config", "exp.cfg", "--strategy", "margin") == 0
+        capsys.readouterr()
+        assert _run("evaluate", "--config", "exp.cfg", "--baseline-dump", "run") == 2
+        assert _one_line_error(capsys, "data error: ") == (
+            "data error: run: Is a directory\n")
+        assert not (workdir / "run" / "metrics.csv").exists()
+
+    def test_evaluate_without_checkpoints_creates_no_run_dir(self, workdir, capsys):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        capsys.readouterr()
+        assert _run("evaluate", "--config", "exp.cfg") == 2
+        _one_line_error(capsys, "data error: checkpoint not found")
+        assert not (workdir / "run").exists()
 
 
 class TestArtifactBytes:
@@ -516,7 +586,9 @@ class TestArtifactBytes:
             b"0.6499999999999999,0.5999999999999999\r\n")
 
     def test_evaluate_writes_fixed_metrics_and_dump(self, workdir, monkeypatch):
-        # Everything before the writers is replaced by fixed results.
+        # Everything before the writers is replaced by fixed results; the
+        # run directory is where the faked checkpoints would live.
+        (workdir / "run").mkdir()
         monkeypatch.setattr(cli, "_load_corpus", lambda path: None)
         monkeypatch.setattr(cli, "_load_checkpoint", lambda *args: None)
         monkeypatch.setattr(cli, "_rank_test_set", lambda *args: ([None] * 2, 0))

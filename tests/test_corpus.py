@@ -24,6 +24,14 @@ class TestGenConfigValidation:
         with pytest.raises(ValueError):
             GenConfig(vocab_size=10, n_topics=10)
 
+    @pytest.mark.parametrize("rate", [0.3, 1.0])
+    @pytest.mark.parametrize("n_topics", [1, 0])
+    def test_rejects_fewer_than_two_topics(self, n_topics, rate):
+        # With one topic a negative has no other topic to come from, so
+        # generation would crash (rate < 1) or never end (rate 1).
+        with pytest.raises(ValueError, match="^n_topics must be at least 2"):
+            GenConfig(vocab_size=60, n_topics=n_topics, false_negative_rate=rate)
+
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             GenConfig(n_train=0)

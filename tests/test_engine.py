@@ -213,15 +213,16 @@ class TestValidationP1:
                    PairwiseTriple(((1,),), (4,), (5,))]
         table = {(2,): 0.8, (3,): 0.2, (4,): 0.1, (5,): 0.9}
         monkeypatch.setattr(matcher, "scores",
-                            lambda model, ds: np.array([table[d.response]
-                                                        for d in ds]))
+                            lambda model, groups: np.array([table[r]
+                                                            for _, rs in groups
+                                                            for r in rs]))
         model = init_params(SPEC, 0)
         assert validation_p_at_1(model, triples) == 0.5
 
     def test_tie_counts_for_positive(self, monkeypatch):
         triples = [PairwiseTriple(((1,),), (2,), (3,))]
-        monkeypatch.setattr(matcher, "scores",
-                            lambda model, ds: np.full(len(ds), 0.5))
+        monkeypatch.setattr(matcher, "scores", lambda model, groups: np.full(
+            sum(len(rs) for _, rs in groups), 0.5))
         assert validation_p_at_1(init_params(SPEC, 0), triples) == 1.0
 
     def test_empty_validation_rejected(self):
@@ -237,13 +238,15 @@ class TestValidationP1:
                  for t in triples]
         scored = []
         real_scores = matcher.scores
-        monkeypatch.setattr(matcher, "scores", lambda m, ds: (
-            scored.append(real_scores(m, ds)) or scored[-1]))
+        monkeypatch.setattr(matcher, "scores", lambda m, groups: (
+            scored.append((list(groups), real_scores(m, groups))) or scored[-1][1]))
         p1 = validation_p_at_1(model, triples)
         assert p1 == sum(pos >= neg for pos, neg in pairs) / len(triples)
-        # One call, the two dialogues of each triple side by side, so each
+        # One call, one group per triple holding its two responses, so each
         # context is pooled once; every score is the per-dialogue one.
-        [s] = scored
+        [(groups, s)] = scored
+        assert [(c, tuple(rs)) for c, rs in groups] == [
+            (t.context, (t.pos_response, t.neg_response)) for t in triples]
         assert s.tobytes() == np.array(pairs).ravel().tobytes()
 
 
@@ -309,18 +312,22 @@ class TestCoteachStep:
         assert np.array_equal(results[0][0].params, results[1][0].params)
         assert np.array_equal(results[0][1].params, results[1][1].params)
 
-    def test_sub_batches_disjoint_every_iteration(self, corpus):
+    def test_sub_batches_disjoint_every_iteration(self, corpus, monkeypatch):
         config = _config(strategy="weighting", learning_rate=1e-4, n_epochs=2)
         seen = []
+        real_split = engine.split_batch
 
-        def check(batch, sub_a, sub_b):
+        def check(batch, rng):
+            sub_a, sub_b = real_split(batch, rng)
             assert len(sub_a) == len(sub_b) == len(batch) // 2
             ids = [id(t) for t in sub_a] + [id(t) for t in sub_b]
             assert sorted(ids) == sorted(id(t) for t in batch)
             seen.append(1)
+            return sub_a, sub_b
 
+        monkeypatch.setattr(engine, "split_batch", check)
         init = init_params(SPEC, 1)
-        coteach_train(init, init, corpus, config, split_hook=check)
+        coteach_train(init, init, corpus, config)
         assert len(seen) == 2 * (len(corpus.train) // config.batch_size)
 
 

@@ -12,7 +12,7 @@ from scipy import stats
 
 from coteach import (MetricsReport, RankedGroup, compute_metrics, ema,
                      filter_degenerate, paired_t_test, per_group_metrics,
-                     rank_group, rank_test_groups)
+                     rank_test_groups)
 import coteach
 from coteach import matcher
 from coteach.corpus import TestGroup as CandidateGroup
@@ -46,19 +46,27 @@ class TestFilterDegenerate:
         assert kept == [mixed] and removed == 2
 
 
+def _rank_one(model, context, candidates):
+    """The ranking of a single group."""
+    (ranked,) = rank_test_groups(model, [CandidateGroup(context, tuple(candidates))])
+    return ranked
+
+
 class TestRankGroup:
     def test_equal_scores_preserve_order(self, small_model, monkeypatch):
-        monkeypatch.setattr(matcher, "scores", lambda m, ds: np.full(len(ds), 0.5))
+        monkeypatch.setattr(matcher, "scores", lambda m, groups: np.full(
+            sum(len(rs) for _, rs in groups), 0.5))
         candidates = [((i,), i % 2) for i in range(6)]
-        ranked = rank_group(small_model, ((1,),), candidates)
+        ranked = _rank_one(small_model, ((1,),), candidates)
         assert [idx for idx, _, _ in ranked.entries] == list(range(6))
 
     def test_descending_scores_identity_permutation(self, small_model, monkeypatch):
         monkeypatch.setattr(matcher, "scores",
-                            lambda m, ds: np.array([1.0 - 0.1 * d.response[0]
-                                                    for d in ds]))
+                            lambda m, groups: np.array([1.0 - 0.1 * r[0]
+                                                        for _, rs in groups
+                                                        for r in rs]))
         candidates = [((i,), 1) for i in range(5)]
-        ranked = rank_group(small_model, ((1,),), candidates)
+        ranked = _rank_one(small_model, ((1,),), candidates)
         assert [idx for idx, _, _ in ranked.entries] == list(range(5))
 
     def test_matches_sort_oracle_on_random_candidates(self, small_model):
@@ -67,7 +75,7 @@ class TestRankGroup:
             context = random_dialogue(rng).context
             candidates = [(random_dialogue(rng).response, int(rng.integers(2)))
                           for _ in range(10)]
-            ranked = rank_group(small_model, context, candidates)
+            ranked = _rank_one(small_model, context, candidates)
             scores = [matcher.score(small_model,
                                     matcher.TokenizedDialogue(context, r))
                       for r, _ in candidates]
@@ -92,13 +100,13 @@ class TestRankGroup:
             oracle = sorted(range(len(s)), key=lambda k: (-s[k], k))
             assert r == RankedGroup(i, tuple((k, s[k], g.candidates[k][1])
                                              for k in oracle))
-            assert r == rank_group(small_model, g.context, g.candidates, i)
+            assert r.entries == _rank_one(small_model, g.context, g.candidates).entries
             n_tied += len(set(s)) < len(s)
         assert n_tied >= 50
 
     def test_empty_candidates_rejected(self, small_model):
         with pytest.raises(ValueError):
-            rank_group(small_model, ((1,),), [])
+            _rank_one(small_model, ((1,),), [])
 
     def test_rank_test_groups_assigns_context_ids(self, small_model):
         rng = np.random.default_rng(1)

@@ -1,7 +1,9 @@
 """Every top-level import in the package is used in its module or listed
-in the module's ``__all__``."""
+in the module's ``__all__``, and every top-level function and class is
+used somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,47 @@ def test_guard_reports_only_unused_imports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Kept for the tests alone: ``score`` is the one-dialogue oracle that batched
+# scoring is checked against, and ``finite_diff_check`` is the gradient
+# oracle. Neither belongs on a pipeline path.
+TEST_ORACLES = {"matcher.score", "matcher.finite_diff_check"}
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read, as a Name or an Attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+def _unused_definitions(sources: dict) -> list[str]:
+    """``module.name`` of each top-level function and class in ``sources``
+    (module name -> source) that no code reads outside its own definition.
+    ``__init__`` only re-exports, so its reads do not count."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = sum((_reads(t) for name, t in trees.items() if name != "__init__"),
+                Counter())
+    return [f"{module}.{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and reads[node.name] == _reads(node)[node.name]]
+
+
+def test_guard_reports_only_unused_definitions():
+    sources = {
+        "__init__": "from .a import dead, used\n__all__ = ['dead', 'used']\n",
+        "a": ("def used(n):\n    return used(n - 1) if n else 0\n"
+              "def dead(n):\n    return dead(n - 1) if n else 0\n"
+              "class Kept:\n    pass\n"),
+        "b": "from . import a\nfrom .a import Kept\nx = a.used(2), Kept\n",
+    }
+    assert _unused_definitions(sources) == ["a.dead"]
+
+
+def test_every_top_level_definition_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(set(_unused_definitions(sources)) - TEST_ORACLES) == []

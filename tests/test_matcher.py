@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coteach import (LearningProtocol, MatcherSpec, ModelState, PairwiseTriple,
                      PointwiseExample, TokenizedDialogue, finite_diff_check,
@@ -25,6 +27,28 @@ def _ragged_dialogue(rng):
     """1-3 context utterances and a response, each of 1-10 tokens."""
     context = tuple(_ragged_tokens(rng) for _ in range(rng.integers(1, 4)))
     return TokenizedDialogue(context, _ragged_tokens(rng))
+
+
+def _one_each(dialogues):
+    """Dialogues as (context, responses) groups of one response each."""
+    return [(d.context, (d.response,)) for d in dialogues]
+
+
+# Ragged (context, responses) groups over a vocab of 20: 1-3 context
+# utterances and 1-6 responses, each of 1-10 tokens. A group may reuse the
+# previous group's context object.
+_TOKENS = st.lists(st.integers(0, 19), min_size=1, max_size=10).map(tuple)
+_CONTEXTS = st.lists(_TOKENS, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _ragged_groups(draw):
+    groups = []
+    for _ in range(draw(st.integers(1, 8))):
+        reuse = groups and draw(st.booleans())
+        context = groups[-1][0] if reuse else draw(_CONTEXTS)
+        groups.append((context, draw(st.lists(_TOKENS, min_size=1, max_size=6))))
+    return groups
 
 
 def _ragged_triple(rng):
@@ -150,26 +174,20 @@ class TestScore:
         rng = np.random.default_rng(12)
         for n in (1, 2, 5, 17, 40, 96, 200):
             dialogues = [_ragged_dialogue(rng) for _ in range(n)]
-            batched = scores(model, dialogues)
+            batched = scores(model, _one_each(dialogues))
             assert batched.tolist() == [score(model, d) for d in dialogues]
 
     @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
-    def test_pooled_contexts_score_bit_for_bit_alone(self, kind):
+    @settings(max_examples=100, deadline=None)
+    @given(groups=_ragged_groups())
+    def test_pooled_contexts_score_bit_for_bit_alone(self, kind, groups):
         model = init_params(MatcherSpec(kind, vocab_size=20, embedding_dim=8,
                                         hidden_dim=8), seed=14)
-        rng = np.random.default_rng(15)
-        one, two, three = (tuple(_ragged_tokens(rng) for _ in range(k))
-                           for k in (1, 2, 3))
-        twin = tuple(tuple(list(utt)) for utt in two)  # equal, not the same object
-        assert twin == two and twin is not two
-        runs = [(three, 3), (two, 1), (twin, 1), (one, 1), (three, 2), (one, 4)]
-        batch = [TokenizedDialogue(context, _ragged_tokens(rng))
-                 for context, n in runs for _ in range(n)]
-        packed = matcher._pack(batch, 20, pool=True)
-        assert packed.runs.tolist() == [3, 2, 1, 2, 4]
-        assert packed.n_utts.tolist() == [3, 2, 1, 3, 1]
-        assert np.array_equal(scores(model, batch),
-                              np.array([score(model, d) for d in batch]))
+        assert scores(model, groups).tolist() == [
+            score(model, TokenizedDialogue(c, r)) for c, rs in groups for r in rs]
+        packed = matcher._pack(groups, 20)
+        assert packed.runs.tolist() == [len(rs) for _, rs in groups]
+        assert packed.n_utts.tolist() == [len(c) for c, _ in groups]
 
     def test_matches_per_dialogue_reference(self, small_spec):
         rng = np.random.default_rng(13)
@@ -177,7 +195,8 @@ class TestScore:
         model = ModelState(small_spec, rng.normal(0.0, 3.0, n_params(small_spec)))
         dialogues = [_ragged_dialogue(rng) for _ in range(40)]
         expected = [_reference_score(model, d) for d in dialogues]
-        assert np.allclose(scores(model, dialogues), expected, rtol=0, atol=1e-12)
+        assert np.allclose(scores(model, _one_each(dialogues)), expected,
+                           rtol=0, atol=1e-12)
 
 
 def _pointwise_protocol(rng, kind, n=4, make_dialogue=random_dialogue):

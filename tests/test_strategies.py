@@ -23,8 +23,8 @@ def _dialogue(tag):
 def _fixed_score_teacher(monkeypatch, table):
     """Make matcher.scores return table[response] regardless of the model."""
 
-    def fake_scores(model, dialogues):
-        return np.array([table[d.response] for d in dialogues])
+    def fake_scores(model, groups):
+        return np.array([table[r] for _, responses in groups for r in responses])
 
     monkeypatch.setattr(matcher, "scores", fake_scores)
 
@@ -95,13 +95,15 @@ class TestMarginProtocol:
             for t in sub_batch]
         scored = []
         real_scores = matcher.scores
-        monkeypatch.setattr(matcher, "scores", lambda model, ds: (
-            scored.append(list(ds)) or real_scores(model, ds)))
+        monkeypatch.setattr(matcher, "scores", lambda model, groups: (
+            scored.append(list(groups)) or real_scores(model, groups)))
         margins = [m for _, m in margin_protocol(teacher, sub_batch, lam).pairwise]
         assert np.array(margins).tobytes() == np.array(expected).tobytes()
-        # One call, each triple's two dialogues side by side: one pooled context.
-        [dialogues] = scored
-        assert [d.context for d in dialogues[0::2]] == [d.context for d in dialogues[1::2]]
+        # One call, one group per triple holding its two responses: one
+        # pooled context.
+        [groups] = scored
+        assert [(c, tuple(rs)) for c, rs in groups] == [
+            (t.context, (t.pos_response, t.neg_response)) for t in sub_batch]
 
     def test_pure_function(self, teacher):
         rng = np.random.default_rng(3)
