@@ -18,9 +18,8 @@ from .evaluation import (MetricsReport, RankedGroup, compute_metrics, ema,
                          filter_degenerate, paired_t_test, per_group_metrics,
                          rank_test_groups)
 from .losses import LearningProtocol, cross_entropy, hinge_with_margin
-from .matcher import (MatcherSpec, ModelState, finite_diff_check, init_params,
-                      load_checkpoint, loss_and_grad, save_checkpoint, score,
-                      scores)
+from .matcher import (MatcherSpec, ModelState, init_params, load_checkpoint,
+                      loss_and_grad, save_checkpoint, score, scores)
 from .strategies import curriculum_protocol, margin_protocol, weighting_protocol
 
 __all__ = [
@@ -34,8 +33,8 @@ __all__ = [
     "filter_degenerate", "paired_t_test", "per_group_metrics",
     "rank_test_groups",
     "LearningProtocol", "cross_entropy", "hinge_with_margin",
-    "MatcherSpec", "ModelState", "finite_diff_check", "init_params",
-    "load_checkpoint", "loss_and_grad", "save_checkpoint", "score", "scores",
+    "MatcherSpec", "ModelState", "init_params", "load_checkpoint",
+    "loss_and_grad", "save_checkpoint", "score", "scores",
     "curriculum_protocol", "margin_protocol", "weighting_protocol",
 ]
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -130,6 +132,17 @@ def _run_dir(config, args) -> Path:
     return Path(_get(config, "run_dir", str, "run"))
 
 
+def _usable_dir(path: Path) -> Path:
+    """``path``, checked before any training: raise the OSError a later
+    ``mkdir`` would, if it or its nearest existing ancestor is not a
+    directory. An absent directory is still created only when written."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == path else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(path))
+    return path
+
+
 def _load_corpus(path):
     """Load the corpus; every command that does needs validation triples."""
     if not Path(path).exists():
@@ -204,9 +217,9 @@ def cmd_pretrain(config, args) -> int:
     corpus = _load_corpus(_corpus_dir(config))
     spec = _matcher_spec(config, corpus.vocab_size)
     train_config = _train_config(config, args, "none", pretraining=True)
+    run_dir = _usable_dir(_run_dir(config, args))
     with _training("pretrain_lr"):
         model, p1 = engine.pretrain(spec, corpus, train_config, return_p1=True)
-    run_dir = _run_dir(config, args)
     run_dir.mkdir(parents=True, exist_ok=True)
     matcher.save_checkpoint(model, run_dir / "pretrained.ckpt")
     print(f"wrote {run_dir / 'pretrained.ckpt'} (validation P@1 = {p1:.4f})")
@@ -381,6 +394,7 @@ def cmd_sweep(config, args) -> int:
 
     strategy = args.strategy or config.get(
         "strategy", "margin" if param == "lambda" else "curriculum")
+    _usable_dir(run_dir)
     rows = []
     for value in values:
         point_config = dict(config)

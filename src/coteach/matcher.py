@@ -13,11 +13,18 @@ checkpoints and finite-difference checking trivial.
 
 Every computation is batched: ``_pack`` validates and flattens a sequence
 of (context, responses) groups once, then one ``_forward``, ``_loss`` and
-``_backward`` serve scoring, training and the finite-difference checker
-(the correctness oracle, which differences the loss in extended
-precision). All gradients are hand-derived. Each group's context is pooled
-once: scoring passes a ranked group's candidates or a triple's two
-responses as one group, while training passes one response per group.
+``_backward`` serve scoring and training. ``_forward`` and ``_loss`` run in
+the dtype of the params, so the tests' finite-difference oracle can
+difference the loss in extended precision. All gradients are hand-derived.
+Each group's context is pooled once: scoring passes a ranked group's
+candidates or a triple's two responses as one group, while training passes
+one response per group.
+
+``_backward`` builds the embedding gradient with one ``np.bincount`` over
+``token_id * d + column``. bincount adds each entry's contributions in
+token order starting from 0.0, the order of a sequential scatter-add into
+a zeroed buffer, so every entry is the same left-to-right sum as that
+scatter's, and the tests compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -203,12 +210,15 @@ def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
     return s, dsdz, cache
 
 
-def _backward(spec: MatcherSpec, packed: _Packed, cache, dL_dz: np.ndarray,
-              grad: np.ndarray) -> None:
-    """Add sum_i dL_dz[i] * dz_i/dtheta into ``grad`` (flat, same layout).
+def _backward(spec: MatcherSpec, packed: _Packed, cache,
+              dL_dz: np.ndarray) -> np.ndarray:
+    """sum_i dL_dz[i] * dz_i/dtheta as a new flat vector (same layout).
 
     ``packed`` holds groups of one response each, so every dialogue's
-    context tokens get their own ``np.add.at`` rows.
+    context tokens get their own rows. One ``np.bincount`` over
+    ``id * d + column`` scatters the token rows into the whole vector: each
+    entry starts at 0.0 and takes its rows in token order, as a sequential
+    scatter-add into zeros would, so the sums match that scatter bit for bit.
     """
     d = spec.embedding_dim
     layout = param_layout(spec)
@@ -217,15 +227,12 @@ def _backward(spec: MatcherSpec, packed: _Packed, cache, dL_dz: np.ndarray,
         u, v, W, Wv = cache
         du = c * Wv
         dv = c * (u @ W)
-        grad[layout["W"]] += ((c * u).T @ v).ravel()
-        grad[layout["b"]] += dL_dz.sum()
+        heads = {"W": ((c * u).T @ v).ravel(), "b": dL_dz.sum()}
     else:
         u, v, W1, w2, f, a = cache
         dpre = c * w2 * (1.0 - a * a)
-        grad[layout["W1"]] += (dpre.T @ f).ravel()
-        grad[layout["b1"]] += dpre.sum(axis=0)
-        grad[layout["w2"]] += dL_dz @ a
-        grad[layout["b2"]] += dL_dz.sum()
+        heads = {"W1": (dpre.T @ f).ravel(), "b1": dpre.sum(axis=0),
+                 "w2": dL_dz @ a, "b2": dL_dz.sum()}
         df = dpre @ W1
         du = df[:, :d] + df[:, 2 * d:] * v
         dv = df[:, d:2 * d] + df[:, 2 * d:] * u
@@ -234,8 +241,12 @@ def _backward(spec: MatcherSpec, packed: _Packed, cache, dL_dz: np.ndarray,
     seg_grad = np.concatenate([
         np.repeat(du / packed.n_utts[:, None], packed.n_utts, axis=0), dv])
     seg_grad /= packed.lengths[:, None]
-    E_grad = grad[layout["E"]].reshape(spec.vocab_size, d)
-    np.add.at(E_grad, packed.ids, np.repeat(seg_grad, packed.lengths, axis=0))
+    rows = np.repeat(seg_grad, packed.lengths, axis=0)
+    grad = np.bincount((packed.ids[:, None] * d + np.arange(d)).ravel(),
+                       weights=rows.ravel(), minlength=layout["_total"].stop)
+    for name, g in heads.items():
+        grad[layout[name]] += g
+    return grad
 
 
 def _protocol_arrays(protocol: LearningProtocol, vocab_size: int):
@@ -295,43 +306,7 @@ def loss_and_grad(model: ModelState, protocol: LearningProtocol):
     packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
     s, dsdz, cache = _forward(model.spec, model.params, packed)
     total, dL_dz = _loss(protocol.loss_kind, s, dsdz, labels, coef)
-    grad = np.zeros_like(model.params)
-    _backward(model.spec, packed, cache, dL_dz, grad)
-    return float(total), grad
-
-
-def finite_diff_check(model: ModelState, protocol: LearningProtocol,
-                      step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Per coordinate the relative error is |g - fd| / max(|g|, |fd|, 1e-8).
-    The difference quotient is evaluated in extended precision so its
-    roundoff cannot mask genuine gradient bugs at small step sizes. It
-    differences the loss only, so it is independent of the backward.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    _, grad = loss_and_grad(model, protocol)
-    packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
-
-    def loss_at(params):
-        s, dsdz, _ = _forward(model.spec, params, packed)
-        return _loss(protocol.loss_kind, s, dsdz, labels, coef)[0]
-
-    worst = 0.0
-    params = model.params.astype(np.longdouble)
-    step_ld = np.longdouble(step)
-    for i in range(params.size):
-        saved = params[i]
-        params[i] = saved + step_ld
-        f_plus = loss_at(params)
-        params[i] = saved - step_ld
-        f_minus = loss_at(params)
-        params[i] = saved
-        fd = float((f_plus - f_minus) / (2.0 * step_ld))
-        err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)
-        worst = max(worst, err)
-    return worst
+    return float(total), _backward(model.spec, packed, cache, dL_dz)
 
 
 def save_checkpoint(model: ModelState, path) -> None:

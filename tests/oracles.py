@@ -1,0 +1,46 @@
+"""Test oracles that no pipeline path needs.
+
+``finite_diff_check`` is the gradient oracle: it calls
+``matcher.loss_and_grad`` through the module, so a test that swaps that
+attribute sees its checker use the swapped function.
+"""
+
+import numpy as np
+
+from coteach import matcher
+from coteach.losses import LearningProtocol
+from coteach.matcher import ModelState
+
+
+def finite_diff_check(model: ModelState, protocol: LearningProtocol,
+                      step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Per coordinate the relative error is |g - fd| / max(|g|, |fd|, 1e-8).
+    The difference quotient is evaluated in extended precision so its
+    roundoff cannot mask genuine gradient bugs at small step sizes. It
+    differences the loss only, so it is independent of the backward.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    _, grad = matcher.loss_and_grad(model, protocol)
+    packed, labels, coef = matcher._protocol_arrays(protocol, model.spec.vocab_size)
+
+    def loss_at(params):
+        s, dsdz, _ = matcher._forward(model.spec, params, packed)
+        return matcher._loss(protocol.loss_kind, s, dsdz, labels, coef)[0]
+
+    worst = 0.0
+    params = model.params.astype(np.longdouble)
+    step_ld = np.longdouble(step)
+    for i in range(params.size):
+        saved = params[i]
+        params[i] = saved + step_ld
+        f_plus = loss_at(params)
+        params[i] = saved - step_ld
+        f_minus = loss_at(params)
+        params[i] = saved
+        fd = float((f_plus - f_minus) / (2.0 * step_ld))
+        err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)
+        worst = max(worst, err)
+    return worst

@@ -1,0 +1,27 @@
+"""The benchmark's hooks still fit the package.
+
+A traced benchmark run wraps ``matcher.score``, ``engine.build_protocol``,
+``matcher.loss_and_grad`` and ``engine.coteach_train`` by name, and reads
+``protocol.pairwise`` / ``protocol.pointwise`` and the config passed as
+``coteach_train``'s fourth positional argument. A tiny traced run of each
+in-process workload fails here when a refactor breaks what it reads.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["noise-experiment", "large-vocab"])
+def test_tiny_traced_run_has_no_failures(workload):
+    result = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "5",
+         "--seconds", "1", "--trace", "1", "--scale", "tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["failed"] == 0, result.stderr

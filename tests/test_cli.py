@@ -496,6 +496,10 @@ class TestPipeline:
         assert not (workdir / "run").exists()
 
 
+def _trains_nothing(*args, **kwargs):
+    raise AssertionError("training started before the run directory was checked")
+
+
 class TestFailingCommandWritesNothing:
     """A failing command exits with its code and a one-line message, no
     traceback, and leaves no file or directory behind."""
@@ -522,11 +526,35 @@ class TestFailingCommandWritesNothing:
         assert _one_line_error(capsys, "data error: ") == (
             "data error: afile: File exists\n")
 
-    def test_run_dir_that_is_a_file_is_data_error(self, workdir, capsys):
+    def test_run_dir_that_is_a_file_is_data_error(self, workdir, capsys, monkeypatch):
         assert _run("generate", "--config", "exp.cfg") == 0
         (workdir / "afile").write_text("")
         capsys.readouterr()
+        monkeypatch.setattr(engine, "pretrain", _trains_nothing)
         assert _run("pretrain", "--config", "exp.cfg", "--run-dir", "afile") == 2
+        assert _one_line_error(capsys, "data error: ") == (
+            "data error: afile: File exists\n")
+        assert (workdir / "afile").read_text() == ""
+
+    def test_run_dir_under_a_file_is_data_error(self, workdir, capsys, monkeypatch):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        (workdir / "afile").write_text("")
+        capsys.readouterr()
+        monkeypatch.setattr(engine, "pretrain", _trains_nothing)
+        assert _run("pretrain", "--config", "exp.cfg", "--run-dir", "afile/run") == 2
+        assert _one_line_error(capsys, "data error: ") == (
+            "data error: afile/run: Not a directory\n")
+        assert (workdir / "afile").read_text() == ""
+
+    def test_sweep_run_dir_that_is_a_file_is_data_error(self, workdir, capsys,
+                                                        monkeypatch):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        (workdir / "afile").write_text("")
+        (workdir / "swp.cfg").write_text(
+            TINY_CONFIG + "sweep_param = delta\nsweep_values = 0.5,0.9\n")
+        capsys.readouterr()
+        monkeypatch.setattr(engine, "coteach_train", _trains_nothing)
+        assert _run("sweep", "--config", "swp.cfg", "--run-dir", "afile") == 2
         assert _one_line_error(capsys, "data error: ") == (
             "data error: afile: File exists\n")
         assert (workdir / "afile").read_text() == ""

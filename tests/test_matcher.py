@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coteach import (LearningProtocol, MatcherSpec, ModelState, PairwiseTriple,
-                     PointwiseExample, TokenizedDialogue, finite_diff_check,
-                     init_params, load_checkpoint, loss_and_grad,
-                     save_checkpoint, score, scores)
+                     PointwiseExample, TokenizedDialogue, init_params,
+                     load_checkpoint, loss_and_grad, save_checkpoint, score,
+                     scores)
 from coteach import matcher
 from coteach.losses import (CROSS_ENTROPY, HINGE_WITH_MARGIN,
                             WEIGHTED_CROSS_ENTROPY)
 from coteach.matcher import n_params, param_layout
 
 from conftest import random_dialogue, random_triple
+from oracles import finite_diff_check
 
 
 def _ragged_tokens(rng, vocab_size=20):
@@ -214,7 +215,72 @@ def _pairwise_protocol(rng, n=4, make_triple=random_triple):
     return LearningProtocol(HINGE_WITH_MARGIN, pairwise=instances)
 
 
+def _add_at_gradient(model, protocol):
+    """The gradient as a zero-filled buffer and ``np.add.at`` build it."""
+    layout, d = param_layout(model.spec), model.spec.embedding_dim
+    packed, labels, coef = matcher._protocol_arrays(protocol, model.spec.vocab_size)
+    s, dsdz, cache = matcher._forward(model.spec, model.params, packed)
+    dL_dz = matcher._loss(protocol.loss_kind, s, dsdz, labels, coef)[1]
+    c, grad = dL_dz[:, None], np.zeros_like(model.params)
+    if model.spec.kind == "mean-embedding-bilinear":
+        u, v, W, Wv = cache
+        du, dv = c * Wv, c * (u @ W)
+        grad[layout["W"]] += ((c * u).T @ v).ravel()
+    else:
+        u, v, W1, w2, f, a = cache
+        dpre = c * w2 * (1.0 - a * a)
+        grad[layout["W1"]] += (dpre.T @ f).ravel()
+        grad[layout["b1"]] += dpre.sum(axis=0)
+        grad[layout["w2"]] += dL_dz @ a
+        df = dpre @ W1
+        du, dv = df[:, :d] + df[:, 2 * d:] * v, df[:, d:2 * d] + df[:, 2 * d:] * u
+    grad[-1] += dL_dz.sum()  # b or b2: either head's last parameter
+    seg = np.repeat(du / packed.n_utts[:, None], packed.n_utts, axis=0)
+    seg = np.concatenate([seg, dv]) / packed.lengths[:, None]
+    rows = np.repeat(seg, packed.lengths, axis=0)
+    np.add.at(grad[layout["E"]].reshape(-1, d), packed.ids, rows)
+    return grad
+
+
+# Ragged instances over a vocab of 12 whose contexts all open with the
+# utterance (0, 11, 0): token 0 repeats within a segment, and 0 and V-1
+# recur across segments, so embedding entries sum several rows.
+_V = 12
+_ANCHOR = (0, _V - 1, 0)
+_GRAD_TOKENS = st.lists(st.sampled_from((0, _V - 1)) | st.integers(0, _V - 1),
+                        min_size=1, max_size=6).map(tuple)
+_GRAD_CONTEXTS = st.lists(_GRAD_TOKENS, max_size=2).map(lambda us: (_ANCHOR, *us))
+
+
+@st.composite
+def _gradient_protocols(draw, loss_kind):
+    n = draw(st.integers(2, 6))
+    if loss_kind == HINGE_WITH_MARGIN:
+        return LearningProtocol(loss_kind, pairwise=tuple(
+            (PairwiseTriple(draw(_GRAD_CONTEXTS), draw(_GRAD_TOKENS),
+                            draw(_GRAD_TOKENS)), draw(st.floats(0.0, 1.0)))
+            for _ in range(n)))
+    return LearningProtocol(loss_kind, pointwise=tuple(
+        (PointwiseExample(draw(st.integers(0, 1)),
+                          TokenizedDialogue(draw(_GRAD_CONTEXTS), draw(_GRAD_TOKENS))),
+         1.0 if loss_kind == CROSS_ENTROPY else draw(st.floats(0.0, 1.0)))
+        for _ in range(n)))
+
+
 class TestLossAndGrad:
+    @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
+    @pytest.mark.parametrize("loss_kind", [CROSS_ENTROPY, WEIGHTED_CROSS_ENTROPY,
+                                           HINGE_WITH_MARGIN])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gradient_equals_add_at_scatter_bit_for_bit(self, kind, loss_kind, data):
+        # allclose and finite differences cannot see a reordered sum; this can.
+        spec = MatcherSpec(kind, vocab_size=_V, embedding_dim=3, hidden_dim=4)
+        model = init_params(spec, seed=data.draw(st.integers(0, 1000)))
+        protocol = data.draw(_gradient_protocols(loss_kind))
+        assert np.array_equal(loss_and_grad(model, protocol)[1],
+                              _add_at_gradient(model, protocol))
+
     def test_satisfied_hinge_is_flat(self, small_spec):
         # Teacher margin 0 and positive already ahead: loss 0, zero gradient.
         model = init_params(small_spec, seed=1)
