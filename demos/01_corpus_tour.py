@@ -33,7 +33,8 @@ print(f"negative response : {triple.neg_response}")
 print(f"noise flag        : {triple.noise_flag}  "
       "(True = the 'negative' is secretly a plausible response)")
 
-# The pointwise view is what cross-entropy training consumes.
+# The pointwise view is what cross-entropy training consumes; the
+# weighting, curriculum and none strategies build it from the triples.
 examples = to_pointwise([triple])
 print("\npointwise view    :", [(e.y, e.dialogue.response) for e in examples])
 

@@ -1,8 +1,9 @@
 """What each teaching strategy actually hands its peer.
 
-A 'teacher' model turns a raw sub-batch into a learning protocol: dynamic
-margins for pairwise hinge training, per-example weights for weighted
-cross-entropy, or a small-loss subset for curriculum training. This script
+A 'teacher' model turns a raw sub-batch of triples into a learning
+protocol: dynamic margins for pairwise hinge training, per-example weights
+for cross-entropy on the pointwise view, or a small-loss subset of that
+view for curriculum training. Each strategy builds its own view. This script
 trains a quick teacher on noisy data and dissects the three protocols it
 produces for one sub-batch — including how each one treats the examples the
 generator secretly flagged as false negatives.
@@ -39,9 +40,8 @@ for (triple, margin), flag in zip(protocol.pairwise, flags):
     print(f"  s+={s_pos:.3f} s-={s_neg:.3f} margin={margin:.3f} "
           f"noisy={flag!s:5} {note}")
 
-examples = to_pointwise(sub_batch)
 print("\n== weighting strategy: soft down-weighting of dubious negatives ==")
-protocol = weighting_protocol(teacher, examples)
+protocol = weighting_protocol(teacher, sub_batch)
 for example, weight in protocol.pointwise:
     if example.y == 0:
         s = score(teacher, example.dialogue)
@@ -49,11 +49,12 @@ for example, weight in protocol.pointwise:
 print("  (every y=1 example keeps weight 1.0)")
 
 print("\n== curriculum strategy: keep the smallest-loss fraction ==")
+examples = to_pointwise(sub_batch)  # the view the strategy selects from
 for delta in (0.25, 0.5, 0.9):
-    protocol = curriculum_protocol(teacher, examples, delta=delta)
-    kept = {id(e) for e, _ in protocol.pointwise}
+    protocol = curriculum_protocol(teacher, sub_batch, delta=delta)
+    kept = [e for e, _ in protocol.pointwise]
     losses = [cross_entropy(e.y, score(teacher, e.dialogue)) for e in examples]
-    kept_losses = [l for e, l in zip(examples, losses) if id(e) in kept]
+    kept_losses = [l for e, l in zip(examples, losses) if e in kept]
     print(f"  delta={delta}: kept {len(protocol.pointwise)}/{len(examples)} "
           f"examples, max kept loss {max(kept_losses):.3f} "
           f"(batch max {max(losses):.3f})")

@@ -219,7 +219,8 @@ def cmd_pretrain(config, args) -> int:
     train_config = _train_config(config, args, "none", pretraining=True)
     run_dir = _usable_dir(_run_dir(config, args))
     with _training("pretrain_lr"):
-        model, p1 = engine.pretrain(spec, corpus, train_config, return_p1=True)
+        model = engine.pretrain(spec, corpus, train_config)
+        p1 = engine.validation_p_at_1(model, corpus.valid)
     run_dir.mkdir(parents=True, exist_ok=True)
     matcher.save_checkpoint(model, run_dir / "pretrained.ckpt")
     print(f"wrote {run_dir / 'pretrained.ckpt'} (validation P@1 = {p1:.4f})")
@@ -392,8 +393,11 @@ def cmd_sweep(config, args) -> int:
     except ValueError as exc:
         raise UsageError(f"sweep_values: {exc}") from exc
 
-    strategy = args.strategy or config.get(
-        "strategy", "margin" if param == "lambda" else "curriculum")
+    reader = "margin" if param == "lambda" else "curriculum"
+    strategy = args.strategy or config.get("strategy", reader)
+    if strategy != reader:
+        raise UsageError(f"strategy {strategy!r} does not read sweep_param "
+                         f"{param!r}; only {reader!r} does")
     _usable_dir(run_dir)
     rows = []
     for value in values:

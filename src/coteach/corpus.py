@@ -106,12 +106,15 @@ class GenConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "n_train", "n_valid", "n_test_contexts",
-                     "n_candidates", "turns_per_context", "tokens_per_utterance"):
+                     "turns_per_context", "tokens_per_utterance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_topics < 2:
             raise ValueError("n_topics must be at least 2: negatives come from "
                              "another topic")
+        if self.n_candidates < 2:
+            raise ValueError("n_candidates must be at least 2: a test group "
+                             "holds a positive and a negative")
         if not 0.0 <= self.false_negative_rate <= 1.0:
             raise ValueError("false_negative_rate must lie in [0, 1]")
         if self.vocab_size // self.n_topics < 2:

@@ -3,9 +3,11 @@
 The co-teaching loop keeps two peer models. Every iteration a batch is
 split into two disjoint halves; each model builds a learning protocol for
 its peer from a snapshot of its own parameters, then both models step on
-the protocol they received. Because protocols and gradients come from the
-snapshots taken at step entry, the order in which the two updates are
-applied cannot matter.
+the protocol they received, A first. Because protocols and gradients come
+from the snapshots taken at step entry, the order in which the two updates
+are applied cannot matter. The engine picks the strategy by name;
+``strategies`` builds each protocol, instance view included, and
+``matcher`` turns it into a loss and gradient.
 
 Randomness is organized as one RNG stream per concern (init / shuffle /
 split), each seeded by (seed, concern, epoch), so e.g. changing the
@@ -22,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, matcher, strategies
-from .corpus import Corpus, parse_metric, read_text, to_pointwise, write_csv
-from .losses import LearningProtocol
+from . import matcher, strategies
+from .corpus import Corpus, parse_metric, read_text, write_csv
 
 STRATEGIES = ("margin", "weighting", "curriculum", "none")
 
@@ -207,23 +208,18 @@ def _batches(corpus: Corpus, config: TrainConfig):
     return walk()
 
 
-def _plain_ce_protocol(triples) -> LearningProtocol:
-    pointwise = tuple((ex, 1.0) for ex in to_pointwise(triples))
-    return LearningProtocol(losses.CROSS_ENTROPY, pointwise=pointwise)
-
-
 def build_protocol(strategy: str, teacher: matcher.ModelState, sub_batch,
-                   config: TrainConfig) -> LearningProtocol:
-    """Apply a teaching strategy to a sub-batch of pairwise triples."""
+                   config: TrainConfig):
+    """Apply a teaching strategy to a sub-batch of pairwise triples; returns
+    the student's ``LearningProtocol``."""
     if strategy == "margin":
         return strategies.margin_protocol(teacher, sub_batch, config.lam)
     if strategy == "weighting":
-        return strategies.weighting_protocol(teacher, to_pointwise(sub_batch))
+        return strategies.weighting_protocol(teacher, sub_batch)
     if strategy == "curriculum":
-        return strategies.curriculum_protocol(teacher, to_pointwise(sub_batch),
-                                              config.delta)
+        return strategies.curriculum_protocol(teacher, sub_batch, config.delta)
     if strategy == "none":
-        return _plain_ce_protocol(sub_batch)
+        return strategies.none_protocol(sub_batch)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -307,7 +303,7 @@ def _pretrain_candidates(model: matcher.ModelState, batches, config: TrainConfig
     opt = init_optimizer(model.params.size)
     iteration = 0
     for iteration, batch, _ in batches:
-        _, grad = matcher.loss_and_grad(model, _plain_ce_protocol(batch))
+        _, grad = matcher.loss_and_grad(model, strategies.none_protocol(batch))
         model, opt = _apply_update(model, grad, opt, config)
         if iteration % config.eval_every == 0:
             yield model
@@ -316,13 +312,12 @@ def _pretrain_candidates(model: matcher.ModelState, batches, config: TrainConfig
 
 
 def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
-             config: TrainConfig, return_p1: bool = False):
+             config: TrainConfig) -> matcher.ModelState:
     """Train a single model on the full (noisy) training set.
 
-    Plain cross-entropy on the pointwise view, shuffled each epoch; returns
+    The ``none`` protocol, plain cross-entropy, shuffled each epoch; returns
     the evaluated checkpoint with the best validation P@1 (the initial
-    model counts as a candidate, ties keep the earlier checkpoint). With
-    ``return_p1`` it returns (model, its validation P@1).
+    model counts as a candidate, ties keep the earlier checkpoint).
     """
     if config.strategy != "none":
         raise ValueError("pretrain requires strategy 'none'")
@@ -336,31 +331,25 @@ def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
         p1 = validation_p_at_1(candidate, corpus.valid)
         if p1 > best_p1:
             best, best_p1 = candidate, p1
-    return (best, best_p1) if return_p1 else best
+    return best
 
 
 def coteach_step(model_a: matcher.ModelState, model_b: matcher.ModelState,
                  opt_a: OptimizerState, opt_b: OptimizerState,
-                 batch, config: TrainConfig, rng: np.random.Generator,
-                 update_order: tuple[str, str] = ("A", "B")):
+                 batch, config: TrainConfig, rng: np.random.Generator):
     """One co-teaching iteration; returns (A, B, optA, optB, lossA, lossB).
 
     Protocols and gradients are computed from the entry snapshots of both
-    models before either update is applied, so ``update_order`` cannot
-    change the result; it exists to make that property testable.
+    models before either update is applied, so applying B's update before
+    A's would give the same result.
     """
     sub_a, sub_b = split_batch(batch, rng)
     protocol_a = build_protocol(config.strategy, model_b, sub_a, config)
     protocol_b = build_protocol(config.strategy, model_a, sub_b, config)
     loss_a, grad_a = matcher.loss_and_grad(model_a, protocol_a)
     loss_b, grad_b = matcher.loss_and_grad(model_b, protocol_b)
-    for which in update_order:
-        if which == "A":
-            model_a, opt_a = _apply_update(model_a, grad_a, opt_a, config)
-        elif which == "B":
-            model_b, opt_b = _apply_update(model_b, grad_b, opt_b, config)
-        else:
-            raise ValueError(f"unknown model name {which!r}")
+    model_a, opt_a = _apply_update(model_a, grad_a, opt_a, config)
+    model_b, opt_b = _apply_update(model_b, grad_b, opt_b, config)
     return model_a, model_b, opt_a, opt_b, loss_a, loss_b
 
 

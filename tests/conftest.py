@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from coteach import GenConfig, MatcherSpec, generate_synthetic_corpus, init_params
+from coteach import (GenConfig, MatcherSpec, engine, generate_synthetic_corpus,
+                     init_params, matcher)
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,40 @@ def random_triple(rng, vocab_size=20, n_utts=2, n_tokens=3):
     while neg == d.response:
         neg = tuple(int(t) for t in rng.integers(0, vocab_size, size=n_tokens))
     return PairwiseTriple(d.context, d.response, neg)
+
+
+class BFirstStep:
+    """``engine.coteach_step`` with B's update applied before A's.
+
+    It wraps ``engine._apply_update`` and ``matcher.loss_and_grad`` to log
+    one step's calls, checks that both updates come after both gradients
+    and start from the step's entry snapshots, and replays them in B, A
+    order. ``ok`` stays True while every step passes that check; a step
+    that fails it returns its own, A-first result.
+    """
+
+    def __init__(self, monkeypatch):
+        self._update = engine._apply_update
+        self._log, self.ok = [], True
+        grad = matcher.loss_and_grad
+        monkeypatch.setattr(matcher, "loss_and_grad", lambda *args: (
+            self._log.append(("grad", args)) or grad(*args)))
+        monkeypatch.setattr(engine, "_apply_update", lambda *args: (
+            self._log.append(("update", args)) or self._update(*args)))
+
+    def __call__(self, model_a, model_b, opt_a, opt_b, batch, config, rng):
+        self._log.clear()
+        result = engine.coteach_step(model_a, model_b, opt_a, opt_b, batch,
+                                     config, rng)
+        updates = [args for kind, args in self._log if kind == "update"]
+        self.ok = (self.ok
+                   and [kind for kind, _ in self._log] == ["grad", "grad",
+                                                          "update", "update"]
+                   and all(u[0] is model and u[2] is opt for u, (model, opt)
+                           in zip(updates, [(model_a, opt_a), (model_b, opt_b)])))
+        if not self.ok:
+            return result
+        update_a, update_b = updates
+        model_b, opt_b = self._update(*update_b)
+        model_a, opt_a = self._update(*update_a)
+        return (model_a, model_b, opt_a, opt_b, *result[4:])

@@ -15,11 +15,10 @@ import pytest
 import coteach as ct
 from coteach import engine, evaluation, matcher, strategies
 from coteach.cli import main as cli_main
-from coteach.losses import (CROSS_ENTROPY, HINGE_WITH_MARGIN,
-                            WEIGHTED_CROSS_ENTROPY, LearningProtocol,
+from coteach.losses import (CROSS_ENTROPY, HINGE_WITH_MARGIN, LearningProtocol,
                             cross_entropy)
 
-from conftest import random_dialogue, random_triple
+from conftest import BFirstStep, random_dialogue, random_triple
 from oracles import finite_diff_check
 
 
@@ -33,17 +32,20 @@ def _report(capsys, n, ok, detail):
 
 
 def _random_protocol(rng, loss_kind, vocab_size):
+    """Hinge instances, or cross-entropy ones whose weights are, in half the
+    draws, all 1 (plain cross-entropy)."""
     n = int(rng.integers(1, 4))
     if loss_kind == HINGE_WITH_MARGIN:
         pairwise = tuple(
             (random_triple(rng, vocab_size), float(rng.uniform(0.0, 0.5)))
             for _ in range(n))
-        return LearningProtocol(loss_kind, pairwise=pairwise)
+        return LearningProtocol(pairwise=pairwise)
+    weighted = bool(rng.integers(2))
     pointwise = tuple(
         (ct.PointwiseExample(int(rng.integers(2)), random_dialogue(rng, vocab_size)),
-         1.0 if loss_kind == CROSS_ENTROPY else float(rng.uniform(0.0, 1.0)))
+         float(rng.uniform(0.0, 1.0)) if weighted else 1.0)
         for _ in range(n))
-    return LearningProtocol(loss_kind, pointwise=pointwise)
+    return LearningProtocol(pointwise=pointwise)
 
 
 def test_1_gradients_match_finite_differences(capsys):
@@ -56,9 +58,8 @@ def test_1_gradients_match_finite_differences(capsys):
                             embedding_dim=4, hidden_dim=3)]
     worst = 0.0
     for spec in specs:
-        for loss_kind in (CROSS_ENTROPY, WEIGHTED_CROSS_ENTROPY,
-                          HINGE_WITH_MARGIN):
-            for _ in range(100):
+        for loss_kind in (CROSS_ENTROPY, HINGE_WITH_MARGIN):
+            for _ in range(150):
                 model = ct.init_params(spec, int(rng.integers(1 << 31)))
                 protocol = _random_protocol(rng, loss_kind, vocab)
                 err = finite_diff_check(model, protocol, step=1e-5)
@@ -92,17 +93,19 @@ def test_2_strategy_formulas(capsys):
         checks.append(abs(confident.pairwise[0][1] - 0.4) < 1e-12)
         checks.append(misranked.pairwise[0][1] == 0.0)
         # weighting: positives weight 1, negatives 1 - teacher score
-        examples = [ct.PointwiseExample(1, ct.TokenizedDialogue(((1,),), (2,))),
-                    ct.PointwiseExample(0, ct.TokenizedDialogue(((1,),), (5,)))]
-        weighted = strategies.weighting_protocol(teacher, examples)
+        weighted = strategies.weighting_protocol(
+            teacher, [ct.PairwiseTriple(((1,),), (2,), (5,))])
         checks.append(weighted.pointwise[0][1] == 1.0)
         checks.append(abs(weighted.pointwise[1][1] - 0.3) < 1e-12)
-        # curriculum: losses [0.2, 0.9, 0.1, 0.5], delta 0.5 keeps losses .1/.2
-        cur_examples = [ct.PointwiseExample(1, ct.TokenizedDialogue(((1,),), (10 + i,)))
-                        for i in range(4)]
-        for e, loss in zip(cur_examples, [0.2, 0.9, 0.1, 0.5]):
-            fixed[e.dialogue.response] = math.exp(-loss)
-        selected = strategies.curriculum_protocol(teacher, cur_examples, delta=0.5)
+        # curriculum: pointwise losses [0.2, 0.9, 0.1, 0.5], delta 0.5 keeps
+        # losses .1/.2, the two positives
+        cur_triples = [ct.PairwiseTriple(((1,),), (10,), (11,)),
+                       ct.PairwiseTriple(((1,),), (12,), (13,))]
+        for response, loss, y in zip([(10,), (11,), (12,), (13,)],
+                                     [0.2, 0.9, 0.1, 0.5], [1, 0, 1, 0]):
+            fixed[response] = math.exp(-loss) if y else 1.0 - math.exp(-loss)
+        cur_examples = ct.to_pointwise(cur_triples)
+        selected = strategies.curriculum_protocol(teacher, cur_triples, delta=0.5)
         checks.append([e for e, _ in selected.pointwise]
                       == [cur_examples[0], cur_examples[2]])
     finally:
@@ -112,17 +115,16 @@ def test_2_strategy_formulas(capsys):
     rng = np.random.default_rng(202)
     oracle_ok = True
     for _ in range(1000):
-        n = int(rng.integers(1, 13))
+        n = int(rng.integers(1, 7))
         delta = float(rng.uniform(0.05, 1.0))
-        examples = [ct.PointwiseExample(int(rng.integers(2)),
-                                        random_dialogue(rng, 20))
-                    for _ in range(n)]
+        triples = [random_triple(rng, 20) for _ in range(n)]
+        examples = ct.to_pointwise(triples)
         losses = [cross_entropy(e.y, matcher.score(teacher, e.dialogue))
                   for e in examples]
-        keep = math.ceil(delta * n)
+        keep = math.ceil(delta * len(examples))
         order = np.argsort(np.array(losses), kind="stable")
         expected = [examples[i] for i in sorted(order[:keep])]
-        protocol = strategies.curriculum_protocol(teacher, examples, delta)
+        protocol = strategies.curriculum_protocol(teacher, triples, delta)
         if [e for e, _ in protocol.pointwise] != expected:
             oracle_ok = False
             break
@@ -159,7 +161,7 @@ def test_3_coteaching_loop_fidelity(capsys, monkeypatch):
 
     monkeypatch.setattr(engine, "split_batch", check_split)
 
-    def run(update_order):
+    def run(step):
         model_a = ct.init_params(spec, 1)
         model_b = ct.init_params(spec, 2)
         opt_a = engine.init_optimizer(model_a.params.size)
@@ -173,17 +175,17 @@ def test_3_coteaching_loop_fidelity(capsys, monkeypatch):
                 batch = [corpus.train[i]
                          for i in perm[k * config.batch_size:
                                        (k + 1) * config.batch_size]]
-                model_a, model_b, opt_a, opt_b, _, _ = engine.coteach_step(
-                    model_a, model_b, opt_a, opt_b, batch, config, split_rng,
-                    update_order=update_order)
+                model_a, model_b, opt_a, opt_b, _, _ = step(
+                    model_a, model_b, opt_a, opt_b, batch, config, split_rng)
                 iters += 1
         return model_a, model_b, iters
 
-    a_ab, b_ab, n_iters = run(("A", "B"))
-    a_ba, b_ba, _ = run(("B", "A"))
+    a_ab, b_ab, n_iters = run(engine.coteach_step)
+    b_first = BFirstStep(monkeypatch)
+    a_ba, b_ba, _ = run(b_first)
     bit_identical = (np.array_equal(a_ab.params, a_ba.params)
                      and np.array_equal(b_ab.params, b_ba.params))
-    ok = split_ok[0] and bit_identical and n_iters == 50
+    ok = split_ok[0] and b_first.ok and bit_identical and n_iters == 50
     _report(capsys, 3, ok,
             f"sub-batches disjoint/equal at all {n_iters} iterations; "
             "update-order swap bit-identical final parameters")

@@ -330,7 +330,7 @@ class TestPretrain:
     # eval_every = 5 the last step is off the cadence: initial, 5, 10, 12.
     @pytest.mark.parametrize("epochs, eval_every, evaluations",
                              [(0, 6, 1), (1, 6, 3), (1, 5, 4)])
-    def test_prints_p1_of_saved_model_without_rescoring(
+    def test_prints_p1_of_saved_model(
             self, workdir, capsys, monkeypatch, epochs, eval_every, evaluations):
         (workdir / "pre.cfg").write_text(
             TINY_CONFIG + f"pretrain_epochs = {epochs}\neval_every = {eval_every}\n")
@@ -345,7 +345,8 @@ class TestPretrain:
         monkeypatch.setattr(engine, "validation_p_at_1", counted)
         capsys.readouterr()
         assert _run("pretrain", "--config", "pre.cfg") == 0
-        assert len(calls) == evaluations
+        # Pretraining's evaluations, then one for the printed figure.
+        assert len(calls) == evaluations + 1
         monkeypatch.undo()
         model = load_checkpoint(workdir / "run" / "pretrained.ckpt")
         p1 = engine.validation_p_at_1(model, load_corpus(workdir / "corpus").valid)
@@ -518,6 +519,39 @@ class TestFailingCommandWritesNothing:
         assert _one_line_error(capsys, "error: ") == (
             "error: n_topics must be at least 2: negatives come from another topic\n")
         assert not (workdir / "corpus").exists()
+
+    def test_generate_with_one_candidate_is_usage_error(self, workdir, capsys,
+                                                         monkeypatch):
+        (workdir / "one.cfg").write_text(TINY_CONFIG + "n_candidates = 1\n")
+
+        def generator_reached(config):
+            raise AssertionError("the config was not rejected")
+
+        monkeypatch.setattr(cli, "generate_synthetic_corpus", generator_reached)
+        assert _run("generate", "--config", "one.cfg") == 1
+        assert _one_line_error(capsys, "error: ") == (
+            "error: n_candidates must be at least 2: a test group holds a "
+            "positive and a negative\n")
+        assert not (workdir / "corpus").exists()
+
+    @pytest.mark.parametrize("param, strategy, given_by", [
+        ("lambda", "weighting", "config"), ("lambda", "curriculum", "flag"),
+        ("delta", "margin", "config"), ("delta", "none", "flag")])
+    def test_sweep_param_its_strategy_never_reads_is_usage_error(
+            self, workdir, capsys, monkeypatch, param, strategy, given_by):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        (workdir / "swp.cfg").write_text(
+            TINY_CONFIG + f"sweep_param = {param}\nsweep_values = 0.1,5.0\n"
+            + (f"strategy = {strategy}\n" if given_by == "config" else ""))
+        flag = ["--strategy", strategy] if given_by == "flag" else []
+        capsys.readouterr()
+        monkeypatch.setattr(engine, "coteach_train", _trains_nothing)
+        assert _run("sweep", "--config", "swp.cfg", *flag) == 1
+        reader = "margin" if param == "lambda" else "curriculum"
+        assert _one_line_error(capsys, "error: ") == (
+            f"error: strategy {strategy!r} does not read sweep_param "
+            f"{param!r}; only {reader!r} does\n")
+        assert not (workdir / "run").exists()
 
     def test_unwritable_corpus_dir_is_data_error(self, workdir, capsys):
         (workdir / "afile").write_text("")

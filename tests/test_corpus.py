@@ -32,6 +32,13 @@ class TestGenConfigValidation:
         with pytest.raises(ValueError, match="^n_topics must be at least 2"):
             GenConfig(vocab_size=60, n_topics=n_topics, false_negative_rate=rate)
 
+    @pytest.mark.parametrize("n_candidates", [1, 0])
+    def test_rejects_fewer_than_two_candidates(self, n_candidates):
+        # One candidate can never hold both labels, so generation would
+        # redraw the first test group forever.
+        with pytest.raises(ValueError, match="^n_candidates must be at least 2"):
+            GenConfig(vocab_size=60, n_topics=3, n_candidates=n_candidates)
+
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             GenConfig(n_train=0)

@@ -14,8 +14,12 @@ from coteach import engine, matcher
 from coteach.engine import (HistoryRecord, RunHistory, init_optimizer,
                             read_history, write_history)
 
+from conftest import BFirstStep
+
 
 SPEC = MatcherSpec("mean-embedding-bilinear", vocab_size=60, embedding_dim=8)
+STRATEGY_SETTINGS = [("margin", dict(lam=0.5)), ("weighting", {}),
+                     ("curriculum", dict(delta=0.9)), ("none", {})]
 
 
 def _config(**kw):
@@ -263,13 +267,8 @@ def _batch(corpus, n=10, offset=0):
 
 
 class TestCoteachStep:
-    @pytest.mark.parametrize("strategy,extra", [
-        ("margin", dict(lam=0.5)),
-        ("weighting", {}),
-        ("curriculum", dict(delta=0.9)),
-        ("none", {}),
-    ])
-    def test_update_order_is_irrelevant(self, corpus, strategy, extra):
+    @pytest.mark.parametrize("strategy,extra", STRATEGY_SETTINGS)
+    def test_order_of_updates_is_irrelevant(self, corpus, strategy, extra, monkeypatch):
         config = _config(strategy=strategy, **extra)
         model_a = init_params(SPEC, 1)
         model_b = init_params(SPEC, 2)
@@ -277,9 +276,11 @@ class TestCoteachStep:
         opt_b = init_optimizer(model_b.params.size)
         batch = _batch(corpus)
         out_ab = coteach_step(model_a, model_b, opt_a, opt_b, batch, config,
-                              np.random.default_rng(7), update_order=("A", "B"))
-        out_ba = coteach_step(model_a, model_b, opt_a, opt_b, batch, config,
-                              np.random.default_rng(7), update_order=("B", "A"))
+                              np.random.default_rng(7))
+        b_first = BFirstStep(monkeypatch)
+        out_ba = b_first(model_a, model_b, opt_a, opt_b, batch, config,
+                         np.random.default_rng(7))
+        assert b_first.ok
         assert np.array_equal(out_ab[0].params, out_ba[0].params)
         assert np.array_equal(out_ab[1].params, out_ba[1].params)
         assert out_ab[4] == out_ba[4] and out_ab[5] == out_ba[5]
@@ -377,6 +378,35 @@ class TestCoteachTrain:
         for i in expected:
             assert (tmp_path / f"A_{i}.ckpt").exists()
             assert (tmp_path / f"B_{i}.ckpt").exists()
+
+    @pytest.mark.parametrize("strategy,extra", STRATEGY_SETTINGS)
+    def test_noise_flags_never_reach_a_protocol(self, corpus, tmp_path, monkeypatch,
+                                                strategy, extra):
+        def flip(triples):
+            return tuple(replace(t, noise_flag=not t.noise_flag) for t in triples)
+
+        def flagless(protocol):
+            return [(replace(t, noise_flag=None), m) for t, m in protocol.pairwise
+                    ] + list(protocol.pointwise)
+
+        flipped = replace(corpus, train=flip(corpus.train), valid=flip(corpus.valid))
+        assert any(t.noise_flag for t in corpus.train)
+        config = _config(strategy=strategy, learning_rate=1e-3, **extra)
+        init = init_params(SPEC, 1)
+        real_build = engine.build_protocol
+        runs = []
+        for data in (corpus, flipped):
+            built = []
+            monkeypatch.setattr(engine, "build_protocol", lambda *args: (
+                built.append(real_build(*args)) or built[-1]))
+            _, _, history = coteach_train(init, init, data, config)
+            write_history(history, tmp_path / "history.csv")
+            runs.append(([(p.loss_kind, flagless(p)) for p in built],
+                         (tmp_path / "history.csv").read_bytes()))
+        (protocols, history), (flipped_protocols, flipped_history) = runs
+        assert len(protocols) == 2 * len(history.splitlines()[1:]) > 0
+        assert protocols == flipped_protocols
+        assert history == flipped_history
 
     def test_training_set_smaller_than_batch_rejected(self, corpus, tmp_path):
         small = replace(corpus, train=corpus.train[:4])

@@ -6,8 +6,7 @@ import pytest
 
 from coteach import (LearningProtocol, PairwiseTriple, PointwiseExample,
                      TokenizedDialogue, cross_entropy, hinge_with_margin)
-from coteach.losses import (CE_EPS, CROSS_ENTROPY, HINGE_WITH_MARGIN,
-                            WEIGHTED_CROSS_ENTROPY)
+from coteach.losses import CE_EPS, CROSS_ENTROPY, HINGE_WITH_MARGIN
 
 
 def _example(y=1):
@@ -68,41 +67,29 @@ class TestHingeWithMargin:
 class TestLearningProtocol:
     def test_requires_exactly_one_view(self):
         with pytest.raises(ValueError):
-            LearningProtocol(CROSS_ENTROPY)
+            LearningProtocol()
         with pytest.raises(ValueError):
-            LearningProtocol(HINGE_WITH_MARGIN,
-                             pairwise=((_triple(), 0.1),),
+            LearningProtocol(pairwise=((_triple(), 0.1),),
                              pointwise=((_example(), 1.0),))
 
-    def test_loss_kind_view_compatibility(self):
-        with pytest.raises(ValueError):
-            LearningProtocol(CROSS_ENTROPY, pairwise=((_triple(), 0.1),))
-        with pytest.raises(ValueError):
-            LearningProtocol(HINGE_WITH_MARGIN, pointwise=((_example(), 1.0),))
+    def test_instances_fix_the_loss_kind(self):
+        assert (LearningProtocol(pairwise=((_triple(), 0.1),)).loss_kind
+                == HINGE_WITH_MARGIN)
+        for weights in ((1.0, 1.0), (1.0, 0.25)):
+            protocol = LearningProtocol(pointwise=tuple(
+                (_example(y), w) for y, w in zip((1, 0), weights)))
+            assert protocol.loss_kind == CROSS_ENTROPY
 
     def test_rejects_negative_margin(self):
-        with pytest.raises(ValueError):
-            LearningProtocol(HINGE_WITH_MARGIN, pairwise=((_triple(), -0.2),))
+        with pytest.raises(ValueError, match="negative margin"):
+            LearningProtocol(pairwise=((_triple(), 0.0), (_triple(), -0.2)))
 
     def test_rejects_weight_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            LearningProtocol(WEIGHTED_CROSS_ENTROPY,
-                             pointwise=((_example(), 1.5),))
-        with pytest.raises(ValueError):
-            LearningProtocol(WEIGHTED_CROSS_ENTROPY,
-                             pointwise=((_example(), -0.1),))
-
-    def test_plain_cross_entropy_rejects_weight_other_than_1(self):
-        for weight in (0.0, 0.5):
-            with pytest.raises(ValueError, match="plain cross-entropy weight"):
-                LearningProtocol(CROSS_ENTROPY, pointwise=((_example(), 1.0),
-                                                           (_example(), weight)))
-
-    def test_rejects_unknown_loss_kind(self):
-        with pytest.raises(ValueError):
-            LearningProtocol("squared_error", pointwise=((_example(), 1.0),))
+        for weight in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                LearningProtocol(pointwise=((_example(), 1.0), (_example(), weight)))
 
     def test_valid_protocols_accepted(self):
-        LearningProtocol(HINGE_WITH_MARGIN, pairwise=((_triple(), 0.0),))
-        LearningProtocol(CROSS_ENTROPY, pointwise=((_example(), 1.0),))
-        LearningProtocol(WEIGHTED_CROSS_ENTROPY, pointwise=((_example(), 0.0),))
+        LearningProtocol(pairwise=((_triple(), 0.0),))
+        LearningProtocol(pointwise=((_example(), 1.0),))
+        LearningProtocol(pointwise=((_example(), 0.0),))

@@ -12,8 +12,7 @@ from coteach import (LearningProtocol, MatcherSpec, ModelState, PairwiseTriple,
                      load_checkpoint, loss_and_grad, save_checkpoint, score,
                      scores)
 from coteach import matcher
-from coteach.losses import (CROSS_ENTROPY, HINGE_WITH_MARGIN,
-                            WEIGHTED_CROSS_ENTROPY)
+from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN
 from coteach.matcher import n_params, param_layout
 
 from conftest import random_dialogue, random_triple
@@ -200,19 +199,20 @@ class TestScore:
                            rtol=0, atol=1e-12)
 
 
-def _pointwise_protocol(rng, kind, n=4, make_dialogue=random_dialogue):
+def _pointwise_protocol(rng, weighted=True, n=4, make_dialogue=random_dialogue):
+    """Cross-entropy instances; unweighted ones all have weight 1."""
     instances = []
     for i in range(n):
         y = int(rng.integers(2))
-        weight = 1.0 if kind == CROSS_ENTROPY else float(rng.uniform(0, 1))
+        weight = float(rng.uniform(0, 1)) if weighted else 1.0
         instances.append((PointwiseExample(y, make_dialogue(rng)), weight))
-    return LearningProtocol(kind, pointwise=tuple(instances))
+    return LearningProtocol(pointwise=tuple(instances))
 
 
 def _pairwise_protocol(rng, n=4, make_triple=random_triple):
     instances = tuple((make_triple(rng), float(rng.uniform(0, 0.5)))
                       for _ in range(n))
-    return LearningProtocol(HINGE_WITH_MARGIN, pairwise=instances)
+    return LearningProtocol(pairwise=instances)
 
 
 def _add_at_gradient(model, protocol):
@@ -256,21 +256,20 @@ _GRAD_CONTEXTS = st.lists(_GRAD_TOKENS, max_size=2).map(lambda us: (_ANCHOR, *us
 def _gradient_protocols(draw, loss_kind):
     n = draw(st.integers(2, 6))
     if loss_kind == HINGE_WITH_MARGIN:
-        return LearningProtocol(loss_kind, pairwise=tuple(
+        return LearningProtocol(pairwise=tuple(
             (PairwiseTriple(draw(_GRAD_CONTEXTS), draw(_GRAD_TOKENS),
                             draw(_GRAD_TOKENS)), draw(st.floats(0.0, 1.0)))
             for _ in range(n)))
-    return LearningProtocol(loss_kind, pointwise=tuple(
+    return LearningProtocol(pointwise=tuple(
         (PointwiseExample(draw(st.integers(0, 1)),
                           TokenizedDialogue(draw(_GRAD_CONTEXTS), draw(_GRAD_TOKENS))),
-         1.0 if loss_kind == CROSS_ENTROPY else draw(st.floats(0.0, 1.0)))
+         draw(st.floats(0.0, 1.0)))
         for _ in range(n)))
 
 
 class TestLossAndGrad:
     @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
-    @pytest.mark.parametrize("loss_kind", [CROSS_ENTROPY, WEIGHTED_CROSS_ENTROPY,
-                                           HINGE_WITH_MARGIN])
+    @pytest.mark.parametrize("loss_kind", [CROSS_ENTROPY, HINGE_WITH_MARGIN])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_gradient_equals_add_at_scatter_bit_for_bit(self, kind, loss_kind, data):
@@ -278,8 +277,13 @@ class TestLossAndGrad:
         spec = MatcherSpec(kind, vocab_size=_V, embedding_dim=3, hidden_dim=4)
         model = init_params(spec, seed=data.draw(st.integers(0, 1000)))
         protocol = data.draw(_gradient_protocols(loss_kind))
-        assert np.array_equal(loss_and_grad(model, protocol)[1],
-                              _add_at_gradient(model, protocol))
+        protocols = [protocol]
+        if protocol.pointwise:  # the drawn weights, then plain cross-entropy
+            protocols.append(LearningProtocol(
+                pointwise=tuple((e, 1.0) for e, _ in protocol.pointwise)))
+        for p in protocols:
+            assert np.array_equal(loss_and_grad(model, p)[1],
+                                  _add_at_gradient(model, p))
 
     def test_satisfied_hinge_is_flat(self, small_spec):
         # Teacher margin 0 and positive already ahead: loss 0, zero gradient.
@@ -291,7 +295,7 @@ class TestLossAndGrad:
         if s_pos < s_neg:
             triple = PairwiseTriple(triple.context, triple.neg_response,
                                     triple.pos_response)
-        protocol = LearningProtocol(HINGE_WITH_MARGIN, pairwise=((triple, 0.0),))
+        protocol = LearningProtocol(pairwise=((triple, 0.0),))
         loss, grad = loss_and_grad(model, protocol)
         assert loss == 0.0
         assert np.all(grad == 0.0)
@@ -300,7 +304,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(3)
         instances = tuple((PointwiseExample(1, random_dialogue(rng)), 0.0)
                           for _ in range(3))
-        protocol = LearningProtocol(WEIGHTED_CROSS_ENTROPY, pointwise=instances)
+        protocol = LearningProtocol(pointwise=instances)
         loss, grad = loss_and_grad(small_model, protocol)
         assert loss == 0.0
         assert np.all(grad == 0.0)
@@ -308,21 +312,19 @@ class TestLossAndGrad:
     def test_empty_protocol_rejected(self):
         # the protocol container itself refuses emptiness
         with pytest.raises(ValueError):
-            LearningProtocol(CROSS_ENTROPY)
+            LearningProtocol()
 
-    @pytest.mark.parametrize("kind", [CROSS_ENTROPY, WEIGHTED_CROSS_ENTROPY,
-                                      HINGE_WITH_MARGIN])
+    @pytest.mark.parametrize("kind", [CROSS_ENTROPY, HINGE_WITH_MARGIN])
     def test_batch_loss_and_grad_is_sum_of_single_instances(self, small_model, kind):
         rng = np.random.default_rng(14)
         if kind == HINGE_WITH_MARGIN:
             # Margins up to 0.5 keep most hinges active at init.
             protocol = _pairwise_protocol(rng, n=8, make_triple=_ragged_triple)
-            singles = [LearningProtocol(kind, pairwise=(inst,))
+            singles = [LearningProtocol(pairwise=(inst,))
                        for inst in protocol.pairwise]
         else:
-            protocol = _pointwise_protocol(rng, kind, n=8,
-                                           make_dialogue=_ragged_dialogue)
-            singles = [LearningProtocol(kind, pointwise=(inst,))
+            protocol = _pointwise_protocol(rng, n=8, make_dialogue=_ragged_dialogue)
+            singles = [LearningProtocol(pointwise=(inst,))
                        for inst in protocol.pointwise]
         loss, grad = loss_and_grad(small_model, protocol)
         parts = [loss_and_grad(small_model, p) for p in singles]
@@ -338,15 +340,14 @@ class TestLossAndGrad:
         elif loss_kind == "hinge":
             protocol = _pairwise_protocol(rng)
         else:
-            kind = CROSS_ENTROPY if loss_kind == "ce" else WEIGHTED_CROSS_ENTROPY
-            protocol = _pointwise_protocol(rng, kind)
+            protocol = _pointwise_protocol(rng, weighted=loss_kind == "wce")
         assert finite_diff_check(model, protocol, step=1e-5) < 1e-4
 
 
 class TestFiniteDiffCheck:
     def test_doubled_gradient_detected(self, small_model, monkeypatch):
         rng = np.random.default_rng(6)
-        protocol = _pointwise_protocol(rng, CROSS_ENTROPY)
+        protocol = _pointwise_protocol(rng, weighted=False)
         real = matcher.loss_and_grad
 
         def doubled(model, proto):
@@ -368,13 +369,13 @@ class TestFiniteDiffCheck:
         if s_pos < s_neg:
             triple = PairwiseTriple(triple.context, triple.neg_response,
                                     triple.pos_response)
-        protocol = LearningProtocol(HINGE_WITH_MARGIN, pairwise=((triple, 0.0),))
+        protocol = LearningProtocol(pairwise=((triple, 0.0),))
         assert finite_diff_check(model, protocol, step=1e-6) == 0.0
 
     def test_nonpositive_step_rejected(self, small_model):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
-            finite_diff_check(small_model, _pointwise_protocol(rng, CROSS_ENTROPY),
+            finite_diff_check(small_model, _pointwise_protocol(rng, weighted=False),
                               step=0.0)
 
 

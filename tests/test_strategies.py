@@ -1,23 +1,17 @@
-"""Unit tests for the three teaching strategies."""
+"""Unit tests for the teaching strategies and the teacherless ``none``."""
 
 import math
 
 import numpy as np
 import pytest
 
-from coteach import (PairwiseTriple, PointwiseExample, TokenizedDialogue,
-                     curriculum_protocol, init_params, margin_protocol,
+from coteach import (PairwiseTriple, TokenizedDialogue, curriculum_protocol,
+                     init_params, margin_protocol, to_pointwise,
                      weighting_protocol)
 from coteach import matcher, strategies
-from coteach.losses import (CROSS_ENTROPY, HINGE_WITH_MARGIN,
-                            WEIGHTED_CROSS_ENTROPY, cross_entropy)
+from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
 
 from conftest import random_triple
-
-
-def _dialogue(tag):
-    """Distinct dialogues keyed by an integer tag (vocab 20)."""
-    return TokenizedDialogue(((tag % 20,),), ((tag * 7 + 1) % 20,))
 
 
 def _fixed_score_teacher(monkeypatch, table):
@@ -114,104 +108,125 @@ class TestMarginProtocol:
 
 class TestWeightingProtocol:
     def test_positives_always_weight_one(self, teacher):
-        examples = [PointwiseExample(1, _dialogue(i)) for i in range(5)]
-        protocol = weighting_protocol(teacher, examples)
-        assert protocol.loss_kind == WEIGHTED_CROSS_ENTROPY
-        assert all(w == 1.0 for _, w in protocol.pointwise)
+        rng = np.random.default_rng(3)
+        sub_batch = [random_triple(rng) for _ in range(5)]
+        protocol = weighting_protocol(teacher, sub_batch)
+        assert protocol.loss_kind == CROSS_ENTROPY
+        assert [e for e, _ in protocol.pointwise] == to_pointwise(sub_batch)
+        assert all(w == 1.0 for e, w in protocol.pointwise if e.y == 1)
 
     def test_negative_weight_is_one_minus_teacher_score(self, teacher, monkeypatch):
-        example = PointwiseExample(0, TokenizedDialogue(((1,),), (2,)))
+        triple = PairwiseTriple(((1,),), (3,), (2,))
         _fixed_score_teacher(monkeypatch, {(2,): 0.7})
-        protocol = weighting_protocol(teacher, [example])
-        assert protocol.pointwise[0][1] == pytest.approx(0.3)
+        protocol = weighting_protocol(teacher, [triple])
+        assert protocol.pointwise[0][1] == 1.0
+        assert protocol.pointwise[1][1] == pytest.approx(0.3)
 
     def test_certain_false_negative_effectively_removed(self, teacher, monkeypatch):
-        example = PointwiseExample(0, TokenizedDialogue(((1,),), (2,)))
+        triple = PairwiseTriple(((1,),), (3,), (2,))
         _fixed_score_teacher(monkeypatch, {(2,): 1.0 - 1e-12})
-        protocol = weighting_protocol(teacher, [example])
-        assert protocol.pointwise[0][1] == pytest.approx(0.0, abs=1e-9)
+        protocol = weighting_protocol(teacher, [triple])
+        assert protocol.pointwise[1][1] == pytest.approx(0.0, abs=1e-9)
 
     def test_weights_bounded_and_order_preserved(self, teacher):
         rng = np.random.default_rng(4)
-        examples = [PointwiseExample(int(rng.integers(2)), _dialogue(i))
-                    for i in range(12)]
-        protocol = weighting_protocol(teacher, examples)
-        assert [e for e, _ in protocol.pointwise] == examples
+        sub_batch = [random_triple(rng) for _ in range(6)]
+        protocol = weighting_protocol(teacher, sub_batch)
+        assert [e for e, _ in protocol.pointwise] == to_pointwise(sub_batch)
         for example, w in protocol.pointwise:
             assert 0.0 <= w <= 1.0
             if example.y == 1:
                 assert w == 1.0
 
 
-class TestCurriculumProtocol:
-    def _examples_with_losses(self, monkeypatch, losses):
-        # all labels 1 and score = exp(-loss) makes teacher CE equal `loss`
-        examples = [PointwiseExample(1, _dialogue(i)) for i in range(len(losses))]
-        table = {e.dialogue.response: math.exp(-l)
-                 for e, l in zip(examples, losses)}
-        _fixed_score_teacher(monkeypatch, table)
-        return examples
+def _triples_with_losses(monkeypatch, losses):
+    """Triples whose pointwise view has teacher cross-entropies ``losses``:
+    a positive scores exp(-loss), a negative 1 - exp(-loss)."""
+    triples, table = [], {}
+    for i in range(0, len(losses), 2):
+        pos, neg = (2 * i,), (2 * i + 1,)
+        triples.append(PairwiseTriple(((1,),), pos, neg))
+        table[pos] = math.exp(-losses[i])
+        table[neg] = 1.0 - math.exp(-losses[i + 1])
+    _fixed_score_teacher(monkeypatch, table)
+    return triples, to_pointwise(triples)
 
+
+class TestCurriculumProtocol:
     def test_small_loss_selection(self, teacher, monkeypatch):
-        examples = self._examples_with_losses(monkeypatch, [0.2, 0.9, 0.1, 0.5])
-        protocol = curriculum_protocol(teacher, examples, delta=0.5)
+        triples, examples = _triples_with_losses(monkeypatch, [0.2, 0.9, 0.1, 0.5])
+        protocol = curriculum_protocol(teacher, triples, delta=0.5)
         assert protocol.loss_kind == CROSS_ENTROPY
-        # losses 0.1 and 0.2 win; kept in original sub-batch order
+        # losses 0.1 and 0.2 win; kept in original pointwise order
         assert [e for e, _ in protocol.pointwise] == [examples[0], examples[2]]
         assert all(w == 1.0 for _, w in protocol.pointwise)
 
     def test_delta_one_keeps_everything_in_order(self, teacher, monkeypatch):
-        examples = self._examples_with_losses(monkeypatch, [0.5, 0.1, 0.9])
-        protocol = curriculum_protocol(teacher, examples, delta=1.0)
+        triples, examples = _triples_with_losses(monkeypatch, [0.5, 0.1, 0.9, 0.3])
+        protocol = curriculum_protocol(teacher, triples, delta=1.0)
         assert [e for e, _ in protocol.pointwise] == examples
 
     def test_cardinality_is_ceiling(self, teacher, monkeypatch):
         for n, delta, expected in [(10, 0.9, 9), (10, 0.85, 9), (4, 0.5, 2),
-                                   (5, 0.1, 1), (3, 0.34, 2)]:
-            examples = self._examples_with_losses(
+                                   (2, 0.1, 1), (6, 0.34, 3)]:
+            triples, _ = _triples_with_losses(
                 monkeypatch, list(np.linspace(0.1, 1.0, n)))
-            protocol = curriculum_protocol(teacher, examples, delta)
+            protocol = curriculum_protocol(teacher, triples, delta)
             assert len(protocol.pointwise) == expected == math.ceil(delta * n)
 
     def test_ties_prefer_earlier_examples(self, teacher, monkeypatch):
-        examples = self._examples_with_losses(monkeypatch, [0.3, 0.3, 0.3, 0.3])
-        protocol = curriculum_protocol(teacher, examples, delta=0.5)
+        triples, examples = _triples_with_losses(monkeypatch, [0.3, 0.3, 0.3, 0.3])
+        protocol = curriculum_protocol(teacher, triples, delta=0.5)
         assert [e for e, _ in protocol.pointwise] == examples[:2]
 
     def test_matches_full_sort_oracle(self, teacher):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            n = int(rng.integers(1, 12))
+            n = int(rng.integers(1, 7))
             delta = float(rng.uniform(0.05, 1.0))
-            examples = [PointwiseExample(int(rng.integers(2)), _dialogue(int(t)))
-                        for t in rng.integers(0, 50, size=n)]
+            triples = [random_triple(rng) for _ in range(n)]
+            examples = to_pointwise(triples)
             teacher_losses = [
                 cross_entropy(e.y, matcher.score(teacher, e.dialogue))
                 for e in examples]
-            keep = math.ceil(delta * n)
+            keep = math.ceil(delta * len(examples))
             order = np.argsort(np.array(teacher_losses), kind="stable")
             expected = [examples[i] for i in sorted(order[:keep])]
-            protocol = curriculum_protocol(teacher, examples, delta)
+            protocol = curriculum_protocol(teacher, triples, delta)
             assert [e for e, _ in protocol.pointwise] == expected
 
     def test_kept_losses_never_exceed_dropped(self, teacher):
         rng = np.random.default_rng(6)
-        examples = [PointwiseExample(int(rng.integers(2)), _dialogue(i))
-                    for i in range(20)]
-        protocol = curriculum_protocol(teacher, examples, delta=0.4)
-        loss_of = {id(e): cross_entropy(e.y, matcher.score(teacher, e.dialogue))
-                   for e in examples}
-        kept_ids = {id(e) for e, _ in protocol.pointwise}
-        kept = [loss_of[id(e)] for e in examples if id(e) in kept_ids]
-        dropped = [loss_of[id(e)] for e in examples if id(e) not in kept_ids]
-        assert max(kept) <= min(dropped) + 1e-12
+        triples = [random_triple(rng) for _ in range(10)]
+        protocol = curriculum_protocol(teacher, triples, delta=0.4)
+        kept = [e for e, _ in protocol.pointwise]
+        dropped = [e for e in to_pointwise(triples) if e not in kept]
+        assert (len(kept), len(dropped)) == (8, 12)
+
+        def loss(e):
+            return cross_entropy(e.y, matcher.score(teacher, e.dialogue))
+
+        assert max(map(loss, kept)) <= min(map(loss, dropped)) + 1e-12
 
     def test_invalid_delta_rejected(self, teacher, monkeypatch):
-        examples = self._examples_with_losses(monkeypatch, [0.1])
+        triples, _ = _triples_with_losses(monkeypatch, [0.1, 0.2])
         for delta in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                curriculum_protocol(teacher, examples, delta)
+                curriculum_protocol(teacher, triples, delta)
 
     def test_empty_sub_batch_rejected(self, teacher):
         with pytest.raises(ValueError):
             curriculum_protocol(teacher, [], delta=0.5)
+
+
+class TestNoneProtocol:
+    def test_plain_cross_entropy_on_the_pointwise_view(self, monkeypatch):
+        def no_teacher(model, groups):
+            raise AssertionError("the none protocol scored with a teacher")
+
+        monkeypatch.setattr(matcher, "scores", no_teacher)
+        rng = np.random.default_rng(7)
+        sub_batch = [random_triple(rng) for _ in range(3)]
+        protocol = strategies.none_protocol(sub_batch)
+        assert protocol.loss_kind == CROSS_ENTROPY
+        assert protocol.pointwise == tuple((e, 1.0) for e in to_pointwise(sub_batch))
