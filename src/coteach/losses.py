@@ -61,7 +61,7 @@ def cross_entropy(y, s):
 
     Element-wise over arrays of labels and scores; scalars give a scalar.
     """
-    s = np.clip(s, CE_EPS, 1.0 - CE_EPS)
+    s = np.minimum(np.maximum(s, CE_EPS), 1.0 - CE_EPS)
     return -np.log(np.where(np.equal(y, 1), s, 1.0 - s))
 
 

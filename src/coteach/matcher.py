@@ -12,13 +12,13 @@ Parameters live in a single flat float64 vector with a fixed layout
 checkpoints and finite-difference checking trivial.
 
 Every computation is batched: ``_pack`` validates and flattens a sequence
-of (context, responses) groups once, then one ``_forward``, ``_loss`` and
-``_backward`` serve scoring and training. ``_forward`` and ``_loss`` run in
-the dtype of the params, so the tests' finite-difference oracle can
-difference the loss in extended precision. All gradients are hand-derived.
+of (context, responses) groups once, with their segment offsets. One
+``_forward`` returns logits and a backward cache for scoring and training;
+scoring only takes their sigmoid, and ``_loss`` forms ds/dz where it is read.
+``_forward`` and ``_loss`` run in the dtype of the params, so the tests'
+finite-difference oracle can difference the loss in extended precision.
 Each group's context is pooled once: scoring passes a ranked group's
-candidates or a triple's two responses as one group, while training passes
-one response per group.
+candidates or a triple's two responses as one group, training one response.
 
 ``_backward`` builds the embedding gradient with one ``np.bincount`` over
 ``token_id * d + column``. bincount adds each entry's contributions in
@@ -69,22 +69,12 @@ def param_layout(spec: MatcherSpec) -> dict[str, slice]:
     interaction-mlp: E (V*d), W1 (h*3d), b1 (h), w2 (h), b2 (1)
     """
     v, d, h = spec.vocab_size, spec.embedding_dim, spec.hidden_dim
-    layout = {"E": slice(0, v * d)}
-    off = v * d
-    if spec.kind == MEAN_EMBEDDING_BILINEAR:
-        layout["W"] = slice(off, off + d * d)
-        off += d * d
-        layout["b"] = slice(off, off + 1)
-        off += 1
-    else:
-        layout["W1"] = slice(off, off + h * 3 * d)
-        off += h * 3 * d
-        layout["b1"] = slice(off, off + h)
-        off += h
-        layout["w2"] = slice(off, off + h)
-        off += h
-        layout["b2"] = slice(off, off + 1)
-        off += 1
+    head = ((("W", d * d), ("b", 1)) if spec.kind == MEAN_EMBEDDING_BILINEAR
+            else (("W1", h * 3 * d), ("b1", h), ("w2", h), ("b2", 1)))
+    layout, off = {}, 0
+    for name, size in (("E", v * d), *head):
+        layout[name] = slice(off, off + size)
+        off += size
     layout["_total"] = slice(0, off)
     return layout
 
@@ -144,12 +134,18 @@ class _Packed(NamedTuple):
     """Flat token ids of all context utterances, context by context, then
     of every response; segment k has ``lengths[k]`` tokens, context j has
     ``n_utts[j]`` utterance segments and serves the next ``runs[j]``
-    responses."""
+    responses. Segment k starts at ``ids[starts[k]]``, context j at segment
+    ``ctx_starts[j]``, responses at segment ``n_ctx``; ``one_each``: all
+    runs are 1."""
 
     ids: np.ndarray
     lengths: np.ndarray
     n_utts: np.ndarray
     runs: np.ndarray
+    starts: np.ndarray
+    ctx_starts: np.ndarray
+    n_ctx: int
+    one_each: bool
 
 
 def _pack(groups, vocab_size: int) -> _Packed:
@@ -167,32 +163,36 @@ def _pack(groups, vocab_size: int) -> _Packed:
         raise ValueError("empty utterance")
     if not lengths[n_ctx:].all():
         raise ValueError("empty response")
-    ids = np.fromiter(chain.from_iterable(segments), np.intp, int(lengths.sum()))
+    ends = lengths.cumsum()
+    ids = np.fromiter(chain.from_iterable(segments), np.intp, ends[-1] if n_ctx else 0)
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError("token ID out of range for vocab")
-    return _Packed(ids, lengths, n_utts, runs)
+    one_each = len(segments) - n_ctx == len(groups) and bool(runs.all())
+    return _Packed(ids, lengths, n_utts, runs, ends - lengths,
+                   n_utts.cumsum() - n_utts, n_ctx, one_each)
 
 
 def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
-    """Scores, ds/dz and the backward cache of a packed batch.
+    """Logits z and the backward cache of a packed batch; scoring reads only
+    z, so no derivatives are formed here. Offsets come from the pack.
 
     Runs in the dtype of ``params``. Every reduction stays inside one
     dialogue (``reduceat`` over its segments, ``einsum`` over its row; BLAS
     matmul would block rows differently for different batch sizes), so a
-    dialogue's score does not depend on the rest of the batch, bit for bit.
+    dialogue's logit does not depend on the rest of the batch, bit for bit.
     A context shared by several responses is pooled once, by the same
     reduction as a context of one response.
     """
-    n = int(packed.runs.sum())
     d = spec.embedding_dim
     layout = param_layout(spec)
     E = params[layout["E"]].reshape(spec.vocab_size, d)
-    starts = np.cumsum(packed.lengths) - packed.lengths
-    seg = np.add.reduceat(E[packed.ids], starts, axis=0) / packed.lengths[:, None]
-    ctx_starts = np.cumsum(packed.n_utts) - packed.n_utts
-    u = np.add.reduceat(seg[:-n], ctx_starts, axis=0) / packed.n_utts[:, None]
-    u = np.repeat(u, packed.runs, axis=0)
-    v = seg[-n:]
+    seg = (np.add.reduceat(E.take(packed.ids, axis=0), packed.starts, axis=0)
+           / packed.lengths[:, None])
+    u = (np.add.reduceat(seg[:packed.n_ctx], packed.ctx_starts, axis=0)
+         / packed.n_utts[:, None])
+    if not packed.one_each:
+        u = u.repeat(packed.runs, axis=0)
+    v = seg[packed.n_ctx:]
     if spec.kind == MEAN_EMBEDDING_BILINEAR:
         W = params[layout["W"]].reshape(d, d)
         Wv = np.einsum("ij,nj->ni", W, v)
@@ -205,9 +205,12 @@ def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
         a = np.tanh(np.einsum("hk,nk->nh", W1, f) + params[layout["b1"]])
         z = np.einsum("nh,h->n", a, w2) + params[layout["b2"]][0]
         cache = (u, v, W1, w2, f, a)
-    s = 1.0 / (1.0 + np.exp(-np.clip(z, -_Z_CLAMP, _Z_CLAMP)))
-    dsdz = np.where(np.abs(z) < _Z_CLAMP, s * (1.0 - s), 0.0)
-    return s, dsdz, cache
+    return z, cache
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Scores s = sigmoid(z) of logits clamped to [-_Z_CLAMP, _Z_CLAMP]."""
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -_Z_CLAMP), _Z_CLAMP)))
 
 
 def _backward(spec: MatcherSpec, packed: _Packed, cache,
@@ -227,24 +230,24 @@ def _backward(spec: MatcherSpec, packed: _Packed, cache,
         u, v, W, Wv = cache
         du = c * Wv
         dv = c * (u @ W)
-        heads = {"W": ((c * u).T @ v).ravel(), "b": dL_dz.sum()}
+        heads = (("W", ((c * u).T @ v).ravel()), ("b", np.add.reduce(dL_dz)))
     else:
         u, v, W1, w2, f, a = cache
         dpre = c * w2 * (1.0 - a * a)
-        heads = {"W1": (dpre.T @ f).ravel(), "b1": dpre.sum(axis=0),
-                 "w2": dL_dz @ a, "b2": dL_dz.sum()}
+        heads = (("W1", (dpre.T @ f).ravel()), ("b1", np.add.reduce(dpre)),
+                 ("w2", dL_dz @ a), ("b2", np.add.reduce(dL_dz)))
         df = dpre @ W1
         du = df[:, :d] + df[:, 2 * d:] * v
         dv = df[:, d:2 * d] + df[:, 2 * d:] * u
     # A context token gets 1/(n_utts * length) of du, a response token
     # 1/length of dv.
     seg_grad = np.concatenate([
-        np.repeat(du / packed.n_utts[:, None], packed.n_utts, axis=0), dv])
+        (du / packed.n_utts[:, None]).repeat(packed.n_utts, axis=0), dv])
     seg_grad /= packed.lengths[:, None]
-    rows = np.repeat(seg_grad, packed.lengths, axis=0)
+    rows = seg_grad.repeat(packed.lengths, axis=0)
     grad = np.bincount((packed.ids[:, None] * d + np.arange(d)).ravel(),
                        weights=rows.ravel(), minlength=layout["_total"].stop)
-    for name, g in heads.items():
+    for name, g in heads:
         grad[layout[name]] += g
     return grad
 
@@ -268,12 +271,15 @@ def _protocol_arrays(protocol: LearningProtocol, vocab_size: int):
             np.array([e.y for e in examples]), np.array(weights))
 
 
-def _loss(loss_kind: str, s: np.ndarray, dsdz: np.ndarray, labels, coef):
-    """Total protocol loss and dL/dz for the scores of ``_protocol_arrays``."""
+def _loss(loss_kind: str, z: np.ndarray, labels, coef):
+    """Total protocol loss and dL/dz for the logits of ``_protocol_arrays``;
+    only the hinge reads ds/dz, so only its branch forms it."""
+    s = _sigmoid(z)
     if loss_kind == losses.HINGE_WITH_MARGIN:
         n = coef.size
         hinge = losses.hinge_with_margin(s[:n], s[n:], coef)
         active = (hinge > 0.0).astype(s.dtype)
+        dsdz = np.where(np.abs(z) < _Z_CLAMP, s * (1.0 - s), 0.0)
         return hinge.sum(), np.concatenate([-active, active]) * dsdz
     ce = coef * losses.cross_entropy(labels, s)
     # Inside the clamp, d(ce)/dz = s - y; at or beyond the clamp the loss is
@@ -288,8 +294,8 @@ def scores(model: ModelState, groups) -> np.ndarray:
     the next. Each group's context is pooled once, and each entry equals,
     bit for bit, the score of that dialogue alone.
     """
-    s, _, _ = _forward(model.spec, model.params, _pack(groups, model.spec.vocab_size))
-    return s
+    z, _ = _forward(model.spec, model.params, _pack(groups, model.spec.vocab_size))
+    return _sigmoid(z)
 
 
 def score(model: ModelState, dialogue: TokenizedDialogue) -> float:
@@ -304,8 +310,8 @@ def loss_and_grad(model: ModelState, protocol: LearningProtocol):
     through them.
     """
     packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
-    s, dsdz, cache = _forward(model.spec, model.params, packed)
-    total, dL_dz = _loss(protocol.loss_kind, s, dsdz, labels, coef)
+    z, cache = _forward(model.spec, model.params, packed)
+    total, dL_dz = _loss(protocol.loss_kind, z, labels, coef)
     return float(total), _backward(model.spec, packed, cache, dL_dz)
 
 

@@ -59,17 +59,19 @@ def curriculum_protocol(teacher: matcher.ModelState, sub_batch,
 
     Keeps the ceil(delta * n) of the triples' n pointwise examples with
     smallest teacher cross-entropy, ties broken by pointwise order (earlier
-    wins); the kept examples stay in that order with weight 1.
+    wins); the kept examples stay in that order with weight 1. The teacher
+    pools each triple's context once to score its positive, then negative.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
+    sub_batch = list(sub_batch)
     examples = to_pointwise(sub_batch)
     if not examples:
         raise ValueError("empty sub-batch")
     teacher_losses = losses.cross_entropy(
         np.array([ex.y for ex in examples]),
-        matcher.scores(teacher, [(ex.dialogue.context, (ex.dialogue.response,))
-                                 for ex in examples]))
+        matcher.scores(teacher, [(t.context, (t.pos_response, t.neg_response))
+                                 for t in sub_batch]))
     keep = math.ceil(delta * len(examples))
     selected = np.sort(np.argsort(teacher_losses, kind="stable")[:keep])
     return LearningProtocol(pointwise=tuple((examples[i], 1.0) for i in selected))

@@ -27,8 +27,8 @@ def finite_diff_check(model: ModelState, protocol: LearningProtocol,
     packed, labels, coef = matcher._protocol_arrays(protocol, model.spec.vocab_size)
 
     def loss_at(params):
-        s, dsdz, _ = matcher._forward(model.spec, params, packed)
-        return matcher._loss(protocol.loss_kind, s, dsdz, labels, coef)[0]
+        z, _ = matcher._forward(model.spec, params, packed)
+        return matcher._loss(protocol.loss_kind, z, labels, coef)[0]
 
     worst = 0.0
     params = model.params.astype(np.longdouble)

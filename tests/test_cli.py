@@ -303,6 +303,29 @@ class TestExitCodes:
             capsys, "data error: checkpoint run/pretrained.ckpt:")
 
 
+    # Both sizes ask for exabytes, more than any address space holds, so
+    # numpy refuses them outright on every machine.
+    @pytest.mark.parametrize("vocab, extra, count", [
+        (10 ** 17, "", 8 * 10 ** 17 + 8 * 8 + 1),
+        (None, "embedding_dim = 1000000000\n", 10 ** 18 + 60 * 10 ** 9 + 1),
+    ])
+    def test_model_too_large_to_allocate_is_usage_error(
+            self, workdir, capsys, vocab, extra, count):
+        (workdir / "big.cfg").write_text(TINY_CONFIG + extra)
+        assert _run("generate", "--config", "big.cfg") == 0
+        if vocab is not None:
+            for name in ("train.txt", "valid.txt", "test.txt"):
+                path = workdir / "corpus" / name
+                path.write_text(path.read_text().replace(
+                    "#vocab=60 ", f"#vocab={vocab} ", 1))
+        capsys.readouterr()
+        assert _run("pretrain", "--config", "big.cfg") == 1
+        err = _one_line_error(capsys, f"error: cannot allocate a model of {count} "
+                                      "parameters")
+        assert f"(vocab {vocab or 60}, embedding_dim " in err
+        assert not (workdir / "run").exists()
+
+
 def _edit_meta(workdir, **fields):
     path = workdir / "corpus" / "meta.json"
     meta = json.loads(path.read_text())

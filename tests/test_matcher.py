@@ -189,6 +189,41 @@ class TestScore:
         assert packed.runs.tolist() == [len(rs) for _, rs in groups]
         assert packed.n_utts.tolist() == [len(c) for c, _ in groups]
 
+    @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
+    @settings(max_examples=100, deadline=None)
+    @given(groups=_ragged_groups())
+    def test_scores_are_the_sigmoid_of_the_training_forward(self, kind, groups):
+        # Scoring forms no derivatives, yet gives the training forward's
+        # scores, one response per group, bit for bit.
+        model = init_params(MatcherSpec(kind, vocab_size=20, embedding_dim=8,
+                                        hidden_dim=8), seed=15)
+        pooled = matcher._pack(groups, 20)
+        one_each = matcher._pack([(c, (r,)) for c, rs in groups for r in rs], 20)
+        z, _ = matcher._forward(model.spec, model.params, one_each)
+        assert scores(model, groups).tobytes() == matcher._sigmoid(z).tobytes()
+        for packed in (pooled, one_each):
+            ends = np.cumsum(packed.lengths)
+            assert packed.starts.tolist() == (ends - packed.lengths).tolist()
+            assert packed.ctx_starts.tolist() == (
+                np.cumsum(packed.n_utts) - packed.n_utts).tolist()
+            assert packed.n_ctx == packed.n_utts.sum()
+            assert packed.ids.size == (ends[-1] if ends.size else 0)
+        assert one_each.one_each
+        assert pooled.one_each == all(len(rs) == 1 for _, rs in groups)
+
+    @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
+    def test_groups_without_responses_score_nothing(self, kind):
+        model = init_params(MatcherSpec(kind, vocab_size=20, embedding_dim=4,
+                                        hidden_dim=4), seed=16)
+        empty = (((1, 2), (3,)), ())
+        full = (((4,), (5, 6)), ((7,), (8, 9)))
+        for groups in ([], [empty], [empty, empty]):
+            assert scores(model, groups).shape == (0,)
+        assert (scores(model, [empty, full, empty]).tobytes()
+                == scores(model, [full]).tobytes())
+        with pytest.raises(ValueError, match="token ID out of range"):
+            scores(model, [(((99,),), ())])
+
     def test_matches_per_dialogue_reference(self, small_spec):
         rng = np.random.default_rng(13)
         # Large weights push some bilinear logits past the sigmoid clamp.
@@ -219,8 +254,8 @@ def _add_at_gradient(model, protocol):
     """The gradient as a zero-filled buffer and ``np.add.at`` build it."""
     layout, d = param_layout(model.spec), model.spec.embedding_dim
     packed, labels, coef = matcher._protocol_arrays(protocol, model.spec.vocab_size)
-    s, dsdz, cache = matcher._forward(model.spec, model.params, packed)
-    dL_dz = matcher._loss(protocol.loss_kind, s, dsdz, labels, coef)[1]
+    z, cache = matcher._forward(model.spec, model.params, packed)
+    dL_dz = matcher._loss(protocol.loss_kind, z, labels, coef)[1]
     c, grad = dL_dz[:, None], np.zeros_like(model.params)
     if model.spec.kind == "mean-embedding-bilinear":
         u, v, W, Wv = cache
@@ -299,6 +334,22 @@ class TestLossAndGrad:
         loss, grad = loss_and_grad(model, protocol)
         assert loss == 0.0
         assert np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("bias", [100.0, -100.0])
+    def test_hinge_gradient_is_zero_past_the_clamp(self, small_spec, bias):
+        # Every hinge is active, but past the clamp the score is constant in
+        # the params: the gradient is exactly zero, not s * (1 - s) ~ 1e-13.
+        params = init_params(small_spec, seed=17).params.copy()
+        params[-1] = bias  # b or b2: either head's last parameter
+        model = ModelState(small_spec, params)
+        protocol = _pairwise_protocol(np.random.default_rng(18), n=6,
+                                      make_triple=_ragged_triple)
+        packed, _, _ = matcher._protocol_arrays(protocol, small_spec.vocab_size)
+        z, _ = matcher._forward(small_spec, params, packed)
+        assert np.all(np.abs(z) > matcher._Z_CLAMP)
+        loss, grad = loss_and_grad(model, protocol)
+        assert loss > 0.0
+        assert not grad.any()
 
     def test_zero_weights_give_zero_loss_and_grad(self, small_model):
         rng = np.random.default_rng(3)

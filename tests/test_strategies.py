@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from coteach import (PairwiseTriple, TokenizedDialogue, curriculum_protocol,
-                     init_params, margin_protocol, to_pointwise,
-                     weighting_protocol)
+from coteach import (LearningProtocol, PairwiseTriple, TokenizedDialogue,
+                     curriculum_protocol, init_params, margin_protocol,
+                     to_pointwise, weighting_protocol)
 from coteach import matcher, strategies
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
 
@@ -194,6 +194,36 @@ class TestCurriculumProtocol:
             expected = [examples[i] for i in sorted(order[:keep])]
             protocol = curriculum_protocol(teacher, triples, delta)
             assert [e for e, _ in protocol.pointwise] == expected
+
+    def test_pooled_teacher_equals_unpooled_reference(self, small_spec, monkeypatch):
+        # The teacher pools each triple's context once; a reference that
+        # scores every pointwise example on its own selects the same
+        # instances from the same scores, bit for bit.
+        rng = np.random.default_rng(7)
+        teacher = matcher.ModelState(
+            small_spec, rng.normal(0.0, 1.0, matcher.n_params(small_spec)))
+        triples = [random_triple(rng, n_utts=int(rng.integers(1, 4)))
+                   for _ in range(12)]
+        examples = to_pointwise(triples)
+        reference = matcher.scores(teacher, [(e.dialogue.context, (e.dialogue.response,))
+                                             for e in examples])
+        teacher_losses = cross_entropy(np.array([e.y for e in examples]), reference)
+        order = np.argsort(teacher_losses, kind="stable")
+        for delta in (0.3, 0.75, 1.0):
+            scored = []
+            real_scores = matcher.scores
+            monkeypatch.setattr(matcher, "scores", lambda model, groups: (
+                scored.append((list(groups), real_scores(model, groups)))
+                or scored[-1][1]))
+            protocol = curriculum_protocol(teacher, iter(triples), delta)
+            monkeypatch.undo()
+            keep = math.ceil(delta * len(examples))
+            assert protocol == LearningProtocol(pointwise=tuple(
+                (examples[i], 1.0) for i in sorted(order[:keep])))
+            [(groups, pooled)] = scored
+            assert [(c, tuple(rs)) for c, rs in groups] == [
+                (t.context, (t.pos_response, t.neg_response)) for t in triples]
+            assert pooled.tobytes() == reference.tobytes()
 
     def test_kept_losses_never_exceed_dropped(self, teacher):
         rng = np.random.default_rng(6)
