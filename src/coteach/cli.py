@@ -218,14 +218,9 @@ def cmd_pretrain(config, args) -> int:
     spec = _matcher_spec(config, corpus.vocab_size)
     train_config = _train_config(config, args, "none", pretraining=True)
     run_dir = _usable_dir(_run_dir(config, args))
-    try:
-        with _training("pretrain_lr"):
-            model = engine.pretrain(spec, corpus, train_config)
-            p1 = engine.validation_p_at_1(model, corpus.valid)
-    except MemoryError as exc:
-        raise UsageError(
-            f"cannot allocate a model of {matcher.n_params(spec)} parameters "
-            f"(vocab {spec.vocab_size}, embedding_dim {spec.embedding_dim})") from exc
+    with _training("pretrain_lr"):
+        model = engine.pretrain(spec, corpus, train_config)
+        p1 = engine.validation_p_at_1(model, corpus.valid)
     run_dir.mkdir(parents=True, exist_ok=True)
     matcher.save_checkpoint(model, run_dir / "pretrained.ckpt")
     print(f"wrote {run_dir / 'pretrained.ckpt'} (validation P@1 = {p1:.4f})")

@@ -12,11 +12,11 @@ Parameters live in a single flat float64 vector with a fixed layout
 checkpoints and finite-difference checking trivial.
 
 Every computation is batched: ``_pack`` validates and flattens a sequence
-of (context, responses) groups once, with their segment offsets. One
-``_forward`` returns logits and a backward cache for scoring and training;
-scoring only takes their sigmoid, and ``_loss`` forms ds/dz where it is read.
-``_forward`` and ``_loss`` run in the dtype of the params, so the tests'
-finite-difference oracle can difference the loss in extended precision.
+of (context, responses) groups once. One ``_forward`` returns logits and
+a backward cache for scoring and training; scoring only takes their
+sigmoid, and ``_loss`` forms ds/dz where it is read. ``_forward`` and
+``_loss`` run in the dtype of the params, so the tests' finite-difference
+oracle can difference the loss in extended precision.
 Each group's context is pooled once: scoring passes a ranked group's
 candidates or a triple's two responses as one group, training one response.
 
@@ -69,12 +69,22 @@ def param_layout(spec: MatcherSpec) -> dict[str, slice]:
     interaction-mlp: E (V*d), W1 (h*3d), b1 (h), w2 (h), b2 (1)
     """
     v, d, h = spec.vocab_size, spec.embedding_dim, spec.hidden_dim
-    head = ((("W", d * d), ("b", 1)) if spec.kind == MEAN_EMBEDDING_BILINEAR
-            else (("W1", h * 3 * d), ("b1", h), ("w2", h), ("b2", 1)))
-    layout, off = {}, 0
-    for name, size in (("E", v * d), *head):
-        layout[name] = slice(off, off + size)
-        off += size
+    layout = {"E": slice(0, v * d)}
+    off = v * d
+    if spec.kind == MEAN_EMBEDDING_BILINEAR:
+        layout["W"] = slice(off, off + d * d)
+        off += d * d
+        layout["b"] = slice(off, off + 1)
+        off += 1
+    else:
+        layout["W1"] = slice(off, off + h * 3 * d)
+        off += h * 3 * d
+        layout["b1"] = slice(off, off + h)
+        off += h
+        layout["w2"] = slice(off, off + h)
+        off += h
+        layout["b2"] = slice(off, off + 1)
+        off += 1
     layout["_total"] = slice(0, off)
     return layout
 
@@ -122,7 +132,12 @@ def init_params(spec: MatcherSpec, seed: int) -> ModelState:
     """Initialize weights ~ uniform(-0.1, 0.1) and biases to 0."""
     rng = np.random.default_rng(seed)
     layout = param_layout(spec)
-    params = np.zeros(n_params(spec))
+    n = n_params(spec)
+    try:
+        params = np.zeros(n)
+    except MemoryError as exc:
+        raise ValueError(f"cannot allocate a model of {n} parameters (vocab "
+                         f"{spec.vocab_size}, embedding_dim {spec.embedding_dim})") from exc
     for name, sl in layout.items():
         if name.startswith("b") or name == "_total":
             continue
@@ -134,18 +149,13 @@ class _Packed(NamedTuple):
     """Flat token ids of all context utterances, context by context, then
     of every response; segment k has ``lengths[k]`` tokens, context j has
     ``n_utts[j]`` utterance segments and serves the next ``runs[j]``
-    responses. Segment k starts at ``ids[starts[k]]``, context j at segment
-    ``ctx_starts[j]``, responses at segment ``n_ctx``; ``one_each``: all
-    runs are 1."""
+    responses, whose segments start at segment ``n_ctx``."""
 
     ids: np.ndarray
     lengths: np.ndarray
     n_utts: np.ndarray
     runs: np.ndarray
-    starts: np.ndarray
-    ctx_starts: np.ndarray
     n_ctx: int
-    one_each: bool
 
 
 def _pack(groups, vocab_size: int) -> _Packed:
@@ -163,18 +173,14 @@ def _pack(groups, vocab_size: int) -> _Packed:
         raise ValueError("empty utterance")
     if not lengths[n_ctx:].all():
         raise ValueError("empty response")
-    ends = lengths.cumsum()
-    ids = np.fromiter(chain.from_iterable(segments), np.intp, ends[-1] if n_ctx else 0)
+    ids = np.fromiter(chain.from_iterable(segments), np.intp, int(lengths.sum()))
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError("token ID out of range for vocab")
-    one_each = len(segments) - n_ctx == len(groups) and bool(runs.all())
-    return _Packed(ids, lengths, n_utts, runs, ends - lengths,
-                   n_utts.cumsum() - n_utts, n_ctx, one_each)
+    return _Packed(ids, lengths, n_utts, runs, n_ctx)
 
 
 def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
-    """Logits z and the backward cache of a packed batch; scoring reads only
-    z, so no derivatives are formed here. Offsets come from the pack.
+    """Logits z and the backward cache of a packed batch; forms no derivatives.
 
     Runs in the dtype of ``params``. Every reduction stays inside one
     dialogue (``reduceat`` over its segments, ``einsum`` over its row; BLAS
@@ -186,12 +192,12 @@ def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
     d = spec.embedding_dim
     layout = param_layout(spec)
     E = params[layout["E"]].reshape(spec.vocab_size, d)
-    seg = (np.add.reduceat(E.take(packed.ids, axis=0), packed.starts, axis=0)
+    starts = packed.lengths.cumsum() - packed.lengths
+    seg = (np.add.reduceat(E.take(packed.ids, axis=0), starts, axis=0)
            / packed.lengths[:, None])
-    u = (np.add.reduceat(seg[:packed.n_ctx], packed.ctx_starts, axis=0)
-         / packed.n_utts[:, None])
-    if not packed.one_each:
-        u = u.repeat(packed.runs, axis=0)
+    ctx_starts = packed.n_utts.cumsum() - packed.n_utts
+    u = np.add.reduceat(seg[:packed.n_ctx], ctx_starts, axis=0) / packed.n_utts[:, None]
+    u = u.repeat(packed.runs, axis=0)
     v = seg[packed.n_ctx:]
     if spec.kind == MEAN_EMBEDDING_BILINEAR:
         W = params[layout["W"]].reshape(d, d)
@@ -272,8 +278,7 @@ def _protocol_arrays(protocol: LearningProtocol, vocab_size: int):
 
 
 def _loss(loss_kind: str, z: np.ndarray, labels, coef):
-    """Total protocol loss and dL/dz for the logits of ``_protocol_arrays``;
-    only the hinge reads ds/dz, so only its branch forms it."""
+    """Loss and dL/dz of ``_protocol_arrays``' logits; only the hinge forms ds/dz."""
     s = _sigmoid(z)
     if loss_kind == losses.HINGE_WITH_MARGIN:
         n = coef.size

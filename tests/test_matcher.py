@@ -198,18 +198,12 @@ class TestScore:
         model = init_params(MatcherSpec(kind, vocab_size=20, embedding_dim=8,
                                         hidden_dim=8), seed=15)
         pooled = matcher._pack(groups, 20)
-        one_each = matcher._pack([(c, (r,)) for c, rs in groups for r in rs], 20)
-        z, _ = matcher._forward(model.spec, model.params, one_each)
+        unpooled = matcher._pack([(c, (r,)) for c, rs in groups for r in rs], 20)
+        z, _ = matcher._forward(model.spec, model.params, unpooled)
         assert scores(model, groups).tobytes() == matcher._sigmoid(z).tobytes()
-        for packed in (pooled, one_each):
-            ends = np.cumsum(packed.lengths)
-            assert packed.starts.tolist() == (ends - packed.lengths).tolist()
-            assert packed.ctx_starts.tolist() == (
-                np.cumsum(packed.n_utts) - packed.n_utts).tolist()
+        for packed in (pooled, unpooled):
             assert packed.n_ctx == packed.n_utts.sum()
-            assert packed.ids.size == (ends[-1] if ends.size else 0)
-        assert one_each.one_each
-        assert pooled.one_each == all(len(rs) == 1 for _, rs in groups)
+            assert packed.ids.size == packed.lengths.sum()
 
     @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
     def test_groups_without_responses_score_nothing(self, kind):
