@@ -12,8 +12,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from coteach import (GenConfig, generate_synthetic_corpus, load_corpus,
-                     save_corpus, to_pointwise)
+from coteach import GenConfig, generate_synthetic_corpus, load_corpus, save_corpus
 
 config = GenConfig(vocab_size=200, n_topics=5, n_train=1000, n_valid=200,
                    n_test_contexts=20, n_candidates=10, turns_per_context=3,
@@ -33,10 +32,12 @@ print(f"negative response : {triple.neg_response}")
 print(f"noise flag        : {triple.noise_flag}  "
       "(True = the 'negative' is secretly a plausible response)")
 
-# The pointwise view is what cross-entropy training consumes; the
-# weighting, curriculum and none strategies build it from the triples.
-examples = to_pointwise([triple])
-print("\npointwise view    :", [(e.y, e.dialogue.response) for e in examples])
+# The pointwise view is what cross-entropy training consumes: each triple's
+# positive (y=1), then its negative (y=0). The weighting, curriculum and
+# none strategies address triple t's two examples as positions 2t and
+# 2t + 1 of the split; no example is ever copied out of it.
+examples = [(1, triple.pos_response), (0, triple.neg_response)]
+print("\npointwise view    :", examples)
 
 group = corpus.test[0]
 labels = [label for _, label in group.candidates]

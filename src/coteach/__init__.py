@@ -8,9 +8,8 @@ Includes a synthetic noisy-corpus generator, two small reference matchers
 with analytic gradients, a ranking-evaluation harness, and a CLI pipeline.
 """
 
-from .corpus import (Corpus, GenConfig, PairwiseTriple, PointwiseExample,
-                     TestGroup, TokenizedDialogue, generate_synthetic_corpus,
-                     load_corpus, save_corpus, to_pointwise)
+from .corpus import (Batch, Corpus, GenConfig, PairwiseTriple, TestGroup, Triples,
+                     generate_synthetic_corpus, load_corpus, save_corpus)
 from .engine import (OptimizerState, RunHistory, TrainConfig, adam_update,
                      coteach_step, coteach_train, pretrain, select_model,
                      split_batch, validation_p_at_1)
@@ -23,9 +22,8 @@ from .matcher import (MatcherSpec, ModelState, init_params, load_checkpoint,
 from .strategies import curriculum_protocol, margin_protocol, weighting_protocol
 
 __all__ = [
-    "Corpus", "GenConfig", "PairwiseTriple", "PointwiseExample", "TestGroup",
-    "TokenizedDialogue", "generate_synthetic_corpus", "load_corpus",
-    "save_corpus", "to_pointwise",
+    "Batch", "Corpus", "GenConfig", "PairwiseTriple", "TestGroup", "Triples",
+    "generate_synthetic_corpus", "load_corpus", "save_corpus",
     "OptimizerState", "RunHistory", "TrainConfig", "adam_update",
     "coteach_step", "coteach_train", "pretrain", "select_model",
     "split_batch", "validation_p_at_1",

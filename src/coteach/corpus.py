@@ -6,14 +6,25 @@ The synthetic generator builds a topic-separable corpus with a controllable
 false-negative rate: with probability ``false_negative_rate`` the sampled
 negative comes from the same topic as the context, i.e. it would be a
 perfectly good response that is nevertheless labeled negative.
+
+This module owns the pack. A training or validation split is a
+``Triples``, which packs itself into flat int arrays on first use, checks
+every token and segment then, and keeps the pack. Training and validation
+address triples by position: a ``Batch`` is a split plus an index array,
+and ``matcher`` gathers what it scores or trains on from the split's pack.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,36 +39,14 @@ class CorpusFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class TokenizedDialogue:
-    """A conversation context paired with one response candidate.
-
-    ``context`` is a tuple of utterances, each a tuple of token IDs; the
-    most recent utterance is last.
-    """
-
-    context: tuple[tuple[int, ...], ...]
-    response: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PointwiseExample:
-    """A labeled (y, context, response) training example with y in {0, 1}."""
-
-    y: int
-    dialogue: TokenizedDialogue
-
-    def __post_init__(self):
-        if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y}")
-
-
-@dataclass(frozen=True)
 class PairwiseTriple:
     """A (context, positive response, negative response) training triple.
 
-    ``noise_flag`` marks synthetic false negatives (negative drawn from the
-    context's own topic). It exists for diagnostics only and is absent
-    (None) for non-synthetic corpora; training code never reads it.
+    ``context`` is a tuple of utterances, each a tuple of token IDs; the
+    most recent utterance is last. ``noise_flag`` marks synthetic false
+    negatives (negative drawn from the context's own topic). It exists for
+    diagnostics only and is absent (None) for non-synthetic corpora;
+    training code never reads it.
     """
 
     context: tuple[tuple[int, ...], ...]
@@ -78,15 +67,156 @@ class TestGroup:
     candidates: tuple[tuple[tuple[int, ...], int], ...]
 
 
+class Packed(NamedTuple):
+    """Flat token ids of all context utterances, context by context, then
+    of every response. Segment k is ``ids[starts[k]:starts[k] + lengths[k]]``;
+    context j is the ``n_utts[j]`` segments from segment ``ctx_starts[j]``
+    on and serves the next ``runs[j]`` responses (``runs`` each, if it is
+    one count), whose segments start at segment ``n_ctx``."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    starts: np.ndarray
+    n_utts: np.ndarray
+    ctx_starts: np.ndarray
+    runs: np.ndarray | int
+    n_ctx: int
+
+
+def pack_groups(groups, vocab_size: int | None) -> Packed:
+    """Flatten a sequence of (context, responses) groups, validating every
+    token once (ids below 0, or at or past ``vocab_size`` if given); each
+    group's context is packed once."""
+    runs = np.fromiter((len(rs) for _, rs in groups), np.intp, len(groups))
+    n_utts = np.fromiter((len(c) for c, _ in groups), np.intp, len(groups))
+    if not n_utts.all():
+        raise ValueError("dialogue has no context utterances")
+    segments = [utt for c, _ in groups for utt in c]
+    n_ctx = len(segments)
+    segments += [r for _, rs in groups for r in rs]
+    lengths = np.fromiter(map(len, segments), np.intp, len(segments))
+    if not lengths[:n_ctx].all():
+        raise ValueError("empty utterance")
+    if not lengths[n_ctx:].all():
+        raise ValueError("empty response")
+    ids = np.fromiter(chain.from_iterable(segments), np.intp, int(lengths.sum()))
+    if ids.size and (ids.min() < 0 or vocab_size is not None
+                     and ids.max() >= vocab_size):
+        raise ValueError("token ID out of range for vocab")
+    return Packed(ids, lengths, lengths.cumsum() - lengths, n_utts,
+                  n_utts.cumsum() - n_utts, runs, n_ctx)
+
+
+class Triples(tuple):
+    """Pairwise triples, as a split holds them. ``pack`` is the Packed
+    group (context, (positive, negative)) of every triple, checked against
+    ``vocab_size`` on first use and then kept, so pointwise example 2t + k
+    (triple t's positive for k = 0, its negative for k = 1) is response
+    segment ``n_ctx + 2t + k``."""
+
+    def __new__(cls, triples, vocab_size: int | None = None):
+        split = super().__new__(cls, triples)
+        split.vocab_size = vocab_size
+        return split
+
+    @cached_property
+    def pack(self) -> Packed:
+        return pack_groups([(t.context, (t.pos_response, t.neg_response))
+                            for t in self], self.vocab_size)
+
+    def gather(self, examples: np.ndarray) -> Packed:
+        """The Packed groups whose responses are the pointwise examples in
+        each row of ``examples``, opened by the context of the row's first
+        example's triple. Tokens come out in the order ``pack_groups`` gives
+        the same groups, so the matcher's sums match it bit for bit."""
+        pack, triples = self.pack, examples[:, 0] >> 1
+        n_utts = pack.n_utts[triples]
+        utterances, ctx_starts = _spans(pack.ctx_starts[triples], n_utts)
+        segments = np.concatenate([utterances, pack.n_ctx + examples.ravel()])
+        lengths = pack.lengths[segments]
+        tokens, starts = _spans(pack.starts[segments], lengths)
+        return Packed(pack.ids[tokens], lengths, starts, n_utts, ctx_starts,
+                      examples.shape[1], utterances.size)
+
+
+# Offsets of a triple's positive and negative example from 2t.
+_PAIR = np.array([0, 1])
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray):
+    """The ranges [starts[i], starts[i] + counts[i]) concatenated, and the
+    offset of each range in the result."""
+    offsets = counts.cumsum() - counts
+    return (np.arange(offsets[-1] + counts[-1]) + (starts - offsets).repeat(counts),
+            offsets)
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """The triples of ``split`` at the positions in ``index``; indexing a
+    batch with positions gives the batch of those entries. The constructor
+    checks the positions; ``_unchecked`` builds a batch whose positions are
+    in range by construction, such as a shuffle's or another batch's."""
+
+    split: Triples
+    index: np.ndarray
+
+    def __post_init__(self):
+        if len(self.index) and not (0 <= self.index.min()
+                                    and self.index.max() < len(self.split)):
+            raise ValueError("batch position outside the split")
+
+    @classmethod
+    def _unchecked(cls, split: Triples, index: np.ndarray) -> Batch:
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "split", split)
+        object.__setattr__(batch, "index", index)
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, positions) -> Batch:
+        return Batch._unchecked(self.split, self.index[positions])
+
+    def examples(self) -> np.ndarray:
+        """A row per triple: the pointwise positions of its positive and
+        of its negative."""
+        return 2 * self.index[:, None] + _PAIR
+
+
+def as_batch(triples, vocab_size: int | None = None) -> Batch:
+    """``triples`` as a Batch: a Batch as it is, a Triples whole, and any
+    other sequence of triples as new Triples over ``vocab_size``. An empty
+    batch raises."""
+    batch = triples
+    if not isinstance(batch, Batch):
+        split = triples if isinstance(triples, Triples) else Triples(triples, vocab_size)
+        batch = Batch._unchecked(split, np.arange(len(split)))
+    if not len(batch):
+        raise ValueError("empty batch of triples")
+    return batch
+
+
 @dataclass(frozen=True)
 class Corpus:
-    train: tuple[PairwiseTriple, ...]
-    valid: tuple[PairwiseTriple, ...]
+    """``train`` and ``valid`` are kept as Triples over ``vocab_size``, so a
+    bad triple is rejected when its split is packed. Such Triples are kept
+    as they are, pack included, by a corpus built from them."""
+
+    train: Triples
+    valid: Triples
     test: tuple[TestGroup, ...]
     vocab_size: int
     n_candidates: int = 10
     seed: int | None = None
     noise_rate: float | None = None
+
+    def __post_init__(self):
+        for name in ("train", "valid"):
+            split = getattr(self, name)
+            if not (isinstance(split, Triples) and split.vocab_size == self.vocab_size):
+                object.__setattr__(self, name, Triples(split, self.vocab_size))
 
 
 @dataclass(frozen=True)
@@ -202,19 +332,6 @@ def generate_synthetic_corpus(config: GenConfig) -> Corpus:
                   seed=config.seed, noise_rate=config.false_negative_rate)
 
 
-def to_pointwise(triples) -> list[PointwiseExample]:
-    """Expand pairwise triples into the pointwise view.
-
-    Each triple yields (1, c, r+) followed by (0, c, r-); order is
-    preserved, so the output alternates labels 1, 0, 1, 0, ...
-    """
-    out = []
-    for t in triples:
-        out.append(PointwiseExample(1, TokenizedDialogue(t.context, t.pos_response)))
-        out.append(PointwiseExample(0, TokenizedDialogue(t.context, t.neg_response)))
-    return out
-
-
 # ----------------------------------------------------------------------
 # File IO
 #
@@ -240,6 +357,24 @@ _TRIPLE_BLOCK = 2, ({"POS": 1}, {"NEG": 0})
 _GROUP_BLOCK = None, ({"0": 0, "1": 1},)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """``open(path, mode, **kwargs)`` by way of a temp file that replaces
+    ``path`` only when the block ends without error; otherwise the temp
+    file is removed and ``path`` keeps its bytes. An OSError on the temp
+    file names ``path``."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException as exc:
+        Path(tmp).unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+        raise
+
+
 def _format_tokens(tokens) -> str:
     return " ".join(map(str, tokens))
 
@@ -252,7 +387,8 @@ def _write_blocks(path, header: str, blocks) -> None:
         context = "".join(_format_tokens(utt) + "\t" for utt in context)
         for response, label in candidates:
             lines.append(f"{label}\t{context}{_format_tokens(response)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path, encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -273,7 +409,8 @@ def save_corpus(corpus: Corpus, path) -> None:
         "train_noise_flags": _flag_list(corpus.train),
         "valid_noise_flags": _flag_list(corpus.valid),
     }
-    (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with atomic_open(path / "meta.json", encoding="utf-8") as f:
+        f.write(json.dumps(meta))
 
 
 def _flag_list(triples):
@@ -332,7 +469,7 @@ def parse_metric(cell: str) -> float:
 
 def write_csv(path, header, rows) -> None:
     """Write a header row and then ``rows`` of ready-formatted cells as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(path, newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)

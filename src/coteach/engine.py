@@ -9,6 +9,10 @@ are applied cannot matter. The engine picks the strategy by name;
 ``strategies`` builds each protocol, instance view included, and
 ``matcher`` turns it into a loss and gradient.
 
+The engine never packs: a batch is a ``corpus.Batch``, positions in the
+corpus's training split, whose pack that split builds once, on first use.
+Validation scores the validation split's pack the same way.
+
 Randomness is organized as one RNG stream per concern (init / shuffle /
 split), each seeded by (seed, concern, epoch), so e.g. changing the
 evaluation cadence never perturbs the data order. That order lives in
@@ -25,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matcher, strategies
-from .corpus import Corpus, parse_metric, read_text, write_csv
+from .corpus import Batch, Corpus, as_batch, parse_metric, read_text, write_csv
 
 STRATEGIES = ("margin", "weighting", "curriculum", "none")
 
@@ -165,46 +169,47 @@ def _apply_update(model: matcher.ModelState, grad: np.ndarray,
 
 
 def split_batch(batch, rng: np.random.Generator):
-    """Randomly permute and halve a batch into two disjoint sub-batches."""
+    """Randomly permute and halve a batch (a Batch or an index array) into
+    two disjoint sub-batches."""
     if len(batch) % 2 != 0:
         raise ValueError("batch size must be even")
     perm = rng.permutation(len(batch))
     half = len(batch) // 2
-    return ([batch[i] for i in perm[:half]], [batch[i] for i in perm[half:]])
+    return batch[perm[:half]], batch[perm[half:]]
 
 
 def validation_p_at_1(model: matcher.ModelState, triples) -> float:
     """P@1 over validation triples framed as 2-candidate ranking.
 
     The positive candidate precedes the negative, so a score tie ranks the
-    positive first.
+    positive first. ``triples`` is a split, whose kept pack is scored, or
+    a Batch or any sequence of triples.
     """
-    if not triples:
-        raise ValueError("empty validation set")
-    n = len(triples)
-    s = matcher.scores(model, [(t.context, (t.pos_response, t.neg_response))
-                               for t in triples])
-    return int(np.count_nonzero(s[0::2] >= s[1::2])) / n
+    batch = as_batch(triples, model.spec.vocab_size)
+    s = matcher.example_scores(model, batch.split, batch.examples())
+    return int(np.count_nonzero(s[0::2] >= s[1::2])) / len(batch)
 
 
 def _batches(corpus: Corpus, config: TrainConfig):
     """(iteration, batch, split_rng) for each full batch of every epoch's
-    shuffle, numbered from 1; split_rng is the epoch's stream for halving
-    batches. Raises on the call if the training set holds no full batch."""
-    size = config.batch_size
-    n_batches = len(corpus.train) // size
+    shuffle, numbered from 1; a batch is a Batch of the training split, and
+    split_rng is the epoch's stream for halving batches. Raises on the call
+    if the training set holds no full batch."""
+    size, train = config.batch_size, corpus.train
+    n_batches = len(train) // size
     if n_batches == 0:
         raise ValueError(
-            f"training set of {len(corpus.train)} triples is smaller than "
+            f"training set of {len(train)} triples is smaller than "
             f"one batch ({size})")
 
     def walk():
         for epoch in range(config.n_epochs):
-            perm = _stream(config.seed, "shuffle", epoch).permutation(len(corpus.train))
+            perm = _stream(config.seed, "shuffle", epoch).permutation(len(train))
             split_rng = _stream(config.seed, "split", epoch)
             for k in range(n_batches):
-                batch = [corpus.train[i] for i in perm[k * size:(k + 1) * size]]
-                yield epoch * n_batches + k + 1, batch, split_rng
+                yield (epoch * n_batches + k + 1,
+                       Batch._unchecked(train, perm[k * size:(k + 1) * size]),
+                       split_rng)
     return walk()
 
 

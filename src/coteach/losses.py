@@ -2,11 +2,15 @@
 
 A learning protocol is what one peer model hands the other in each
 co-teaching iteration: the selected training instances together with their
-per-instance margins or weights. The instances fix the loss: pairwise
-(triple, margin) instances train with the hinge loss, pointwise (example,
-weight) instances with cross-entropy. Margins and weights are produced by
+per-instance margins or weights. The instances fix the loss: pairs of
+examples train with the hinge loss and a margin each, single examples
+with cross-entropy and a weight each. Margins and weights are produced by
 the teacher (see ``strategies``) and treated as constants by the student's
 gradient.
+
+A protocol holds no dialogues, only positions in a ``corpus.Triples``
+split, whose pack ``matcher`` gathers the student's batch from. It checks
+its positions, margins and weights once, when it is built.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PairwiseTriple, PointwiseExample
+from .corpus import Triples
 
 # Loss kinds, as ``LearningProtocol.loss_kind`` names them
 CROSS_ENTROPY = "cross_entropy"
@@ -27,33 +31,53 @@ HINGE_WITH_MARGIN = "hinge_with_margin"
 CE_EPS = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearningProtocol:
-    """The instances of one student update.
+    """The instances of one student update, as positions in the pointwise
+    view of ``split`` (2t is triple t's positive, y = 1, and 2t + 1 its
+    negative, y = 0), and ``coef``, one float per instance.
 
-    Exactly one of ``pairwise`` / ``pointwise`` is nonempty: (triple,
-    margin) pairs with margin >= 0 train with the hinge loss, (example,
-    weight) pairs with weight in [0, 1] train with cross-entropy. Plain
+    The instances fix the loss. A row of two positions in ``examples``
+    trains with the hinge loss, the first ranked above the second, and its
+    coefficient is a margin >= 0. A single position trains with
+    cross-entropy, and its coefficient is a weight in [0, 1]; plain
     cross-entropy is the case where every weight is 1.
     """
 
-    pairwise: tuple[tuple[PairwiseTriple, float], ...] = ()
-    pointwise: tuple[tuple[PointwiseExample, float], ...] = ()
+    split: Triples
+    examples: np.ndarray
+    coef: np.ndarray
 
     def __post_init__(self):
-        if bool(self.pairwise) == bool(self.pointwise):
-            raise ValueError("exactly one of pairwise/pointwise must be nonempty")
-        for _, margin in self.pairwise:
-            if margin < 0:
-                raise ValueError(f"negative margin {margin}")
-        for _, weight in self.pointwise:
-            if not 0.0 <= weight <= 1.0:
-                raise ValueError(f"weight {weight} outside [0, 1]")
+        examples, coef = self.examples, self.coef
+        if not coef.size or examples.shape not in ((coef.size,), (coef.size, 2)):
+            raise ValueError("need one margin or weight for each of at least "
+                             "one instance")
+        if examples.min() < 0 or examples.max() >= 2 * len(self.split):
+            raise ValueError("instance position outside the split")
+        if examples.ndim == 2 and (coef < 0).any():
+            raise ValueError(f"negative margin {coef.min()}")
+        if examples.ndim == 1 and not ((0.0 <= coef) & (coef <= 1.0)).all():
+            raise ValueError("weight outside [0, 1]")
 
     @property
     def loss_kind(self) -> str:
-        """``HINGE_WITH_MARGIN`` for pairwise instances, else ``CROSS_ENTROPY``."""
-        return HINGE_WITH_MARGIN if self.pairwise else CROSS_ENTROPY
+        """``HINGE_WITH_MARGIN`` for pairs of examples, else ``CROSS_ENTROPY``."""
+        return HINGE_WITH_MARGIN if self.examples.ndim == 2 else CROSS_ENTROPY
+
+    @property
+    def pairwise(self) -> tuple:
+        """((first, second) positions, margin) of each hinge instance."""
+        if self.examples.ndim == 1:
+            return ()
+        return tuple(zip(map(tuple, self.examples.tolist()), self.coef.tolist()))
+
+    @property
+    def pointwise(self) -> tuple:
+        """(position, weight) of each cross-entropy instance."""
+        if self.examples.ndim == 2:
+            return ()
+        return tuple(zip(self.examples.tolist(), self.coef.tolist()))
 
 
 def cross_entropy(y, s):
@@ -66,7 +90,14 @@ def cross_entropy(y, s):
 
 
 def hinge_with_margin(s_pos, s_neg, margin):
-    """Ranking hinge max(0, margin - s_pos + s_neg), element-wise."""
+    """Ranking hinge max(0, margin - s_pos + s_neg), element-wise; a
+    negative margin raises."""
     if np.any(np.less(margin, 0)):
         raise ValueError(f"negative margin {np.min(margin)}")
+    return hinge(s_pos, s_neg, margin)
+
+
+def hinge(s_pos, s_neg, margin):
+    """``hinge_with_margin`` for margins already checked, such as a
+    protocol's."""
     return np.maximum(0.0, margin - s_pos + s_neg)

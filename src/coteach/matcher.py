@@ -11,12 +11,16 @@ Parameters live in a single flat float64 vector with a fixed layout
 (embedding table first, then the head), which keeps optimizer state,
 checkpoints and finite-difference checking trivial.
 
-Every computation is batched: ``_pack`` validates and flattens a sequence
-of (context, responses) groups once. One ``_forward`` returns logits and
-a backward cache for scoring and training; scoring only takes their
-sigmoid, and ``_loss`` forms ds/dz where it is read. ``_forward`` and
-``_loss`` run in the dtype of the params, so the tests' finite-difference
-oracle can difference the loss in extended precision.
+Every computation is batched over a ``corpus.Packed`` batch of (context,
+responses) groups. Training, teachers and validation gather it by index
+arithmetic from the pack of a ``corpus.Triples`` split, which owns the
+pack and checked its tokens when it built it. ``scores`` packs groups the
+caller builds, such as ranked test groups, checking them on every call.
+One ``_forward`` returns logits and a backward cache for scoring
+and training; scoring only takes their sigmoid, and ``_loss`` forms ds/dz
+where it is read. ``_forward`` and ``_loss`` run in the dtype of the
+params, so the tests' finite-difference oracle can difference the loss in
+extended precision.
 Each group's context is pooled once: scoring passes a ranked group's
 candidates or a triple's two responses as one group, training one response.
 
@@ -30,13 +34,11 @@ scatter's, and the tests compare the two bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
 from . import losses
-from .corpus import TokenizedDialogue
+from .corpus import Packed, Triples, atomic_open, pack_groups
 from .losses import LearningProtocol
 
 MEAN_EMBEDDING_BILINEAR = "mean-embedding-bilinear"
@@ -145,41 +147,7 @@ def init_params(spec: MatcherSpec, seed: int) -> ModelState:
     return ModelState(spec, params)
 
 
-class _Packed(NamedTuple):
-    """Flat token ids of all context utterances, context by context, then
-    of every response; segment k has ``lengths[k]`` tokens, context j has
-    ``n_utts[j]`` utterance segments and serves the next ``runs[j]``
-    responses, whose segments start at segment ``n_ctx``."""
-
-    ids: np.ndarray
-    lengths: np.ndarray
-    n_utts: np.ndarray
-    runs: np.ndarray
-    n_ctx: int
-
-
-def _pack(groups, vocab_size: int) -> _Packed:
-    """Flatten a sequence of (context, responses) groups, validating every
-    token once; each group's context is packed once."""
-    runs = np.fromiter((len(rs) for _, rs in groups), np.intp, len(groups))
-    n_utts = np.fromiter((len(c) for c, _ in groups), np.intp, len(groups))
-    if not n_utts.all():
-        raise ValueError("dialogue has no context utterances")
-    segments = [utt for c, _ in groups for utt in c]
-    n_ctx = len(segments)
-    segments += [r for _, rs in groups for r in rs]
-    lengths = np.fromiter(map(len, segments), np.intp, len(segments))
-    if not lengths[:n_ctx].all():
-        raise ValueError("empty utterance")
-    if not lengths[n_ctx:].all():
-        raise ValueError("empty response")
-    ids = np.fromiter(chain.from_iterable(segments), np.intp, int(lengths.sum()))
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        raise ValueError("token ID out of range for vocab")
-    return _Packed(ids, lengths, n_utts, runs, n_ctx)
-
-
-def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
+def _forward(spec: MatcherSpec, params: np.ndarray, packed: Packed):
     """Logits z and the backward cache of a packed batch; forms no derivatives.
 
     Runs in the dtype of ``params``. Every reduction stays inside one
@@ -192,11 +160,10 @@ def _forward(spec: MatcherSpec, params: np.ndarray, packed: _Packed):
     d = spec.embedding_dim
     layout = param_layout(spec)
     E = params[layout["E"]].reshape(spec.vocab_size, d)
-    starts = packed.lengths.cumsum() - packed.lengths
-    seg = (np.add.reduceat(E.take(packed.ids, axis=0), starts, axis=0)
+    seg = (np.add.reduceat(E.take(packed.ids, axis=0), packed.starts, axis=0)
            / packed.lengths[:, None])
-    ctx_starts = packed.n_utts.cumsum() - packed.n_utts
-    u = np.add.reduceat(seg[:packed.n_ctx], ctx_starts, axis=0) / packed.n_utts[:, None]
+    u = (np.add.reduceat(seg[:packed.n_ctx], packed.ctx_starts, axis=0)
+         / packed.n_utts[:, None])
     u = u.repeat(packed.runs, axis=0)
     v = seg[packed.n_ctx:]
     if spec.kind == MEAN_EMBEDDING_BILINEAR:
@@ -219,7 +186,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -_Z_CLAMP), _Z_CLAMP)))
 
 
-def _backward(spec: MatcherSpec, packed: _Packed, cache,
+def _backward(spec: MatcherSpec, packed: Packed, cache,
               dL_dz: np.ndarray) -> np.ndarray:
     """sum_i dL_dz[i] * dz_i/dtheta as a new flat vector (same layout).
 
@@ -258,23 +225,18 @@ def _backward(spec: MatcherSpec, packed: _Packed, cache,
     return grad
 
 
-def _protocol_arrays(protocol: LearningProtocol, vocab_size: int):
+def _protocol_arrays(protocol: LearningProtocol):
     """A protocol's packed groups, labels and per-instance coefficients;
     each group holds one response.
 
-    Hinge: every triple's positive, then every triple's negative, no labels,
+    Hinge: every pair's first example, then every pair's second, no labels,
     the margins. Cross-entropy: one group per example, the labels y, the
     weights (all 1 for plain cross-entropy).
     """
+    split, examples = protocol.split, protocol.examples
     if protocol.loss_kind == losses.HINGE_WITH_MARGIN:
-        triples, margins = zip(*protocol.pairwise)
-        groups = ([(t.context, (t.pos_response,)) for t in triples]
-                  + [(t.context, (t.neg_response,)) for t in triples])
-        return _pack(groups, vocab_size), None, np.array(margins)
-    examples, weights = zip(*protocol.pointwise)
-    return (_pack([(e.dialogue.context, (e.dialogue.response,)) for e in examples],
-                  vocab_size),
-            np.array([e.y for e in examples]), np.array(weights))
+        return split.gather(examples.T.reshape(-1, 1)), None, protocol.coef
+    return split.gather(examples[:, None]), 1 - (examples & 1), protocol.coef
 
 
 def _loss(loss_kind: str, z: np.ndarray, labels, coef):
@@ -282,7 +244,7 @@ def _loss(loss_kind: str, z: np.ndarray, labels, coef):
     s = _sigmoid(z)
     if loss_kind == losses.HINGE_WITH_MARGIN:
         n = coef.size
-        hinge = losses.hinge_with_margin(s[:n], s[n:], coef)
+        hinge = losses.hinge(s[:n], s[n:], coef)
         active = (hinge > 0.0).astype(s.dtype)
         dsdz = np.where(np.abs(z) < _Z_CLAMP, s * (1.0 - s), 0.0)
         return hinge.sum(), np.concatenate([-active, active]) * dsdz
@@ -299,13 +261,22 @@ def scores(model: ModelState, groups) -> np.ndarray:
     the next. Each group's context is pooled once, and each entry equals,
     bit for bit, the score of that dialogue alone.
     """
-    z, _ = _forward(model.spec, model.params, _pack(groups, model.spec.vocab_size))
+    z, _ = _forward(model.spec, model.params, pack_groups(groups, model.spec.vocab_size))
     return _sigmoid(z)
 
 
-def score(model: ModelState, dialogue: TokenizedDialogue) -> float:
+def example_scores(model: ModelState, split: Triples, examples: np.ndarray) -> np.ndarray:
+    """Scores of the pointwise examples of ``split`` in each row of
+    ``examples``, row by row. A row's examples share one triple, whose
+    context is pooled once; each entry equals ``score`` of that dialogue,
+    bit for bit."""
+    packed = split.gather(examples)
+    return _sigmoid(_forward(model.spec, model.params, packed)[0])
+
+
+def score(model: ModelState, context, response) -> float:
     """Matching score s(c, r) in (0, 1) of one dialogue."""
-    return float(scores(model, [(dialogue.context, (dialogue.response,))])[0])
+    return float(scores(model, [(context, (response,))])[0])
 
 
 def loss_and_grad(model: ModelState, protocol: LearningProtocol):
@@ -314,7 +285,7 @@ def loss_and_grad(model: ModelState, protocol: LearningProtocol):
     Teacher-provided margins and weights are constants; no gradient flows
     through them.
     """
-    packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
+    packed, labels, coef = _protocol_arrays(protocol)
     z, cache = _forward(model.spec, model.params, packed)
     total, dL_dz = _loss(protocol.loss_kind, z, labels, coef)
     return float(total), _backward(model.spec, packed, cache, dL_dz)
@@ -325,7 +296,7 @@ def save_checkpoint(model: ModelState, path) -> None:
     spec = model.spec
     header = (f"{spec.kind} {spec.vocab_size} {spec.embedding_dim} "
               f"{spec.hidden_dim} {model.params.size}\n")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(header.encode("utf-8"))
         f.write(model.params.astype("<f8").tobytes())
 

@@ -1,12 +1,13 @@
 """Teaching strategies: how a teacher model builds its peer's protocol.
 
 Each strategy is a pure function of (teacher parameters, sub-batch of
-pairwise triples, hyperparameter). It owns its instance view: margin keeps
-the triples, the others expand them into the pointwise view themselves.
-The teacher only annotates or filters; the returned protocol carries the
-student's instances plus per-instance margins or weights, which fix the
-loss. The ``none`` protocol needs no teacher: plain cross-entropy, the
-loss of pretraining too.
+pairwise triples, hyperparameter). The sub-batch is a ``corpus.Batch`` of
+a packed split, or a sequence of triples, packed on the call; the teacher
+scores what ``matcher`` gathers from the split's pack. It only annotates
+or filters: the protocol holds positions in the split's pointwise view,
+a (positive, negative) pair per triple for margin and single examples
+otherwise, plus per-instance margins or weights. The ``none`` protocol
+needs no teacher: plain cross-entropy, the loss of pretraining too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from . import losses, matcher
-from .corpus import to_pointwise
+from .corpus import as_batch
 from .losses import LearningProtocol
 
 
@@ -31,11 +32,11 @@ def margin_protocol(teacher: matcher.ModelState, sub_batch,
     """
     if not 0 < lam < math.inf:  # also rejects nan
         raise ValueError("lambda must be positive and finite")
-    sub_batch = list(sub_batch)
-    s = matcher.scores(teacher, [(t.context, (t.pos_response, t.neg_response))
-                                 for t in sub_batch])
-    margins = np.maximum(0.0, lam * (s[0::2] - s[1::2])).tolist()
-    return LearningProtocol(pairwise=tuple(zip(sub_batch, margins)))
+    batch = as_batch(sub_batch, teacher.spec.vocab_size)
+    examples = batch.examples()
+    s = matcher.example_scores(teacher, batch.split, examples)
+    return LearningProtocol(batch.split, examples,
+                            np.maximum(0.0, lam * (s[0::2] - s[1::2])))
 
 
 def weighting_protocol(teacher: matcher.ModelState, sub_batch) -> LearningProtocol:
@@ -45,12 +46,10 @@ def weighting_protocol(teacher: matcher.ModelState, sub_batch) -> LearningProtoc
     teacher scores highly (suspected false negatives) are downweighted
     toward 0.
     """
-    examples = to_pointwise(sub_batch)
-    neg_weights = iter((1.0 - matcher.scores(
-        teacher, [(ex.dialogue.context, (ex.dialogue.response,))
-                  for ex in examples if ex.y != 1])).tolist())
-    return LearningProtocol(pointwise=tuple(
-        (ex, 1.0 if ex.y == 1 else next(neg_weights)) for ex in examples))
+    batch = as_batch(sub_batch, teacher.spec.vocab_size)
+    examples, weights = batch.examples(), np.ones(2 * len(batch))
+    weights[1::2] = 1.0 - matcher.example_scores(teacher, batch.split, examples[:, 1:])
+    return LearningProtocol(batch.split, examples.ravel(), weights)
 
 
 def curriculum_protocol(teacher: matcher.ModelState, sub_batch,
@@ -64,19 +63,20 @@ def curriculum_protocol(teacher: matcher.ModelState, sub_batch,
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    sub_batch = list(sub_batch)
-    examples = to_pointwise(sub_batch)
-    if not examples:
-        raise ValueError("empty sub-batch")
-    teacher_losses = losses.cross_entropy(
-        np.array([ex.y for ex in examples]),
-        matcher.scores(teacher, [(t.context, (t.pos_response, t.neg_response))
-                                 for t in sub_batch]))
-    keep = math.ceil(delta * len(examples))
+    batch = as_batch(sub_batch, teacher.spec.vocab_size)
+    examples = batch.examples()
+    s = matcher.example_scores(teacher, batch.split, examples)
+    examples = examples.ravel()
+    teacher_losses = losses.cross_entropy(1 - (examples & 1), s)
+    keep = math.ceil(delta * examples.size)
     selected = np.sort(np.argsort(teacher_losses, kind="stable")[:keep])
-    return LearningProtocol(pointwise=tuple((examples[i], 1.0) for i in selected))
+    return LearningProtocol(batch.split, examples[selected], np.ones(keep))
 
 
 def none_protocol(sub_batch) -> LearningProtocol:
-    """No teaching: plain cross-entropy, weight 1, on the pointwise view."""
-    return LearningProtocol(pointwise=tuple((ex, 1.0) for ex in to_pointwise(sub_batch)))
+    """No teaching: plain cross-entropy, weight 1, on the pointwise view.
+    With no teacher to bring a vocab, a sequence of triples meets it at
+    the student's forward."""
+    batch = as_batch(sub_batch)
+    return LearningProtocol(batch.split, batch.examples().ravel(),
+                            np.ones(2 * len(batch)))

@@ -1,10 +1,13 @@
 """Shared fixtures: small corpora and models sized for fast tests."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from coteach import (GenConfig, MatcherSpec, engine, generate_synthetic_corpus,
-                     init_params, matcher)
+from coteach import (GenConfig, LearningProtocol, MatcherSpec, PairwiseTriple,
+                     Triples, engine, generate_synthetic_corpus, init_params,
+                     matcher)
 
 
 @pytest.fixture(scope="session")
@@ -30,23 +33,62 @@ def small_model(small_spec):
     return init_params(small_spec, seed=11)
 
 
+class Dialogue(NamedTuple):
+    """A context and one response; ``score(model, *dialogue)`` scores it."""
+
+    context: tuple
+    response: tuple
+
+
 def random_dialogue(rng, vocab_size=20, n_utts=2, n_tokens=3):
-    """A random TokenizedDialogue for property tests."""
-    from coteach import TokenizedDialogue
+    """A random Dialogue for property tests."""
     context = tuple(
         tuple(int(t) for t in rng.integers(0, vocab_size, size=n_tokens))
         for _ in range(n_utts))
     response = tuple(int(t) for t in rng.integers(0, vocab_size, size=n_tokens))
-    return TokenizedDialogue(context, response)
+    return Dialogue(context, response)
 
 
 def random_triple(rng, vocab_size=20, n_utts=2, n_tokens=3):
-    from coteach import PairwiseTriple
     d = random_dialogue(rng, vocab_size, n_utts, n_tokens)
     neg = tuple(int(t) for t in rng.integers(0, vocab_size, size=n_tokens))
     while neg == d.response:
         neg = tuple(int(t) for t in rng.integers(0, vocab_size, size=n_tokens))
     return PairwiseTriple(d.context, d.response, neg)
+
+
+def pairwise_protocol(triples, margins):
+    """The hinge protocol of ``triples``, in order, with ``margins``."""
+    return LearningProtocol(Triples(triples), 2 * np.arange(len(triples))[:, None]
+                            + (0, 1), np.array(margins, dtype=float))
+
+
+def pointwise_protocol(examples, weights):
+    """The cross-entropy protocol of (y, context, response) ``examples``
+    with ``weights``. Example i becomes triple i, whose positive (y = 1) or
+    negative (y = 0) is the response; the other response is a filler."""
+    triples = [PairwiseTriple(c, r, (0,)) if y else PairwiseTriple(c, (0,), r)
+               for y, c, r in examples]
+    return LearningProtocol(
+        Triples(triples), np.array([2 * i + 1 - y for i, (y, _, _) in enumerate(examples)]),
+        np.array(weights, dtype=float))
+
+
+def example(split, position):
+    """Pointwise example ``position`` of ``split`` as (y, context, response)."""
+    t = split[position // 2]
+    return (1, t.context, t.pos_response) if position % 2 == 0 else (
+        0, t.context, t.neg_response)
+
+
+def fix_teacher_scores(monkeypatch, table):
+    """Make matcher.example_scores score each response as table[response],
+    whatever the model."""
+
+    def fake(model, split, examples):
+        return np.array([table[example(split, e)[2]] for e in examples.ravel()])
+
+    monkeypatch.setattr(matcher, "example_scores", fake)
 
 
 class BFirstStep:

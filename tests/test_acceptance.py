@@ -15,10 +15,10 @@ import pytest
 import coteach as ct
 from coteach import engine, evaluation, matcher, strategies
 from coteach.cli import main as cli_main
-from coteach.losses import (CROSS_ENTROPY, HINGE_WITH_MARGIN, LearningProtocol,
-                            cross_entropy)
+from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
 
-from conftest import BFirstStep, random_dialogue, random_triple
+from conftest import (BFirstStep, example, fix_teacher_scores, pairwise_protocol,
+                      pointwise_protocol, random_dialogue, random_triple)
 from oracles import finite_diff_check
 
 
@@ -36,16 +36,14 @@ def _random_protocol(rng, loss_kind, vocab_size):
     draws, all 1 (plain cross-entropy)."""
     n = int(rng.integers(1, 4))
     if loss_kind == HINGE_WITH_MARGIN:
-        pairwise = tuple(
-            (random_triple(rng, vocab_size), float(rng.uniform(0.0, 0.5)))
-            for _ in range(n))
-        return LearningProtocol(pairwise=pairwise)
+        pairwise = [(random_triple(rng, vocab_size), float(rng.uniform(0.0, 0.5)))
+                    for _ in range(n)]
+        return pairwise_protocol(*zip(*pairwise))
     weighted = bool(rng.integers(2))
-    pointwise = tuple(
-        (ct.PointwiseExample(int(rng.integers(2)), random_dialogue(rng, vocab_size)),
-         float(rng.uniform(0.0, 1.0)) if weighted else 1.0)
-        for _ in range(n))
-    return LearningProtocol(pointwise=pointwise)
+    pointwise = [((int(rng.integers(2)), *random_dialogue(rng, vocab_size)),
+                  float(rng.uniform(0.0, 1.0)) if weighted else 1.0)
+                 for _ in range(n)]
+    return pointwise_protocol(*zip(*pointwise))
 
 
 def test_1_gradients_match_finite_differences(capsys):
@@ -74,7 +72,7 @@ def test_1_gradients_match_finite_differences(capsys):
 # ---------------------------------------------------------------- check 2
 
 
-def test_2_strategy_formulas(capsys):
+def test_2_strategy_formulas(capsys, monkeypatch):
     spec = ct.MatcherSpec("mean-embedding-bilinear", vocab_size=20,
                           embedding_dim=4)
     teacher = ct.init_params(spec, 7)
@@ -82,10 +80,8 @@ def test_2_strategy_formulas(capsys):
 
     # margin: hold the teacher's scores fixed and verify the formula exactly
     fixed = {(2,): 0.9, (3,): 0.1, (4,): 0.2, (5,): 0.7}
-    real_scores = matcher.scores
-    matcher.scores = lambda m, groups: np.array([fixed[r] for _, rs in groups
-                                                 for r in rs])
-    try:
+    with monkeypatch.context() as patch:
+        fix_teacher_scores(patch, fixed)
         confident = strategies.margin_protocol(
             teacher, [ct.PairwiseTriple(((1,),), (2,), (3,))], lam=0.5)
         misranked = strategies.margin_protocol(
@@ -104,12 +100,8 @@ def test_2_strategy_formulas(capsys):
         for response, loss, y in zip([(10,), (11,), (12,), (13,)],
                                      [0.2, 0.9, 0.1, 0.5], [1, 0, 1, 0]):
             fixed[response] = math.exp(-loss) if y else 1.0 - math.exp(-loss)
-        cur_examples = ct.to_pointwise(cur_triples)
         selected = strategies.curriculum_protocol(teacher, cur_triples, delta=0.5)
-        checks.append([e for e, _ in selected.pointwise]
-                      == [cur_examples[0], cur_examples[2]])
-    finally:
-        matcher.scores = real_scores
+        checks.append([e for e, _ in selected.pointwise] == [0, 2])
 
     # curriculum equals the full-sort oracle on 1000 random sub-batches
     rng = np.random.default_rng(202)
@@ -118,14 +110,14 @@ def test_2_strategy_formulas(capsys):
         n = int(rng.integers(1, 7))
         delta = float(rng.uniform(0.05, 1.0))
         triples = [random_triple(rng, 20) for _ in range(n)]
-        examples = ct.to_pointwise(triples)
-        losses = [cross_entropy(e.y, matcher.score(teacher, e.dialogue))
-                  for e in examples]
+        examples = [example(triples, i) for i in range(2 * n)]
+        losses = [cross_entropy(y, matcher.score(teacher, c, r))
+                  for y, c, r in examples]
         keep = math.ceil(delta * len(examples))
         order = np.argsort(np.array(losses), kind="stable")
         expected = [examples[i] for i in sorted(order[:keep])]
         protocol = strategies.curriculum_protocol(teacher, triples, delta)
-        if [e for e, _ in protocol.pointwise] != expected:
+        if [example(protocol.split, e) for e, _ in protocol.pointwise] != expected:
             oracle_ok = False
             break
     checks.append(oracle_ok)
@@ -154,8 +146,8 @@ def test_3_coteaching_loop_fidelity(capsys, monkeypatch):
     def check_split(batch, rng):
         sub_a, sub_b = real_split(batch, rng)
         ids_ok = (len(sub_a) == len(sub_b) == len(batch) // 2
-                  and sorted([id(t) for t in sub_a + sub_b])
-                  == sorted(id(t) for t in batch))
+                  and sub_a.split is sub_b.split is batch.split
+                  and sorted([*sub_a.index, *sub_b.index]) == sorted(batch.index))
         split_ok[0] = split_ok[0] and ids_ok
         return sub_a, sub_b
 
@@ -172,9 +164,8 @@ def test_3_coteaching_loop_fidelity(capsys, monkeypatch):
             split_rng = engine._stream(config.seed, "split", epoch)
             perm = shuffle_rng.permutation(len(corpus.train))
             for k in range(len(corpus.train) // config.batch_size):
-                batch = [corpus.train[i]
-                         for i in perm[k * config.batch_size:
-                                       (k + 1) * config.batch_size]]
+                batch = ct.Batch(corpus.train, perm[k * config.batch_size:
+                                                    (k + 1) * config.batch_size])
                 model_a, model_b, opt_a, opt_b, _, _ = step(
                     model_a, model_b, opt_a, opt_b, batch, config, split_rng)
                 iters += 1

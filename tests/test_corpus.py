@@ -5,12 +5,14 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from coteach import (Corpus, GenConfig, PairwiseTriple,
-                     generate_synthetic_corpus, load_corpus, save_corpus,
-                     to_pointwise)
-from coteach.corpus import CorpusFormatError
+from coteach import (Batch, Corpus, GenConfig, MatcherSpec, PairwiseTriple,
+                     TrainConfig, Triples, coteach_train, corpus,
+                     generate_synthetic_corpus, init_params, load_corpus, matcher,
+                     pretrain, save_corpus, strategies, validation_p_at_1)
+from coteach.corpus import CorpusFormatError, atomic_open, write_csv
 
 
 class TestGenConfigValidation:
@@ -108,27 +110,154 @@ class TestGeneration:
             assert all(0 <= tok < vocab for tok in t.neg_response)
 
 
-class TestToPointwise:
+class TestPointwiseView:
     def test_empty(self):
-        assert to_pointwise([]) == []
+        pack = Triples([]).pack
+        assert pack.ids.size == pack.lengths.size == pack.n_ctx == 0
 
     def test_single_triple_yields_labels_one_zero(self):
         t = PairwiseTriple(((1, 2),), (3,), (4,))
-        examples = to_pointwise([t])
-        assert [e.y for e in examples] == [1, 0]
-        assert examples[0].dialogue.response == (3,)
-        assert examples[1].dialogue.response == (4,)
-        assert examples[0].dialogue.context == t.context
+        protocol = strategies.none_protocol([t])
+        packed, labels, _ = matcher._protocol_arrays(protocol)
+        assert labels.tolist() == [1, 0]
+        assert packed.ids.tolist() == [1, 2, 1, 2, 3, 4]
+        assert packed.lengths.tolist() == [2, 2, 1, 1]
 
     def test_labels_alternate(self):
         triples = [PairwiseTriple(((i,),), (i, 1), (i, 2)) for i in range(3)]
-        examples = to_pointwise(triples)
-        assert [e.y for e in examples] == [1, 0, 1, 0, 1, 0]
+        protocol = strategies.none_protocol(triples)
+        assert [e for e, _ in protocol.pointwise] == list(range(6))
+        assert matcher._protocol_arrays(protocol)[1].tolist() == [1, 0, 1, 0, 1, 0]
 
     def test_balanced_labels(self, tiny_corpus):
-        examples = to_pointwise(tiny_corpus.train)
-        ones = sum(e.y for e in examples)
-        assert ones == len(examples) - ones == len(tiny_corpus.train)
+        labels = matcher._protocol_arrays(strategies.none_protocol(tiny_corpus.train))[1]
+        ones = int(labels.sum())
+        assert ones == len(labels) - ones == len(tiny_corpus.train)
+
+
+def _corpus_with(triple, vocab_size=10):
+    good = PairwiseTriple(((1, 2),), (3,), (4,))
+    return Corpus(train=(good, triple), valid=(good,), test=(), vocab_size=vocab_size)
+
+
+class TestSplitPack:
+    @pytest.mark.parametrize("triple,message", [
+        (PairwiseTriple(((1, 10),), (3,), (4,)), "token ID out of range for vocab"),
+        (PairwiseTriple(((1,),), (3,), (-1,)), "token ID out of range for vocab"),
+        (PairwiseTriple(((1,), ()), (3,), (4,)), "empty utterance"),
+        (PairwiseTriple(((1,),), (), (4,)), "empty response"),
+        (PairwiseTriple(((1,),), (3,), ()), "empty response"),
+        (PairwiseTriple((), (3,), (4,)), "dialogue has no context utterances"),
+    ], ids=["past-vocab", "negative", "empty-utterance", "empty-positive",
+            "empty-negative", "no-utterances"])
+    def test_bad_triple_rejected_when_its_split_is_packed(self, triple, message):
+        data = _corpus_with(triple)  # building the corpus checks nothing yet
+        spec = MatcherSpec("mean-embedding-bilinear", vocab_size=10, embedding_dim=2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            data.train.pack
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pretrain(spec, data, TrainConfig(batch_size=2))
+        data.valid.pack  # the other split is fine
+
+    def test_each_split_is_packed_once(self, tiny_gen_config, monkeypatch):
+        data = generate_synthetic_corpus(tiny_gen_config)
+        calls = []
+        real = corpus.pack_groups
+        monkeypatch.setattr(corpus, "pack_groups", lambda *args: (
+            calls.append(len(args[0])) or real(*args)))
+        spec = MatcherSpec("mean-embedding-bilinear", vocab_size=60, embedding_dim=4)
+        config = TrainConfig(strategy="margin", lam=0.5, batch_size=10, eval_every=4)
+        model = init_params(spec, 0)
+        for _ in range(2):
+            coteach_train(model, model, data, config)
+            validation_p_at_1(model, data.valid)
+        assert calls == [len(data.train), len(data.valid)]
+        assert replace(data, seed=None).train.pack is data.train.pack
+
+    def test_caller_built_groups_are_checked_on_every_call(self):
+        model = init_params(MatcherSpec("interaction-mlp", vocab_size=10,
+                                        embedding_dim=2, hidden_dim=2), 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="token ID out of range"):
+                matcher.scores(model, [(((1,),), ((10,),))])
+            with pytest.raises(ValueError, match="empty response"):
+                matcher.scores(model, [(((1,),), ((),))])
+
+
+class TestBatch:
+    @pytest.mark.parametrize("index", [[-1], [0, 3], [1, -2]])
+    def test_positions_outside_the_split_rejected(self, index):
+        split = Triples([PairwiseTriple(((1,),), (2,), (3,))] * 3)
+        with pytest.raises(ValueError, match="batch position outside the split"):
+            Batch(split, np.array(index))
+
+    def test_indexing_a_batch_keeps_its_split(self):
+        split = Triples([PairwiseTriple(((i,),), (2,), (3,)) for i in range(4)])
+        batch = Batch(split, np.array([3, 1, 2]))[np.array([2, 0])]
+        assert batch.split is split and batch.index.tolist() == [2, 3]
+        assert batch.examples().tolist() == [[4, 5], [6, 7]]
+
+
+class TestAtomicWrites:
+    def _failing_rows(self):
+        yield ["1", "2"]
+        raise RuntimeError("disk on fire")
+
+    def test_write_that_raises_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_csv(path, ["a", "b"], [["0", "0"]])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            write_csv(path, ["a", "b"], self._failing_rows())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            write_csv(tmp_path / "new.csv", ["a"], self._failing_rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_write_that_raises_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = init_params(MatcherSpec("mean-embedding-bilinear", vocab_size=5,
+                                        embedding_dim=2), 0)
+        matcher.save_checkpoint(model, path)
+        before = path.read_bytes()
+
+        class Params:  # fails after the header is written
+            size = model.params.size
+
+            def astype(self, dtype):
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            matcher.save_checkpoint(
+                matcher.ModelState._unchecked(model.spec, Params()), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_unopenable_temp_file_names_the_target(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as exc:
+            with atomic_open(tmp_path / "missing" / "x.csv"):
+                pass
+        assert exc.value.filename == str(tmp_path / "missing" / "x.csv")
+
+    def test_failed_corpus_save_keeps_the_old_files(self, tiny_corpus, tmp_path,
+                                                    monkeypatch):
+        save_corpus(tiny_corpus, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device", src, None, dst)
+
+        monkeypatch.setattr(corpus.os, "replace", disk_full)
+        other = generate_synthetic_corpus(GenConfig(vocab_size=60, n_topics=3, seed=1,
+                                                    n_train=4, n_valid=2,
+                                                    n_test_contexts=2))
+        with pytest.raises(OSError, match="No space left") as exc:
+            save_corpus(other, tmp_path)
+        assert exc.value.filename == str(tmp_path / "train.txt")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestFileIO:

@@ -6,15 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coteach import (GenConfig, MatcherSpec, OptimizerState, PairwiseTriple,
-                     TokenizedDialogue, TrainConfig, adam_update, coteach_step,
-                     coteach_train, generate_synthetic_corpus, init_params,
-                     pretrain, select_model, split_batch, validation_p_at_1)
+from coteach import (Batch, GenConfig, MatcherSpec, OptimizerState, PairwiseTriple,
+                     TrainConfig, adam_update, coteach_step, coteach_train,
+                     generate_synthetic_corpus, init_params, pretrain,
+                     select_model, split_batch, validation_p_at_1)
 from coteach import engine, matcher
 from coteach.engine import (HistoryRecord, RunHistory, init_optimizer,
                             read_history, write_history)
 
-from conftest import BFirstStep
+from conftest import BFirstStep, fix_teacher_scores
 
 
 SPEC = MatcherSpec("mean-embedding-bilinear", vocab_size=60, embedding_dim=8)
@@ -195,7 +195,7 @@ class TestSplitBatch:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             n = 2 * int(rng.integers(1, 12))
-            batch = list(range(n))
+            batch = np.arange(n)
             a, b = split_batch(batch, rng)
             assert len(a) == len(b) == n // 2
             assert set(a) | set(b) == set(batch)
@@ -203,30 +203,25 @@ class TestSplitBatch:
 
     def test_minimal_batch(self):
         rng = np.random.default_rng(1)
-        a, b = split_batch([1, 2], rng)
-        assert sorted(a + b) == [1, 2]
+        a, b = split_batch(np.array([1, 2]), rng)
+        assert sorted([*a, *b]) == [1, 2]
 
     def test_odd_batch_rejected(self):
         with pytest.raises(ValueError):
-            split_batch([1, 2, 3], np.random.default_rng(0))
+            split_batch(np.array([1, 2, 3]), np.random.default_rng(0))
 
 
 class TestValidationP1:
     def test_counts_ranked_positives(self, monkeypatch):
         triples = [PairwiseTriple(((1,),), (2,), (3,)),
                    PairwiseTriple(((1,),), (4,), (5,))]
-        table = {(2,): 0.8, (3,): 0.2, (4,): 0.1, (5,): 0.9}
-        monkeypatch.setattr(matcher, "scores",
-                            lambda model, groups: np.array([table[r]
-                                                            for _, rs in groups
-                                                            for r in rs]))
+        fix_teacher_scores(monkeypatch, {(2,): 0.8, (3,): 0.2, (4,): 0.1, (5,): 0.9})
         model = init_params(SPEC, 0)
         assert validation_p_at_1(model, triples) == 0.5
 
     def test_tie_counts_for_positive(self, monkeypatch):
         triples = [PairwiseTriple(((1,),), (2,), (3,))]
-        monkeypatch.setattr(matcher, "scores", lambda model, groups: np.full(
-            sum(len(rs) for _, rs in groups), 0.5))
+        fix_teacher_scores(monkeypatch, {(2,): 0.5, (3,): 0.5})
         assert validation_p_at_1(init_params(SPEC, 0), triples) == 1.0
 
     def test_empty_validation_rejected(self):
@@ -237,21 +232,24 @@ class TestValidationP1:
         rng = np.random.default_rng(8)
         model = matcher.ModelState(SPEC, rng.normal(0.0, 1.0, matcher.n_params(SPEC)))
         triples = corpus.valid
-        pairs = [(matcher.score(model, TokenizedDialogue(t.context, t.pos_response)),
-                  matcher.score(model, TokenizedDialogue(t.context, t.neg_response)))
+        pairs = [(matcher.score(model, t.context, t.pos_response),
+                  matcher.score(model, t.context, t.neg_response))
                  for t in triples]
         scored = []
-        real_scores = matcher.scores
-        monkeypatch.setattr(matcher, "scores", lambda m, groups: (
-            scored.append((list(groups), real_scores(m, groups))) or scored[-1][1]))
+        real_scores = matcher.example_scores
+        monkeypatch.setattr(matcher, "example_scores", lambda m, split, examples: (
+            scored.append((split, examples, real_scores(m, split, examples)))
+            or scored[-1][2]))
         p1 = validation_p_at_1(model, triples)
         assert p1 == sum(pos >= neg for pos, neg in pairs) / len(triples)
-        # One call, one group per triple holding its two responses, so each
-        # context is pooled once; every score is the per-dialogue one.
-        [(groups, s)] = scored
-        assert [(c, tuple(rs)) for c, rs in groups] == [
-            (t.context, (t.pos_response, t.neg_response)) for t in triples]
+        # One call over the kept pack of the whole split, each triple's
+        # context pooled once; every score is the per-dialogue one.
+        [(split, examples, s)] = scored
+        assert split is triples
+        assert examples.ravel().tolist() == list(range(2 * len(triples)))
         assert s.tobytes() == np.array(pairs).ravel().tobytes()
+        validation_p_at_1(model, triples)
+        assert scored[1][0].pack is split.pack
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +261,7 @@ def corpus():
 
 
 def _batch(corpus, n=10, offset=0):
-    return list(corpus.train[offset:offset + n])
+    return Batch(corpus.train, np.arange(offset, offset + n))
 
 
 class TestCoteachStep:
@@ -321,8 +319,9 @@ class TestCoteachStep:
         def check(batch, rng):
             sub_a, sub_b = real_split(batch, rng)
             assert len(sub_a) == len(sub_b) == len(batch) // 2
-            ids = [id(t) for t in sub_a] + [id(t) for t in sub_b]
-            assert sorted(ids) == sorted(id(t) for t in batch)
+            assert sub_a.split is sub_b.split is batch.split is corpus.train
+            assert sorted([*sub_a.index, *sub_b.index]) == sorted(batch.index)
+            assert len(set(batch.index)) == len(batch)
             seen.append(1)
             return sub_a, sub_b
 
@@ -386,8 +385,9 @@ class TestCoteachTrain:
             return tuple(replace(t, noise_flag=not t.noise_flag) for t in triples)
 
         def flagless(protocol):
-            return [(replace(t, noise_flag=None), m) for t, m in protocol.pairwise
-                    ] + list(protocol.pointwise)
+            assert protocol.split is data.train
+            return (protocol.pairwise, protocol.pointwise,
+                    [replace(t, noise_flag=None) for t in protocol.split])
 
         flipped = replace(corpus, train=flip(corpus.train), valid=flip(corpus.valid))
         assert any(t.noise_flag for t in corpus.train)

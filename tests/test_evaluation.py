@@ -76,9 +76,7 @@ class TestRankGroup:
             candidates = [(random_dialogue(rng).response, int(rng.integers(2)))
                           for _ in range(10)]
             ranked = _rank_one(small_model, context, candidates)
-            scores = [matcher.score(small_model,
-                                    matcher.TokenizedDialogue(context, r))
-                      for r, _ in candidates]
+            scores = [matcher.score(small_model, context, r) for r, _ in candidates]
             oracle = sorted(range(10), key=lambda i: (-scores[i], i))
             assert [idx for idx, _, _ in ranked.entries] == oracle
 
@@ -95,8 +93,7 @@ class TestRankGroup:
         ranked = rank_test_groups(small_model, groups)
         n_tied = 0
         for i, (g, r) in enumerate(zip(groups, ranked)):
-            s = [matcher.score(small_model, matcher.TokenizedDialogue(g.context, c))
-                 for c, _ in g.candidates]
+            s = [matcher.score(small_model, g.context, c) for c, _ in g.candidates]
             oracle = sorted(range(len(s)), key=lambda k: (-s[k], k))
             assert r == RankedGroup(i, tuple((k, s[k], g.candidates[k][1])
                                              for k in oracle))

@@ -47,7 +47,9 @@ def test_every_top_level_import_is_used(path):
 # Kept for the tests alone: ``score`` is the one-dialogue oracle that batched
 # scoring is checked against. It stays in the package because the benchmark
 # traces it by name; the gradient oracle lives in ``tests/oracles.py``.
-TEST_ORACLES = {"matcher.score"}
+# ``hinge_with_margin`` is the checked hinge for direct callers: training
+# checks margins once per protocol and calls the unchecked ``losses.hinge``.
+TEST_ORACLES = {"matcher.score", "losses.hinge_with_margin"}
 
 
 def _reads(tree) -> Counter:

@@ -2,19 +2,26 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from coteach import (LearningProtocol, PairwiseTriple, PointwiseExample,
-                     TokenizedDialogue, cross_entropy, hinge_with_margin)
+from coteach import (LearningProtocol, PairwiseTriple, Triples, cross_entropy,
+                     hinge_with_margin)
 from coteach.losses import CE_EPS, CROSS_ENTROPY, HINGE_WITH_MARGIN
 
+# Two triples: pointwise examples 0 and 2 are positives, 1 and 3 negatives.
+SPLIT = Triples([PairwiseTriple(((1, 2),), (3,), (4,))] * 2)
 
-def _example(y=1):
-    return PointwiseExample(y, TokenizedDialogue(((1, 2),), (3,)))
+
+def _pairwise(*margins, pairs=((0, 1), (2, 3))):
+    return LearningProtocol(SPLIT, np.array(pairs[:len(margins)]).reshape(-1, 2),
+                            np.array(margins))
 
 
-def _triple():
-    return PairwiseTriple(((1, 2),), (3,), (4,))
+def _pointwise(*weights, examples=None):
+    if examples is None:
+        examples = np.arange(len(weights))
+    return LearningProtocol(SPLIT, np.array(examples), np.array(weights))
 
 
 class TestCrossEntropy:
@@ -65,31 +72,48 @@ class TestHingeWithMargin:
 
 
 class TestLearningProtocol:
-    def test_requires_exactly_one_view(self):
-        with pytest.raises(ValueError):
-            LearningProtocol()
-        with pytest.raises(ValueError):
-            LearningProtocol(pairwise=((_triple(), 0.1),),
-                             pointwise=((_example(), 1.0),))
+    def test_rejects_instances_of_neither_shape(self):
+        for examples in (np.zeros((1, 3), int), np.zeros((1, 2, 2), int),
+                         np.array(0)):
+            with pytest.raises(ValueError, match="at least one instance"):
+                LearningProtocol(SPLIT, examples, np.array([1.0]))
 
     def test_instances_fix_the_loss_kind(self):
-        assert (LearningProtocol(pairwise=((_triple(), 0.1),)).loss_kind
-                == HINGE_WITH_MARGIN)
+        assert _pairwise(0.1).loss_kind == HINGE_WITH_MARGIN
         for weights in ((1.0, 1.0), (1.0, 0.25)):
-            protocol = LearningProtocol(pointwise=tuple(
-                (_example(y), w) for y, w in zip((1, 0), weights)))
-            assert protocol.loss_kind == CROSS_ENTROPY
+            assert _pointwise(*weights).loss_kind == CROSS_ENTROPY
+
+    def test_views_pair_each_instance_with_its_coefficient(self):
+        assert _pairwise(0.1, 0.0).pairwise == (((0, 1), 0.1), ((2, 3), 0.0))
+        assert _pairwise(0.1, 0.0).pointwise == ()
+        protocol = _pointwise(1.0, 0.25, examples=[3, 0])
+        assert protocol.pointwise == ((3, 1.0), (0, 0.25))
+        assert protocol.pairwise == ()
 
     def test_rejects_negative_margin(self):
         with pytest.raises(ValueError, match="negative margin"):
-            LearningProtocol(pairwise=((_triple(), 0.0), (_triple(), -0.2)))
+            _pairwise(0.0, -0.2)
 
     def test_rejects_weight_outside_unit_interval(self):
         for weight in (1.5, -0.1, math.nan):
             with pytest.raises(ValueError, match="outside"):
-                LearningProtocol(pointwise=((_example(), 1.0), (_example(), weight)))
+                _pointwise(1.0, weight)
+
+    def test_rejects_positions_outside_the_split(self):
+        for bad in ((4, 5), (-1, 0)):
+            with pytest.raises(ValueError, match="outside the split"):
+                _pairwise(1.0, pairs=(bad,))
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="outside the split"):
+                _pointwise(1.0, examples=[bad])
+
+    def test_rejects_empty_and_mismatched_instances(self):
+        with pytest.raises(ValueError, match="at least one instance"):
+            _pointwise()
+        with pytest.raises(ValueError, match="at least one instance"):
+            _pointwise(1.0, examples=[0, 1])
 
     def test_valid_protocols_accepted(self):
-        LearningProtocol(pairwise=((_triple(), 0.0),))
-        LearningProtocol(pointwise=((_example(), 1.0),))
-        LearningProtocol(pointwise=((_example(), 0.0),))
+        _pairwise(0.0)
+        _pointwise(1.0)
+        _pointwise(0.0)

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coteach import (LearningProtocol, MatcherSpec, ModelState, PairwiseTriple,
-                     PointwiseExample, TokenizedDialogue, init_params,
-                     load_checkpoint, loss_and_grad, save_checkpoint, score,
-                     scores)
-from coteach import matcher
+                     init_params, load_checkpoint, loss_and_grad, save_checkpoint,
+                     score, scores)
+from coteach import corpus, matcher
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN
 from coteach.matcher import n_params, param_layout
 
-from conftest import random_dialogue, random_triple
+from conftest import (Dialogue, pairwise_protocol, pointwise_protocol,
+                      random_dialogue, random_triple)
 from oracles import finite_diff_check
 
 
@@ -26,7 +26,7 @@ def _ragged_tokens(rng, vocab_size=20):
 def _ragged_dialogue(rng):
     """1-3 context utterances and a response, each of 1-10 tokens."""
     context = tuple(_ragged_tokens(rng) for _ in range(rng.integers(1, 4)))
-    return TokenizedDialogue(context, _ragged_tokens(rng))
+    return Dialogue(context, _ragged_tokens(rng))
 
 
 def _one_each(dialogues):
@@ -124,7 +124,7 @@ class TestScore:
     def test_score_in_open_unit_interval(self, small_model):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            s = score(small_model, random_dialogue(rng))
+            s = score(small_model, *random_dialogue(rng))
             assert 0.0 < s < 1.0
 
     def test_zero_head_gives_half(self, small_spec):
@@ -136,7 +136,7 @@ class TestScore:
             if name not in ("E", "_total"):
                 params[sl] = 0.0
         model = ModelState(small_spec, params)
-        assert score(model, TokenizedDialogue(((1, 2),), (3,))) == 0.5
+        assert score(model, ((1, 2),), (3,)) == 0.5
 
     def test_bilinear_closed_form(self):
         # d=1, all embeddings 1, W=[2], b=0: u=v=1, s = sigmoid(2).
@@ -146,23 +146,23 @@ class TestScore:
         params[layout["E"]] = 1.0
         params[layout["W"]] = 2.0
         model = ModelState(spec, params)
-        s = score(model, TokenizedDialogue(((0, 1), (2,)), (3, 4)))
+        s = score(model, ((0, 1), (2,)), (3, 4))
         assert s == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
         assert s == pytest.approx(0.880797, abs=1e-6)
 
     def test_token_permutation_invariance(self, small_model):
-        d = TokenizedDialogue(((3, 1, 4, 1, 5), (9, 2, 6)), (5, 3, 5, 8))
-        permuted = TokenizedDialogue(((1, 5, 4, 3, 1), (2, 6, 9)), (8, 5, 3, 5))
-        assert score(small_model, d) == pytest.approx(
-            score(small_model, permuted), abs=1e-15)
+        d = (((3, 1, 4, 1, 5), (9, 2, 6)), (5, 3, 5, 8))
+        permuted = (((1, 5, 4, 3, 1), (2, 6, 9)), (8, 5, 3, 5))
+        assert score(small_model, *d) == pytest.approx(
+            score(small_model, *permuted), abs=1e-15)
 
     def test_out_of_range_token_rejected(self, small_model):
         with pytest.raises(ValueError):
-            score(small_model, TokenizedDialogue(((99,),), (1,)))
+            score(small_model, ((99,),), (1,))
 
     def test_empty_utterance_rejected(self, small_model):
         with pytest.raises(ValueError):
-            score(small_model, TokenizedDialogue(((),), (1,)))
+            score(small_model, ((),), (1,))
 
     @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
     @pytest.mark.parametrize("dim", [4, 16, 32])
@@ -175,7 +175,7 @@ class TestScore:
         for n in (1, 2, 5, 17, 40, 96, 200):
             dialogues = [_ragged_dialogue(rng) for _ in range(n)]
             batched = scores(model, _one_each(dialogues))
-            assert batched.tolist() == [score(model, d) for d in dialogues]
+            assert batched.tolist() == [score(model, *d) for d in dialogues]
 
     @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
     @settings(max_examples=100, deadline=None)
@@ -184,8 +184,8 @@ class TestScore:
         model = init_params(MatcherSpec(kind, vocab_size=20, embedding_dim=8,
                                         hidden_dim=8), seed=14)
         assert scores(model, groups).tolist() == [
-            score(model, TokenizedDialogue(c, r)) for c, rs in groups for r in rs]
-        packed = matcher._pack(groups, 20)
+            score(model, c, r) for c, rs in groups for r in rs]
+        packed = corpus.pack_groups(groups, 20)
         assert packed.runs.tolist() == [len(rs) for _, rs in groups]
         assert packed.n_utts.tolist() == [len(c) for c, _ in groups]
 
@@ -197,8 +197,8 @@ class TestScore:
         # scores, one response per group, bit for bit.
         model = init_params(MatcherSpec(kind, vocab_size=20, embedding_dim=8,
                                         hidden_dim=8), seed=15)
-        pooled = matcher._pack(groups, 20)
-        unpooled = matcher._pack([(c, (r,)) for c, rs in groups for r in rs], 20)
+        pooled = corpus.pack_groups(groups, 20)
+        unpooled = corpus.pack_groups([(c, (r,)) for c, rs in groups for r in rs], 20)
         z, _ = matcher._forward(model.spec, model.params, unpooled)
         assert scores(model, groups).tobytes() == matcher._sigmoid(z).tobytes()
         for packed in (pooled, unpooled):
@@ -230,24 +230,26 @@ class TestScore:
 
 def _pointwise_protocol(rng, weighted=True, n=4, make_dialogue=random_dialogue):
     """Cross-entropy instances; unweighted ones all have weight 1."""
-    instances = []
+    examples, weights = [], []
     for i in range(n):
         y = int(rng.integers(2))
-        weight = float(rng.uniform(0, 1)) if weighted else 1.0
-        instances.append((PointwiseExample(y, make_dialogue(rng)), weight))
-    return LearningProtocol(pointwise=tuple(instances))
+        weights.append(float(rng.uniform(0, 1)) if weighted else 1.0)
+        examples.append((y, *make_dialogue(rng)))
+    return pointwise_protocol(examples, weights)
 
 
 def _pairwise_protocol(rng, n=4, make_triple=random_triple):
-    instances = tuple((make_triple(rng), float(rng.uniform(0, 0.5)))
-                      for _ in range(n))
-    return LearningProtocol(pairwise=instances)
+    triples, margins = [], []
+    for _ in range(n):
+        triples.append(make_triple(rng))
+        margins.append(float(rng.uniform(0, 0.5)))
+    return pairwise_protocol(triples, margins)
 
 
 def _add_at_gradient(model, protocol):
     """The gradient as a zero-filled buffer and ``np.add.at`` build it."""
     layout, d = param_layout(model.spec), model.spec.embedding_dim
-    packed, labels, coef = matcher._protocol_arrays(protocol, model.spec.vocab_size)
+    packed, labels, coef = matcher._protocol_arrays(protocol)
     z, cache = matcher._forward(model.spec, model.params, packed)
     dL_dz = matcher._loss(protocol.loss_kind, z, labels, coef)[1]
     c, grad = dL_dz[:, None], np.zeros_like(model.params)
@@ -284,16 +286,13 @@ _GRAD_CONTEXTS = st.lists(_GRAD_TOKENS, max_size=2).map(lambda us: (_ANCHOR, *us
 @st.composite
 def _gradient_protocols(draw, loss_kind):
     n = draw(st.integers(2, 6))
+    coef = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
     if loss_kind == HINGE_WITH_MARGIN:
-        return LearningProtocol(pairwise=tuple(
-            (PairwiseTriple(draw(_GRAD_CONTEXTS), draw(_GRAD_TOKENS),
-                            draw(_GRAD_TOKENS)), draw(st.floats(0.0, 1.0)))
-            for _ in range(n)))
-    return LearningProtocol(pointwise=tuple(
-        (PointwiseExample(draw(st.integers(0, 1)),
-                          TokenizedDialogue(draw(_GRAD_CONTEXTS), draw(_GRAD_TOKENS))),
-         draw(st.floats(0.0, 1.0)))
-        for _ in range(n)))
+        return pairwise_protocol([PairwiseTriple(
+            draw(_GRAD_CONTEXTS), draw(_GRAD_TOKENS), draw(_GRAD_TOKENS))
+            for _ in range(n)], coef)
+    return pointwise_protocol([(draw(st.integers(0, 1)), draw(_GRAD_CONTEXTS),
+                                draw(_GRAD_TOKENS)) for _ in range(n)], coef)
 
 
 class TestLossAndGrad:
@@ -308,8 +307,8 @@ class TestLossAndGrad:
         protocol = data.draw(_gradient_protocols(loss_kind))
         protocols = [protocol]
         if protocol.pointwise:  # the drawn weights, then plain cross-entropy
-            protocols.append(LearningProtocol(
-                pointwise=tuple((e, 1.0) for e, _ in protocol.pointwise)))
+            protocols.append(LearningProtocol(protocol.split, protocol.examples,
+                                              np.ones(len(protocol.coef))))
         for p in protocols:
             assert np.array_equal(loss_and_grad(model, p)[1],
                                   _add_at_gradient(model, p))
@@ -319,12 +318,12 @@ class TestLossAndGrad:
         model = init_params(small_spec, seed=1)
         rng = np.random.default_rng(2)
         triple = random_triple(rng)
-        s_pos = score(model, TokenizedDialogue(triple.context, triple.pos_response))
-        s_neg = score(model, TokenizedDialogue(triple.context, triple.neg_response))
+        s_pos = score(model, triple.context, triple.pos_response)
+        s_neg = score(model, triple.context, triple.neg_response)
         if s_pos < s_neg:
             triple = PairwiseTriple(triple.context, triple.neg_response,
                                     triple.pos_response)
-        protocol = LearningProtocol(pairwise=((triple, 0.0),))
+        protocol = pairwise_protocol([triple], [0.0])
         loss, grad = loss_and_grad(model, protocol)
         assert loss == 0.0
         assert np.all(grad == 0.0)
@@ -338,7 +337,7 @@ class TestLossAndGrad:
         model = ModelState(small_spec, params)
         protocol = _pairwise_protocol(np.random.default_rng(18), n=6,
                                       make_triple=_ragged_triple)
-        packed, _, _ = matcher._protocol_arrays(protocol, small_spec.vocab_size)
+        packed, _, _ = matcher._protocol_arrays(protocol)
         z, _ = matcher._forward(small_spec, params, packed)
         assert np.all(np.abs(z) > matcher._Z_CLAMP)
         loss, grad = loss_and_grad(model, protocol)
@@ -347,9 +346,8 @@ class TestLossAndGrad:
 
     def test_zero_weights_give_zero_loss_and_grad(self, small_model):
         rng = np.random.default_rng(3)
-        instances = tuple((PointwiseExample(1, random_dialogue(rng)), 0.0)
-                          for _ in range(3))
-        protocol = LearningProtocol(pointwise=instances)
+        protocol = pointwise_protocol(
+            [(1, *random_dialogue(rng)) for _ in range(3)], [0.0] * 3)
         loss, grad = loss_and_grad(small_model, protocol)
         assert loss == 0.0
         assert np.all(grad == 0.0)
@@ -357,7 +355,7 @@ class TestLossAndGrad:
     def test_empty_protocol_rejected(self):
         # the protocol container itself refuses emptiness
         with pytest.raises(ValueError):
-            LearningProtocol()
+            pairwise_protocol([], [])
 
     @pytest.mark.parametrize("kind", [CROSS_ENTROPY, HINGE_WITH_MARGIN])
     def test_batch_loss_and_grad_is_sum_of_single_instances(self, small_model, kind):
@@ -365,12 +363,10 @@ class TestLossAndGrad:
         if kind == HINGE_WITH_MARGIN:
             # Margins up to 0.5 keep most hinges active at init.
             protocol = _pairwise_protocol(rng, n=8, make_triple=_ragged_triple)
-            singles = [LearningProtocol(pairwise=(inst,))
-                       for inst in protocol.pairwise]
         else:
             protocol = _pointwise_protocol(rng, n=8, make_dialogue=_ragged_dialogue)
-            singles = [LearningProtocol(pointwise=(inst,))
-                       for inst in protocol.pointwise]
+        singles = [LearningProtocol(protocol.split, protocol.examples[i:i + 1],
+                                    protocol.coef[i:i + 1]) for i in range(8)]
         loss, grad = loss_and_grad(small_model, protocol)
         parts = [loss_and_grad(small_model, p) for p in singles]
         assert loss == pytest.approx(sum(l for l, _ in parts), rel=0, abs=1e-12)
@@ -409,12 +405,12 @@ class TestFiniteDiffCheck:
         model = init_params(small_spec, seed=1)
         rng = np.random.default_rng(7)
         triple = random_triple(rng)
-        s_pos = score(model, TokenizedDialogue(triple.context, triple.pos_response))
-        s_neg = score(model, TokenizedDialogue(triple.context, triple.neg_response))
+        s_pos = score(model, triple.context, triple.pos_response)
+        s_neg = score(model, triple.context, triple.neg_response)
         if s_pos < s_neg:
             triple = PairwiseTriple(triple.context, triple.neg_response,
                                     triple.pos_response)
-        protocol = LearningProtocol(pairwise=((triple, 0.0),))
+        protocol = pairwise_protocol([triple], [0.0])
         assert finite_diff_check(model, protocol, step=1e-6) == 0.0
 
     def test_nonpositive_step_rejected(self, small_model):
@@ -433,7 +429,7 @@ class TestCheckpoints:
         assert np.array_equal(loaded.params, small_model.params)
         rng = np.random.default_rng(9)
         d = random_dialogue(rng)
-        assert score(loaded, d) == score(small_model, d)
+        assert score(loaded, *d) == score(small_model, *d)
 
     def test_truncated_file_rejected(self, small_model, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -5,22 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from coteach import (LearningProtocol, PairwiseTriple, TokenizedDialogue,
-                     curriculum_protocol, init_params, margin_protocol,
-                     to_pointwise, weighting_protocol)
+from coteach import (PairwiseTriple, curriculum_protocol, init_params,
+                     margin_protocol, weighting_protocol)
 from coteach import matcher, strategies
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
 
-from conftest import random_triple
+from conftest import example, fix_teacher_scores, random_triple
 
 
-def _fixed_score_teacher(monkeypatch, table):
-    """Make matcher.scores return table[response] regardless of the model."""
+def _pointwise_view(triples):
+    """The (y, context, response) examples of ``triples``: each triple's
+    positive, then its negative."""
+    return [example(triples, i) for i in range(2 * len(triples))]
 
-    def fake_scores(model, groups):
-        return np.array([table[r] for _, responses in groups for r in responses])
 
-    monkeypatch.setattr(matcher, "scores", fake_scores)
+def _kept(protocol):
+    """The (y, context, response) examples a cross-entropy protocol keeps."""
+    return [example(protocol.split, e) for e, _ in protocol.pointwise]
 
 
 @pytest.fixture
@@ -35,25 +36,26 @@ class TestMarginProtocol:
         lam = 0.5
         protocol = margin_protocol(teacher, sub_batch, lam)
         assert protocol.loss_kind == HINGE_WITH_MARGIN
-        assert [t for t, _ in protocol.pairwise] == sub_batch
-        for triple, margin in protocol.pairwise:
-            s_pos = matcher.score(teacher, TokenizedDialogue(
-                triple.context, triple.pos_response))
-            s_neg = matcher.score(teacher, TokenizedDialogue(
-                triple.context, triple.neg_response))
+        assert [pair for pair, _ in protocol.pairwise] == [
+            (2 * i, 2 * i + 1) for i in range(10)]
+        assert list(protocol.split) == sub_batch
+        for (pos, _), margin in protocol.pairwise:
+            triple = protocol.split[pos // 2]
+            s_pos = matcher.score(teacher, triple.context, triple.pos_response)
+            s_neg = matcher.score(teacher, triple.context, triple.neg_response)
             assert margin == pytest.approx(max(0.0, lam * (s_pos - s_neg)),
                                            abs=1e-15)
 
     def test_confident_teacher_example(self, teacher, monkeypatch):
         triple = PairwiseTriple(((1,),), (2,), (3,))
-        _fixed_score_teacher(monkeypatch, {(2,): 0.9, (3,): 0.1})
+        fix_teacher_scores(monkeypatch, {(2,): 0.9, (3,): 0.1})
         protocol = margin_protocol(teacher, [triple], lam=0.5)
         assert protocol.pairwise[0][1] == pytest.approx(0.4)
 
     def test_misranked_pair_gets_zero_margin(self, teacher, monkeypatch):
         # teacher thinks the negative is better: likely a false negative
         triple = PairwiseTriple(((1,),), (2,), (3,))
-        _fixed_score_teacher(monkeypatch, {(2,): 0.2, (3,): 0.7})
+        fix_teacher_scores(monkeypatch, {(2,): 0.2, (3,): 0.7})
         protocol = margin_protocol(teacher, [triple], lam=0.5)
         assert protocol.pairwise[0][1] == 0.0
 
@@ -84,26 +86,25 @@ class TestMarginProtocol:
         sub_batch = [random_triple(rng) for _ in range(40)]
         lam = 0.7
         expected = [max(0.0, lam * (
-            matcher.score(teacher, TokenizedDialogue(t.context, t.pos_response))
-            - matcher.score(teacher, TokenizedDialogue(t.context, t.neg_response))))
+            matcher.score(teacher, t.context, t.pos_response)
+            - matcher.score(teacher, t.context, t.neg_response)))
             for t in sub_batch]
         scored = []
-        real_scores = matcher.scores
-        monkeypatch.setattr(matcher, "scores", lambda model, groups: (
-            scored.append(list(groups)) or real_scores(model, groups)))
+        real_scores = matcher.example_scores
+        monkeypatch.setattr(matcher, "example_scores", lambda model, split, examples: (
+            scored.append((split, examples)) or real_scores(model, split, examples)))
         margins = [m for _, m in margin_protocol(teacher, sub_batch, lam).pairwise]
         assert np.array(margins).tobytes() == np.array(expected).tobytes()
-        # One call, one group per triple holding its two responses: one
-        # pooled context.
-        [groups] = scored
-        assert [(c, tuple(rs)) for c, rs in groups] == [
-            (t.context, (t.pos_response, t.neg_response)) for t in sub_batch]
+        # One call scoring each triple's two responses: one pooled context.
+        [(split, examples)] = scored
+        assert list(split) == sub_batch
+        assert examples.tolist() == [[2 * i, 2 * i + 1] for i in range(40)]
 
     def test_pure_function(self, teacher):
         rng = np.random.default_rng(3)
         sub_batch = [random_triple(rng) for _ in range(4)]
-        assert (margin_protocol(teacher, sub_batch, 0.5)
-                == margin_protocol(teacher, sub_batch, 0.5))
+        one, two = (margin_protocol(teacher, sub_batch, 0.5) for _ in range(2))
+        assert one.pairwise == two.pairwise and one.split == two.split
 
 
 class TestWeightingProtocol:
@@ -112,19 +113,19 @@ class TestWeightingProtocol:
         sub_batch = [random_triple(rng) for _ in range(5)]
         protocol = weighting_protocol(teacher, sub_batch)
         assert protocol.loss_kind == CROSS_ENTROPY
-        assert [e for e, _ in protocol.pointwise] == to_pointwise(sub_batch)
-        assert all(w == 1.0 for e, w in protocol.pointwise if e.y == 1)
+        assert _kept(protocol) == _pointwise_view(sub_batch)
+        assert all(w == 1.0 for e, w in protocol.pointwise if e % 2 == 0)
 
     def test_negative_weight_is_one_minus_teacher_score(self, teacher, monkeypatch):
         triple = PairwiseTriple(((1,),), (3,), (2,))
-        _fixed_score_teacher(monkeypatch, {(2,): 0.7})
+        fix_teacher_scores(monkeypatch, {(2,): 0.7})
         protocol = weighting_protocol(teacher, [triple])
         assert protocol.pointwise[0][1] == 1.0
         assert protocol.pointwise[1][1] == pytest.approx(0.3)
 
     def test_certain_false_negative_effectively_removed(self, teacher, monkeypatch):
         triple = PairwiseTriple(((1,),), (3,), (2,))
-        _fixed_score_teacher(monkeypatch, {(2,): 1.0 - 1e-12})
+        fix_teacher_scores(monkeypatch, {(2,): 1.0 - 1e-12})
         protocol = weighting_protocol(teacher, [triple])
         assert protocol.pointwise[1][1] == pytest.approx(0.0, abs=1e-9)
 
@@ -132,10 +133,10 @@ class TestWeightingProtocol:
         rng = np.random.default_rng(4)
         sub_batch = [random_triple(rng) for _ in range(6)]
         protocol = weighting_protocol(teacher, sub_batch)
-        assert [e for e, _ in protocol.pointwise] == to_pointwise(sub_batch)
-        for example, w in protocol.pointwise:
+        assert _kept(protocol) == _pointwise_view(sub_batch)
+        for e, w in protocol.pointwise:
             assert 0.0 <= w <= 1.0
-            if example.y == 1:
+            if e % 2 == 0:
                 assert w == 1.0
 
 
@@ -148,8 +149,8 @@ def _triples_with_losses(monkeypatch, losses):
         triples.append(PairwiseTriple(((1,),), pos, neg))
         table[pos] = math.exp(-losses[i])
         table[neg] = 1.0 - math.exp(-losses[i + 1])
-    _fixed_score_teacher(monkeypatch, table)
-    return triples, to_pointwise(triples)
+    fix_teacher_scores(monkeypatch, table)
+    return triples, _pointwise_view(triples)
 
 
 class TestCurriculumProtocol:
@@ -158,13 +159,13 @@ class TestCurriculumProtocol:
         protocol = curriculum_protocol(teacher, triples, delta=0.5)
         assert protocol.loss_kind == CROSS_ENTROPY
         # losses 0.1 and 0.2 win; kept in original pointwise order
-        assert [e for e, _ in protocol.pointwise] == [examples[0], examples[2]]
+        assert _kept(protocol) == [examples[0], examples[2]]
         assert all(w == 1.0 for _, w in protocol.pointwise)
 
     def test_delta_one_keeps_everything_in_order(self, teacher, monkeypatch):
         triples, examples = _triples_with_losses(monkeypatch, [0.5, 0.1, 0.9, 0.3])
         protocol = curriculum_protocol(teacher, triples, delta=1.0)
-        assert [e for e, _ in protocol.pointwise] == examples
+        assert _kept(protocol) == examples
 
     def test_cardinality_is_ceiling(self, teacher, monkeypatch):
         for n, delta, expected in [(10, 0.9, 9), (10, 0.85, 9), (4, 0.5, 2),
@@ -177,7 +178,7 @@ class TestCurriculumProtocol:
     def test_ties_prefer_earlier_examples(self, teacher, monkeypatch):
         triples, examples = _triples_with_losses(monkeypatch, [0.3, 0.3, 0.3, 0.3])
         protocol = curriculum_protocol(teacher, triples, delta=0.5)
-        assert [e for e, _ in protocol.pointwise] == examples[:2]
+        assert _kept(protocol) == examples[:2]
 
     def test_matches_full_sort_oracle(self, teacher):
         rng = np.random.default_rng(5)
@@ -185,15 +186,14 @@ class TestCurriculumProtocol:
             n = int(rng.integers(1, 7))
             delta = float(rng.uniform(0.05, 1.0))
             triples = [random_triple(rng) for _ in range(n)]
-            examples = to_pointwise(triples)
-            teacher_losses = [
-                cross_entropy(e.y, matcher.score(teacher, e.dialogue))
-                for e in examples]
+            examples = _pointwise_view(triples)
+            teacher_losses = [cross_entropy(y, matcher.score(teacher, c, r))
+                              for y, c, r in examples]
             keep = math.ceil(delta * len(examples))
             order = np.argsort(np.array(teacher_losses), kind="stable")
             expected = [examples[i] for i in sorted(order[:keep])]
             protocol = curriculum_protocol(teacher, triples, delta)
-            assert [e for e, _ in protocol.pointwise] == expected
+            assert _kept(protocol) == expected
 
     def test_pooled_teacher_equals_unpooled_reference(self, small_spec, monkeypatch):
         # The teacher pools each triple's context once; a reference that
@@ -204,37 +204,37 @@ class TestCurriculumProtocol:
             small_spec, rng.normal(0.0, 1.0, matcher.n_params(small_spec)))
         triples = [random_triple(rng, n_utts=int(rng.integers(1, 4)))
                    for _ in range(12)]
-        examples = to_pointwise(triples)
-        reference = matcher.scores(teacher, [(e.dialogue.context, (e.dialogue.response,))
-                                             for e in examples])
-        teacher_losses = cross_entropy(np.array([e.y for e in examples]), reference)
+        examples = _pointwise_view(triples)
+        reference = matcher.scores(teacher, [(c, (r,)) for _, c, r in examples])
+        teacher_losses = cross_entropy(np.array([y for y, _, _ in examples]), reference)
         order = np.argsort(teacher_losses, kind="stable")
         for delta in (0.3, 0.75, 1.0):
             scored = []
-            real_scores = matcher.scores
-            monkeypatch.setattr(matcher, "scores", lambda model, groups: (
-                scored.append((list(groups), real_scores(model, groups)))
-                or scored[-1][1]))
+            real_scores = matcher.example_scores
+            monkeypatch.setattr(matcher, "example_scores", lambda model, split, rows: (
+                scored.append((split, rows, real_scores(model, split, rows)))
+                or scored[-1][2]))
             protocol = curriculum_protocol(teacher, iter(triples), delta)
             monkeypatch.undo()
             keep = math.ceil(delta * len(examples))
-            assert protocol == LearningProtocol(pointwise=tuple(
-                (examples[i], 1.0) for i in sorted(order[:keep])))
-            [(groups, pooled)] = scored
-            assert [(c, tuple(rs)) for c, rs in groups] == [
-                (t.context, (t.pos_response, t.neg_response)) for t in triples]
+            assert protocol.loss_kind == CROSS_ENTROPY
+            assert protocol.pointwise == tuple((int(i), 1.0) for i in sorted(order[:keep]))
+            [(split, rows, pooled)] = scored
+            assert list(split) == triples and split is protocol.split
+            assert rows.shape == (len(triples), 2)
             assert pooled.tobytes() == reference.tobytes()
 
     def test_kept_losses_never_exceed_dropped(self, teacher):
         rng = np.random.default_rng(6)
         triples = [random_triple(rng) for _ in range(10)]
         protocol = curriculum_protocol(teacher, triples, delta=0.4)
-        kept = [e for e, _ in protocol.pointwise]
-        dropped = [e for e in to_pointwise(triples) if e not in kept]
+        kept = _kept(protocol)
+        dropped = [e for e in _pointwise_view(triples) if e not in kept]
         assert (len(kept), len(dropped)) == (8, 12)
 
         def loss(e):
-            return cross_entropy(e.y, matcher.score(teacher, e.dialogue))
+            y, c, r = e
+            return cross_entropy(y, matcher.score(teacher, c, r))
 
         assert max(map(loss, kept)) <= min(map(loss, dropped)) + 1e-12
 
@@ -255,8 +255,10 @@ class TestNoneProtocol:
             raise AssertionError("the none protocol scored with a teacher")
 
         monkeypatch.setattr(matcher, "scores", no_teacher)
+        monkeypatch.setattr(matcher, "example_scores", no_teacher)
         rng = np.random.default_rng(7)
         sub_batch = [random_triple(rng) for _ in range(3)]
         protocol = strategies.none_protocol(sub_batch)
         assert protocol.loss_kind == CROSS_ENTROPY
-        assert protocol.pointwise == tuple((e, 1.0) for e in to_pointwise(sub_batch))
+        assert protocol.pointwise == tuple((e, 1.0) for e in range(6))
+        assert _kept(protocol) == _pointwise_view(sub_batch)
