@@ -75,8 +75,9 @@ def curriculum_protocol(teacher: matcher.ModelState, sub_batch,
 
 def none_protocol(sub_batch) -> LearningProtocol:
     """No teaching: plain cross-entropy, weight 1, on the pointwise view.
-    With no teacher to bring a vocab, a sequence of triples meets it at
-    the student's forward."""
+    With no teacher to bring a vocab, a sequence of triples is checked
+    only for negative ids; a token past the student's vocab raises
+    IndexError in its forward."""
     batch = as_batch(sub_batch)
     return LearningProtocol(batch.split, batch.examples().ravel(),
                             np.ones(2 * len(batch)))
