@@ -11,7 +11,8 @@ This module owns the pack. A training or validation split is a
 ``Triples``, which packs itself into flat int arrays on first use, checks
 every token and segment then, and keeps the pack. Training and validation
 address triples by position: a ``Batch`` is a split plus an index array,
-and ``matcher`` gathers what it scores or trains on from the split's pack.
+and ``Triples.gather`` takes what ``matcher`` scores or trains on from the
+split's pack.
 """
 
 from __future__ import annotations

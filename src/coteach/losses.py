@@ -16,6 +16,7 @@ its positions, margins and weights once, when it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,14 +66,14 @@ class LearningProtocol:
         """``HINGE_WITH_MARGIN`` for pairs of examples, else ``CROSS_ENTROPY``."""
         return HINGE_WITH_MARGIN if self.examples.ndim == 2 else CROSS_ENTROPY
 
-    @property
+    @cached_property
     def pairwise(self) -> tuple:
         """((first, second) positions, margin) of each hinge instance."""
         if self.examples.ndim == 1:
             return ()
         return tuple(zip(map(tuple, self.examples.tolist()), self.coef.tolist()))
 
-    @property
+    @cached_property
     def pointwise(self) -> tuple:
         """(position, weight) of each cross-entropy instance."""
         if self.examples.ndim == 2:
