@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from . import engine, evaluation, matcher
 from .corpus import (CorpusFormatError, GenConfig, generate_synthetic_corpus,
                      load_corpus, parse_metric, read_text, save_corpus, write_csv)
+from .evaluation import METRIC_KEYS
 
 
 class UsageError(Exception):
@@ -38,19 +40,12 @@ class DataError(Exception):
 
 # Per-strategy learning-rate defaults (margin trains with a 10x larger
 # rate than the two cross-entropy strategies).
-STRATEGY_LEARNING_RATES = {
-    "margin": 1e-3,
-    "weighting": 1e-4,
-    "curriculum": 1e-4,
-    "none": 1e-4,
-}
+STRATEGY_LEARNING_RATES = {"margin": 1e-3, "weighting": 1e-4, "curriculum": 1e-4,
+                           "none": 1e-4}
 PRETRAIN_LEARNING_RATE = 1e-3
 
 METRICS_COLUMNS = ["run", "strategy", "MAP", "MRR", "P@1",
                    "R10@1", "R10@2", "R10@5", "n_contexts"]
-
-# Order in which per-group metrics appear in dump files and reports.
-METRIC_KEYS = ["AP", "RR", "P@1", "R@1", "R@2", "R@5"]
 
 
 def parse_config(path) -> dict[str, str]:
@@ -91,20 +86,13 @@ def _finite_float(text: str) -> float:
 
 
 def _gen_config(config, seed_override=None) -> GenConfig:
+    """GenConfig from the config keys named as its fields, or their defaults."""
+    values = {f.name: _get(config, f.name, type(f.default), f.default)
+              for f in fields(GenConfig) if f.name != "seed"}
+    values["seed"] = (seed_override if seed_override is not None
+                      else _get(config, "seed", int, 0))
     try:
-        return GenConfig(
-            vocab_size=_get(config, "vocab_size", int, 1000),
-            n_topics=_get(config, "n_topics", int, 10),
-            n_train=_get(config, "n_train", int, 5000),
-            n_valid=_get(config, "n_valid", int, 500),
-            n_test_contexts=_get(config, "n_test_contexts", int, 200),
-            n_candidates=_get(config, "n_candidates", int, 10),
-            turns_per_context=_get(config, "turns_per_context", int, 3),
-            tokens_per_utterance=_get(config, "tokens_per_utterance", int, 10),
-            false_negative_rate=_get(config, "false_negative_rate", float, 0.0),
-            seed=seed_override if seed_override is not None
-                 else _get(config, "seed", int, 0),
-        )
+        return GenConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -147,10 +135,7 @@ def _load_corpus(path):
     """Load the corpus; every command that does needs validation triples."""
     if not Path(path).exists():
         raise DataError(f"corpus directory not found: {path} (run 'coteach generate')")
-    try:
-        corpus = load_corpus(path)
-    except CorpusFormatError as exc:
-        raise DataError(str(exc)) from exc
+    corpus = load_corpus(path)  # main reports a CorpusFormatError as a data error
     if not corpus.valid:
         raise DataError(f"{Path(path) / 'valid.txt'}: empty validation set")
     return corpus
@@ -187,9 +172,8 @@ def _train_config(config, args, strategy: str,
 @contextmanager
 def _training(lr_key: str):
     """Report a training set without a full batch, or a run whose gradient
-    or parameters stopped being finite, as a usage error. The finiteness
-    check reports a diverging run, so numpy's overflow warnings on the way
-    are silenced."""
+    or parameters stopped being finite, as a usage error; numpy's overflow
+    warnings on the way to the latter are silenced."""
     try:
         with np.errstate(all="ignore"):
             yield
@@ -293,9 +277,7 @@ def cmd_coteach(config, args) -> int:
 def _metrics_row(run_name, strategy, report, stars=None):
     stars = stars or {}
     cells = [run_name, strategy]
-    for key, value in zip(METRIC_KEYS,
-                          [report.map, report.mrr, report.p_at_1,
-                           report.r10_at_1, report.r10_at_2, report.r10_at_5]):
+    for key, value in zip(METRIC_KEYS, astuple(report)):
         cells.append(f"{value:.6f}" + ("*" if stars.get(key) else ""))
     cells.append(str(report.n_contexts))
     return cells
@@ -303,7 +285,7 @@ def _metrics_row(run_name, strategy, report, stars=None):
 
 def _write_per_group_dump(per_group, path):
     n = len(per_group[METRIC_KEYS[0]])
-    write_csv(path, ["group_id"] + METRIC_KEYS,
+    write_csv(path, ["group_id", *METRIC_KEYS],
               ([i] + [repr(float(per_group[k][i])) for k in METRIC_KEYS]
                for i in range(n)))
 
@@ -363,8 +345,7 @@ def cmd_evaluate(config, args) -> int:
         for key in METRIC_KEYS:
             _, p_value = evaluation.paired_t_test(per_group[key], baseline[key])
             stars[key] = p_value < 0.05
-            print(f"t-test {key}: p={p_value:.6g}"
-                  + (" *" if stars[key] else ""))
+            print(f"t-test {key}: p={p_value:.6g}" + (" *" if stars[key] else ""))
 
     if args.per_group_dump:
         _write_per_group_dump(per_group, args.per_group_dump)
@@ -434,14 +415,11 @@ def cmd_report(config, args) -> int:
     eval_records = [r for r in history.records if r.valid_p1_a is not None]
     p1_a = evaluation.ema([r.valid_p1_a for r in eval_records], alpha)
     p1_b = evaluation.ema([r.valid_p1_b for r in eval_records], alpha)
-    p1_by_iter = {r.iteration: (a, b) for r, a, b in zip(eval_records, p1_a, p1_b)}
+    p1_by_iter = {r.iteration: (repr(a), repr(b))
+                  for r, a, b in zip(eval_records, p1_a, p1_b)}
     out = run_dir / "curves.csv"
-    rows = []
-    for r, la, lb in zip(history.records, loss_a, loss_b):
-        pa, pb = p1_by_iter.get(r.iteration, ("", ""))
-        rows.append([r.iteration, repr(la), repr(lb),
-                     repr(pa) if pa != "" else "",
-                     repr(pb) if pb != "" else ""])
+    rows = [[r.iteration, repr(la), repr(lb), *p1_by_iter.get(r.iteration, ("", ""))]
+            for r, la, lb in zip(history.records, loss_a, loss_b)]
     write_csv(out, ["iter", "loss_A_ema", "loss_B_ema",
                     "valid_P@1_A_ema", "valid_P@1_B_ema"], rows)
     print(f"wrote {out} ({len(history.records)} rows, ema_alpha={alpha})")

@@ -7,12 +7,10 @@ false-negative rate: with probability ``false_negative_rate`` the sampled
 negative comes from the same topic as the context, i.e. it would be a
 perfectly good response that is nevertheless labeled negative.
 
-This module owns the pack. A training or validation split is a
-``Triples``, which packs itself into flat int arrays on first use, checks
-every token and segment then, and keeps the pack. Training and validation
-address triples by position: a ``Batch`` is a split plus an index array,
-and ``Triples.gather`` takes what ``matcher`` scores or trains on from the
-split's pack.
+This module owns the pack: a training or validation split is a
+``Triples``, which packs and checks itself into flat int arrays once, on
+first use. A ``Batch`` addresses a split's triples by position, and
+``Triples.gather`` takes what ``matcher`` scores or trains on from the pack.
 """
 
 from __future__ import annotations
@@ -58,11 +56,8 @@ class PairwiseTriple:
 
 @dataclass(frozen=True)
 class TestGroup:
-    """A judged test context with its candidate responses.
-
-    ``candidates`` holds (response, human_label) pairs, label 1 meaning the
-    response is appropriate for the context.
-    """
+    """A judged test context and its ``candidates``, (response, human_label)
+    pairs, label 1 meaning the response is appropriate for the context."""
 
     context: tuple[tuple[int, ...], ...]
     candidates: tuple[tuple[tuple[int, ...], int], ...]
@@ -111,9 +106,8 @@ def pack_groups(groups, vocab_size: int | None) -> Packed:
 class Triples(tuple):
     """Pairwise triples, as a split holds them. ``pack`` is the Packed
     group (context, (positive, negative)) of every triple, checked against
-    ``vocab_size`` on first use and then kept, so pointwise example 2t + k
-    (triple t's positive for k = 0, its negative for k = 1) is response
-    segment ``n_ctx + 2t + k``."""
+    ``vocab_size`` on first use and kept, so pointwise example 2t + k (t's
+    positive for k = 0, negative for k = 1) is segment ``n_ctx + 2t + k``."""
 
     def __new__(cls, triples, vocab_size: int | None = None):
         split = super().__new__(cls, triples)
@@ -125,11 +119,18 @@ class Triples(tuple):
         return pack_groups([(t.context, (t.pos_response, t.neg_response))
                             for t in self], self.vocab_size)
 
-    def gather(self, examples: np.ndarray) -> Packed:
-        """The Packed groups whose responses are the pointwise examples in
-        each row of ``examples``, opened by the context of the row's first
-        example's triple. Tokens come out in the order ``pack_groups`` gives
-        the same groups, so the matcher's sums match it bit for bit."""
+    @cached_property
+    def top_id(self) -> int:
+        """The largest token id in the pack, or -1."""
+        return int(self.pack.ids.max(initial=-1))
+
+    def gather(self, examples: np.ndarray, vocab_size: int) -> Packed:
+        """The Packed groups of the pointwise examples in each row of
+        ``examples``, with the context of the row's first example, tokens in
+        ``pack_groups``' order for the same groups, so the matcher's sums
+        match bit for bit. A token at or past ``vocab_size`` raises."""
+        if self.top_id >= vocab_size:
+            raise ValueError("token ID out of range for vocab")
         pack, triples = self.pack, examples[:, 0] >> 1
         n_utts = pack.n_utts[triples]
         utterances, ctx_starts = _spans(pack.ctx_starts[triples], n_utts)
@@ -138,10 +139,6 @@ class Triples(tuple):
         tokens, starts = _spans(pack.starts[segments], lengths)
         return Packed(pack.ids[tokens], lengths, starts, n_utts, ctx_starts,
                       examples.shape[1], utterances.size)
-
-
-# Offsets of a triple's positive and negative example from 2t.
-_PAIR = np.array([0, 1])
 
 
 def _spans(starts: np.ndarray, counts: np.ndarray):
@@ -154,46 +151,35 @@ def _spans(starts: np.ndarray, counts: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """The triples of ``split`` at the positions in ``index``; indexing a
-    batch with positions gives the batch of those entries. The constructor
-    checks the positions; ``_unchecked`` builds a batch whose positions are
-    in range by construction, such as a shuffle's or another batch's."""
+    """The triples of a Triples ``split`` at the positions in ``index``, a
+    1-d integer array; a batch indexed by positions is a batch too."""
 
     split: Triples
     index: np.ndarray
 
     def __post_init__(self):
-        if len(self.index) and not (0 <= self.index.min()
-                                    and self.index.max() < len(self.split)):
+        index = np.asarray(self.index)
+        if not (isinstance(self.split, Triples) and index.ndim == 1
+                and index.dtype.kind in "iu"):
+            raise TypeError("a batch is a Triples split and a 1-d integer index array")
+        if index.size and not (0 <= index.min() and index.max() < len(self.split)):
             raise ValueError("batch position outside the split")
-
-    @classmethod
-    def _unchecked(cls, split: Triples, index: np.ndarray) -> Batch:
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "split", split)
-        object.__setattr__(batch, "index", index)
-        return batch
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __getitem__(self, positions) -> Batch:
-        return Batch._unchecked(self.split, self.index[positions])
+        return Batch(self.split, self.index[positions])
 
     def examples(self) -> np.ndarray:
-        """A row per triple: the pointwise positions of its positive and
-        of its negative."""
-        return 2 * self.index[:, None] + _PAIR
+        """A row per triple: the pointwise positions of its positive, negative."""
+        return 2 * self.index[:, None] + (0, 1)
 
 
-def as_batch(triples, vocab_size: int | None = None) -> Batch:
-    """``triples`` as a Batch: a Batch as it is, a Triples whole, and any
-    other sequence of triples as new Triples over ``vocab_size``. An empty
-    batch raises."""
-    batch = triples
-    if not isinstance(batch, Batch):
-        split = triples if isinstance(triples, Triples) else Triples(triples, vocab_size)
-        batch = Batch._unchecked(split, np.arange(len(split)))
+def as_batch(triples) -> Batch:
+    """A Batch as it is, or a whole Triples split as a Batch; raises if empty."""
+    batch = triples if isinstance(triples, Batch) else Batch(triples, np.arange(len(triples)))
     if not len(batch):
         raise ValueError("empty batch of triples")
     return batch
@@ -201,9 +187,9 @@ def as_batch(triples, vocab_size: int | None = None) -> Batch:
 
 @dataclass(frozen=True)
 class Corpus:
-    """``train`` and ``valid`` are kept as Triples over ``vocab_size``, so a
-    bad triple is rejected when its split is packed. Such Triples are kept
-    as they are, pack included, by a corpus built from them."""
+    """``train`` and ``valid`` become Triples over ``vocab_size``, or stay
+    as they are, pack included, if they are; a bad triple is rejected when
+    its split is packed."""
 
     train: Triples
     valid: Triples
@@ -254,16 +240,12 @@ class GenConfig:
                 "range of at least 2 tokens")
 
 
-def _topic_range(config: GenConfig, topic: int) -> tuple[int, int]:
+def _sample_utterance(rng, config: GenConfig, topic: int) -> tuple[int, ...]:
     # Topics own disjoint, equal-width token ranges so a bag-of-tokens model
     # can separate them; leftover tokens at the top of the vocab are unused.
     width = config.vocab_size // config.n_topics
-    return topic * width, (topic + 1) * width
-
-
-def _sample_utterance(rng, config: GenConfig, topic: int) -> tuple[int, ...]:
-    lo, hi = _topic_range(config, topic)
-    return tuple(rng.integers(lo, hi, size=config.tokens_per_utterance).tolist())
+    return tuple(rng.integers(topic * width, (topic + 1) * width,
+                              size=config.tokens_per_utterance).tolist())
 
 
 def _sample_context(rng, config: GenConfig, topic: int):
@@ -271,17 +253,18 @@ def _sample_context(rng, config: GenConfig, topic: int):
                  for _ in range(config.turns_per_context))
 
 
+def _other_topic(rng, config: GenConfig, topic: int) -> int:
+    """A topic drawn uniformly from all but ``topic``."""
+    other = int(rng.integers(config.n_topics - 1))
+    return other + (other >= topic)
+
+
 def _sample_triple(rng, config: GenConfig) -> PairwiseTriple:
     topic = int(rng.integers(config.n_topics))
     context = _sample_context(rng, config, topic)
     pos = _sample_utterance(rng, config, topic)
     is_noise = bool(rng.random() < config.false_negative_rate)
-    if is_noise:
-        neg_topic = topic
-    else:
-        neg_topic = int(rng.integers(config.n_topics - 1))
-        if neg_topic >= topic:
-            neg_topic += 1
+    neg_topic = topic if is_noise else _other_topic(rng, config, topic)
     neg = _sample_utterance(rng, config, neg_topic)
     while neg == pos:
         neg = _sample_utterance(rng, config, neg_topic)
@@ -299,12 +282,8 @@ def _sample_test_group(rng, config: GenConfig) -> TestGroup:
     while True:
         candidates = []
         for _ in range(config.n_candidates):
-            if rng.random() < _TEST_POSITIVE_PROB:
-                cand_topic = topic
-            else:
-                cand_topic = int(rng.integers(config.n_topics - 1))
-                if cand_topic >= topic:
-                    cand_topic += 1
+            cand_topic = (topic if rng.random() < _TEST_POSITIVE_PROB
+                          else _other_topic(rng, config, topic))
             response = _sample_utterance(rng, config, cand_topic)
             candidates.append((response, int(cand_topic == topic)))
         labels = {label for _, label in candidates}
@@ -313,20 +292,17 @@ def _sample_test_group(rng, config: GenConfig) -> TestGroup:
 
 
 def generate_synthetic_corpus(config: GenConfig) -> Corpus:
-    """Generate a deterministic synthetic corpus from ``config``.
-
-    Each context and its true response live in a single topic. Training and
-    validation negatives come from the same topic with probability
-    ``false_negative_rate`` (marked ``noise_flag=True``), otherwise from a
-    different topic. Test groups carry clean labels (positive iff the
-    candidate shares the context's topic) and always contain at least one
-    positive and one negative.
+    """A deterministic synthetic corpus from ``config``. Each context and its
+    true response live in a single topic. Training and validation negatives
+    come from the same topic with probability ``false_negative_rate``
+    (marked ``noise_flag=True``), otherwise from a different topic. Test
+    groups carry clean labels (positive iff the candidate shares the
+    context's topic) and always hold a positive and a negative.
     """
     rng = np.random.default_rng(config.seed)
     train = tuple(_sample_triple(rng, config) for _ in range(config.n_train))
     valid = tuple(_sample_triple(rng, config) for _ in range(config.n_valid))
-    test = tuple(_sample_test_group(rng, config)
-                 for _ in range(config.n_test_contexts))
+    test = tuple(_sample_test_group(rng, config) for _ in range(config.n_test_contexts))
     return Corpus(train=train, valid=valid, test=test,
                   vocab_size=config.vocab_size,
                   n_candidates=config.n_candidates,
@@ -361,13 +337,14 @@ _GROUP_BLOCK = None, ({"0": 0, "1": 1},)
 @contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
     """``open(path, mode, **kwargs)`` by way of a temp file that replaces
-    ``path`` only when the block ends without error; otherwise the temp
-    file is removed and ``path`` keeps its bytes. An OSError on the temp
-    file names ``path``."""
+    ``path`` only when the block ends without error, else is removed; an
+    OSError on the temp file names ``path``."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f
+            f.flush()
+            os.fsync(f.fileno())  # the bytes are on disk before the rename
         os.replace(tmp, path)
     except BaseException as exc:
         Path(tmp).unlink(missing_ok=True)
@@ -416,9 +393,7 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def _flag_list(triples):
     flags = [t.noise_flag for t in triples]
-    if any(f is None for f in flags):
-        return None
-    return [int(f) for f in flags]
+    return None if None in flags else [int(f) for f in flags]
 
 
 def _parse_header(line: str, path, line_no: int) -> tuple[int, int]:

@@ -6,12 +6,9 @@ its peer from a snapshot of its own parameters, then both models step on
 the protocol they received, A first. Because protocols and gradients come
 from the snapshots taken at step entry, the order in which the two updates
 are applied cannot matter. The engine picks the strategy by name;
-``strategies`` builds each protocol, instance view included, and
-``matcher`` turns it into a loss and gradient.
-
-The engine never packs: a batch is a ``corpus.Batch``, positions in the
-corpus's training split, whose pack that split builds once, on first use.
-Validation scores the validation split's pack the same way.
+``strategies`` builds each protocol and ``matcher`` turns it into a loss
+and gradient. The engine never packs: a batch is a ``corpus.Batch`` of
+the training split, which, like the validation split, packs itself once.
 
 Randomness is organized as one RNG stream per concern (init / shuffle /
 split), each seeded by (seed, concern, epoch), so e.g. changing the
@@ -92,29 +89,25 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
                 lr: float, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8):
     """One bias-corrected Adam step on float64 vectors; returns (new params,
-    new state).
-
-    The step is::
+    new state). The step is::
 
         m = beta1*m + (1-beta1)*g
         v = beta2*v + ((1-beta2)*g)*g
         params - (lr * (m/c1)) / (sqrt(v/c2) + eps),  c_i = 1 - beta_i**t
 
-    It walks the vectors in blocks of ``ADAM_BLOCK`` entries, writing each
-    block's results into the freshly allocated outputs and two block-sized
-    scratch buffers, so no temporary leaves the cache. Every element goes
-    through the same IEEE operations, on the same operands and in the same
-    order, as the one-line whole-vector form; each rounds identically, so
+    It walks the vectors in blocks of ``ADAM_BLOCK`` entries into the fresh
+    outputs and two block-sized scratch buffers, so no temporary leaves the
+    cache. Every element takes the same IEEE operations, on the same
+    operands and in the same order, as the one-line whole-vector form, so
     the result is bit-for-bit the same whatever the block size. The inputs
     are never written: callers keep them as snapshots.
 
-    Finiteness is checked per block, on the new params while they are in
-    cache. A non-finite gradient entry always makes its parameter
-    non-finite, so a block that fails first sends the whole gradient
-    through the check: the error names the first non-finite gradient entry
-    if there is one, else the block's first non-finite parameter. Either
-    is a ``FloatingPointError``; the invalid and divide-by-zero results
-    that lead to it raise no numpy warning.
+    Finiteness is checked per block, on the new params while in cache. A
+    non-finite gradient entry always makes its parameter non-finite, so a
+    failing block sends the whole gradient through the check: the
+    ``FloatingPointError`` names the first non-finite gradient entry if
+    there is one, else the block's first non-finite parameter. The invalid
+    and divide-by-zero results on the way raise no numpy warning.
     """
     if params.shape != grad.shape:
         raise ValueError("params/grad length mismatch")
@@ -169,8 +162,7 @@ def _apply_update(model: matcher.ModelState, grad: np.ndarray,
 
 
 def split_batch(batch, rng: np.random.Generator):
-    """Randomly permute and halve a batch (a Batch or an index array) into
-    two disjoint sub-batches."""
+    """Randomly permute and halve a Batch (or index array) into two disjoint halves."""
     if len(batch) % 2 != 0:
         raise ValueError("batch size must be even")
     perm = rng.permutation(len(batch))
@@ -179,22 +171,17 @@ def split_batch(batch, rng: np.random.Generator):
 
 
 def validation_p_at_1(model: matcher.ModelState, triples) -> float:
-    """P@1 over validation triples framed as 2-candidate ranking.
-
-    The positive candidate precedes the negative, so a score tie ranks the
-    positive first. ``triples`` is a split, whose kept pack is scored, or
-    a Batch or any sequence of triples.
-    """
-    batch = as_batch(triples, model.spec.vocab_size)
+    """P@1 over the triples of a Triples split or a Batch, framed as
+    2-candidate ranking; a score tie ranks the positive first."""
+    batch = as_batch(triples)
     s = matcher.example_scores(model, batch.split, batch.examples())
     return int(np.count_nonzero(s[0::2] >= s[1::2])) / len(batch)
 
 
 def _batches(corpus: Corpus, config: TrainConfig):
-    """(iteration, batch, split_rng) for each full batch of every epoch's
-    shuffle, numbered from 1; a batch is a Batch of the training split, and
-    split_rng is the epoch's stream for halving batches. Raises on the call
-    if the training set holds no full batch."""
+    """(iteration, Batch of the training split, split_rng) for each full
+    batch of every epoch's shuffle, numbered from 1, split_rng the epoch's
+    stream for halving batches. Raises on the call if no full batch fits."""
     size, train = config.batch_size, corpus.train
     n_batches = len(train) // size
     if n_batches == 0:
@@ -208,7 +195,7 @@ def _batches(corpus: Corpus, config: TrainConfig):
             split_rng = _stream(config.seed, "split", epoch)
             for k in range(n_batches):
                 yield (epoch * n_batches + k + 1,
-                       Batch._unchecked(train, perm[k * size:(k + 1) * size]),
+                       Batch(train, perm[k * size:(k + 1) * size]),
                        split_rng)
     return walk()
 
@@ -254,13 +241,10 @@ HISTORY_COLUMNS = ["iter", "loss_A", "loss_B", "valid_P@1_A", "valid_P@1_B"]
 
 def write_history(history: RunHistory, path) -> None:
     """Write history.csv; identical runs produce byte-identical files."""
-    write_csv(path, HISTORY_COLUMNS, ([
-        r.iteration,
-        repr(r.loss_a),
-        repr(r.loss_b),
-        "" if r.valid_p1_a is None else repr(r.valid_p1_a),
-        "" if r.valid_p1_b is None else repr(r.valid_p1_b),
-    ] for r in history.records))
+    write_csv(path, HISTORY_COLUMNS, (
+        [r.iteration, repr(r.loss_a), repr(r.loss_b),
+         *("" if p1 is None else repr(p1) for p1 in (r.valid_p1_a, r.valid_p1_b))]
+        for r in history.records))
 
 
 def _parse_loss(cell: str) -> float:
@@ -273,8 +257,8 @@ def _parse_loss(cell: str) -> float:
 def _history_record(row: dict) -> HistoryRecord:
     if any(row[c] is None for c in HISTORY_COLUMNS):
         raise ValueError(f"expected {len(HISTORY_COLUMNS)} fields")
-    p1_a = parse_metric(row["valid_P@1_A"]) if row["valid_P@1_A"] else None
-    p1_b = parse_metric(row["valid_P@1_B"]) if row["valid_P@1_B"] else None
+    p1_a, p1_b = (parse_metric(row[c]) if row[c] else None
+                  for c in ("valid_P@1_A", "valid_P@1_B"))
     if (p1_a is None) != (p1_b is None):
         raise ValueError("valid_P@1_A and valid_P@1_B must both be set or both empty")
     iteration = int(row["iter"])
@@ -318,12 +302,10 @@ def _pretrain_candidates(model: matcher.ModelState, batches, config: TrainConfig
 
 def pretrain(spec: matcher.MatcherSpec, corpus: Corpus,
              config: TrainConfig) -> matcher.ModelState:
-    """Train a single model on the full (noisy) training set.
-
-    The ``none`` protocol, plain cross-entropy, shuffled each epoch; returns
-    the evaluated checkpoint with the best validation P@1 (the initial
-    model counts as a candidate, ties keep the earlier checkpoint).
-    """
+    """Train a single model on the full (noisy) training set with the
+    ``none`` protocol, shuffled each epoch; returns the evaluated checkpoint
+    with the best validation P@1 (the initial model counts as a candidate,
+    ties keep the earlier checkpoint)."""
     if config.strategy != "none":
         raise ValueError("pretrain requires strategy 'none'")
     if not corpus.train:
@@ -343,11 +325,8 @@ def coteach_step(model_a: matcher.ModelState, model_b: matcher.ModelState,
                  opt_a: OptimizerState, opt_b: OptimizerState,
                  batch, config: TrainConfig, rng: np.random.Generator):
     """One co-teaching iteration; returns (A, B, optA, optB, lossA, lossB).
-
-    Protocols and gradients are computed from the entry snapshots of both
-    models before either update is applied, so applying B's update before
-    A's would give the same result.
-    """
+    Both protocols and gradients come from the models' entry snapshots, so
+    applying B's update before A's would give the same result."""
     sub_a, sub_b = split_batch(batch, rng)
     protocol_a = build_protocol(config.strategy, model_b, sub_a, config)
     protocol_b = build_protocol(config.strategy, model_a, sub_b, config)
@@ -361,12 +340,10 @@ def coteach_step(model_a: matcher.ModelState, model_b: matcher.ModelState,
 def coteach_train(init_a: matcher.ModelState, init_b: matcher.ModelState,
                   corpus: Corpus, config: TrainConfig,
                   checkpoint_dir=None):
-    """Run the full co-teaching loop; returns (A, B, RunHistory).
-
-    Validation P@1 for both peers is recorded (and both models are
-    checkpointed if ``checkpoint_dir`` is given) every ``eval_every``
-    iterations. Fully deterministic in (seed, config, corpus).
-    """
+    """Run the full co-teaching loop; returns (A, B, RunHistory). Every
+    ``eval_every`` iterations both peers' validation P@1 is recorded and,
+    if ``checkpoint_dir`` is given, both are checkpointed. Fully
+    deterministic in (seed, config, corpus)."""
     batches = _batches(corpus, config)
     model_a, model_b = init_a, init_b
     opt_a = init_optimizer(model_a.params.size)

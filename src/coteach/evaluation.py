@@ -1,10 +1,8 @@
-"""Ranking evaluation over judged test groups.
-
-Metrics: MAP, MRR, P@1 and R_n@k for k in {1, 2, 5}, averaged over
-contexts. R_n@k divides by the total number of positives in the group, so
-multi-positive contexts are handled. Groups whose candidates are all
-positive or all negative carry no ranking signal and are filtered out
-before evaluation.
+"""Ranking evaluation over judged test groups: MAP, MRR, P@1 and R_n@k for
+k in {1, 2, 5}, averaged over contexts. R_n@k divides by the group's
+number of positives, so multi-positive contexts are handled. Groups whose
+candidates are all positive or all negative carry no ranking signal and
+are filtered out before evaluation.
 """
 
 from __future__ import annotations
@@ -17,6 +15,8 @@ import numpy as np
 from . import matcher
 
 RECALL_KS = (1, 2, 5)
+# Per-group metric names, in the order of MetricsReport's fields.
+METRIC_KEYS = ("AP", "RR", "P@1", "R@1", "R@2", "R@5")
 # Groups ranked per scoring call. At 10 candidates a group, one call
 # gathers about 1 MB of embedding rows; scoring 2,000 such groups in one
 # call was twice as slow and raised peak memory by about 40 MB.
@@ -25,11 +25,8 @@ _GROUPS_PER_CALL = 64
 
 @dataclass(frozen=True)
 class RankedGroup:
-    """Candidates of one context sorted by descending model score.
-
-    Score ties keep ascending original candidate index. ``entries`` holds
-    (candidate index, score, human label).
-    """
+    """Candidates of one context sorted by descending model score, ties by
+    ascending candidate index; ``entries`` holds (index, score, human label)."""
 
     context_id: int
     entries: tuple[tuple[int, float, int], ...]
@@ -74,23 +71,16 @@ def rank_test_groups(model: matcher.ModelState, groups) -> list[RankedGroup]:
 
 def _group_metrics(group: RankedGroup) -> dict[str, float]:
     labels = [label for _, _, label in group.entries]
-    n_pos = sum(labels)
-    if n_pos == 0:
+    # The ranks of the positives; the k-th of them has precision k / rank.
+    hits = [rank for rank, label in enumerate(labels, start=1) if label == 1]
+    if not hits:
         raise ValueError(
             f"group {group.context_id} has no positive candidate; "
             "filter degenerate groups before evaluation")
-    precisions = []
-    first_pos_rank = None
-    seen_pos = 0
-    for rank, label in enumerate(labels, start=1):
-        if label == 1:
-            seen_pos += 1
-            precisions.append(seen_pos / rank)
-            if first_pos_rank is None:
-                first_pos_rank = rank
+    n_pos = len(hits)
     out = {
-        "AP": sum(precisions) / n_pos,
-        "RR": 1.0 / first_pos_rank,
+        "AP": sum(k / rank for k, rank in enumerate(hits, start=1)) / n_pos,
+        "RR": 1.0 / hits[0],
         "P@1": float(labels[0]),
     }
     for k in RECALL_KS:
@@ -109,23 +99,13 @@ def per_group_metrics(groups) -> dict[str, np.ndarray]:
 def compute_metrics(groups) -> MetricsReport:
     """Mean metrics over ranked groups."""
     per_group = per_group_metrics(groups)
-    return MetricsReport(
-        map=float(per_group["AP"].mean()),
-        mrr=float(per_group["RR"].mean()),
-        p_at_1=float(per_group["P@1"].mean()),
-        r10_at_1=float(per_group["R@1"].mean()),
-        r10_at_2=float(per_group["R@2"].mean()),
-        r10_at_5=float(per_group["R@5"].mean()),
-        n_contexts=len(groups),
-    )
+    return MetricsReport(*(float(per_group[key].mean()) for key in METRIC_KEYS),
+                         n_contexts=len(groups))
 
 
 def paired_t_test(metric_a, metric_b) -> tuple[float, float]:
-    """Two-tailed paired t-test on per-group metric vectors.
-
-    Zero-variance conventions: all differences zero -> (0, p=1); constant
-    nonzero difference -> (signed inf, p=0).
-    """
+    """Two-tailed paired t-test on per-group metric vectors. All differences
+    zero give (0, p=1), a constant nonzero difference (signed inf, p=0)."""
     a = np.asarray(metric_a, dtype=float)
     b = np.asarray(metric_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -156,8 +136,5 @@ def ema(series, alpha: float) -> list[float]:
         raise ValueError("alpha must lie in (0, 1]")
     out: list[float] = []
     for x in series:
-        if not out:
-            out.append(float(x))
-        else:
-            out.append(alpha * float(x) + (1.0 - alpha) * out[-1])
+        out.append(alpha * float(x) + (1.0 - alpha) * out[-1] if out else float(x))
     return out

@@ -1,16 +1,10 @@
 """Per-instance loss functions and the learning-protocol container.
 
 A learning protocol is what one peer model hands the other in each
-co-teaching iteration: the selected training instances together with their
-per-instance margins or weights. The instances fix the loss: pairs of
-examples train with the hinge loss and a margin each, single examples
-with cross-entropy and a weight each. Margins and weights are produced by
-the teacher (see ``strategies``) and treated as constants by the student's
-gradient.
-
-A protocol holds no dialogues, only positions in a ``corpus.Triples``
-split, whose pack ``matcher`` gathers the student's batch from. It checks
-its positions, margins and weights once, when it is built.
+co-teaching iteration: the selected training instances, as positions in a
+``corpus.Triples`` split whose pack ``matcher`` gathers from, with the
+per-instance margins or weights the teacher (see ``strategies``) produced.
+The student's gradient treats those as constants.
 """
 
 from __future__ import annotations
@@ -26,23 +20,21 @@ from .corpus import Triples
 CROSS_ENTROPY = "cross_entropy"
 HINGE_WITH_MARGIN = "hinge_with_margin"
 
-# Scores are clamped to [CE_EPS, 1 - CE_EPS] inside cross_entropy so the
-# logs stay finite; the clamp perturbs desk-scale losses below any test
-# tolerance used here.
+# Scores are clamped to [CE_EPS, 1 - CE_EPS] inside cross_entropy so the logs
+# stay finite; the clamp perturbs desk-scale losses below any test tolerance.
 CE_EPS = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
 class LearningProtocol:
     """The instances of one student update, as positions in the pointwise
-    view of ``split`` (2t is triple t's positive, y = 1, and 2t + 1 its
-    negative, y = 0), and ``coef``, one float per instance.
+    view of ``split`` (2t is triple t's positive, y = 1, 2t + 1 its
+    negative, y = 0), with ``coef``, one float each, checked when built.
 
-    The instances fix the loss. A row of two positions in ``examples``
-    trains with the hinge loss, the first ranked above the second, and its
-    coefficient is a margin >= 0. A single position trains with
-    cross-entropy, and its coefficient is a weight in [0, 1]; plain
-    cross-entropy is the case where every weight is 1.
+    The instances fix the loss: a row of two positions in ``examples``
+    trains with the hinge loss, the first ranked above the second, and a
+    margin >= 0; a single position with cross-entropy and a weight in
+    [0, 1], all 1 for plain cross-entropy.
     """
 
     split: Triples
@@ -50,7 +42,9 @@ class LearningProtocol:
     coef: np.ndarray
 
     def __post_init__(self):
-        examples, coef = self.examples, self.coef
+        examples, coef = np.asarray(self.examples), np.asarray(self.coef)
+        if examples.dtype.kind not in "iu":
+            raise TypeError("instance positions must be integers")
         if not coef.size or examples.shape not in ((coef.size,), (coef.size, 2)):
             raise ValueError("need one margin or weight for each of at least "
                              "one instance")
@@ -60,6 +54,8 @@ class LearningProtocol:
             raise ValueError(f"negative margin {coef.min()}")
         if examples.ndim == 1 and not ((0.0 <= coef) & (coef <= 1.0)).all():
             raise ValueError("weight outside [0, 1]")
+        object.__setattr__(self, "examples", examples)
+        object.__setattr__(self, "coef", coef)
 
     @property
     def loss_kind(self) -> str:
@@ -91,14 +87,12 @@ def cross_entropy(y, s):
 
 
 def hinge_with_margin(s_pos, s_neg, margin):
-    """Ranking hinge max(0, margin - s_pos + s_neg), element-wise; a
-    negative margin raises."""
+    """Ranking hinge max(0, margin - s_pos + s_neg); a negative margin raises."""
     if np.any(np.less(margin, 0)):
         raise ValueError(f"negative margin {np.min(margin)}")
     return hinge(s_pos, s_neg, margin)
 
 
 def hinge(s_pos, s_neg, margin):
-    """``hinge_with_margin`` for margins already checked, such as a
-    protocol's."""
+    """``hinge_with_margin`` for checked margins, such as a protocol's."""
     return np.maximum(0.0, margin - s_pos + s_neg)

@@ -12,23 +12,13 @@ Parameters live in a single flat float64 vector with a fixed layout
 checkpoints and finite-difference checking trivial.
 
 Every computation is batched over a ``corpus.Packed`` batch of (context,
-responses) groups. Training, teachers and validation gather it by index
-arithmetic from the pack of a ``corpus.Triples`` split, which owns the
-pack and checked its tokens when it built it. ``scores`` packs groups the
-caller builds, such as ranked test groups, checking them on every call.
-One ``_forward`` returns logits and a backward cache for scoring
-and training; scoring only takes their sigmoid, and ``_loss`` forms ds/dz
-where it is read. ``_forward`` and ``_loss`` run in the dtype of the
-params, so the tests' finite-difference oracle can difference the loss in
-extended precision.
-Each group's context is pooled once: scoring passes a ranked group's
-candidates or a triple's two responses as one group, training one response.
-
-``_backward`` builds the embedding gradient with one ``np.bincount`` over
-``token_id * d + column``. bincount adds each entry's contributions in
-token order starting from 0.0, the order of a sequential scatter-add into
-a zeroed buffer, so every entry is the same left-to-right sum as that
-scatter's, and the tests compare the two bit for bit.
+responses) groups: training, teachers and validation gather it from the
+pack a ``corpus.Triples`` split built and checked once, and ``scores``
+packs and checks the groups a caller builds, such as ranked test groups.
+One ``_forward`` serves scoring and training; scoring takes only the
+sigmoid of its logits, and ``_loss`` forms ds/dz where it is read. Both
+run in the dtype of the params, so the tests' finite-difference oracle
+can difference the loss in extended precision.
 """
 
 from __future__ import annotations
@@ -71,22 +61,14 @@ def param_layout(spec: MatcherSpec) -> dict[str, slice]:
     interaction-mlp: E (V*d), W1 (h*3d), b1 (h), w2 (h), b2 (1)
     """
     v, d, h = spec.vocab_size, spec.embedding_dim, spec.hidden_dim
-    layout = {"E": slice(0, v * d)}
-    off = v * d
     if spec.kind == MEAN_EMBEDDING_BILINEAR:
-        layout["W"] = slice(off, off + d * d)
-        off += d * d
-        layout["b"] = slice(off, off + 1)
-        off += 1
+        sizes = (("E", v * d), ("W", d * d), ("b", 1))
     else:
-        layout["W1"] = slice(off, off + h * 3 * d)
-        off += h * 3 * d
-        layout["b1"] = slice(off, off + h)
-        off += h
-        layout["w2"] = slice(off, off + h)
-        off += h
-        layout["b2"] = slice(off, off + 1)
-        off += 1
+        sizes = (("E", v * d), ("W1", h * 3 * d), ("b1", h), ("w2", h), ("b2", 1))
+    layout, off = {}, 0
+    for name, size in sizes:
+        layout[name] = slice(off, off + size)
+        off += size
     layout["_total"] = slice(0, off)
     return layout
 
@@ -97,16 +79,12 @@ def n_params(spec: MatcherSpec) -> int:
 
 @dataclass(frozen=True)
 class ModelState:
-    """A matcher spec plus its flat float64 parameter vector.
-
-    Treated as immutable: optimizer steps build a new ModelState rather
-    than writing into ``params``.
+    """A matcher spec plus its flat float64 parameter vector, treated as
+    immutable: optimizer steps build a new ModelState.
 
     The constructor checks the layout length and that every parameter is
-    finite, so ``init_params``, ``load_checkpoint`` and any caller's params
-    are checked at the boundary. Only the optimizer step skips it, through
-    ``_unchecked``: ``engine.adam_update`` has just checked the new params
-    block by block.
+    finite. Only the optimizer step skips that, through ``_unchecked``:
+    ``engine.adam_update`` has just checked the new params block by block.
     """
 
     spec: MatcherSpec
@@ -133,14 +111,13 @@ class ModelState:
 def init_params(spec: MatcherSpec, seed: int) -> ModelState:
     """Initialize weights ~ uniform(-0.1, 0.1) and biases to 0."""
     rng = np.random.default_rng(seed)
-    layout = param_layout(spec)
     n = n_params(spec)
     try:
         params = np.zeros(n)
     except MemoryError as exc:
         raise ValueError(f"cannot allocate a model of {n} parameters (vocab "
                          f"{spec.vocab_size}, embedding_dim {spec.embedding_dim})") from exc
-    for name, sl in layout.items():
+    for name, sl in param_layout(spec).items():
         if name.startswith("b") or name == "_total":
             continue
         params[sl] = rng.uniform(-0.1, 0.1, size=sl.stop - sl.start)
@@ -148,15 +125,13 @@ def init_params(spec: MatcherSpec, seed: int) -> ModelState:
 
 
 def _forward(spec: MatcherSpec, params: np.ndarray, packed: Packed):
-    """Logits z and the backward cache of a packed batch; forms no derivatives.
-
-    Runs in the dtype of ``params``. Every reduction stays inside one
+    """Logits z and the backward cache of a packed batch, in the dtype of
+    ``params``; forms no derivatives. Every reduction stays inside one
     dialogue (``reduceat`` over its segments, ``einsum`` over its row; BLAS
     matmul would block rows differently for different batch sizes), so a
     dialogue's logit does not depend on the rest of the batch, bit for bit.
     A context shared by several responses is pooled once, by the same
-    reduction as a context of one response.
-    """
+    reduction as a context of one response."""
     d = spec.embedding_dim
     layout = param_layout(spec)
     E = params[layout["E"]].reshape(spec.vocab_size, d)
@@ -194,8 +169,7 @@ def _backward(spec: MatcherSpec, packed: Packed, cache,
     context tokens get their own rows. One ``np.bincount`` over
     ``id * d + column`` scatters the token rows into the whole vector: each
     entry starts at 0.0 and takes its rows in token order, as a sequential
-    scatter-add into zeros would, so the sums match that scatter bit for bit.
-    """
+    scatter-add into zeros would, so the sums match that scatter bit for bit."""
     d = spec.embedding_dim
     layout = param_layout(spec)
     c = dL_dz[:, None]
@@ -225,18 +199,15 @@ def _backward(spec: MatcherSpec, packed: Packed, cache,
     return grad
 
 
-def _protocol_arrays(protocol: LearningProtocol):
-    """A protocol's packed groups, labels and per-instance coefficients;
-    each group holds one response.
-
-    Hinge: every pair's first example, then every pair's second, no labels,
-    the margins. Cross-entropy: one group per example, the labels y, the
-    weights (all 1 for plain cross-entropy).
-    """
+def _protocol_arrays(protocol: LearningProtocol, vocab_size: int):
+    """A protocol's packed groups of one response each, the labels y and
+    the coefficients. Hinge: every pair's first example, then every pair's
+    second, and no labels. Cross-entropy: one group per example."""
     split, examples = protocol.split, protocol.examples
     if protocol.loss_kind == losses.HINGE_WITH_MARGIN:
-        return split.gather(examples.T.reshape(-1, 1)), None, protocol.coef
-    return split.gather(examples[:, None]), 1 - (examples & 1), protocol.coef
+        return split.gather(examples.T.reshape(-1, 1), vocab_size), None, protocol.coef
+    return (split.gather(examples[:, None], vocab_size), 1 - (examples & 1),
+            protocol.coef)
 
 
 def _loss(loss_kind: str, z: np.ndarray, labels, coef):
@@ -257,20 +228,18 @@ def _loss(loss_kind: str, z: np.ndarray, labels, coef):
 
 def scores(model: ModelState, groups) -> np.ndarray:
     """Matching scores s(c, r) in (0, 1) of a sequence of (context,
-    responses) groups: every response of the first group in order, then of
-    the next. Each group's context is pooled once, and each entry equals,
-    bit for bit, the score of that dialogue alone.
-    """
+    responses) groups, group by group in response order. Each group's
+    context is pooled once, and each entry equals, bit for bit, the score
+    of that dialogue alone."""
     z, _ = _forward(model.spec, model.params, pack_groups(groups, model.spec.vocab_size))
     return _sigmoid(z)
 
 
 def example_scores(model: ModelState, split: Triples, examples: np.ndarray) -> np.ndarray:
-    """Scores of the pointwise examples of ``split`` in each row of
-    ``examples``, row by row. A row's examples share one triple, whose
-    context is pooled once; each entry equals ``score`` of that dialogue,
-    bit for bit."""
-    packed = split.gather(examples)
+    """Scores of the pointwise examples of ``split`` in the rows of
+    ``examples``, row by row, each row's triple context pooled once; each
+    entry equals ``score`` of that dialogue, bit for bit."""
+    packed = split.gather(examples, model.spec.vocab_size)
     return _sigmoid(_forward(model.spec, model.params, packed)[0])
 
 
@@ -280,12 +249,9 @@ def score(model: ModelState, context, response) -> float:
 
 
 def loss_and_grad(model: ModelState, protocol: LearningProtocol):
-    """Total protocol loss and its analytic gradient w.r.t. the flat params.
-
-    Teacher-provided margins and weights are constants; no gradient flows
-    through them.
-    """
-    packed, labels, coef = _protocol_arrays(protocol)
+    """Total protocol loss and its analytic gradient w.r.t. the flat params;
+    no gradient flows through the teacher's margins and weights."""
+    packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
     z, cache = _forward(model.spec, model.params, packed)
     total, dL_dz = _loss(protocol.loss_kind, z, labels, coef)
     return float(total), _backward(model.spec, packed, cache, dL_dz)

@@ -1,13 +1,11 @@
 """Teaching strategies: how a teacher model builds its peer's protocol.
 
-Each strategy is a pure function of (teacher parameters, sub-batch of
-pairwise triples, hyperparameter). The sub-batch is a ``corpus.Batch`` of
-a packed split, or a sequence of triples, packed on the call; the teacher
-scores what ``matcher`` gathers from the split's pack. It only annotates
-or filters: the protocol holds positions in the split's pointwise view,
-a (positive, negative) pair per triple for margin and single examples
-otherwise, plus per-instance margins or weights. The ``none`` protocol
-needs no teacher: plain cross-entropy, the loss of pretraining too.
+Each strategy is a pure function of (teacher parameters, sub-batch,
+hyperparameter), the sub-batch a ``corpus.Batch`` or a whole
+``corpus.Triples`` split whose pack the teacher scores through
+``matcher``. The teacher only annotates or filters the triples' pointwise
+view; margin keeps a (positive, negative) pair per triple. The ``none``
+protocol needs no teacher: plain cross-entropy, as in pretraining.
 """
 
 from __future__ import annotations
@@ -23,16 +21,14 @@ from .losses import LearningProtocol
 
 def margin_protocol(teacher: matcher.ModelState, sub_batch,
                     lam: float) -> LearningProtocol:
-    """Dynamic-margin teaching over pairwise triples.
-
-    Each triple keeps its place in the protocol; its hinge margin is
-    max(0, lam * (s_T(c, r+) - s_T(c, r-))) from the teacher's scores. A
-    teacher that ranks the negative above the positive (a likely false
-    negative) hands the student margin 0, flattening that instance's loss.
-    """
+    """Dynamic-margin teaching over pairwise triples: each triple keeps its
+    place, with hinge margin max(0, lam * (s_T(c, r+) - s_T(c, r-))) from
+    the teacher's scores. A teacher that ranks the negative above the
+    positive (a likely false negative) hands the student margin 0,
+    flattening that instance's loss."""
     if not 0 < lam < math.inf:  # also rejects nan
         raise ValueError("lambda must be positive and finite")
-    batch = as_batch(sub_batch, teacher.spec.vocab_size)
+    batch = as_batch(sub_batch)
     examples = batch.examples()
     s = matcher.example_scores(teacher, batch.split, examples)
     return LearningProtocol(batch.split, examples,
@@ -40,13 +36,10 @@ def margin_protocol(teacher: matcher.ModelState, sub_batch,
 
 
 def weighting_protocol(teacher: matcher.ModelState, sub_batch) -> LearningProtocol:
-    """Dynamic instance weighting over the triples' pointwise view.
-
-    Positives keep weight 1; a negative gets 1 - s_T(c, r), so negatives the
-    teacher scores highly (suspected false negatives) are downweighted
-    toward 0.
-    """
-    batch = as_batch(sub_batch, teacher.spec.vocab_size)
+    """Dynamic instance weighting over the triples' pointwise view:
+    positives keep weight 1, a negative gets 1 - s_T(c, r), so negatives the
+    teacher scores highly (suspected false negatives) weigh almost 0."""
+    batch = as_batch(sub_batch)
     examples, weights = batch.examples(), np.ones(2 * len(batch))
     weights[1::2] = 1.0 - matcher.example_scores(teacher, batch.split, examples[:, 1:])
     return LearningProtocol(batch.split, examples.ravel(), weights)
@@ -54,16 +47,13 @@ def weighting_protocol(teacher: matcher.ModelState, sub_batch) -> LearningProtoc
 
 def curriculum_protocol(teacher: matcher.ModelState, sub_batch,
                         delta: float) -> LearningProtocol:
-    """Dynamic data curriculum: keep the small-teacher-loss instances.
-
-    Keeps the ceil(delta * n) of the triples' n pointwise examples with
-    smallest teacher cross-entropy, ties broken by pointwise order (earlier
-    wins); the kept examples stay in that order with weight 1. The teacher
-    pools each triple's context once to score its positive, then negative.
-    """
+    """Dynamic data curriculum: keeps the ceil(delta * n) of the triples' n
+    pointwise examples with smallest teacher cross-entropy, ties broken by
+    pointwise order (earlier wins), in that order with weight 1. The teacher
+    pools each triple's context once to score its positive, then negative."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    batch = as_batch(sub_batch, teacher.spec.vocab_size)
+    batch = as_batch(sub_batch)
     examples = batch.examples()
     s = matcher.example_scores(teacher, batch.split, examples)
     examples = examples.ravel()
@@ -74,10 +64,7 @@ def curriculum_protocol(teacher: matcher.ModelState, sub_batch,
 
 
 def none_protocol(sub_batch) -> LearningProtocol:
-    """No teaching: plain cross-entropy, weight 1, on the pointwise view.
-    With no teacher to bring a vocab, a sequence of triples is checked
-    only for negative ids; a token past the student's vocab raises
-    IndexError in its forward."""
+    """No teaching: plain cross-entropy, weight 1, on the pointwise view."""
     batch = as_batch(sub_batch)
     return LearningProtocol(batch.split, batch.examples().ravel(),
                             np.ones(2 * len(batch)))

@@ -24,7 +24,7 @@ def finite_diff_check(model: ModelState, protocol: LearningProtocol,
     if step <= 0:
         raise ValueError("step must be positive")
     _, grad = matcher.loss_and_grad(model, protocol)
-    packed, labels, coef = matcher._protocol_arrays(protocol)
+    packed, labels, coef = matcher._protocol_arrays(protocol, model.spec.vocab_size)
 
     def loss_at(params):
         z, _ = matcher._forward(model.spec, params, packed)

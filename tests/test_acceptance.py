@@ -83,14 +83,14 @@ def test_2_strategy_formulas(capsys, monkeypatch):
     with monkeypatch.context() as patch:
         fix_teacher_scores(patch, fixed)
         confident = strategies.margin_protocol(
-            teacher, [ct.PairwiseTriple(((1,),), (2,), (3,))], lam=0.5)
+            teacher, ct.Triples([ct.PairwiseTriple(((1,),), (2,), (3,))]), lam=0.5)
         misranked = strategies.margin_protocol(
-            teacher, [ct.PairwiseTriple(((1,),), (4,), (5,))], lam=0.5)
+            teacher, ct.Triples([ct.PairwiseTriple(((1,),), (4,), (5,))]), lam=0.5)
         checks.append(abs(confident.pairwise[0][1] - 0.4) < 1e-12)
         checks.append(misranked.pairwise[0][1] == 0.0)
         # weighting: positives weight 1, negatives 1 - teacher score
         weighted = strategies.weighting_protocol(
-            teacher, [ct.PairwiseTriple(((1,),), (2,), (5,))])
+            teacher, ct.Triples([ct.PairwiseTriple(((1,),), (2,), (5,))]))
         checks.append(weighted.pointwise[0][1] == 1.0)
         checks.append(abs(weighted.pointwise[1][1] - 0.3) < 1e-12)
         # curriculum: pointwise losses [0.2, 0.9, 0.1, 0.5], delta 0.5 keeps
@@ -100,7 +100,7 @@ def test_2_strategy_formulas(capsys, monkeypatch):
         for response, loss, y in zip([(10,), (11,), (12,), (13,)],
                                      [0.2, 0.9, 0.1, 0.5], [1, 0, 1, 0]):
             fixed[response] = math.exp(-loss) if y else 1.0 - math.exp(-loss)
-        selected = strategies.curriculum_protocol(teacher, cur_triples, delta=0.5)
+        selected = strategies.curriculum_protocol(teacher, ct.Triples(cur_triples), delta=0.5)
         checks.append([e for e, _ in selected.pointwise] == [0, 2])
 
     # curriculum equals the full-sort oracle on 1000 random sub-batches
@@ -116,7 +116,7 @@ def test_2_strategy_formulas(capsys, monkeypatch):
         keep = math.ceil(delta * len(examples))
         order = np.argsort(np.array(losses), kind="stable")
         expected = [examples[i] for i in sorted(order[:keep])]
-        protocol = strategies.curriculum_protocol(teacher, triples, delta)
+        protocol = strategies.curriculum_protocol(teacher, ct.Triples(triples), delta)
         if [example(protocol.split, e) for e, _ in protocol.pointwise] != expected:
             oracle_ok = False
             break

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from coteach import (Batch, Corpus, GenConfig, MatcherSpec, PairwiseTriple,
                      TrainConfig, Triples, coteach_train, corpus,
                      generate_synthetic_corpus, init_params, load_corpus, matcher,
-                     pretrain, save_corpus, strategies, validation_p_at_1)
+                     pretrain, save_corpus, select_model, strategies,
+                     validation_p_at_1)
 from coteach.corpus import CorpusFormatError, atomic_open, write_csv
 
 
@@ -117,20 +119,20 @@ class TestPointwiseView:
 
     def test_single_triple_yields_labels_one_zero(self):
         t = PairwiseTriple(((1, 2),), (3,), (4,))
-        protocol = strategies.none_protocol([t])
-        packed, labels, _ = matcher._protocol_arrays(protocol)
+        protocol = strategies.none_protocol(Triples([t]))
+        packed, labels, _ = matcher._protocol_arrays(protocol, 5)
         assert labels.tolist() == [1, 0]
         assert packed.ids.tolist() == [1, 2, 1, 2, 3, 4]
         assert packed.lengths.tolist() == [2, 2, 1, 1]
 
     def test_labels_alternate(self):
         triples = [PairwiseTriple(((i,),), (i, 1), (i, 2)) for i in range(3)]
-        protocol = strategies.none_protocol(triples)
+        protocol = strategies.none_protocol(Triples(triples))
         assert [e for e, _ in protocol.pointwise] == list(range(6))
-        assert matcher._protocol_arrays(protocol)[1].tolist() == [1, 0, 1, 0, 1, 0]
+        assert matcher._protocol_arrays(protocol, 5)[1].tolist() == [1, 0, 1, 0, 1, 0]
 
     def test_balanced_labels(self, tiny_corpus):
-        labels = matcher._protocol_arrays(strategies.none_protocol(tiny_corpus.train))[1]
+        labels = matcher._protocol_arrays(strategies.none_protocol(tiny_corpus.train), 60)[1]
         ones = int(labels.sum())
         assert ones == len(labels) - ones == len(tiny_corpus.train)
 
@@ -184,12 +186,46 @@ class TestSplitPack:
                 matcher.scores(model, [(((1,),), ((),))])
 
 
+class TestModelVocab:
+    SPLIT = Triples([PairwiseTriple(((1,),), (2,), (7,))] * 2, vocab_size=10)
+    MODEL = init_params(MatcherSpec("mean-embedding-bilinear", vocab_size=5,
+                                    embedding_dim=2), 0)
+
+    @pytest.mark.parametrize("call", [
+        lambda m, b: strategies.margin_protocol(m, b, 0.5),
+        lambda m, b: strategies.weighting_protocol(m, b),
+        lambda m, b: strategies.curriculum_protocol(m, b, 0.5),
+        lambda m, b: matcher.loss_and_grad(m, strategies.none_protocol(b)),
+        lambda m, b: validation_p_at_1(m, b.split),
+        lambda m, b: select_model(m, m, b.split),
+    ], ids=["margin", "weighting", "curriculum", "none", "validation", "select"])
+    def test_token_past_a_smaller_model_vocab_rejected(self, call):
+        # The split packs against its own vocab of 10; the model's is 5.
+        with pytest.raises(ValueError, match="^token ID out of range for vocab$"):
+            call(self.MODEL, Batch(self.SPLIT, np.array([1, 0])))
+
+    def test_split_within_the_model_vocab_is_scored(self):
+        split = Triples([PairwiseTriple(((1,),), (2,), (4,))], vocab_size=10)
+        assert validation_p_at_1(self.MODEL, split) in (0.0, 1.0)
+
+
 class TestBatch:
     @pytest.mark.parametrize("index", [[-1], [0, 3], [1, -2]])
     def test_positions_outside_the_split_rejected(self, index):
         split = Triples([PairwiseTriple(((1,),), (2,), (3,))] * 3)
         with pytest.raises(ValueError, match="batch position outside the split"):
             Batch(split, np.array(index))
+
+    def test_positions_must_be_a_1d_integer_array(self):
+        split = Triples([PairwiseTriple(((1,),), (2,), (3,))] * 3)
+        assert Batch(split, [2, 0]).examples().tolist() == [[4, 5], [0, 1]]
+        # A boolean mask would read as positions 0 and 1.
+        for index in (np.array([True, False, True]), np.array([0.0, 1.0]),
+                      np.array([[0, 1]])):
+            with pytest.raises(TypeError, match="1-d integer index array"):
+                Batch(split, index)
+        with pytest.raises(TypeError, match="Triples split"):
+            Batch(list(split), np.array([0]))
 
     def test_indexing_a_batch_keeps_its_split(self):
         split = Triples([PairwiseTriple(((i,),), (2,), (3,)) for i in range(4)])
@@ -211,6 +247,16 @@ class TestAtomicWrites:
             write_csv(path, ["a", "b"], self._failing_rows())
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+
+    def test_bytes_reach_the_disk_before_the_rename(self, tmp_path, monkeypatch):
+        calls, fsync, replace = [], os.fsync, os.replace
+        monkeypatch.setattr(corpus.os, "fsync", lambda fd: (
+            calls.append("fsync") or fsync(fd)))
+        monkeypatch.setattr(corpus.os, "replace", lambda *args: (
+            calls.append("replace") or replace(*args)))
+        write_csv(tmp_path / "x.csv", ["a"], [["1"]])
+        assert calls == ["fsync", "replace"]
+        assert (tmp_path / "x.csv").read_bytes() == b"a\r\n1\r\n"
 
     def test_failed_first_write_leaves_nothing(self, tmp_path):
         with pytest.raises(RuntimeError):

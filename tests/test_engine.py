@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coteach import (Batch, GenConfig, MatcherSpec, OptimizerState, PairwiseTriple,
-                     TrainConfig, adam_update, coteach_step, coteach_train,
+                     TrainConfig, Triples, adam_update, coteach_step, coteach_train,
                      generate_synthetic_corpus, init_params, pretrain,
                      select_model, split_batch, validation_p_at_1)
 from coteach import engine, matcher
@@ -217,16 +217,16 @@ class TestValidationP1:
                    PairwiseTriple(((1,),), (4,), (5,))]
         fix_teacher_scores(monkeypatch, {(2,): 0.8, (3,): 0.2, (4,): 0.1, (5,): 0.9})
         model = init_params(SPEC, 0)
-        assert validation_p_at_1(model, triples) == 0.5
+        assert validation_p_at_1(model, Triples(triples)) == 0.5
 
     def test_tie_counts_for_positive(self, monkeypatch):
         triples = [PairwiseTriple(((1,),), (2,), (3,))]
         fix_teacher_scores(monkeypatch, {(2,): 0.5, (3,): 0.5})
-        assert validation_p_at_1(init_params(SPEC, 0), triples) == 1.0
+        assert validation_p_at_1(init_params(SPEC, 0), Triples(triples)) == 1.0
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
-            validation_p_at_1(init_params(SPEC, 0), [])
+            validation_p_at_1(init_params(SPEC, 0), Triples([]))
 
     def test_equals_per_dialogue_oracle_bit_for_bit(self, corpus, monkeypatch):
         rng = np.random.default_rng(8)

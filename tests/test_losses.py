@@ -107,6 +107,14 @@ class TestLearningProtocol:
             with pytest.raises(ValueError, match="outside the split"):
                 _pointwise(1.0, examples=[bad])
 
+    def test_positions_must_be_integers(self):
+        # A boolean mask would read as positions 0 and 1.
+        for examples in (np.array([True, True]), np.array([0.0, 3.0])):
+            with pytest.raises(TypeError, match="positions must be integers"):
+                _pointwise(1.0, 1.0, examples=examples)
+        protocol = LearningProtocol(SPLIT, [[0, 1]], [0.5])
+        assert protocol.pairwise == (((0, 1), 0.5),)
+
     def test_rejects_empty_and_mismatched_instances(self):
         with pytest.raises(ValueError, match="at least one instance"):
             _pointwise()

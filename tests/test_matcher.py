@@ -249,7 +249,7 @@ def _pairwise_protocol(rng, n=4, make_triple=random_triple):
 def _add_at_gradient(model, protocol):
     """The gradient as a zero-filled buffer and ``np.add.at`` build it."""
     layout, d = param_layout(model.spec), model.spec.embedding_dim
-    packed, labels, coef = matcher._protocol_arrays(protocol)
+    packed, labels, coef = matcher._protocol_arrays(protocol, model.spec.vocab_size)
     z, cache = matcher._forward(model.spec, model.params, packed)
     dL_dz = matcher._loss(protocol.loss_kind, z, labels, coef)[1]
     c, grad = dL_dz[:, None], np.zeros_like(model.params)
@@ -337,7 +337,7 @@ class TestLossAndGrad:
         model = ModelState(small_spec, params)
         protocol = _pairwise_protocol(np.random.default_rng(18), n=6,
                                       make_triple=_ragged_triple)
-        packed, _, _ = matcher._protocol_arrays(protocol)
+        packed, _, _ = matcher._protocol_arrays(protocol, small_spec.vocab_size)
         z, _ = matcher._forward(small_spec, params, packed)
         assert np.all(np.abs(z) > matcher._Z_CLAMP)
         loss, grad = loss_and_grad(model, protocol)
