@@ -332,7 +332,7 @@ def cmd_evaluate(config, args) -> int:
         _load_checkpoint(run_dir / "A_final.ckpt", corpus, hint),
         _load_checkpoint(run_dir / "B_final.ckpt", corpus, hint), corpus)
     per_group = evaluation.per_group_metrics(ranked)
-    report = evaluation.compute_metrics(ranked)
+    report = evaluation.mean_metrics(per_group)
 
     stars = {}
     if args.baseline_dump:

@@ -11,6 +11,8 @@ This module owns the pack: a training or validation split is a
 ``Triples``, which packs and checks itself into flat int arrays once, on
 first use. A ``Batch`` addresses a split's triples by position, and
 ``Triples.gather`` takes what ``matcher`` scores or trains on from the pack.
+``load_corpus`` reads the canonical form ``save_corpus`` writes by array
+passes; the line reader reads any other file and words every error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -321,6 +323,9 @@ def generate_synthetic_corpus(config: GenConfig) -> Corpus:
 # line (one triple), a test block is n_candidates lines labelled 0 or 1
 # (one judged group). Generation metadata and the diagnostic noise flags
 # live in a sidecar meta.json, keeping the text format self-contained.
+# Two readers give equal blocks and errors. A valid file in save_corpus's
+# canonical form (ASCII; one space, tab or "\n" after each id; ids of 1-18
+# digits) takes whole-file array passes, any other file the line reader.
 # ----------------------------------------------------------------------
 
 _HEADER_PREFIX = "#vocab="
@@ -504,6 +509,64 @@ def _read_blocks(path, block):
     return header, blocks
 
 
+def _slices(data: bytes, starts: np.ndarray, stops: np.ndarray):
+    return map(data.__getitem__, map(slice, starts.tolist(), stops.tolist()))
+
+
+def _read_canonical(path, block):
+    """``_read_blocks``' result for a valid canonical file, else None."""
+    data = path.read_bytes() if path.exists() else b""
+    buf = np.frombuffer(data, np.uint8)
+    newlines, tabs = np.flatnonzero(buf == 10), np.flatnonzero(buf == 9)
+    try:
+        header = _parse_header(data[:newlines[0]].decode("ascii"), path, 1)
+    except (IndexError, UnicodeError, CorpusFormatError):
+        return None
+    size, allowed = block[0] or header[1], block[1]
+    starts, ends = newlines[:-1] + 1, newlines[1:]
+    if (data[:newlines[0]] != b"#vocab=%d candidates=%d" % header
+            or ends.size % size or newlines[-1] != buf.size - 1):
+        return None
+    if not ends.size:
+        return header, []
+    # A line's first tab ends its label, its last starts its response.
+    first, last = np.searchsorted(tabs, starts), np.searchsorted(tabs, ends) - 1
+    if not (first < last).all():
+        return None
+    n_utts, first, last = last - first, tabs[first], tabs[last]
+    position = np.arange(ends.size) % size
+    width = 1 + max(map(len, chain.from_iterable(allowed)))  # a label and its tab
+    label = np.array(list(_slices(data, starts, np.minimum(first + 1, starts + width))))
+    values = np.full(ends.size, -1)
+    for k, labels in enumerate(allowed):
+        for text, value in labels.items():
+            values[(position % len(allowed) == k) & (label == text.encode() + b"\t")] = value
+    # Later lines of a block repeat its first context, so only it and responses are parsed.
+    later = np.flatnonzero(position)
+    lead = later - position[later]
+    if (values < 0).any() or not all(map(
+            bytes.__eq__, _slices(data, first[later] + 1, last[later]),
+            _slices(data, first[lead] + 1, last[lead]))):
+        return None
+    text = b"".join(_slices(data, np.where(position, last, first) + 1, ends + 1))
+    # Ids are 1 to 18 ASCII digits, each ended by one space, tab or newline.
+    chars = np.frombuffer(text, np.uint8)
+    seps = np.flatnonzero((chars < 48) | (chars > 57))
+    kinds, lengths = chars[seps], np.diff(seps, prepend=-1) - 1
+    if not (np.isin(kinds, (9, 10, 32)).all() and 1 <= lengths.min() <= lengths.max() <= 18):
+        return None
+    field_sizes = np.diff(np.flatnonzero(kinds != 32), prepend=-1).tolist()
+    ids = np.fromstring(text, np.int64, sep=" ")
+    del data, buf, text, chars, seps, kinds, lengths  # peak below the line reader's
+    if int(ids.max()) >= header[0]:
+        return None
+    ids = iter(ids.tolist())
+    fields = iter([tuple(islice(ids, k)) for k in field_sizes])
+    return header, [(tuple(islice(fields, n_utt)), list(zip(islice(fields, size), vals)))
+                    for n_utt, vals in zip(n_utts[::size].tolist(),
+                                           values.reshape(-1, size).tolist())]
+
+
 def _with_noise_flags(blocks, meta, key, meta_path):
     """Triples from POS/NEG blocks, flagged from ``meta[key]`` when
     present; the list must hold one 0/1 flag per triple."""
@@ -538,9 +601,10 @@ def load_corpus(path) -> Corpus:
     path = Path(path)
     meta_path = path / "meta.json"
     meta = _read_meta(meta_path)
-    h_train, train = _read_blocks(path / "train.txt", _TRIPLE_BLOCK)
-    h_valid, valid = _read_blocks(path / "valid.txt", _TRIPLE_BLOCK)
-    h_test, test = _read_blocks(path / "test.txt", _GROUP_BLOCK)
+    (h_train, train), (h_valid, valid), (h_test, test) = (
+        _read_canonical(path / name, block) or _read_blocks(path / name, block)
+        for name, block in (("train.txt", _TRIPLE_BLOCK), ("valid.txt", _TRIPLE_BLOCK),
+                            ("test.txt", _GROUP_BLOCK)))
 
     headers = [h for h in (h_train, h_valid, h_test) if h is not None]
     if not headers:

@@ -96,11 +96,15 @@ def per_group_metrics(groups) -> dict[str, np.ndarray]:
     return {key: np.array([r[key] for r in rows]) for key in rows[0]}
 
 
+def mean_metrics(per_group) -> MetricsReport:
+    """The report of ``per_group_metrics``' vectors: each metric's mean."""
+    return MetricsReport(*(float(per_group[key].mean()) for key in METRIC_KEYS),
+                         n_contexts=len(per_group["AP"]))
+
+
 def compute_metrics(groups) -> MetricsReport:
     """Mean metrics over ranked groups."""
-    per_group = per_group_metrics(groups)
-    return MetricsReport(*(float(per_group[key].mean()) for key in METRIC_KEYS),
-                         n_contexts=len(groups))
+    return mean_metrics(per_group_metrics(groups))
 
 
 def paired_t_test(metric_a, metric_b) -> tuple[float, float]:

@@ -24,6 +24,8 @@ can difference the loss in extended precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -54,8 +56,9 @@ class MatcherSpec:
             raise ValueError("spec dimensions must be positive")
 
 
-def param_layout(spec: MatcherSpec) -> dict[str, slice]:
-    """Slices of the flat parameter vector, in storage order.
+@lru_cache(maxsize=None)
+def param_layout(spec: MatcherSpec) -> MappingProxyType[str, slice]:
+    """Slices of the flat parameter vector in storage order, cached per spec.
 
     bilinear:        E (V*d), W (d*d), b (1)
     interaction-mlp: E (V*d), W1 (h*3d), b1 (h), w2 (h), b2 (1)
@@ -70,7 +73,7 @@ def param_layout(spec: MatcherSpec) -> dict[str, slice]:
         layout[name] = slice(off, off + size)
         off += size
     layout["_total"] = slice(0, off)
-    return layout
+    return MappingProxyType(layout)
 
 
 def n_params(spec: MatcherSpec) -> int:

@@ -677,12 +677,12 @@ class TestArtifactBytes:
         monkeypatch.setattr(cli, "_load_corpus", lambda path: None)
         monkeypatch.setattr(cli, "_load_checkpoint", lambda *args: None)
         monkeypatch.setattr(cli, "_rank_test_set", lambda *args: ([None] * 2, 0))
+        calls = []
         monkeypatch.setattr(cli.evaluation, "per_group_metrics",
-                            lambda ranked: self.PER_GROUP)
-        monkeypatch.setattr(cli.evaluation, "compute_metrics",
-                            lambda ranked: self.REPORT)
+                            lambda ranked: calls.append(ranked) or self.PER_GROUP)
         assert _run("evaluate", "--config", "exp.cfg", "--strategy", "margin",
                     "--per-group-dump", "groups.csv") == 0
+        assert len(calls) == 1  # the report averages the dumped vectors
         assert (workdir / "run" / "metrics.csv").read_bytes() == (
             b"run,strategy,MAP,MRR,P@1,R10@1,R10@2,R10@5,n_contexts\r\n"
             b"run,margin,0.750000,0.666667,0.500000,0.500000,0.300000,1.000000,2\r\n")

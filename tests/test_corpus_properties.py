@@ -1,7 +1,9 @@
 """Property tests of the corpus file format: fuzzed text either loads or
-raises CorpusFormatError, and generated corpora are saved as a reference
-formatter writes them and load back equal."""
+raises CorpusFormatError, generated corpora are saved as a reference
+formatter writes them and load back equal, and the whole-file pass loads
+what the line reader loads, raising where it raises."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coteach import Corpus, PairwiseTriple, load_corpus, save_corpus
-from coteach.corpus import CorpusFormatError
+from coteach import Corpus, GenConfig, PairwiseTriple, load_corpus, save_corpus
+from coteach import corpus as corpus_module
+from coteach.corpus import CorpusFormatError, generate_synthetic_corpus
 from coteach.corpus import TestGroup as CandidateGroup
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -58,12 +61,12 @@ def test_fuzzed_bytes_raise_only_format_errors(header, body, name):
 
 
 @st.composite
-def corpora(draw):
+def corpora(draw, least=st.integers(0, 1)):
     vocab = draw(st.integers(1, 30))
     n_candidates = draw(st.integers(1, 4))
     # Empty contexts, utterances and responses are saved, but do not load;
     # half the corpora have none, so the round trip is exercised too.
-    least = draw(st.integers(0, 1))
+    least = draw(least)
     tokens = st.lists(st.integers(0, vocab - 1), min_size=least, max_size=4).map(tuple)
     contexts = st.lists(tokens, min_size=least, max_size=3).map(tuple)
 
@@ -124,3 +127,79 @@ def test_save_matches_reference_and_load_inverts_it(corpus):
             with pytest.raises(CorpusFormatError, match="at least one utterance"
                                                         "|empty (utterance|response)"):
                 load_corpus(tmp)
+
+
+# ---------------------------------------------------------------------------
+# The whole-file pass against the line reader
+
+# Edits that take a canonical line off the whole-file pass: extra or
+# missing separators, line breaks that only str.splitlines knows, digits
+# and ids that int() reads but the pass does not, ids past the vocab or
+# past 18 digits, and labels valid elsewhere in a block or nowhere.
+EDITS = st.sampled_from(["", "\t", " ", "  ", "\n", "\r", "\r\n", "\x0b", "\x1c",
+                         "٣", "+", "-", "_", "0", "7", "12", "99", "00012",
+                         "12345678901234567890", "POS", "NEG", "1", "2", "x"])
+
+ID = re.compile("[0-9]+")
+
+
+@st.composite
+def edited_files(draw):
+    """The files save_corpus writes for a generated corpus, with one to
+    three edits, each an edit piece or an id up to 40. Half replace a
+    whole id after the header, which keeps a line canonical; the rest
+    replace up to two characters anywhere."""
+    files = _reference_files(draw(corpora(least=st.just(1))))
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(files)))
+        text = files[name]
+        ids = [m.span() for m in ID.finditer(text, text.find("\n") + 1)]
+        if ids and draw(st.booleans()):
+            start, stop = draw(st.sampled_from(ids))
+        else:
+            start = draw(st.integers(0, len(text)))
+            stop = start + draw(st.integers(0, 2))
+        files[name] = text[:start] + draw(EDITS | st.integers(0, 40).map(str)) + text[stop:]
+    return files
+
+
+def _outcome(root):
+    """load_corpus(root), or the text of the CorpusFormatError it raises."""
+    try:
+        return load_corpus(root)
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(files=edited_files())
+def test_whole_file_pass_loads_what_the_line_reader_loads(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        outcome = _outcome(tmp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_module, "_read_canonical", lambda path, block: None)
+            assert outcome == _outcome(tmp)
+
+
+def _no_line_reader(path, block):
+    raise AssertionError(f"{path.name} went to the line reader")
+
+
+@settings(SETTINGS, max_examples=100)
+@given(corpus=corpora(least=st.just(1)))
+def test_saved_corpus_never_reaches_the_line_reader(corpus):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        save_corpus(corpus, tmp)
+        mp.setattr(corpus_module, "_read_blocks", _no_line_reader)
+        assert load_corpus(tmp) == corpus
+
+
+def test_generated_corpus_never_reaches_the_line_reader(tmp_path, monkeypatch):
+    corpus = generate_synthetic_corpus(GenConfig(
+        vocab_size=1000, n_train=50, n_valid=20, n_test_contexts=20,
+        false_negative_rate=0.3, seed=4))
+    save_corpus(corpus, tmp_path)
+    monkeypatch.setattr(corpus_module, "_read_blocks", _no_line_reader)
+    assert load_corpus(tmp_path) == corpus

@@ -83,7 +83,7 @@ class TestSpecAndLayout:
                         embedding_dim=0)
 
     def test_layout_partitions_param_vector(self, small_spec):
-        layout = param_layout(small_spec)
+        layout = dict(param_layout(small_spec))
         total = layout.pop("_total")
         slices = sorted(layout.values(), key=lambda s: s.start)
         assert slices[0].start == 0
