@@ -5,8 +5,8 @@ Configuration is a plain-text file of ``key = value`` lines with ``#``
 comments. All outputs are CSV or checkpoint files; given the same config
 and seed every command writes byte-identical data files.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error (missing or
-malformed artifacts, or an artifact path that cannot be read or written).
+Exit codes, all set by ``main``: 0 success, 1 a rejected value (usage error),
+2 an artifact that is missing, malformed, unreadable or unwritable (data error).
 """
 
 from __future__ import annotations
@@ -91,22 +91,16 @@ def _gen_config(config, seed_override=None) -> GenConfig:
               for f in fields(GenConfig) if f.name != "seed"}
     values["seed"] = (seed_override if seed_override is not None
                       else _get(config, "seed", int, 0))
-    try:
-        return GenConfig(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return GenConfig(**values)
 
 
 def _matcher_spec(config, vocab_size) -> matcher.MatcherSpec:
-    try:
-        return matcher.MatcherSpec(
-            kind=_get(config, "matcher_kind", str, matcher.MEAN_EMBEDDING_BILINEAR),
-            vocab_size=vocab_size,
-            embedding_dim=_get(config, "embedding_dim", int, 32),
-            hidden_dim=_get(config, "hidden_dim", int, 32),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return matcher.MatcherSpec(
+        kind=_get(config, "matcher_kind", str, matcher.MEAN_EMBEDDING_BILINEAR),
+        vocab_size=vocab_size,
+        embedding_dim=_get(config, "embedding_dim", int, 32),
+        hidden_dim=_get(config, "hidden_dim", int, 32),
+    )
 
 
 def _corpus_dir(config) -> Path:
@@ -143,8 +137,6 @@ def _load_corpus(path):
 
 def _train_config(config, args, strategy: str,
                   pretraining: bool = False) -> engine.TrainConfig:
-    """Pretraining reads 'pretrain_lr' and 'pretrain_epochs' where
-    co-teaching reads 'learning_rate' and 'n_epochs'."""
     seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
     if pretraining:
         lr_key, lr_default, epochs_key = (
@@ -152,35 +144,29 @@ def _train_config(config, args, strategy: str,
     else:
         lr_key, lr_default, epochs_key = (
             "learning_rate", STRATEGY_LEARNING_RATES[strategy], "n_epochs")
-    try:
-        return engine.TrainConfig(
-            strategy=strategy,
-            lam=(_get(config, "lambda", _finite_float, -1.0)
-                 if strategy == "margin" else None),
-            delta=(_get(config, "delta", _finite_float, -1.0)
-                   if strategy == "curriculum" else None),
-            learning_rate=_get(config, lr_key, _finite_float, lr_default),
-            batch_size=_get(config, "batch_size", int, 50),
-            n_epochs=_get(config, epochs_key, int, 3),
-            seed=seed,
-            eval_every=_get(config, "eval_every", int, 50),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return engine.TrainConfig(
+        strategy=strategy,
+        lam=(_get(config, "lambda", _finite_float, -1.0)
+             if strategy == "margin" else None),
+        delta=(_get(config, "delta", _finite_float, -1.0)
+               if strategy == "curriculum" else None),
+        learning_rate=_get(config, lr_key, _finite_float, lr_default),
+        batch_size=_get(config, "batch_size", int, 50),
+        n_epochs=_get(config, epochs_key, int, 3),
+        seed=seed,
+        eval_every=_get(config, "eval_every", int, 50),
+    )
 
 
 @contextmanager
 def _training(lr_key: str):
-    """Report a training set without a full batch, or a run whose gradient
-    or parameters stopped being finite, as a usage error; numpy's overflow
-    warnings on the way to the latter are silenced."""
+    """Report a non-finite gradient or parameter as a usage error naming
+    ``lr_key``; numpy's overflow warnings on the way are silenced."""
     try:
         with np.errstate(all="ignore"):
             yield
     except FloatingPointError as exc:
         raise UsageError(f"training diverged ({exc}); try a lower {lr_key!r}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def cmd_generate(config, args) -> int:
@@ -407,11 +393,8 @@ def cmd_report(config, args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     alpha = _get(config, "ema_alpha", float, 0.3)
-    try:
-        loss_a = evaluation.ema([r.loss_a for r in history.records], alpha)
-        loss_b = evaluation.ema([r.loss_b for r in history.records], alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    loss_a = evaluation.ema([r.loss_a for r in history.records], alpha)
+    loss_b = evaluation.ema([r.loss_b for r in history.records], alpha)
     eval_records = [r for r in history.records if r.valid_p1_a is not None]
     p1_a = evaluation.ema([r.valid_p1_a for r in eval_records], alpha)
     p1_b = evaluation.ema([r.valid_p1_b for r in eval_records], alpha)
@@ -436,8 +419,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it, on one line
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coteach",
         description="Co-teaching pipeline for noisy response-selection training")
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -454,24 +442,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         config = parse_config(args.config)
         return COMMANDS[args.command](config, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, CorpusFormatError) as exc:
+    except SystemExit as exc:  # --help; a bad command line raises UsageError
+        return exc.code
+    except (DataError, CorpusFormatError) as exc:  # the latter is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # an artifact path that cannot be read or written
         where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"data error: {where}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

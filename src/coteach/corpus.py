@@ -228,6 +228,8 @@ class GenConfig:
                      "turns_per_context", "tokens_per_utterance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_topics < 2:
             raise ValueError("n_topics must be at least 2: negatives come from "
                              "another topic")
@@ -591,6 +593,8 @@ def _read_meta(path) -> dict:
         meta = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(path, exc.lineno, f"malformed JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CorpusFormatError(path, 1, "malformed JSON: nested too deeply") from exc
     if not isinstance(meta, dict):
         raise CorpusFormatError(path, 1, "expected a JSON object")
     return meta

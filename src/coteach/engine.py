@@ -61,8 +61,9 @@ class TrainConfig:
         if self.strategy == "curriculum" and (
                 self.delta is None or not 0.0 < self.delta <= 1.0):
             raise ValueError("curriculum strategy requires delta in (0, 1]")
-        if self.n_epochs < 0:
-            raise ValueError("n_epochs must be non-negative")
+        for name in ("n_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
 
@@ -83,17 +84,20 @@ def init_optimizer(n: int) -> OptimizerState:
 # Entries per block of ``adam_update``: 16,384 float64 entries are 128 KB,
 # so the nine arrays one block touches fit in a 2 MB per-core L2 cache.
 ADAM_BLOCK = 16384
+# Adam's constants: the learning rate is its only setting.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
-                lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8):
+                lr: float):
     """One bias-corrected Adam step on float64 vectors; returns (new params,
     new state). The step is::
 
-        m = beta1*m + (1-beta1)*g
-        v = beta2*v + ((1-beta2)*g)*g
-        params - (lr * (m/c1)) / (sqrt(v/c2) + eps),  c_i = 1 - beta_i**t
+        m = BETA1*m + (1-BETA1)*g
+        v = BETA2*v + ((1-BETA2)*g)*g
+        params - (lr * (m/c1)) / (sqrt(v/c2) + EPS),  c_i = 1 - BETA_i**t
 
     It walks the vectors in blocks of ``ADAM_BLOCK`` entries into the fresh
     outputs and two block-sized scratch buffers, so no temporary leaves the
@@ -116,8 +120,8 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
             f"optimizer state shapes {state.m.shape}/{state.v.shape} do not "
             f"match params {params.shape}")
     t = state.t + 1
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     n = params.size
     m, v, new_params = np.empty(n), np.empty(n), np.empty(n)
     a, b = np.empty(min(ADAM_BLOCK, n)), np.empty(min(ADAM_BLOCK, n))
@@ -127,17 +131,17 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
             s = slice(lo, lo + ADAM_BLOCK)
             g, mb, vb, pb = grad[s], m[s], v[s], new_params[s]
             ta, tb, fb = a[:g.size], b[:g.size], finite[:g.size]
-            np.multiply(beta1, state.m[s], out=mb)
-            np.multiply(1.0 - beta1, g, out=ta)
+            np.multiply(BETA1, state.m[s], out=mb)
+            np.multiply(1.0 - BETA1, g, out=ta)
             np.add(mb, ta, out=mb)
-            np.multiply(beta2, state.v[s], out=vb)
-            np.multiply(1.0 - beta2, g, out=ta)
+            np.multiply(BETA2, state.v[s], out=vb)
+            np.multiply(1.0 - BETA2, g, out=ta)
             np.multiply(ta, g, out=ta)
             np.add(vb, ta, out=vb)
             np.divide(mb, c1, out=ta)
             np.divide(vb, c2, out=tb)
             np.sqrt(tb, out=tb)
-            np.add(tb, eps, out=tb)
+            np.add(tb, EPS, out=tb)
             np.multiply(lr, ta, out=ta)
             np.divide(ta, tb, out=ta)
             np.subtract(params[s], ta, out=pb)

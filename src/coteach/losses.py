@@ -86,13 +86,6 @@ def cross_entropy(y, s):
     return -np.log(np.where(np.equal(y, 1), s, 1.0 - s))
 
 
-def hinge_with_margin(s_pos, s_neg, margin):
-    """Ranking hinge max(0, margin - s_pos + s_neg); a negative margin raises."""
-    if np.any(np.less(margin, 0)):
-        raise ValueError(f"negative margin {np.min(margin)}")
-    return hinge(s_pos, s_neg, margin)
-
-
 def hinge(s_pos, s_neg, margin):
-    """``hinge_with_margin`` for checked margins, such as a protocol's."""
+    """Ranking hinge max(0, margin - s_pos + s_neg); margins are not checked."""
     return np.maximum(0.0, margin - s_pos + s_neg)

@@ -5,9 +5,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from coteach import (GenConfig, LearningProtocol, MatcherSpec, PairwiseTriple,
-                     Triples, engine, generate_synthetic_corpus, init_params,
-                     matcher)
+from coteach import GenConfig, MatcherSpec, engine, generate_synthetic_corpus, matcher
+from coteach.corpus import PairwiseTriple, Triples
+from coteach.losses import LearningProtocol
+from coteach.matcher import init_params
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ import pytest
 import coteach as ct
 from coteach import engine, evaluation, matcher, strategies
 from coteach.cli import main as cli_main
+from coteach.corpus import PairwiseTriple, Triples
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
 
 from conftest import (BFirstStep, example, fix_teacher_scores, pairwise_protocol,
@@ -58,7 +59,7 @@ def test_1_gradients_match_finite_differences(capsys):
     for spec in specs:
         for loss_kind in (CROSS_ENTROPY, HINGE_WITH_MARGIN):
             for _ in range(150):
-                model = ct.init_params(spec, int(rng.integers(1 << 31)))
+                model = matcher.init_params(spec, int(rng.integers(1 << 31)))
                 protocol = _random_protocol(rng, loss_kind, vocab)
                 err = finite_diff_check(model, protocol, step=1e-5)
                 worst = max(worst, err)
@@ -75,7 +76,7 @@ def test_1_gradients_match_finite_differences(capsys):
 def test_2_strategy_formulas(capsys, monkeypatch):
     spec = ct.MatcherSpec("mean-embedding-bilinear", vocab_size=20,
                           embedding_dim=4)
-    teacher = ct.init_params(spec, 7)
+    teacher = matcher.init_params(spec, 7)
     checks = []
 
     # margin: hold the teacher's scores fixed and verify the formula exactly
@@ -83,24 +84,24 @@ def test_2_strategy_formulas(capsys, monkeypatch):
     with monkeypatch.context() as patch:
         fix_teacher_scores(patch, fixed)
         confident = strategies.margin_protocol(
-            teacher, ct.Triples([ct.PairwiseTriple(((1,),), (2,), (3,))]), lam=0.5)
+            teacher, Triples([PairwiseTriple(((1,),), (2,), (3,))]), lam=0.5)
         misranked = strategies.margin_protocol(
-            teacher, ct.Triples([ct.PairwiseTriple(((1,),), (4,), (5,))]), lam=0.5)
+            teacher, Triples([PairwiseTriple(((1,),), (4,), (5,))]), lam=0.5)
         checks.append(abs(confident.pairwise[0][1] - 0.4) < 1e-12)
         checks.append(misranked.pairwise[0][1] == 0.0)
         # weighting: positives weight 1, negatives 1 - teacher score
         weighted = strategies.weighting_protocol(
-            teacher, ct.Triples([ct.PairwiseTriple(((1,),), (2,), (5,))]))
+            teacher, Triples([PairwiseTriple(((1,),), (2,), (5,))]))
         checks.append(weighted.pointwise[0][1] == 1.0)
         checks.append(abs(weighted.pointwise[1][1] - 0.3) < 1e-12)
         # curriculum: pointwise losses [0.2, 0.9, 0.1, 0.5], delta 0.5 keeps
         # losses .1/.2, the two positives
-        cur_triples = [ct.PairwiseTriple(((1,),), (10,), (11,)),
-                       ct.PairwiseTriple(((1,),), (12,), (13,))]
+        cur_triples = [PairwiseTriple(((1,),), (10,), (11,)),
+                       PairwiseTriple(((1,),), (12,), (13,))]
         for response, loss, y in zip([(10,), (11,), (12,), (13,)],
                                      [0.2, 0.9, 0.1, 0.5], [1, 0, 1, 0]):
             fixed[response] = math.exp(-loss) if y else 1.0 - math.exp(-loss)
-        selected = strategies.curriculum_protocol(teacher, ct.Triples(cur_triples), delta=0.5)
+        selected = strategies.curriculum_protocol(teacher, Triples(cur_triples), delta=0.5)
         checks.append([e for e, _ in selected.pointwise] == [0, 2])
 
     # curriculum equals the full-sort oracle on 1000 random sub-batches
@@ -116,7 +117,7 @@ def test_2_strategy_formulas(capsys, monkeypatch):
         keep = math.ceil(delta * len(examples))
         order = np.argsort(np.array(losses), kind="stable")
         expected = [examples[i] for i in sorted(order[:keep])]
-        protocol = strategies.curriculum_protocol(teacher, ct.Triples(triples), delta)
+        protocol = strategies.curriculum_protocol(teacher, Triples(triples), delta)
         if [example(protocol.split, e) for e, _ in protocol.pointwise] != expected:
             oracle_ok = False
             break
@@ -154,8 +155,8 @@ def test_3_coteaching_loop_fidelity(capsys, monkeypatch):
     monkeypatch.setattr(engine, "split_batch", check_split)
 
     def run(step):
-        model_a = ct.init_params(spec, 1)
-        model_b = ct.init_params(spec, 2)
+        model_a = matcher.init_params(spec, 1)
+        model_b = matcher.init_params(spec, 2)
         opt_a = engine.init_optimizer(model_a.params.size)
         opt_b = engine.init_optimizer(model_b.params.size)
         iters = 0

@@ -12,10 +12,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coteach import MatcherSpec, ModelState, load_checkpoint
+from coteach import MatcherSpec
 from coteach.cli import METRIC_KEYS, DataError, _read_per_group_dump
 from coteach.engine import RunHistory, read_history
-from coteach.matcher import MATCHER_KINDS, n_params
+from coteach.matcher import MATCHER_KINDS, ModelState, load_checkpoint, n_params
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -6,8 +6,9 @@ import shutil
 import numpy as np
 import pytest
 
-from coteach import (MetricsReport, cli, engine, load_checkpoint, load_corpus,
-                     matcher)
+from coteach import cli, engine, load_corpus, matcher
+from coteach.evaluation import MetricsReport
+from coteach.matcher import load_checkpoint
 from coteach.cli import main, parse_config
 
 TINY_CONFIG = """\
@@ -111,6 +112,16 @@ class TestExitCodes:
         assert _run("generate", "--config", "exp.cfg") == 0
         (workdir / "corpus" / "train.txt").write_text("garbage\n")
         assert _run("pretrain", "--config", "exp.cfg") == 2
+
+    def test_deeply_nested_meta_json_is_data_error(self, workdir, capsys):
+        # json gives up on this nesting with a RecursionError, not a JSONDecodeError.
+        assert _run("generate", "--config", "exp.cfg") == 0
+        (workdir / "corpus" / "meta.json").write_text("[" * 200000)
+        capsys.readouterr()
+        assert _run("pretrain", "--config", "exp.cfg") == 2
+        assert _one_line_error(capsys, "data error: ") == (
+            "data error: corpus/meta.json:1: malformed JSON: nested too deeply\n")
+        assert not (workdir / "run").exists()
 
     def test_missing_strategy_is_usage_error(self, workdir):
         assert _run("generate", "--config", "exp.cfg") == 0
@@ -575,6 +586,22 @@ class TestFailingCommandWritesNothing:
             f"error: strategy {strategy!r} does not read sweep_param "
             f"{param!r}; only {reader!r} does\n")
         assert not (workdir / "run").exists()
+
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["generate", "pretrain", "coteach"])
+    def test_negative_seed_is_usage_error(self, workdir, capsys, command, given_by):
+        if command != "generate":
+            assert _run("generate", "--config", "exp.cfg") == 0
+        if command == "coteach":
+            assert _run("pretrain", "--config", "exp.cfg") == 0
+        (workdir / "neg.cfg").write_text(TINY_CONFIG.replace("seed = 7", "seed = -1"))
+        args = (["--config", "exp.cfg", "--seed", "-1"] if given_by == "flag"
+                else ["--config", "neg.cfg"])
+        before = sorted(workdir.rglob("*"))
+        capsys.readouterr()
+        assert _run(command, *args, "--strategy", "margin") == 1
+        assert _one_line_error(capsys, "error: ") == "error: seed must be non-negative\n"
+        assert sorted(workdir.rglob("*")) == before
 
     def test_unwritable_corpus_dir_is_data_error(self, workdir, capsys):
         (workdir / "afile").write_text("")

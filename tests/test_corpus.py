@@ -9,12 +9,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coteach import (Batch, Corpus, GenConfig, MatcherSpec, PairwiseTriple,
-                     TrainConfig, Triples, coteach_train, corpus,
-                     generate_synthetic_corpus, init_params, load_corpus, matcher,
-                     pretrain, save_corpus, select_model, strategies,
-                     validation_p_at_1)
-from coteach.corpus import CorpusFormatError, atomic_open, write_csv
+from coteach import (Batch, GenConfig, MatcherSpec, TrainConfig, coteach_train, corpus,
+                     generate_synthetic_corpus, load_corpus, matcher, pretrain,
+                     save_corpus, select_model, strategies, validation_p_at_1)
+from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple, Triples,
+                            atomic_open, write_csv)
+from coteach.matcher import init_params
 
 
 class TestGenConfigValidation:
@@ -46,6 +46,12 @@ class TestGenConfigValidation:
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             GenConfig(n_train=0)
+
+    def test_rejects_negative_seed(self):
+        # numpy's generators refuse it too, but without naming the key.
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            GenConfig(seed=-1)
+        GenConfig(seed=0)
 
 
 class TestGeneration:

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coteach import Corpus, GenConfig, PairwiseTriple, load_corpus, save_corpus
+from coteach import GenConfig, load_corpus, save_corpus
 from coteach import corpus as corpus_module
-from coteach.corpus import CorpusFormatError, generate_synthetic_corpus
+from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple,
+                            generate_synthetic_corpus)
 from coteach.corpus import TestGroup as CandidateGroup
 
 SETTINGS = settings(max_examples=150, deadline=None,

@@ -6,13 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coteach import (Batch, GenConfig, MatcherSpec, OptimizerState, PairwiseTriple,
-                     TrainConfig, Triples, adam_update, coteach_step, coteach_train,
-                     generate_synthetic_corpus, init_params, pretrain,
-                     select_model, split_batch, validation_p_at_1)
+from coteach import (Batch, GenConfig, MatcherSpec, TrainConfig, coteach_train,
+                     generate_synthetic_corpus, pretrain, select_model,
+                     validation_p_at_1)
 from coteach import engine, matcher
-from coteach.engine import (HistoryRecord, RunHistory, init_optimizer,
-                            read_history, write_history)
+from coteach.corpus import PairwiseTriple, Triples
+from coteach.engine import (HistoryRecord, OptimizerState, RunHistory, adam_update,
+                            coteach_step, init_optimizer, read_history, split_batch,
+                            write_history)
+from coteach.matcher import init_params
 
 from conftest import BFirstStep, fix_teacher_scores
 
@@ -33,6 +35,10 @@ class TestTrainConfig:
     def test_odd_batch_rejected(self):
         with pytest.raises(ValueError):
             _config(batch_size=9)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            _config(seed=-1)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -61,8 +67,9 @@ class TestTrainConfig:
             _config(strategy="margin", lam=value)
 
 
-def _adam_reference(params, grad, state, lr, beta1, beta2, eps):
+def _adam_reference(params, grad, state, lr):
     """The whole-vector Adam step the blocked kernel must reproduce bit for bit."""
+    beta1, beta2, eps = engine.BETA1, engine.BETA2, engine.EPS
     t = state.t + 1
     m = beta1 * state.m + (1.0 - beta1) * grad
     v = beta2 * state.v + (1.0 - beta2) * grad * grad
@@ -75,6 +82,10 @@ B = engine.ADAM_BLOCK
 
 
 class TestAdam:
+    def test_constants_are_the_documented_ones(self):
+        # README: beta1 = 0.9, beta2 = 0.999, eps = 1e-8, not settings.
+        assert (engine.BETA1, engine.BETA2, engine.EPS) == (0.9, 0.999, 1e-8)
+
     def test_zero_gradient_keeps_params(self):
         params = np.array([1.0, -2.0])
         state = OptimizerState(np.zeros(2), np.zeros(2), 0)
@@ -118,10 +129,7 @@ class TestAdam:
             grad[rng.random(n) >= 0.02] = 0.0
         state = OptimizerState(rng.standard_normal(n) * 0.01,
                                rng.random(n) * 1e-3, int(rng.integers(0, 5000)))
-        hyper = dict(lr=float(rng.uniform(0, 1e-2)),
-                     beta1=float(rng.uniform(0.5, 0.99)),
-                     beta2=float(rng.uniform(0.9, 0.9999)),
-                     eps=float(10.0 ** rng.uniform(-10, -6)))
+        hyper = dict(lr=float(rng.uniform(0, 1e-2)))
         return rng.standard_normal(n), grad, state, hyper
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])

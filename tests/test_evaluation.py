@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from coteach import (MetricsReport, RankedGroup, compute_metrics, ema,
-                     filter_degenerate, paired_t_test, per_group_metrics,
-                     rank_test_groups)
+from coteach import (compute_metrics, filter_degenerate, paired_t_test,
+                     per_group_metrics, rank_test_groups)
+from coteach.evaluation import MetricsReport, RankedGroup, ema
 import coteach
 from coteach import matcher
 from coteach.corpus import TestGroup as CandidateGroup

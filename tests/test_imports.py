@@ -1,14 +1,19 @@
 """Every top-level import in the package is used in its module or listed
-in the module's ``__all__``, and every top-level function and class is
-used somewhere in the package."""
+in the module's ``__all__``, every top-level function and class is used
+somewhere in the package, and the package exports what README and the
+demos import."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coteach"
+import coteach
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coteach"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -47,9 +52,7 @@ def test_every_top_level_import_is_used(path):
 # Kept for the tests alone: ``score`` is the one-dialogue oracle that batched
 # scoring is checked against. It stays in the package because the benchmark
 # traces it by name; the gradient oracle lives in ``tests/oracles.py``.
-# ``hinge_with_margin`` is the checked hinge for direct callers: training
-# checks margins once per protocol and calls the unchecked ``losses.hinge``.
-TEST_ORACLES = {"matcher.score", "losses.hinge_with_margin"}
+TEST_ORACLES = {"matcher.score"}
 
 
 def _reads(tree) -> Counter:
@@ -88,3 +91,21 @@ def test_every_top_level_definition_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert sorted(set(_unused_definitions(sources)) - TEST_ORACLES) == []
+
+
+def _documented_imports() -> set:
+    """Names that README's Python blocks and the demos import from ``coteach``."""
+    sources = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "demos").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```",
+                          (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    return {alias.name for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "coteach"
+            for alias in node.names}
+
+
+def test_exports_are_what_readme_and_the_demos_import():
+    documented = _documented_imports()
+    assert "GenConfig" in documented  # the README block was found
+    assert sorted(set(coteach.__all__) - documented) == []
+    submodules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert sorted(documented - set(coteach.__all__) - submodules) == []

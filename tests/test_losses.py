@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from coteach import (LearningProtocol, PairwiseTriple, Triples, cross_entropy,
-                     hinge_with_margin)
-from coteach.losses import CE_EPS, CROSS_ENTROPY, HINGE_WITH_MARGIN
+from coteach import cross_entropy
+from coteach.corpus import PairwiseTriple, Triples
+from coteach.losses import (CE_EPS, CROSS_ENTROPY, HINGE_WITH_MARGIN, LearningProtocol,
+                            hinge)
 
 # Two triples: pointwise examples 0 and 2 are positives, 1 and 3 negatives.
 SPLIT = Triples([PairwiseTriple(((1, 2),), (3,), (4,))] * 2)
@@ -52,23 +53,21 @@ class TestCrossEntropy:
 
 
 class TestHingeWithMargin:
+    # A negative margin never reaches the hinge: LearningProtocol rejects it
+    # (TestLearningProtocol.test_rejects_negative_margin).
     def test_satisfied_pair_gives_zero(self):
-        assert hinge_with_margin(0.9, 0.2, 0.4) == 0.0
+        assert hinge(0.9, 0.2, 0.4) == 0.0
 
     def test_equal_scores_pay_the_margin(self):
-        assert hinge_with_margin(0.5, 0.5, 0.1) == pytest.approx(0.1)
+        assert hinge(0.5, 0.5, 0.1) == pytest.approx(0.1)
 
     def test_zero_margin_boundary(self):
-        assert hinge_with_margin(0.5, 0.5, 0.0) == 0.0
-
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            hinge_with_margin(0.5, 0.5, -0.1)
+        assert hinge(0.5, 0.5, 0.0) == 0.0
 
     def test_zero_exactly_when_separated_by_margin(self):
         for s_pos, s_neg, margin in [(0.8, 0.3, 0.5), (0.9, 0.1, 0.2)]:
             expected = 0.0 if s_pos - s_neg >= margin else margin - s_pos + s_neg
-            assert hinge_with_margin(s_pos, s_neg, margin) == pytest.approx(expected)
+            assert hinge(s_pos, s_neg, margin) == pytest.approx(expected)
 
 
 class TestLearningProtocol:

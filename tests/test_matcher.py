@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coteach import (LearningProtocol, MatcherSpec, ModelState, PairwiseTriple,
-                     init_params, load_checkpoint, loss_and_grad, save_checkpoint,
-                     score, scores)
+from coteach import MatcherSpec, score
 from coteach import corpus, matcher
-from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN
-from coteach.matcher import n_params, param_layout
+from coteach.corpus import PairwiseTriple
+from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, LearningProtocol
+from coteach.matcher import (ModelState, init_params, load_checkpoint, loss_and_grad,
+                             n_params, param_layout, save_checkpoint, scores)
 
 from conftest import (Dialogue, pairwise_protocol, pointwise_protocol,
                       random_dialogue, random_triple)

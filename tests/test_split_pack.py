@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coteach import (Batch, Corpus, MatcherSpec, ModelState, PairwiseTriple,
-                     corpus, engine, matcher)
+from coteach import Batch, MatcherSpec, corpus, engine, matcher
+from coteach.corpus import Corpus, PairwiseTriple
+from coteach.matcher import ModelState
 from coteach.losses import HINGE_WITH_MARGIN, cross_entropy
 
 from conftest import example

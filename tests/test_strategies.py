@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from coteach import (PairwiseTriple, Triples, curriculum_protocol, init_params,
-                     margin_protocol, weighting_protocol)
+from coteach import curriculum_protocol, margin_protocol, weighting_protocol
+from coteach.corpus import PairwiseTriple, Triples
+from coteach.matcher import init_params
 from coteach import matcher, strategies
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
 
