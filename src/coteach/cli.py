@@ -47,6 +47,13 @@ PRETRAIN_LEARNING_RATE = 1e-3
 METRICS_COLUMNS = ["run", "strategy", "MAP", "MRR", "P@1",
                    "R10@1", "R10@2", "R10@5", "n_contexts"]
 
+# The keys a config may set, GenConfig's fields and those the commands read.
+CONFIG_KEYS = {f.name for f in fields(GenConfig)} | {
+    "corpus_dir", "run_dir", "matcher_kind", "embedding_dim", "hidden_dim",
+    "strategy", "lambda", "delta", "pretrain_lr", "learning_rate", "batch_size",
+    "pretrain_epochs", "n_epochs", "eval_every", "checkpoint_a", "checkpoint_b",
+    "sweep_param", "sweep_values", "ema_alpha"}
+
 
 def parse_config(path) -> dict[str, str]:
     try:
@@ -445,6 +452,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = parse_config(args.config)
+        unknown = [key for key in config if key not in CONFIG_KEYS]
+        if unknown:
+            raise UsageError(f"unknown config key {unknown[0]!r}")
         return COMMANDS[args.command](config, args)
     except SystemExit as exc:  # --help; a bad command line raises UsageError
         return exc.code
@@ -457,6 +467,9 @@ def main(argv=None) -> int:
         return 2
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message says what it could not allocate
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 1
 
 

@@ -11,8 +11,9 @@ This module owns the pack: a training or validation split is a
 ``Triples``, which packs and checks itself into flat int arrays once, on
 first use. A ``Batch`` addresses a split's triples by position, and
 ``Triples.gather`` takes what ``matcher`` scores or trains on from the pack.
-``load_corpus`` reads the canonical form ``save_corpus`` writes by array
-passes; the line reader reads any other file and words every error.
+``load_corpus`` reads the canonical form ``save_corpus`` writes by splitting
+bytes and parsing the ids in one array pass; the line reader reads any
+other file and words every error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -228,6 +229,10 @@ class GenConfig:
                      "turns_per_context", "tokens_per_utterance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("vocab_size", "n_topics", "n_train", "n_valid", "n_test_contexts",
+                     "n_candidates", "turns_per_context", "tokens_per_utterance"):
+            if getattr(self, name) >= 2**63:  # past numpy's int64 sizes
+                raise ValueError(f"{name} must be below 2**63")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_topics < 2:
@@ -327,7 +332,8 @@ def generate_synthetic_corpus(config: GenConfig) -> Corpus:
 # live in a sidecar meta.json, keeping the text format self-contained.
 # Two readers give equal blocks and errors. A valid file in save_corpus's
 # canonical form (ASCII; one space, tab or "\n" after each id; ids of 1-18
-# digits) takes whole-file array passes, any other file the line reader.
+# digits) takes the canonical pass, which splits lines and fields as bytes
+# and parses all ids in one array pass; any other file the line reader.
 # ----------------------------------------------------------------------
 
 _HEADER_PREFIX = "#vocab="
@@ -511,62 +517,57 @@ def _read_blocks(path, block):
     return header, blocks
 
 
-def _slices(data: bytes, starts: np.ndarray, stops: np.ndarray):
-    return map(data.__getitem__, map(slice, starts.tolist(), stops.tolist()))
-
-
 def _read_canonical(path, block):
     """``_read_blocks``' result for a valid canonical file, else None."""
-    data = path.read_bytes() if path.exists() else b""
-    buf = np.frombuffer(data, np.uint8)
-    newlines, tabs = np.flatnonzero(buf == 10), np.flatnonzero(buf == 9)
+    head, newline, body = (path.read_bytes() if path.exists() else b"").partition(b"\n")
     try:
-        header = _parse_header(data[:newlines[0]].decode("ascii"), path, 1)
-    except (IndexError, UnicodeError, CorpusFormatError):
+        header = _parse_header(head.decode("ascii"), path, 1)
+    except (UnicodeError, CorpusFormatError):
         return None
     size, allowed = block[0] or header[1], block[1]
-    starts, ends = newlines[:-1] + 1, newlines[1:]
-    if (data[:newlines[0]] != b"#vocab=%d candidates=%d" % header
-            or ends.size % size or newlines[-1] != buf.size - 1):
+    *lines, after_last = body.split(b"\n")
+    del body
+    if (not newline or head != b"#vocab=%d candidates=%d" % header
+            or after_last or len(lines) % size):
         return None
-    if not ends.size:
+    if not lines:
         return header, []
-    # A line's first tab ends its label, its last starts its response.
-    first, last = np.searchsorted(tabs, starts), np.searchsorted(tabs, ends) - 1
-    if not (first < last).all():
-        return None
-    n_utts, first, last = last - first, tabs[first], tabs[last]
-    position = np.arange(ends.size) % size
-    width = 1 + max(map(len, chain.from_iterable(allowed)))  # a label and its tab
-    label = np.array(list(_slices(data, starts, np.minimum(first + 1, starts + width))))
-    values = np.full(ends.size, -1)
-    for k, labels in enumerate(allowed):
-        for text, value in labels.items():
-            values[(position % len(allowed) == k) & (label == text.encode() + b"\t")] = value
-    # Later lines of a block repeat its first context, so only it and responses are parsed.
-    later = np.flatnonzero(position)
-    lead = later - position[later]
-    if (values < 0).any() or not all(map(
-            bytes.__eq__, _slices(data, first[later] + 1, last[later]),
-            _slices(data, first[lead] + 1, last[lead]))):
-        return None
-    text = b"".join(_slices(data, np.where(position, last, first) + 1, ends + 1))
-    # Ids are 1 to 18 ASCII digits, each ended by one space, tab or newline.
+    # Each position's labels as bytes, sized only now that lines fill the count.
+    encoded = [{text.encode(): value for text, value in labels.items()} for labels in allowed]
+    table = [(k, encoded[k % len(encoded)]) for k in range(size)]
+    # Later lines of a block repeat its first context, so only it and responses are kept.
+    parts, blocks = [], []
+    for (position, labels), line in zip(cycle(table), lines):
+        fields = line.split(b"\t")
+        value = labels.get(fields[0])
+        if value is None or len(fields) < 3:
+            return None
+        if not position:
+            context, values = fields[1:-1], []
+            parts += context
+            blocks.append((len(context), values))
+        elif fields[1:-1] != context:
+            return None
+        parts.append(fields[-1])
+        values.append(value)
+    parts.append(b"")  # so a tab ends the last field too
+    text = b"\t".join(parts)
+    del lines, parts
+    # Ids are 1 to 18 ASCII digits, each ended by one space or tab.
     chars = np.frombuffer(text, np.uint8)
     seps = np.flatnonzero((chars < 48) | (chars > 57))
     kinds, lengths = chars[seps], np.diff(seps, prepend=-1) - 1
-    if not (np.isin(kinds, (9, 10, 32)).all() and 1 <= lengths.min() <= lengths.max() <= 18):
+    if not (np.isin(kinds, (9, 32)).all() and 1 <= lengths.min() <= lengths.max() <= 18):
         return None
-    field_sizes = np.diff(np.flatnonzero(kinds != 32), prepend=-1).tolist()
+    field_sizes = np.diff(np.flatnonzero(kinds == 9), prepend=-1).tolist()
     ids = np.fromstring(text, np.int64, sep=" ")
-    del data, buf, text, chars, seps, kinds, lengths  # peak below the line reader's
+    del text, chars, seps, kinds, lengths  # peak below the line reader's
     if int(ids.max()) >= header[0]:
         return None
     ids = iter(ids.tolist())
     fields = iter([tuple(islice(ids, k)) for k in field_sizes])
-    return header, [(tuple(islice(fields, n_utt)), list(zip(islice(fields, size), vals)))
-                    for n_utt, vals in zip(n_utts[::size].tolist(),
-                                           values.reshape(-1, size).tolist())]
+    return header, [(tuple(islice(fields, n_utt)), list(zip(islice(fields, size), values)))
+                    for n_utt, values in blocks]
 
 
 def _with_noise_flags(blocks, meta, key, meta_path):

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line pipeline."""
 
+import ast
 import json
 import shutil
+from collections import defaultdict
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from coteach import cli, engine, load_corpus, matcher
 from coteach.evaluation import MetricsReport
 from coteach.matcher import load_checkpoint
 from coteach.cli import main, parse_config
+from coteach.corpus import GenConfig
 
 TINY_CONFIG = """\
 # desk-scale experiment
@@ -78,6 +83,38 @@ class TestParseConfig:
         path.write_text("just words\n")
         with pytest.raises(Exception, match="c.cfg:1"):
             parse_config(path)
+
+
+class TestConfigKeys:
+    def test_known_keys_are_the_keys_cli_reads(self):
+        # Every key that _get or config.get reads in cli.py, where a key held
+        # in a variable counts as each string assigned to it; _gen_config
+        # reads GenConfig's fields by f.name.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        assigned = defaultdict(set)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+                for target in node.targets:
+                    for name, value in zip(getattr(target, "elts", ()), node.value.elts):
+                        if isinstance(name, ast.Name) and isinstance(value, ast.Constant):
+                            assigned[name.id].add(value.value)
+        read = {f.name for f in fields(GenConfig)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if ast.unparse(node.func) == "_get":
+                key = node.args[1]
+            elif ast.unparse(node.func) == "config.get":
+                key = node.args[0]
+            else:
+                continue
+            if isinstance(key, ast.Constant):
+                read.add(key.value)
+            elif isinstance(key, ast.Name) and assigned[key.id]:
+                read |= assigned[key.id]
+            else:
+                assert ast.unparse(key) == "f.name", ast.unparse(node)
+        assert read == cli.CONFIG_KEYS
 
 
 class TestExitCodes:
@@ -602,6 +639,36 @@ class TestFailingCommandWritesNothing:
         assert _run(command, *args, "--strategy", "margin") == 1
         assert _one_line_error(capsys, "error: ") == "error: seed must be non-negative\n"
         assert sorted(workdir.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["generate", "pretrain", "coteach"])
+    def test_unknown_config_key_is_usage_error(self, workdir, capsys, command):
+        # Read as they were, both keys would leave their settings at the defaults.
+        if command != "generate":
+            assert _run("generate", "--config", "exp.cfg") == 0
+        if command == "coteach":
+            assert _run("pretrain", "--config", "exp.cfg") == 0
+        (workdir / "typo.cfg").write_text(TINY_CONFIG + "learning_rat = 5\nn_epoch = 40\n")
+        before = sorted(workdir.rglob("*"))
+        capsys.readouterr()
+        assert _run(command, "--config", "typo.cfg", "--strategy", "margin") == 1
+        assert _one_line_error(capsys, "error: ") == (
+            "error: unknown config key 'learning_rat'\n")
+        assert sorted(workdir.rglob("*")) == before
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.28 TiB", "error: out of memory: Unable to allocate 7.28 TiB\n"),
+        ("", "error: out of memory\n")], ids=["numpy", "bare"])
+    def test_out_of_memory_is_usage_error(self, workdir, capsys, monkeypatch,
+                                          message, line):
+        # Raised, not provoked: whether a huge allocation fails at once
+        # depends on the host's overcommit policy.
+        def allocation_fails(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_synthetic_corpus", allocation_fails)
+        assert _run("generate", "--config", "exp.cfg") == 1
+        assert _one_line_error(capsys, "error: ") == line
+        assert not (workdir / "corpus").exists()
 
     def test_unwritable_corpus_dir_is_data_error(self, workdir, capsys):
         (workdir / "afile").write_text("")

@@ -10,7 +10,8 @@ values. Whatever the values:
 - a failing command prints exactly one stderr line, starting ``error:``
   or ``data error:``, and creates no directory
 - a ``seed`` that is not a non-negative integer fails ``generate`` with a
-  message naming ``seed``
+  message naming ``seed``, and so does a huge ``vocab_size`` or
+  ``tokens_per_utterance``, naming its key
 
 Counts that the run iterates over (``n_train``, ``n_epochs``, ...) get no
 huge value: they run rather than fail. Nor does any value between 10**6
@@ -98,6 +99,7 @@ def test_every_command_exits_with_a_code_and_one_line(tmp_path_factory, pairs, f
     flags = [arg for key, value in pairs if key.startswith("--") for arg in (key, value)]
     edge = COMMANDS.index(first)
     only_seed = len(pairs) == 1 and pairs[0][0] in ("seed", "--seed")
+    only_huge_size = pairs in ([("vocab_size", HUGE)], [("tokens_per_utterance", HUGE)])
     for k, command in enumerate(COMMANDS):
         dirs = {p for p in work.rglob("*") if p.is_dir()}
         argv = [command, "--run-dir", str(work / "run"),
@@ -113,3 +115,5 @@ def test_every_command_exits_with_a_code_and_one_line(tmp_path_factory, pairs, f
         if only_seed and command == first and command in ("generate", "pretrain", "coteach"):
             assert (code == 0) == (pairs[0][1] == "0"), (argv, err)
             assert code == 0 or "seed" in err, (argv, err)
+        if only_huge_size and command == first == "generate":
+            assert code == 1 and pairs[0][0] in err, (argv, err)

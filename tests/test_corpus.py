@@ -47,6 +47,14 @@ class TestGenConfigValidation:
         with pytest.raises(ValueError):
             GenConfig(n_train=0)
 
+    def test_rejects_sizes_past_int64(self):
+        # numpy's own errors for such sizes name no key.
+        for name in ("vocab_size", "n_topics", "n_train", "n_valid", "n_test_contexts",
+                     "n_candidates", "turns_per_context", "tokens_per_utterance"):
+            with pytest.raises(ValueError, match=rf"^{name} must be below 2\*\*63$"):
+                GenConfig(**{name: 2**63})
+        GenConfig(vocab_size=2**63 - 1, tokens_per_utterance=2**63 - 1)
+
     def test_rejects_negative_seed(self):
         # numpy's generators refuse it too, but without naming the key.
         with pytest.raises(ValueError, match="^seed must be non-negative$"):
