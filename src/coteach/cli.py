@@ -132,11 +132,12 @@ def _usable_dir(path: Path) -> Path:
     return path
 
 
-def _load_corpus(path):
-    """Load the corpus; every command that does needs validation triples."""
+def _load_corpus(path, splits):
+    """Load the corpus, parsing only the named splits; every command that
+    loads it needs validation triples."""
     if not Path(path).exists():
         raise DataError(f"corpus directory not found: {path} (run 'coteach generate')")
-    corpus = load_corpus(path)  # main reports a CorpusFormatError as a data error
+    corpus = load_corpus(path, splits)  # main reports a CorpusFormatError as a data error
     if not corpus.valid:
         raise DataError(f"{Path(path) / 'valid.txt'}: empty validation set")
     return corpus
@@ -191,7 +192,7 @@ def cmd_generate(config, args) -> int:
 
 
 def cmd_pretrain(config, args) -> int:
-    corpus = _load_corpus(_corpus_dir(config))
+    corpus = _load_corpus(_corpus_dir(config), ("train", "valid"))
     spec = _matcher_spec(config, corpus.vocab_size)
     train_config = _train_config(config, args, "none", pretraining=True)
     run_dir = _usable_dir(_run_dir(config, args))
@@ -253,7 +254,7 @@ def _coteach(config, run_dir, corpus, train_config, checkpoint_dir=None):
 
 
 def cmd_coteach(config, args) -> int:
-    corpus = _load_corpus(_corpus_dir(config))
+    corpus = _load_corpus(_corpus_dir(config), ("train", "valid"))
     strategy = _strategy(config, args)
     train_config = _train_config(config, args, strategy)
     run_dir = _run_dir(config, args)
@@ -318,7 +319,7 @@ def _rank_test_set(model_a, model_b, corpus):
 
 
 def cmd_evaluate(config, args) -> int:
-    corpus = _load_corpus(_corpus_dir(config))
+    corpus = _load_corpus(_corpus_dir(config), ("valid", "test"))
     run_dir = _run_dir(config, args)
     hint = " (run 'coteach coteach')"
     ranked, n_removed = _rank_test_set(
@@ -354,7 +355,7 @@ def cmd_evaluate(config, args) -> int:
 
 
 def cmd_sweep(config, args) -> int:
-    corpus = _load_corpus(_corpus_dir(config))
+    corpus = _load_corpus(_corpus_dir(config), ("train", "valid", "test"))
     run_dir = _run_dir(config, args)
     param = _get(config, "sweep_param", str, "")
     if param not in ("lambda", "delta"):

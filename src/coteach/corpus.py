@@ -8,12 +8,14 @@ negative comes from the same topic as the context, i.e. it would be a
 perfectly good response that is nevertheless labeled negative.
 
 This module owns the pack: a training or validation split is a
-``Triples``, which packs and checks itself into flat int arrays once, on
-first use. A ``Batch`` addresses a split's triples by position, and
-``Triples.gather`` takes what ``matcher`` scores or trains on from the pack.
-``load_corpus`` reads the canonical form ``save_corpus`` writes by splitting
-bytes and parsing the ids in one array pass; the line reader reads any
-other file and words every error.
+``Triples`` and the test split a ``TestGroups``. Each holds its items as
+flat int arrays, packed and checked once; a split that ``load_corpus``
+reads starts from its pack and builds its tuples only when they are read.
+A ``Batch`` addresses a split's triples by position, and ``gather`` takes
+what ``matcher`` scores or trains on from a pack. ``load_corpus`` reads
+the canonical form ``save_corpus`` writes by splitting bytes and parsing
+the ids in one array pass; the line reader reads any other file and words
+every error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,42 +109,109 @@ def pack_groups(groups, vocab_size: int | None) -> Packed:
                   n_utts.cumsum() - n_utts, runs, n_ctx)
 
 
-class Triples(tuple):
-    """Pairwise triples, as a split holds them. ``pack`` is the Packed
-    group (context, (positive, negative)) of every triple, checked against
-    ``vocab_size`` on first use and kept, so pointwise example 2t + k (t's
-    positive for k = 0, negative for k = 1) is segment ``n_ctx + 2t + k``."""
+class _Split(Sequence):
+    """A split's items, given, or built from its ``pack`` and per-item
+    ``columns`` when first read; the pack of given items is built and checked
+    against ``vocab_size`` on first use. Compares as the tuple of its items."""
 
-    def __new__(cls, triples, vocab_size: int | None = None):
-        split = super().__new__(cls, triples)
-        split.vocab_size = vocab_size
-        return split
+    def __init__(self, items=(), vocab_size: int | None = None, pack=None, **columns):
+        self.vocab_size = vocab_size
+        if pack is None:
+            self._items = tuple(items)
+        else:
+            self.pack = pack
+            vars(self).update(columns)
+
+    @cached_property
+    def _items(self) -> tuple:
+        ids = iter(self.pack.ids.tolist())
+        segments = [tuple(islice(ids, n)) for n in self.pack.lengths.tolist()]
+        contexts, responses = iter(segments), iter(segments[self.pack.n_ctx:])
+        return tuple(self._build(
+            (tuple(islice(contexts, n)), tuple(islice(responses, runs)))
+            for n, runs in zip(self.pack.n_utts.tolist(), self.pack.runs.tolist())))
 
     @cached_property
     def pack(self) -> Packed:
-        return pack_groups([(t.context, (t.pos_response, t.neg_response))
-                            for t in self], self.vocab_size)
+        return pack_groups(self._groups(), self.vocab_size)
 
     @cached_property
     def top_id(self) -> int:
         """The largest token id in the pack, or -1."""
         return int(self.pack.ids.max(initial=-1))
 
-    def gather(self, examples: np.ndarray, vocab_size: int) -> Packed:
-        """The Packed groups of the pointwise examples in each row of
-        ``examples``, with the context of the row's first example, tokens in
-        ``pack_groups``' order for the same groups, so the matcher's sums
-        match bit for bit. A token at or past ``vocab_size`` raises."""
+    def __len__(self) -> int:
+        return len(self._items) if "_items" in vars(self) else len(self.pack.n_utts)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Split)):
+            return NotImplemented
+        return self._items == tuple(other)
+
+    def __add__(self, other) -> tuple:
+        return self._items + tuple(other)
+
+    def _gather(self, groups, responses, runs, vocab_size: int) -> Packed:
+        """The Packed contexts at ``groups`` with the responses at positions
+        ``responses``, ``runs`` a group, tokens in ``pack_groups``' order for
+        the same groups; a token at or past ``vocab_size`` raises."""
         if self.top_id >= vocab_size:
             raise ValueError("token ID out of range for vocab")
-        pack, triples = self.pack, examples[:, 0] >> 1
-        n_utts = pack.n_utts[triples]
-        utterances, ctx_starts = _spans(pack.ctx_starts[triples], n_utts)
-        segments = np.concatenate([utterances, pack.n_ctx + examples.ravel()])
+        pack = self.pack
+        n_utts = pack.n_utts[groups]
+        utterances, ctx_starts = _spans(pack.ctx_starts[groups], n_utts)
+        segments = np.concatenate([utterances, pack.n_ctx + responses])
         lengths = pack.lengths[segments]
         tokens, starts = _spans(pack.starts[segments], lengths)
-        return Packed(pack.ids[tokens], lengths, starts, n_utts, ctx_starts,
-                      examples.shape[1], utterances.size)
+        return Packed(pack.ids[tokens], lengths, starts, n_utts, ctx_starts, runs,
+                      utterances.size)
+
+
+class Triples(_Split):
+    """Pairwise triples, as a split holds them. ``pack`` is the Packed
+    group (context, (positive, negative)) of every triple, so pointwise
+    example 2t + k (t's positive for k = 0, negative for k = 1) is segment
+    ``n_ctx + 2t + k``; the column ``flags`` holds noise flags."""
+
+    def _groups(self):
+        return [(t.context, (t.pos_response, t.neg_response)) for t in self]
+
+    def _build(self, groups):
+        return (PairwiseTriple(context, pos, neg, flag)
+                for (context, (pos, neg)), flag in zip(groups, self.flags))
+
+    def gather(self, examples: np.ndarray, vocab_size: int) -> Packed:
+        """The Packed groups of the pointwise examples in each row of
+        ``examples``, with the context of the row's first example."""
+        return self._gather(examples[:, 0] >> 1, examples.ravel(), examples.shape[1],
+                            vocab_size)
+
+
+class TestGroups(_Split):
+    """Judged test groups, as a corpus holds them. ``pack`` is the Packed
+    group (context, responses) of every group, and the column ``labels``
+    holds the candidates' labels in the pack's response order."""
+
+    def _groups(self):
+        return [(g.context, [response for response, _ in g.candidates]) for g in self]
+
+    def _build(self, groups):
+        labels = iter(self.labels.tolist())
+        return (TestGroup(context, tuple(zip(responses, labels)))
+                for context, responses in groups)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return np.fromiter((label for g in self for _, label in g.candidates), np.intp)
+
+    def gather(self, index: np.ndarray, vocab_size: int) -> Packed:
+        """The Packed groups at positions ``index``."""
+        runs = self.pack.runs
+        responses, _ = _spans((runs.cumsum() - runs)[index], runs[index])
+        return self._gather(index, responses, runs[index], vocab_size)
 
 
 def _spans(starts: np.ndarray, counts: np.ndarray):
@@ -190,23 +260,23 @@ def as_batch(triples) -> Batch:
 
 @dataclass(frozen=True)
 class Corpus:
-    """``train`` and ``valid`` become Triples over ``vocab_size``, or stay
-    as they are, pack included, if they are; a bad triple is rejected when
-    its split is packed."""
+    """``train`` and ``valid`` become Triples and ``test`` TestGroups over
+    ``vocab_size``, or stay as they are, pack included, if they are; a bad
+    triple or group is rejected when its split is packed."""
 
     train: Triples
     valid: Triples
-    test: tuple[TestGroup, ...]
+    test: TestGroups
     vocab_size: int
     n_candidates: int = 10
     seed: int | None = None
     noise_rate: float | None = None
 
     def __post_init__(self):
-        for name in ("train", "valid"):
+        for name, kind in (("train", Triples), ("valid", Triples), ("test", TestGroups)):
             split = getattr(self, name)
-            if not (isinstance(split, Triples) and split.vocab_size == self.vocab_size):
-                object.__setattr__(self, name, Triples(split, self.vocab_size))
+            if not (isinstance(split, kind) and split.vocab_size == self.vocab_size):
+                object.__setattr__(self, name, kind(split, self.vocab_size))
 
 
 @dataclass(frozen=True)
@@ -233,6 +303,8 @@ class GenConfig:
                      "n_candidates", "turns_per_context", "tokens_per_utterance"):
             if getattr(self, name) >= 2**63:  # past numpy's int64 sizes
                 raise ValueError(f"{name} must be below 2**63")
+        if self.tokens_per_utterance >= 2**60:  # an utterance past 2**63 bytes
+            raise ValueError("tokens_per_utterance must be below 2**60")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_topics < 2:
@@ -330,13 +402,16 @@ def generate_synthetic_corpus(config: GenConfig) -> Corpus:
 # line (one triple), a test block is n_candidates lines labelled 0 or 1
 # (one judged group). Generation metadata and the diagnostic noise flags
 # live in a sidecar meta.json, keeping the text format self-contained.
-# Two readers give equal blocks and errors. A valid file in save_corpus's
+# Two readers give equal splits and errors. A valid file in save_corpus's
 # canonical form (ASCII; one space, tab or "\n" after each id; ids of 1-18
-# digits) takes the canonical pass, which splits lines and fields as bytes
-# and parses all ids in one array pass; any other file the line reader.
+# digits) takes the canonical pass, which splits lines and fields as bytes,
+# parses all ids in one array pass and ends in the split's pack; any other
+# file the line reader, whose blocks are then packed.
 # ----------------------------------------------------------------------
 
 _HEADER_PREFIX = "#vocab="
+# The splits a corpus holds, each in the file of its name with ".txt".
+SPLITS = ("train", "valid", "test")
 
 
 # (lines per block, labels by position): each position's labels map to the
@@ -436,9 +511,11 @@ def _parse_tokens(field: str, vocab_size: int, path, line_no: int) -> tuple[int,
     return tokens
 
 
-def read_text(path) -> str:
-    """A file's UTF-8 text; invalid UTF-8 raises CorpusFormatError."""
-    data = Path(path).read_bytes()
+def read_text(path, first_line: bool = False) -> str:
+    """A file's UTF-8 text, or its first line's; invalid UTF-8 raises
+    CorpusFormatError."""
+    with open(path, "rb") as f:
+        data = f.readline() if first_line else f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -518,7 +595,7 @@ def _read_blocks(path, block):
 
 
 def _read_canonical(path, block):
-    """``_read_blocks``' result for a valid canonical file, else None."""
+    """The header, pack and line values of a valid canonical file, else None."""
     head, newline, body = (path.read_bytes() if path.exists() else b"").partition(b"\n")
     try:
         header = _parse_header(head.decode("ascii"), path, 1)
@@ -530,60 +607,73 @@ def _read_canonical(path, block):
     if (not newline or head != b"#vocab=%d candidates=%d" % header
             or after_last or len(lines) % size):
         return None
-    if not lines:
-        return header, []
-    # Each position's labels as bytes, sized only now that lines fill the count.
+    # Each position's labels as bytes; the table grows by one position a
+    # line read, so nothing is sized by the header's count.
     encoded = [{text.encode(): value for text, value in labels.items()} for labels in allowed]
-    table = [(k, encoded[k % len(encoded)]) for k in range(size)]
-    # Later lines of a block repeat its first context, so only it and responses are kept.
-    parts, blocks = [], []
+    table = ((k, encoded[k % len(encoded)]) for k in range(size))
+    # Later lines of a block repeat its first context, so only it is kept;
+    # responses follow all contexts, as they do in a pack.
+    contexts, responses, n_utts, values = [], [], [], []
     for (position, labels), line in zip(cycle(table), lines):
         fields = line.split(b"\t")
         value = labels.get(fields[0])
         if value is None or len(fields) < 3:
             return None
         if not position:
-            context, values = fields[1:-1], []
-            parts += context
-            blocks.append((len(context), values))
+            context = fields[1:-1]
+            contexts += context
+            n_utts.append(len(context))
         elif fields[1:-1] != context:
             return None
-        parts.append(fields[-1])
+        responses.append(fields[-1])
         values.append(value)
-    parts.append(b"")  # so a tab ends the last field too
-    text = b"\t".join(parts)
-    del lines, parts
+    n_ctx = len(contexts)
+    text = b"\t".join(contexts + responses + [b""])  # a tab ends the last field too
+    del lines, contexts, responses
     # Ids are 1 to 18 ASCII digits, each ended by one space or tab.
     chars = np.frombuffer(text, np.uint8)
     seps = np.flatnonzero((chars < 48) | (chars > 57))
-    kinds, lengths = chars[seps], np.diff(seps, prepend=-1) - 1
-    if not (np.isin(kinds, (9, 32)).all() and 1 <= lengths.min() <= lengths.max() <= 18):
+    kinds, digits = chars[seps], np.diff(seps, prepend=-1) - 1
+    if not (np.isin(kinds, (9, 32)).all()
+            and 1 <= digits.min(initial=1) <= digits.max(initial=1) <= 18):
         return None
-    field_sizes = np.diff(np.flatnonzero(kinds == 9), prepend=-1).tolist()
+    lengths = np.diff(np.flatnonzero(kinds == 9), prepend=-1)
     ids = np.fromstring(text, np.int64, sep=" ")
-    del text, chars, seps, kinds, lengths  # peak below the line reader's
-    if int(ids.max()) >= header[0]:
+    del text, chars, seps, kinds, digits  # peak below the line reader's
+    if ids.max(initial=-1) >= header[0]:
         return None
-    ids = iter(ids.tolist())
-    fields = iter([tuple(islice(ids, k)) for k in field_sizes])
-    return header, [(tuple(islice(fields, n_utt)), list(zip(islice(fields, size), values)))
-                    for n_utt, values in blocks]
+    n_utts = np.array(n_utts, np.intp)
+    return header, Packed(ids, lengths, lengths.cumsum() - lengths, n_utts,
+                          n_utts.cumsum() - n_utts, np.full(n_utts.size, size),
+                          n_ctx), np.array(values, np.intp)
 
 
-def _with_noise_flags(blocks, meta, key, meta_path):
-    """Triples from POS/NEG blocks, flagged from ``meta[key]`` when
-    present; the list must hold one 0/1 flag per triple."""
+def _read_split(path, block, parse: bool):
+    """The header, pack and line values of one corpus file, or its header
+    alone, read from its first line, if not ``parse``. The line reader
+    reads a file that the canonical pass does not take."""
+    if not parse:
+        lines = read_text(path, first_line=True).splitlines() if path.exists() else []
+        return (_parse_header(lines[0], path, 1) if lines else None,)
+    canonical = _read_canonical(path, block)
+    if canonical is not None:
+        return canonical
+    header, blocks = _read_blocks(path, block)
+    return header, pack_groups([(c, [r for r, _ in lines]) for c, lines in blocks], None), (
+        np.fromiter((value for _, lines in blocks for _, value in lines), np.intp))
+
+
+def _noise_flags(meta, key, n_triples, meta_path) -> list:
+    """The flags in ``meta[key]``, None each when absent; the list must
+    hold one 0/1 flag per triple."""
     flags = meta.get(key)
     if flags is None:
-        flags = [None] * len(blocks)
-    elif not (isinstance(flags, list) and len(flags) == len(blocks)
-              and all(f in (0, 1) for f in flags)):
+        return [None] * n_triples
+    if not (isinstance(flags, list) and len(flags) == n_triples
+            and all(f in (0, 1) for f in flags)):
         raise CorpusFormatError(
-            meta_path, 1, f"{key} must list one 0/1 flag per triple ({len(blocks)})")
-    else:
-        flags = [bool(f) for f in flags]
-    return tuple(PairwiseTriple(c, pos, neg, noise_flag=flag)
-                 for (c, ((pos, _), (neg, _))), flag in zip(blocks, flags))
+            meta_path, 1, f"{key} must list one 0/1 flag per triple ({n_triples})")
+    return [bool(f) for f in flags]
 
 
 def _read_meta(path) -> dict:
@@ -601,25 +691,32 @@ def _read_meta(path) -> dict:
     return meta
 
 
-def load_corpus(path) -> Corpus:
-    """Load a corpus directory written by :func:`save_corpus`."""
+def load_corpus(path, splits=SPLITS) -> Corpus:
+    """Load a corpus directory written by :func:`save_corpus`, parsing only
+    the named ``splits``; the others load empty, but all three headers are
+    read and must agree."""
     path = Path(path)
     meta_path = path / "meta.json"
     meta = _read_meta(meta_path)
-    (h_train, train), (h_valid, valid), (h_test, test) = (
-        _read_canonical(path / name, block) or _read_blocks(path / name, block)
-        for name, block in (("train.txt", _TRIPLE_BLOCK), ("valid.txt", _TRIPLE_BLOCK),
-                            ("test.txt", _GROUP_BLOCK)))
+    read = {name: _read_split(path / f"{name}.txt", block, name in splits)
+            for name, block in zip(SPLITS, (_TRIPLE_BLOCK, _TRIPLE_BLOCK, _GROUP_BLOCK))}
 
-    headers = [h for h in (h_train, h_valid, h_test) if h is not None]
+    headers = [h for h, *_ in read.values() if h is not None]
     if not headers:
         raise CorpusFormatError(path, 0, "no corpus files with headers found")
     if len(set(headers)) != 1:
         raise CorpusFormatError(path, 1, f"inconsistent headers across files: {headers}")
     vocab_size, n_candidates = headers[0]
 
-    return Corpus(train=_with_noise_flags(train, meta, "train_noise_flags", meta_path),
-                  valid=_with_noise_flags(valid, meta, "valid_noise_flags", meta_path),
-                  test=tuple(TestGroup(c, tuple(candidates)) for c, candidates in test),
+    def triples(name):
+        if name not in splits:
+            return ()
+        pack = read[name][1]
+        return Triples(vocab_size=vocab_size, pack=pack, flags=_noise_flags(
+            meta, f"{name}_noise_flags", len(pack.n_utts), meta_path))
+
+    test = (TestGroups(vocab_size=vocab_size, pack=read["test"][1], labels=read["test"][2])
+            if "test" in splits else ())
+    return Corpus(train=triples("train"), valid=triples("valid"), test=test,
                   vocab_size=vocab_size, n_candidates=n_candidates,
                   seed=meta.get("seed"), noise_rate=meta.get("noise_rate"))

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcher
+from .corpus import TestGroups
 
 RECALL_KS = (1, 2, 5)
 # Per-group metric names, in the order of MetricsReport's fields.
 METRIC_KEYS = ("AP", "RR", "P@1", "R@1", "R@2", "R@5")
-# Groups ranked per scoring call. At 10 candidates a group, one call
-# gathers about 1 MB of embedding rows; scoring 2,000 such groups in one
-# call was twice as slow and raised peak memory by about 40 MB.
+# Groups ranked per scoring call, each call gathered from the test pack. At
+# 10 candidates a group and d = 16, a call takes about 1 MB of embedding
+# rows; ranking 2,000 such groups in one call took 49 ms against 25 ms and
+# peaked at 39 MB against 3 MB, and 32 to 96 groups a call were within
+# noise of 64 (one pinned CPU).
 _GROUPS_PER_CALL = 64
 
 
@@ -43,57 +46,67 @@ class MetricsReport:
     n_contexts: int
 
 
+def _rows(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The flat ``labels`` of groups of ``sizes`` items as rows, zero-padded."""
+    rows = np.zeros((sizes.size, sizes.max(initial=0)), np.intp)
+    rows[np.arange(rows.shape[1]) < sizes[:, None]] = labels
+    return rows
+
+
 def filter_degenerate(groups):
-    """Drop groups whose labels are all equal; returns (kept, n_removed)."""
-    kept = [g for g in groups if len({label for _, label in g.candidates}) == 2]
+    """Drop groups whose 0/1 labels are all equal; returns (kept, n_removed),
+    ``groups`` itself if it keeps all, else a list."""
+    test = groups if isinstance(groups, TestGroups) else TestGroups(groups)
+    n_pos = (_rows(test.labels, test.pack.runs) == 1).sum(1)
+    keep = ((0 < n_pos) & (n_pos < test.pack.runs)).tolist()
+    kept = groups if all(keep) else [g for g, k in zip(groups, keep) if k]
     return kept, len(groups) - len(kept)
 
 
 def rank_test_groups(model: matcher.ModelState, groups) -> list[RankedGroup]:
     """Score and sort the candidates of every group; group i gets context
     id i. Each ``matcher.scores`` call takes ``_GROUPS_PER_CALL`` groups,
-    each scored as one (context, candidate responses) group, so that its
-    context is pooled once."""
-    if not all(g.candidates for g in groups):
+    gathered from one pack of all groups, and pools each context once."""
+    test = groups if isinstance(groups, TestGroups) else TestGroups(groups)
+    runs = test.pack.runs
+    if not runs.all():
         raise ValueError("empty candidate list")
-    ranked = []
-    for lo in range(0, len(groups), _GROUPS_PER_CALL):
-        part = groups[lo:lo + _GROUPS_PER_CALL]
-        s = iter(matcher.scores(model, [(g.context, [r for r, _ in g.candidates])
-                                        for g in part]).tolist())
-        for g in part:
-            scored = sorted(((i, next(s), label)
-                             for i, (_, label) in enumerate(g.candidates)),
-                            key=lambda e: (-e[1], e[0]))
-            ranked.append(RankedGroup(len(ranked), tuple(scored)))
-    return ranked
-
-
-def _group_metrics(group: RankedGroup) -> dict[str, float]:
-    labels = [label for _, _, label in group.entries]
-    # The ranks of the positives; the k-th of them has precision k / rank.
-    hits = [rank for rank, label in enumerate(labels, start=1) if label == 1]
-    if not hits:
-        raise ValueError(
-            f"group {group.context_id} has no positive candidate; "
-            "filter degenerate groups before evaluation")
-    n_pos = len(hits)
-    out = {
-        "AP": sum(k / rank for k, rank in enumerate(hits, start=1)) / n_pos,
-        "RR": 1.0 / hits[0],
-        "P@1": float(labels[0]),
-    }
-    for k in RECALL_KS:
-        out[f"R@{k}"] = sum(labels[:k]) / n_pos
-    return out
+    index, ends = np.arange(runs.size), runs.cumsum()
+    scores = np.concatenate([np.zeros(0)] + [
+        matcher.scores(model, test.gather(index[lo:lo + _GROUPS_PER_CALL],
+                                          model.spec.vocab_size))
+        for lo in range(0, runs.size, _GROUPS_PER_CALL)])
+    group = index.repeat(runs)
+    position = np.arange(group.size) - (ends - runs)[group]
+    order = np.lexsort((position, -scores, group))
+    entries = list(zip(position[order].tolist(), scores[order].tolist(),
+                       test.labels[order].tolist()))
+    return [RankedGroup(i, tuple(entries[end - n:end]))
+            for i, (n, end) in enumerate(zip(runs.tolist(), ends.tolist()))]
 
 
 def per_group_metrics(groups) -> dict[str, np.ndarray]:
-    """Metric vectors with one entry per group, for significance testing."""
+    """Metric vectors with one entry per group, for significance testing.
+    AP adds the positives' precisions in rank order, one after another, as
+    a plain loop or Python 3.11's ``sum`` does."""
     if not groups:
         raise ValueError("no groups to evaluate")
-    rows = [_group_metrics(g) for g in groups]
-    return {key: np.array([r[key] for r in rows]) for key in rows[0]}
+    sizes = np.fromiter((len(g.entries) for g in groups), np.intp, len(groups))
+    labels = _rows(np.fromiter((y for g in groups for _, _, y in g.entries), np.intp,
+                               sizes.sum()), sizes)
+    hits = labels == 1
+    n_pos = hits.sum(1)
+    if not n_pos.all():
+        raise ValueError(
+            f"group {groups[int(n_pos.argmin())].context_id} has no positive "
+            "candidate; filter degenerate groups before evaluation")
+    # The k-th positive, at rank r, has precision k / r; the padding adds 0.0.
+    precision = np.where(hits, hits.cumsum(1) / np.arange(1, labels.shape[1] + 1), 0.0)
+    out = {"AP": precision.cumsum(1)[:, -1] / n_pos, "RR": 1.0 / (hits.argmax(1) + 1),
+           "P@1": labels[:, 0] * 1.0}
+    for k in RECALL_KS:
+        out[f"R@{k}"] = labels[:, :k].sum(1) / n_pos
+    return out
 
 
 def mean_metrics(per_group) -> MetricsReport:

@@ -12,9 +12,9 @@ Parameters live in a single flat float64 vector with a fixed layout
 checkpoints and finite-difference checking trivial.
 
 Every computation is batched over a ``corpus.Packed`` batch of (context,
-responses) groups: training, teachers and validation gather it from the
-pack a ``corpus.Triples`` split built and checked once, and ``scores``
-packs and checks the groups a caller builds, such as ranked test groups.
+responses) groups: training, teachers, validation and ranking gather it
+from the pack a ``corpus.Triples`` or ``corpus.TestGroups`` split built and
+checked once, and ``scores`` packs and checks the groups a caller builds.
 One ``_forward`` serves scoring and training; scoring takes only the
 sigmoid of its logits, and ``_loss`` forms ds/dz where it is read. Both
 run in the dtype of the params, so the tests' finite-difference oracle
@@ -230,12 +230,14 @@ def _loss(loss_kind: str, z: np.ndarray, labels, coef):
 
 
 def scores(model: ModelState, groups) -> np.ndarray:
-    """Matching scores s(c, r) in (0, 1) of a sequence of (context,
-    responses) groups, group by group in response order. Each group's
+    """Matching scores s(c, r) in (0, 1) of a Packed batch gathered from a
+    checked split, or of a sequence of (context, responses) groups, which
+    it packs and checks; group by group in response order. Each group's
     context is pooled once, and each entry equals, bit for bit, the score
     of that dialogue alone."""
-    z, _ = _forward(model.spec, model.params, pack_groups(groups, model.spec.vocab_size))
-    return _sigmoid(z)
+    if not isinstance(groups, Packed):
+        groups = pack_groups(groups, model.spec.vocab_size)
+    return _sigmoid(_forward(model.spec, model.params, groups)[0])
 
 
 def example_scores(model: ModelState, split: Triples, examples: np.ndarray) -> np.ndarray:

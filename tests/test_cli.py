@@ -568,6 +568,53 @@ class TestPipeline:
         assert not (workdir / "run").exists()
 
 
+class TestSplitsPerCommand:
+    """pretrain and coteach parse the train and valid bodies, evaluate the
+    valid and test bodies; every command that loads the corpus checks all
+    three headers against each other."""
+
+    @pytest.fixture(autouse=True)
+    def trained(self, workdir):
+        assert _run("generate", "--config", "exp.cfg") == 0
+        _pipeline(workdir, "run", "margin")
+
+    def _damage_body(self, workdir, name):
+        path = workdir / "corpus" / name
+        lines = path.read_text().splitlines()
+        lines[1] = "garbage"  # the header stays
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_damaged_test_body_fails_only_evaluate(self, workdir, capsys):
+        self._damage_body(workdir, "test.txt")
+        args = ["--config", "exp.cfg", "--strategy", "margin"]
+        assert _run("pretrain", *args) == 0
+        assert _run("coteach", *args) == 0
+        capsys.readouterr()
+        assert _run("evaluate", *args) == 2
+        assert _one_line_error(capsys, "data error: ").startswith(
+            "data error: corpus/test.txt:2: ")
+
+    def test_damaged_train_body_fails_only_training(self, workdir, capsys):
+        self._damage_body(workdir, "train.txt")
+        args = ["--config", "exp.cfg", "--strategy", "margin"]
+        assert _run("evaluate", *args) == 0
+        capsys.readouterr()
+        for command in ("pretrain", "coteach"):
+            assert _run(command, *args) == 2
+            assert _one_line_error(capsys, "data error: ").startswith(
+                "data error: corpus/train.txt:2: ")
+
+    @pytest.mark.parametrize("name", ["train.txt", "valid.txt", "test.txt"])
+    def test_header_mismatch_fails_every_loading_command(self, workdir, capsys, name):
+        path = workdir / "corpus" / name
+        path.write_text(path.read_text().replace("#vocab=60 ", "#vocab=61 ", 1))
+        capsys.readouterr()
+        for command in ("pretrain", "coteach", "evaluate", "sweep"):
+            assert _run(command, "--config", "exp.cfg", "--strategy", "margin") == 2
+            assert "inconsistent headers across files" in _one_line_error(
+                capsys, "data error: ")
+
+
 def _trains_nothing(*args, **kwargs):
     raise AssertionError("training started before the run directory was checked")
 
@@ -768,7 +815,7 @@ class TestArtifactBytes:
         # Everything before the writers is replaced by fixed results; the
         # run directory is where the faked checkpoints would live.
         (workdir / "run").mkdir()
-        monkeypatch.setattr(cli, "_load_corpus", lambda path: None)
+        monkeypatch.setattr(cli, "_load_corpus", lambda *args: None)
         monkeypatch.setattr(cli, "_load_checkpoint", lambda *args: None)
         monkeypatch.setattr(cli, "_rank_test_set", lambda *args: ([None] * 2, 0))
         calls = []

@@ -11,7 +11,8 @@ values. Whatever the values:
   or ``data error:``, and creates no directory
 - a ``seed`` that is not a non-negative integer fails ``generate`` with a
   message naming ``seed``, and so does a huge ``vocab_size`` or
-  ``tokens_per_utterance``, naming its key
+  ``tokens_per_utterance``, naming its key; 2**62 tokens an utterance,
+  below int64's limit but past 2**63 bytes, fails the same way
 
 Counts that the run iterates over (``n_train``, ``n_epochs``, ...) get no
 huge value: they run rather than fail. Nor does any value between 10**6
@@ -89,6 +90,7 @@ def _run(argv):
 @example([("--seed", "-1")], "pretrain")
 @example([("vocab_size", HUGE)], "generate")
 @example([("tokens_per_utterance", HUGE)], "generate")
+@example([("tokens_per_utterance", str(2**62))], "generate")
 @example([("embedding_dim", HUGE)], "pretrain")
 def test_every_command_exits_with_a_code_and_one_line(tmp_path_factory, pairs, first):
     work = tmp_path_factory.mktemp("cli")
@@ -99,7 +101,8 @@ def test_every_command_exits_with_a_code_and_one_line(tmp_path_factory, pairs, f
     flags = [arg for key, value in pairs if key.startswith("--") for arg in (key, value)]
     edge = COMMANDS.index(first)
     only_seed = len(pairs) == 1 and pairs[0][0] in ("seed", "--seed")
-    only_huge_size = pairs in ([("vocab_size", HUGE)], [("tokens_per_utterance", HUGE)])
+    only_huge_size = pairs in ([("vocab_size", HUGE)], [("tokens_per_utterance", HUGE)],
+                               [("tokens_per_utterance", str(2**62))])
     for k, command in enumerate(COMMANDS):
         dirs = {p for p in work.rglob("*") if p.is_dir()}
         argv = [command, "--run-dir", str(work / "run"),

@@ -53,7 +53,13 @@ class TestGenConfigValidation:
                      "n_candidates", "turns_per_context", "tokens_per_utterance"):
             with pytest.raises(ValueError, match=rf"^{name} must be below 2\*\*63$"):
                 GenConfig(**{name: 2**63})
-        GenConfig(vocab_size=2**63 - 1, tokens_per_utterance=2**63 - 1)
+        GenConfig(vocab_size=2**63 - 1, tokens_per_utterance=2**60 - 1)
+
+    def test_rejects_an_utterance_past_2_63_bytes(self):
+        # numpy refuses an int64 array of 2**60 ids without naming the key.
+        for size in (2**60, 2**62):
+            with pytest.raises(ValueError, match=r"^tokens_per_utterance must be below 2\*\*60$"):
+                GenConfig(tokens_per_utterance=size)
 
     def test_rejects_negative_seed(self):
         # numpy's generators refuse it too, but without naming the key.

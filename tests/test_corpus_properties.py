@@ -1,12 +1,14 @@
 """Property tests of the corpus file format: fuzzed text either loads or
 raises CorpusFormatError, generated corpora are saved as a reference
-formatter writes them and load back equal, and the whole-file pass loads
-what the line reader loads, raising where it raises."""
+formatter writes them and load back equal, the whole-file pass loads what
+the line reader loads, raising where it raises, and the packs a load
+builds equal those ``pack_groups`` builds from the line reader's tuples."""
 
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -204,3 +206,42 @@ def test_generated_corpus_never_reaches_the_line_reader(tmp_path, monkeypatch):
     save_corpus(corpus, tmp_path)
     monkeypatch.setattr(corpus_module, "_read_blocks", _no_line_reader)
     assert load_corpus(tmp_path) == corpus
+
+
+# ---------------------------------------------------------------------------
+# The packs load_corpus builds against pack_groups of the line reader's tuples
+
+
+def _line_reader_corpus(root):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "_read_canonical", lambda path, block: None)
+        return load_corpus(root)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(files=edited_files() | corpora(least=st.just(1)).map(_reference_files))
+def test_loaded_packs_equal_pack_groups_of_the_line_readers_tuples(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        try:
+            loaded = load_corpus(tmp)
+        except CorpusFormatError:
+            return
+        by_lines = _line_reader_corpus(tmp)
+    groups = {
+        "train": [(t.context, (t.pos_response, t.neg_response)) for t in by_lines.train],
+        "valid": [(t.context, (t.pos_response, t.neg_response)) for t in by_lines.valid],
+        "test": [(g.context, tuple(r for r, _ in g.candidates)) for g in by_lines.test],
+    }
+    for name, split_groups in groups.items():
+        pack = getattr(loaded, name).pack
+        reference = corpus_module.pack_groups(split_groups, loaded.vocab_size)
+        for field, array, expected in zip(pack._fields, pack, reference):
+            assert np.asarray(array).dtype == np.asarray(expected).dtype, (name, field)
+            assert np.array_equal(array, expected), (name, field)
+    assert loaded.test.labels.tolist() == [y for g in by_lines.test for _, y in g.candidates]
+    # The tuples a loaded split builds on demand are the line reader's.
+    assert (tuple(loaded.train), tuple(loaded.valid), tuple(loaded.test)) == (
+        tuple(by_lines.train), tuple(by_lines.valid), tuple(by_lines.test))
+    assert [t.noise_flag for t in loaded.train] == [t.noise_flag for t in by_lines.train]

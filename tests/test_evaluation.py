@@ -54,17 +54,16 @@ def _rank_one(model, context, candidates):
 
 class TestRankGroup:
     def test_equal_scores_preserve_order(self, small_model, monkeypatch):
-        monkeypatch.setattr(matcher, "scores", lambda m, groups: np.full(
-            sum(len(rs) for _, rs in groups), 0.5))
+        monkeypatch.setattr(matcher, "scores", lambda m, packed: np.full(
+            packed.lengths.size - packed.n_ctx, 0.5))
         candidates = [((i,), i % 2) for i in range(6)]
         ranked = _rank_one(small_model, ((1,),), candidates)
         assert [idx for idx, _, _ in ranked.entries] == list(range(6))
 
     def test_descending_scores_identity_permutation(self, small_model, monkeypatch):
-        monkeypatch.setattr(matcher, "scores",
-                            lambda m, groups: np.array([1.0 - 0.1 * r[0]
-                                                        for _, rs in groups
-                                                        for r in rs]))
+        # Each response is one token; its score falls with the token.
+        monkeypatch.setattr(matcher, "scores", lambda m, packed: (
+            1.0 - 0.1 * packed.ids[packed.starts[packed.n_ctx:]]))
         candidates = [((i,), 1) for i in range(5)]
         ranked = _rank_one(small_model, ((1,),), candidates)
         assert [idx for idx, _, _ in ranked.entries] == list(range(5))
@@ -167,6 +166,23 @@ class TestComputeMetrics:
                 groups.append(_group(labels))
         report = compute_metrics(groups)
         assert report.mrr >= report.p_at_1
+
+    def test_ap_of_many_positives_adds_left_to_right_bit_for_bit(self):
+        # From 8 positives on, an np.sum or reduceat over a row would switch
+        # to numpy's unrolled summation and round differently.
+        rng = np.random.default_rng(11)
+        groups, expected = [], []
+        for i in range(400):
+            size = int(rng.integers(1, 12))
+            labels = [1] * min(size, int(rng.integers(8, 12)))
+            labels = rng.permutation(labels + [0] * (size - len(labels))).tolist()
+            groups.append(_group(labels, context_id=i))
+            total = 0.0  # the positives' precisions, added one after another
+            hits = [rank for rank, y in enumerate(labels, start=1) if y == 1]
+            for k, rank in enumerate(hits, start=1):
+                total += k / rank
+            expected.append(total / len(hits))
+        assert per_group_metrics(groups)["AP"].tobytes() == np.array(expected).tobytes()
 
     def test_per_group_metrics_align_with_report(self):
         groups = [_group([1, 0, 0]), _group([0, 1, 1]), _group([0, 0, 1])]
