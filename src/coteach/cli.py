@@ -182,7 +182,7 @@ def cmd_generate(config, args) -> int:
     corpus = generate_synthetic_corpus(gen)
     out = _corpus_dir(config)
     save_corpus(corpus, out)
-    noisy = sum(1 for t in corpus.train if t.noise_flag)
+    noisy = sum(corpus.train.flags)
     print(f"wrote corpus to {out}")
     print(f"train={len(corpus.train)} valid={len(corpus.valid)} "
           f"test_contexts={len(corpus.test)} vocab={corpus.vocab_size}")

@@ -5,7 +5,11 @@ response, negative response) and judged test groups of ranked candidates.
 The synthetic generator builds a topic-separable corpus with a controllable
 false-negative rate: with probability ``false_negative_rate`` the sampled
 negative comes from the same topic as the context, i.e. it would be a
-perfectly good response that is nevertheless labeled negative.
+perfectly good response that is nevertheless labeled negative. Its items
+are the ones ``_sample_triple`` and ``_sample_test_group`` draw call by
+call, which define the stream; ``_sample_split`` draws the same stream as
+PCG64 words in bulk (32-bit halves through PCG64's one-half buffer mapped
+by Lemire's method, whole words for ``random()``), into packs.
 
 This module owns the pack: a training or validation split is a
 ``Triples`` and the test split a ``TestGroups``. Each holds its items as
@@ -125,11 +129,14 @@ class _Split(Sequence):
     @cached_property
     def _items(self) -> tuple:
         ids = iter(self.pack.ids.tolist())
-        segments = [tuple(islice(ids, n)) for n in self.pack.lengths.tolist()]
+        return tuple(self._build(self._blocks(
+            [tuple(islice(ids, n)) for n in self.pack.lengths.tolist()])))
+
+    def _blocks(self, segments):
+        """(context, responses) of each group, from the pack's ``segments``."""
         contexts, responses = iter(segments), iter(segments[self.pack.n_ctx:])
-        return tuple(self._build(
-            (tuple(islice(contexts, n)), tuple(islice(responses, runs)))
-            for n, runs in zip(self.pack.n_utts.tolist(), self.pack.runs.tolist())))
+        return ((tuple(islice(contexts, n)), tuple(islice(responses, runs)))
+                for n, runs in zip(self.pack.n_utts.tolist(), self.pack.runs.tolist()))
 
     @cached_property
     def pack(self) -> Packed:
@@ -182,6 +189,10 @@ class Triples(_Split):
     def _build(self, groups):
         return (PairwiseTriple(context, pos, neg, flag)
                 for (context, (pos, neg)), flag in zip(groups, self.flags))
+
+    @cached_property
+    def flags(self) -> list:
+        return [t.noise_flag for t in self]
 
     def gather(self, examples: np.ndarray, vocab_size: int) -> Packed:
         """The Packed groups of the pointwise examples in each row of
@@ -372,6 +383,121 @@ def _sample_test_group(rng, config: GenConfig) -> TestGroup:
             return TestGroup(context, tuple(candidates))
 
 
+_CHUNK_WORDS = 1 << 14  # the most words a chunk draws, whatever the config
+
+
+def _bounded(halves: np.ndarray, n: int):
+    """Lemire's draws below ``n`` (2 to 2**32) from 32-bit ``halves``, and
+    which of them it would reject."""
+    m = halves * np.uint64(n)
+    return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < 2**32 % n
+
+
+def _sample_split(rng, config: GenConfig, n: int, triples: bool) -> _Split:
+    """The ``n`` items that as many ``_sample_triple`` calls (or
+    ``_sample_test_group``, if not ``triples``) draw from ``rng``, leaving
+    it where they do. Those calls define the stream, drawn in chunks of raw
+    words here. default_rng is PCG64. `integers` over n <= 2**32 values maps
+    a 32-bit half a value by Lemire's method, taking another half while the
+    low 32 bits of half * n fall below 2**32 % n. Halves come through
+    PCG64's one-half buffer: a fresh word gives its low half, and its high
+    half waits for the next 32-bit draw, even in a later call. `random()`
+    takes a whole word, (word >> 11) * 2**-53, and leaves the buffer alone;
+    `integers(1)` draws nothing; wider ranges draw whole words.
+
+    A scalar loop reads a chunk's whole words and counts the halves between
+    them; one array pass maps halves to values. An item that pass cannot
+    model (a rejected half, a negative equal to its positive, one past the
+    chunk or a range past 2**32) ends the chunk and is drawn per call."""
+    bitgen, k, turns, n_topics = (rng.bit_generator, config.tokens_per_utterance,
+                                  config.turns_per_context, config.n_topics)
+    width, other = config.vocab_size // n_topics, int(n_topics > 2)
+    n_resp, cut = (2, config.false_negative_rate) if triples else (
+        config.n_candidates, _TEST_POSITIVE_PROB)
+    rows, marks, done, limit, misses, wait = [], [], 0, n, 0, 0
+
+    def word_at(h):  # the words h halves take from the chunk, the first buffered if p
+        return (h - p + 1) // 2
+
+    def scan(h, nw):
+        """(halves, words) that the chunk holds after one more item, or
+        None; the item's utterance starts, own-topic marks and word reads
+        go to ``at``, ``own`` and ``reads``."""
+        at.extend(range(h + 1, h + 1 + turns * k, k))  # after its topic's half
+        own.extend([True] * turns)
+        h += 1 + turns * k
+        while True:
+            for r in range(n_resp):
+                mark = True
+                if r or not triples:  # all but a triple's positive draw a word
+                    if word_at(h) + nw >= len(below):
+                        return None
+                    reads.append(word_at(h) + nw)
+                    mark, nw = below[reads[-1]], nw + 1
+                h += other * (not mark)  # the other topic's half
+                at.append(h)
+                own.append(mark)
+                h += k
+            if triples or True in own[-n_resp:] and False in own[-n_resp:]:
+                return (h, nw) if word_at(h) + nw <= len(below) else None
+            del at[-n_resp:], own[-n_resp:]  # a degenerate group is drawn again
+
+    while done < n:
+        scanned, spots, at, own, reads = 0, [(0, 0)], [], [], []
+        if max(width, n_topics) <= 2**32 and done >= wait:
+            state = bitgen.state
+            p = state["has_uint32"]
+            words = bitgen.random_raw(
+                min(_CHUNK_WORDS, limit * (turns * k + 2 * n_resp * (k + 2))))
+            bitgen.state = state
+            below = ((words >> 11) * 2.0**-53 < cut).tolist()
+            while scanned < min(limit, n - done) and (end := scan(*spots[-1])):
+                spots.append(end)
+                scanned += 1
+        if scanned:
+            h, nw = spots[-1]
+            sources = np.delete(words[:word_at(h) + nw], reads[:nw]).astype("<u8", copy=False)
+            halves = np.concatenate([np.full(p, state["uinteger"], np.uint64),
+                                     sources.view("<u4").astype(np.uint64)])
+            at = np.array(at[:scanned * (turns + n_resp)], np.intp).reshape(scanned, -1)
+            own = np.array(own[:at.size], bool).reshape(scanned, -1)
+            topic = _bounded(halves[at[:, :1] - 1], n_topics)[0]
+            alt = _bounded(halves[at - 1], n_topics - 1)[0] if other else 0
+            tokens = _bounded(halves[at[:, :, None] + np.arange(k)], width)[0] + width * (
+                np.where(own, topic, alt + (alt >= topic))[:, :, None])
+            tokens = tokens.reshape(scanned, -1)
+            bad = np.flatnonzero(np.any([_bounded(halves[:h], modulus)[1]
+                                         for modulus in {width, n_topics, n_topics - 1}], 0))
+            same = triples and (tokens[:, -2 * k:-k] == tokens[:, -k:]).all(1)
+            m = int(min([scanned, *np.searchsorted(at[:, 0] - 1, bad[:1], "right") - 1,
+                         *np.flatnonzero(same)[:1]]))
+            rows.append(tokens[:m])
+            marks.append(own[:m, turns:])
+            done, limit = done + m, 2 * limit if m == scanned else m + 1
+            h, nw = spots[m]  # to item m's first word and buffered half
+            bitgen.advance(word_at(h) + nw)
+            bitgen.state = {**bitgen.state, "has_uint32": (h - p) % 2, "uinteger": int(
+                halves[p + 2 * word_at(h) - 1]) if word_at(h) else state["uinteger"]}
+            misses = 0 if m else 2 * misses + 1  # chunks in a row that drew nothing
+            if m == scanned:
+                continue
+            wait = done + 1 + misses  # the items before the next chunk, drawn per call
+        item = (_sample_triple if triples else _sample_test_group)(rng, config)
+        pairs = ((item.pos_response, True), (item.neg_response, item.noise_flag)
+                 ) if triples else item.candidates
+        rows.append(np.array([list(chain(*item.context, *(r for r, _ in pairs)))]))
+        marks.append(np.array([[mark for _, mark in pairs]], bool))
+        done += 1
+    rows, marks = np.concatenate(rows), np.concatenate(marks)
+    ids = np.concatenate([rows[:, :turns * k].ravel(), rows[:, turns * k:].ravel()])
+    lengths, n_utts = np.full(ids.size // k, k), np.full(n, turns)
+    pack = Packed(ids, lengths, lengths.cumsum() - lengths, n_utts,
+                  n_utts.cumsum() - n_utts, np.full(n, n_resp), n * turns)
+    kind, column = (Triples, dict(flags=marks[:, 1].tolist())) if triples else (
+        TestGroups, dict(labels=marks.ravel().astype(np.intp)))
+    return kind(vocab_size=config.vocab_size, pack=pack, **column)
+
+
 def generate_synthetic_corpus(config: GenConfig) -> Corpus:
     """A deterministic synthetic corpus from ``config``. Each context and its
     true response live in a single topic. Training and validation negatives
@@ -381,9 +507,8 @@ def generate_synthetic_corpus(config: GenConfig) -> Corpus:
     context's topic) and always hold a positive and a negative.
     """
     rng = np.random.default_rng(config.seed)
-    train = tuple(_sample_triple(rng, config) for _ in range(config.n_train))
-    valid = tuple(_sample_triple(rng, config) for _ in range(config.n_valid))
-    test = tuple(_sample_test_group(rng, config) for _ in range(config.n_test_contexts))
+    train, valid, test = (_sample_split(rng, config, n, triples) for n, triples in (
+        (config.n_train, True), (config.n_valid, True), (config.n_test_contexts, False)))
     return Corpus(train=train, valid=valid, test=test,
                   vocab_size=config.vocab_size,
                   n_candidates=config.n_candidates,
@@ -445,16 +570,23 @@ def _format_tokens(tokens) -> str:
     return " ".join(map(str, tokens))
 
 
-def _write_blocks(path, header: str, blocks) -> None:
-    """Write ``header`` and ``blocks`` of (context, ((response, label), ...))."""
-    lines = [header]
-    for context, candidates in blocks:
-        # The context's fields, each followed by the tab before the response.
-        context = "".join(_format_tokens(utt) + "\t" for utt in context)
-        for response, label in candidates:
-            lines.append(f"{label}\t{context}{_format_tokens(response)}")
+def _write_split(path, header: str, split: _Split, labels) -> None:
+    """Write ``header`` and a line per response of ``split``, labelled in
+    turn from ``labels``; from the split's pack, if it has one."""
+    if "pack" in vars(split):
+        ids = iter(map(str, split.pack.ids.tolist()))
+        blocks = split._blocks(
+            [" ".join(islice(ids, n)) for n in split.pack.lengths.tolist()])
+    else:  # given items, which may not pack
+        blocks = ((map(_format_tokens, c), map(_format_tokens, rs))
+                  for c, rs in split._groups())
+    labels = iter(labels)
     with atomic_open(path, encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(header + "\n")
+        for context, responses in blocks:
+            # The context's fields, each followed by the tab before the response.
+            context = "".join(field + "\t" for field in context)
+            f.writelines(f"{next(labels)}\t{context}{response}\n" for response in responses)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -462,12 +594,9 @@ def save_corpus(corpus: Corpus, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     header = f"#vocab={corpus.vocab_size} candidates={corpus.n_candidates}"
-    for name, triples in (("train.txt", corpus.train), ("valid.txt", corpus.valid)):
-        _write_blocks(path / name, header,
-                      ((t.context, ((t.pos_response, "POS"), (t.neg_response, "NEG")))
-                       for t in triples))
-    _write_blocks(path / "test.txt", header,
-                  ((g.context, g.candidates) for g in corpus.test))
+    for name in SPLITS:
+        labels = corpus.test.labels.tolist() if name == "test" else cycle(("POS", "NEG"))
+        _write_split(path / f"{name}.txt", header, getattr(corpus, name), labels)
 
     meta = {
         "seed": corpus.seed,
@@ -480,8 +609,7 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def _flag_list(triples):
-    flags = [t.noise_flag for t in triples]
-    return None if None in flags else [int(f) for f in flags]
+    return None if None in triples.flags else [int(f) for f in triples.flags]
 
 
 def _parse_header(line: str, path, line_no: int) -> tuple[int, int]:

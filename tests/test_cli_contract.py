@@ -16,11 +16,14 @@ values. Whatever the values:
 
 Counts that the run iterates over (``n_train``, ``n_epochs``, ...) get no
 huge value: they run rather than fail. Nor does any value between 10**6
-and 10**18 appear, which could ask for gigabytes before failing.
+and 10**18 appear, which could ask for gigabytes before failing. Each case
+runs under an alarm, so a command that loops fails its case instead of
+hanging the suite.
 """
 
 import contextlib
 import io
+import signal
 from dataclasses import fields
 
 from hypothesis import example, given, settings
@@ -75,6 +78,28 @@ def edge_settings(draw):
     return pairs
 
 
+# Seconds a whole case (six commands on the tiny corpus) may take.
+CASE_ALARM_S = 20
+
+
+class CaseTimedOut(BaseException):
+    """Raised by the alarm; a BaseException, so ``main`` does not report it."""
+
+
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    def expire(signum, frame):
+        raise CaseTimedOut(f"case ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _run(argv):
     """(exit code, stderr) of ``main(argv)``."""
     err = io.StringIO()
@@ -93,7 +118,11 @@ def _run(argv):
 @example([("tokens_per_utterance", str(2**62))], "generate")
 @example([("embedding_dim", HUGE)], "pretrain")
 def test_every_command_exits_with_a_code_and_one_line(tmp_path_factory, pairs, first):
-    work = tmp_path_factory.mktemp("cli")
+    with _alarm(CASE_ALARM_S):
+        _check_case(tmp_path_factory.mktemp("cli"), pairs, first)
+
+
+def _check_case(work, pairs, first):
     base = BASE_CONFIG + f"corpus_dir = {work / 'corpus'}\n"
     (work / "base.cfg").write_text(base)
     (work / "edge.cfg").write_text(base + "".join(

@@ -81,15 +81,27 @@ class TestGeneration:
         b = generate_synthetic_corpus(tiny_gen_config)
         assert a == b
 
-    def test_saved_bytes_are_pinned(self, tiny_corpus, tmp_path):
+    @pytest.mark.parametrize("changes, expected", [
+        ({}, "d577d7161dccce1d6751b848edc0016ac6b6b5fb86fabd3d9d0d9fd1279ff1dc"),
+        # odd utterances, two topics (the other topic takes no draw) and
+        # two candidates (most groups are drawn again)
+        (dict(vocab_size=41, n_topics=2, n_candidates=2, tokens_per_utterance=3),
+         "5832c56667e19d2daadb3ab8246f2a91727c8cdb2ae119e9c941d42342517056"),
+        # a width of 2**31 + 1 rejects about half its draws
+        (dict(vocab_size=3 * (2**31 + 1)),
+         "8361dcd71835a8471c74fb56ef243c578b385757497887e8fb524d6518f59a52"),
+        # a width of 2**40 draws whole words
+        (dict(vocab_size=3 * 2**40),
+         "065db8ab548847ecf984848341c0a5e238dc981fea628131aa2386e6168e2b72"),
+    ], ids=["tiny", "odd-k-2-topics-2-candidates", "width-2**31+1", "width-2**40"])
+    def test_saved_bytes_are_pinned(self, tiny_gen_config, tmp_path, changes, expected):
         # Generation draws one fixed RNG stream and saving formats it one
         # fixed way; a change to either changes every corpus on disk.
-        save_corpus(tiny_corpus, tmp_path)
+        save_corpus(generate_synthetic_corpus(replace(tiny_gen_config, **changes)), tmp_path)
         digest = hashlib.sha256()
         for name in ("train.txt", "valid.txt", "test.txt", "meta.json"):
             digest.update((tmp_path / name).read_bytes())
-        assert digest.hexdigest() == (
-            "d577d7161dccce1d6751b848edc0016ac6b6b5fb86fabd3d9d0d9fd1279ff1dc")
+        assert digest.hexdigest() == expected
 
     def test_different_seed_changes_corpus(self, tiny_gen_config):
         other = generate_synthetic_corpus(replace(tiny_gen_config, seed=8))
@@ -182,7 +194,10 @@ class TestSplitPack:
         data.valid.pack  # the other split is fine
 
     def test_each_split_is_packed_once(self, tiny_gen_config, monkeypatch):
-        data = generate_synthetic_corpus(tiny_gen_config)
+        # Splits of given items pack on first use; generated ones are born
+        # packed and never pack again.
+        generated = generate_synthetic_corpus(tiny_gen_config)
+        data = replace(generated, train=tuple(generated.train), valid=tuple(generated.valid))
         calls = []
         real = corpus.pack_groups
         monkeypatch.setattr(corpus, "pack_groups", lambda *args: (
@@ -191,8 +206,9 @@ class TestSplitPack:
         config = TrainConfig(strategy="margin", lam=0.5, batch_size=10, eval_every=4)
         model = init_params(spec, 0)
         for _ in range(2):
-            coteach_train(model, model, data, config)
-            validation_p_at_1(model, data.valid)
+            for split_source in (data, generated):
+                coteach_train(model, model, split_source, config)
+                validation_p_at_1(model, split_source.valid)
         assert calls == [len(data.train), len(data.valid)]
         assert replace(data, seed=None).train.pack is data.train.pack
 

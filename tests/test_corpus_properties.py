@@ -1,22 +1,25 @@
 """Property tests of the corpus file format: fuzzed text either loads or
 raises CorpusFormatError, generated corpora are saved as a reference
 formatter writes them and load back equal, the whole-file pass loads what
-the line reader loads, raising where it raises, and the packs a load
-builds equal those ``pack_groups`` builds from the line reader's tuples."""
+the line reader loads, raising where it raises, the packs a load builds
+equal those ``pack_groups`` builds from the line reader's tuples, and the
+bulk generator draws the items, and leaves the generator in the state, that
+the per-call functions do."""
 
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coteach import GenConfig, load_corpus, save_corpus
 from coteach import corpus as corpus_module
-from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple,
-                            generate_synthetic_corpus)
+from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple, _sample_test_group,
+                            _sample_triple, generate_synthetic_corpus)
 from coteach.corpus import TestGroup as CandidateGroup
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -245,3 +248,77 @@ def test_loaded_packs_equal_pack_groups_of_the_line_readers_tuples(files):
     assert (tuple(loaded.train), tuple(loaded.valid), tuple(loaded.test)) == (
         tuple(by_lines.train), tuple(by_lines.valid), tuple(by_lines.test))
     assert [t.noise_flag for t in loaded.train] == [t.noise_flag for t in by_lines.train]
+
+
+# ---------------------------------------------------------------------------
+# The bulk generator against the per-call functions that define its stream
+
+# Ranges (tokens a topic, topics) from tiny to past the 32-bit draws:
+# 2**31 + 1 rejects about half the halves it draws, 43,000,001 about one in
+# 113, 2**32 takes the raw half and 2**32 + 1 or more whole words.
+WIDTHS = st.integers(2, 40) | st.sampled_from([2**31 + 1, 43_000_001, 2**32, 2**40])
+TOPICS = st.integers(2, 5) | st.sampled_from([2**31 + 1, 2**31 + 2, 2**32, 2**32 + 1])
+
+
+@st.composite
+def gen_configs(draw):
+    n_topics = draw(TOPICS)
+    width = draw(WIDTHS if n_topics < 6 else st.integers(2, 40))
+    return GenConfig(
+        vocab_size=n_topics * width + draw(st.integers(0, n_topics - 1)), n_topics=n_topics,
+        n_train=draw(st.integers(1, 12)), n_valid=draw(st.integers(1, 4)),
+        n_test_contexts=draw(st.integers(1, 8)), n_candidates=draw(st.integers(2, 5)),
+        turns_per_context=draw(st.integers(1, 3)), tokens_per_utterance=draw(st.integers(1, 5)),
+        false_negative_rate=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32)))
+
+
+def _config(**changes):
+    return replace(GenConfig(vocab_size=40, n_topics=4, n_train=10, n_valid=3,
+                             n_test_contexts=6, n_candidates=4, turns_per_context=2,
+                             tokens_per_utterance=2, false_negative_rate=0.3, seed=5),
+                   **changes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=gen_configs(), chunk=st.sampled_from([8, 40, 1 << 14]))
+@example(config=_config(tokens_per_utterance=3), chunk=1 << 14)
+@example(config=_config(vocab_size=20, n_topics=2), chunk=1 << 14)
+@example(config=_config(vocab_size=8, tokens_per_utterance=1, turns_per_context=1,
+                        false_negative_rate=1.0, n_train=30), chunk=1 << 14)
+@example(config=_config(n_candidates=2, n_test_contexts=20), chunk=1 << 14)
+@example(config=_config(vocab_size=4 * (2**31 + 1)), chunk=1 << 14)
+@example(config=_config(vocab_size=4 * 2**32), chunk=1 << 14)
+@example(config=_config(vocab_size=4 * 2**40), chunk=1 << 14)
+@example(config=_config(vocab_size=2**33, n_topics=2**32), chunk=1 << 14)
+@example(config=_config(vocab_size=2**32 + 4, n_topics=2**31 + 2, n_train=40), chunk=1 << 14)
+@example(config=_config(false_negative_rate=0.0), chunk=40)
+@example(config=_config(false_negative_rate=1.0), chunk=8)
+def test_bulk_generator_draws_the_per_call_stream(config, chunk):
+    rng = np.random.default_rng(config.seed)
+    expected = [(tuple(sample(rng, config) for _ in range(n)), sample is _sample_triple)
+                for sample, n in ((_sample_triple, config.n_train),
+                                  (_sample_triple, config.n_valid),
+                                  (_sample_test_group, config.n_test_contexts))]
+    bulk = np.random.default_rng(config.seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "_CHUNK_WORDS", chunk)
+        for items, triples in expected:
+            split = corpus_module._sample_split(bulk, config, len(items), triples)
+            assert split == items
+            groups = [(t.context, (t.pos_response, t.neg_response)) if triples
+                      else (t.context, tuple(r for r, _ in t.candidates)) for t in items]
+            reference = corpus_module.pack_groups(groups, config.vocab_size)
+            for field, array, wanted in zip(split.pack._fields, split.pack, reference):
+                assert np.asarray(array).dtype == np.asarray(wanted).dtype, field
+                assert np.array_equal(array, wanted), field
+            if triples:
+                assert split.flags == [t.noise_flag for t in items]
+            else:
+                assert split.labels.tolist() == [y for g in items for _, y in g.candidates]
+    assert bulk.bit_generator.state == rng.bit_generator.state
+    if chunk == 1 << 14:
+        assert generate_synthetic_corpus(config) == Corpus(
+            *(items for items, _ in expected), vocab_size=config.vocab_size,
+            n_candidates=config.n_candidates, seed=config.seed,
+            noise_rate=config.false_negative_rate)
