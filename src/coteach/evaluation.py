@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +27,28 @@ METRIC_KEYS = ("AP", "RR", "P@1", "R@1", "R@2", "R@5")
 _GROUPS_PER_CALL = 64
 
 
-@dataclass(frozen=True)
 class RankedGroup:
     """Candidates of one context sorted by descending model score, ties by
-    ascending candidate index; ``entries`` holds (index, score, human label)."""
+    ascending candidate index; ``entries`` holds (index, score, human label)
+    and ``labels`` the labels as an array. Given ``columns``, the rank-ordered
+    arrays ``index``, ``score`` and ``labels``, it builds ``entries`` only when
+    they are read. Groups with equal context ids and entries are equal."""
 
-    context_id: int
-    entries: tuple[tuple[int, float, int], ...]
+    def __init__(self, context_id: int, entries=(), columns=None):
+        self.context_id = context_id
+        if columns is None:
+            self.entries = tuple(entries)
+            self.labels = np.fromiter((y for *_, y in self.entries), np.intp, len(self.entries))
+        else:
+            self.index, self.score, self.labels = columns
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, float, int], ...]:
+        return tuple(zip(self.index.tolist(), self.score.tolist(), self.labels.tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, RankedGroup) and (
+            self.context_id, self.entries) == (other.context_id, other.entries)
 
 
 @dataclass(frozen=True)
@@ -79,9 +95,8 @@ def rank_test_groups(model: matcher.ModelState, groups) -> list[RankedGroup]:
     group = index.repeat(runs)
     position = np.arange(group.size) - (ends - runs)[group]
     order = np.lexsort((position, -scores, group))
-    entries = list(zip(position[order].tolist(), scores[order].tolist(),
-                       test.labels[order].tolist()))
-    return [RankedGroup(i, tuple(entries[end - n:end]))
+    positions, scores, labels = position[order], scores[order], test.labels[order]
+    return [RankedGroup(i, (), (positions[end - n:end], scores[end - n:end], labels[end - n:end]))
             for i, (n, end) in enumerate(zip(runs.tolist(), ends.tolist()))]
 
 
@@ -91,9 +106,8 @@ def per_group_metrics(groups) -> dict[str, np.ndarray]:
     a plain loop or Python 3.11's ``sum`` does."""
     if not groups:
         raise ValueError("no groups to evaluate")
-    sizes = np.fromiter((len(g.entries) for g in groups), np.intp, len(groups))
-    labels = _rows(np.fromiter((y for g in groups for _, _, y in g.entries), np.intp,
-                               sizes.sum()), sizes)
+    rows = [g.labels for g in groups]
+    labels = _rows(np.concatenate(rows), np.fromiter(map(len, rows), np.intp, len(rows)))
     hits = labels == 1
     n_pos = hits.sum(1)
     if not n_pos.all():

@@ -3,6 +3,8 @@
 ``finite_diff_check`` is the gradient oracle: it calls
 ``matcher.loss_and_grad`` through the module, so a test that swaps that
 attribute sees its checker use the swapped function.
+``reference_corpus_files`` is the corpus writer's: each id formatted on its
+own with ``str``, a line at a time.
 """
 
 import numpy as np
@@ -44,3 +46,25 @@ def finite_diff_check(model: ModelState, protocol: LearningProtocol,
         err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)
         worst = max(worst, err)
     return worst
+
+
+def reference_corpus_files(corpus) -> dict:
+    """The text of the three corpus files ``save_corpus`` writes for
+    ``corpus``, keyed by file name."""
+    header = f"#vocab={corpus.vocab_size} candidates={corpus.n_candidates}"
+
+    def line(label, context, response):
+        return "\t".join([label, *(" ".join(map(str, utt)) for utt in context),
+                          " ".join(map(str, response))])
+
+    files = {}
+    for name, triples in (("train.txt", corpus.train), ("valid.txt", corpus.valid)):
+        lines = [header]
+        for t in triples:
+            lines += [line("POS", t.context, t.pos_response),
+                      line("NEG", t.context, t.neg_response)]
+        files[name] = "\n".join(lines) + "\n"
+    files["test.txt"] = "\n".join([header] + [
+        line(str(label), g.context, response)
+        for g in corpus.test for response, label in g.candidates]) + "\n"
+    return files

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from coteach import (Batch, GenConfig, MatcherSpec, TrainConfig, coteach_train, 
                      save_corpus, select_model, strategies, validation_p_at_1)
 from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple, Triples,
                             atomic_open, write_csv)
+from coteach.corpus import TestGroup as CandidateGroup
 from coteach.matcher import init_params
 
 
@@ -93,7 +95,11 @@ class TestGeneration:
         # a width of 2**40 draws whole words
         (dict(vocab_size=3 * 2**40),
          "065db8ab548847ecf984848341c0a5e238dc981fea628131aa2386e6168e2b72"),
-    ], ids=["tiny", "odd-k-2-topics-2-candidates", "width-2**31+1", "width-2**40"])
+        # 19-digit ids, one a field
+        (dict(vocab_size=2**63 - 1, tokens_per_utterance=1),
+         "a1e731df88386585d2271fd797a7db5bcb9fcb3307d23eccbb417d7ab95257b5"),
+    ], ids=["tiny", "odd-k-2-topics-2-candidates", "width-2**31+1", "width-2**40",
+            "vocab-2**63-1-one-token"])
     def test_saved_bytes_are_pinned(self, tiny_gen_config, tmp_path, changes, expected):
         # Generation draws one fixed RNG stream and saving formats it one
         # fixed way; a change to either changes every corpus on disk.
@@ -343,6 +349,46 @@ class TestAtomicWrites:
 
 
 class TestFileIO:
+    @pytest.mark.parametrize("changes, message", [
+        (dict(train=(PairwiseTriple(((1,), ()), (2,), (3,)),)), "empty utterance"),
+        (dict(train=(PairwiseTriple(((1,),), (10,), (3,)),)), "token ID out of range for vocab"),
+        (dict(train=(PairwiseTriple(((-1,),), (2,), (3,)),)), "token ID out of range for vocab"),
+        (dict(test=(CandidateGroup(((1,),), (((2,), 1), ((3,), 0))),)),
+         "a test group must hold 3 candidates labelled 0 or 1"),
+        (dict(test=(CandidateGroup(((1,),), (((2,), 1), ((3,), 2), ((4,), 0))),)),
+         "a test group must hold 3 candidates labelled 0 or 1"),
+        (dict(n_candidates=0), "vocab_size and n_candidates must be positive"),
+    ], ids=["empty-utterance", "id-at-vocab", "id-minus-1", "short-group", "label-2",
+            "no-candidates"])
+    def test_refuses_a_corpus_it_could_not_read_back(self, tiny_corpus, tmp_path,
+                                                     changes, message):
+        # Each of these saved once, and then failed to load; the old files stay.
+        save_corpus(tiny_corpus, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        good = PairwiseTriple(((1, 2),), (3,), (4,))
+        corpus = Corpus(**{"train": (good,), "valid": (good,), "test": (),
+                           "vocab_size": 10, "n_candidates": 3, **changes})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            save_corpus(corpus, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("n_test_contexts", [2000, 8000])
+    def test_save_memory_is_one_chunk_whatever_the_corpus_size(self, n_test_contexts,
+                                                               tmp_path):
+        # The cli-pipeline corpus, and one with 4x its test split: the writer
+        # holds one chunk of groups at a time, not a file's text.
+        big = generate_synthetic_corpus(GenConfig(
+            vocab_size=1000, n_topics=10, n_train=2000, n_valid=500,
+            n_test_contexts=n_test_contexts, n_candidates=10, turns_per_context=3,
+            tokens_per_utterance=10, false_negative_rate=0.3, seed=5))
+        tracemalloc.start()
+        try:
+            save_corpus(big, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
     def test_round_trip_identity(self, tiny_corpus, tmp_path):
         save_corpus(tiny_corpus, tmp_path / "c")
         assert load_corpus(tmp_path / "c") == tiny_corpus

@@ -1,14 +1,16 @@
 """Property tests of the corpus file format: fuzzed text either loads or
-raises CorpusFormatError, generated corpora are saved as a reference
-formatter writes them and load back equal, the whole-file pass loads what
-the line reader loads, raising where it raises, the packs a load builds
-equal those ``pack_groups`` builds from the line reader's tuples, and the
-bulk generator draws the items, and leaves the generator in the state, that
-the per-call functions do."""
+raises CorpusFormatError, corpora are saved as a reference writer formats
+them, id by id, whatever the writer's chunk size, and load back equal, a
+corpus that could not load back is refused before any file is written, the
+whole-file pass loads what the line reader loads, raising where it raises,
+the packs a load builds equal those ``pack_groups`` builds from the line
+reader's tuples, and the bulk generator draws the items, and leaves the
+generator in the state, that the per-call functions do."""
 
 import re
 import tempfile
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from coteach import corpus as corpus_module
 from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple, _sample_test_group,
                             _sample_triple, generate_synthetic_corpus)
 from coteach.corpus import TestGroup as CandidateGroup
+from oracles import reference_corpus_files
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -66,14 +69,19 @@ def test_fuzzed_bytes_raise_only_format_errors(header, body, name):
 # Generated corpora
 
 
+# Ids either side of a change in digit count, for the wide vocabularies.
+EDGE_IDS = [9, 10, 99, 100, 999, 1000, 10**18 - 1, 10**18, 2**63 - 2]
+
+
 @st.composite
-def corpora(draw, least=st.integers(0, 1)):
-    vocab = draw(st.integers(1, 30))
+def corpora(draw, least=st.integers(0, 1), vocab=st.integers(1, 30)):
+    vocab = draw(vocab)
     n_candidates = draw(st.integers(1, 4))
-    # Empty contexts, utterances and responses are saved, but do not load;
-    # half the corpora have none, so the round trip is exercised too.
+    # Empty contexts, utterances and responses do not load, and are not
+    # saved; half the corpora have none, so the round trip is exercised too.
     least = draw(least)
-    tokens = st.lists(st.integers(0, vocab - 1), min_size=least, max_size=4).map(tuple)
+    ids = st.integers(0, vocab - 1) | st.sampled_from([0] + [i for i in EDGE_IDS if i < vocab])
+    tokens = st.lists(ids, min_size=least, max_size=4).map(tuple)
     contexts = st.lists(tokens, min_size=least, max_size=3).map(tuple)
 
     def triples(flagged):
@@ -93,46 +101,47 @@ def corpora(draw, least=st.integers(0, 1)):
                   noise_rate=draw(st.none() | st.floats(0.0, 1.0)))
 
 
-def _reference_format(context, response) -> str:
-    """The fields of one line after its label, formatted the plain way."""
-    fields = [" ".join(str(t) for t in utt) for utt in context]
-    fields.append(" ".join(str(t) for t in response))
-    return "\t".join(fields)
-
-
-def _reference_files(corpus: Corpus) -> dict:
-    header = f"#vocab={corpus.vocab_size} candidates={corpus.n_candidates}"
-    files = {}
-    for name, triples in (("train.txt", corpus.train), ("valid.txt", corpus.valid)):
-        lines = [header]
-        for t in triples:
-            lines.append("POS\t" + _reference_format(t.context, t.pos_response))
-            lines.append("NEG\t" + _reference_format(t.context, t.neg_response))
-        files[name] = "\n".join(lines) + "\n"
-    lines = [header] + [f"{label}\t" + _reference_format(g.context, response)
-                        for g in corpus.test for response, label in g.candidates]
-    files["test.txt"] = "\n".join(lines) + "\n"
-    return files
-
-
 @SETTINGS
 @given(corpus=corpora())
 def test_save_matches_reference_and_load_inverts_it(corpus):
     with tempfile.TemporaryDirectory() as tmp:
-        save_corpus(corpus, tmp)
-        for name, text in _reference_files(corpus).items():
-            assert (Path(tmp) / name).read_bytes() == text.encode(), name
         blocks = ([(t.context, (t.pos_response, t.neg_response))
                    for t in corpus.train + corpus.valid]
                   + [(g.context, [r for r, _ in g.candidates]) for g in corpus.test])
         # Only non-empty contexts, utterances and responses load back.
         if all(context and all(context) and all(responses)
                for context, responses in blocks):
+            save_corpus(corpus, tmp)
+            for name, text in reference_corpus_files(corpus).items():
+                assert (Path(tmp) / name).read_bytes() == text.encode(), name
             assert load_corpus(tmp) == corpus
         else:
-            with pytest.raises(CorpusFormatError, match="at least one utterance"
-                                                        "|empty (utterance|response)"):
-                load_corpus(tmp)
+            (Path(tmp) / "train.txt").write_bytes(b"before")
+            with pytest.raises(ValueError, match="^(dialogue has no context utterances"
+                                                 "|empty (utterance|response))$"):
+                save_corpus(corpus, tmp)
+            assert {p.name: p.read_bytes() for p in Path(tmp).iterdir()} == {
+                "train.txt": b"before"}
+
+
+@settings(SETTINGS, max_examples=100)
+@given(corpus=corpora(least=st.just(1), vocab=st.sampled_from([2, 1000, 2**40, 2**63 - 1])))
+@example(corpus=Corpus(
+    train=(PairwiseTriple(((2**63 - 2,),), (0,), (10**18,), True),) * 7, valid=(),
+    test=(CandidateGroup(((9,),), (((2**63 - 2,), 1), ((10,), 0))),) * 5,
+    vocab_size=2**63 - 1, n_candidates=2))
+def test_save_writes_the_reference_bytes(corpus):
+    # Every chunk size writes the same bytes: one group a chunk, a size
+    # that leaves a shorter last chunk, and the module's own.
+    files = {name: text.encode() for name, text in reference_corpus_files(corpus).items()}
+    n_groups = max(len(corpus.train), len(corpus.valid), len(corpus.test))
+    partial = next(k for k in count(2) if n_groups % k or not n_groups)
+    for chunk in (1, partial, corpus_module._GROUPS_PER_WRITE):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_module, "_GROUPS_PER_WRITE", chunk)
+            save_corpus(corpus, tmp)
+            for name, data in files.items():
+                assert (Path(tmp) / name).read_bytes() == data, (name, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +164,7 @@ def edited_files(draw):
     three edits, each an edit piece or an id up to 40. Half replace a
     whole id after the header, which keeps a line canonical; the rest
     replace up to two characters anywhere."""
-    files = _reference_files(draw(corpora(least=st.just(1))))
+    files = reference_corpus_files(draw(corpora(least=st.just(1))))
     for _ in range(draw(st.integers(1, 3))):
         name = draw(st.sampled_from(sorted(files)))
         text = files[name]
@@ -222,7 +231,7 @@ def _line_reader_corpus(root):
 
 
 @settings(SETTINGS, max_examples=150)
-@given(files=edited_files() | corpora(least=st.just(1)).map(_reference_files))
+@given(files=edited_files() | corpora(least=st.just(1)).map(reference_corpus_files))
 def test_loaded_packs_equal_pack_groups_of_the_line_readers_tuples(files):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
