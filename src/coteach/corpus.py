@@ -16,22 +16,22 @@ This module owns the pack: a training or validation split is a
 flat int arrays, packed and checked once; a split that ``load_corpus``
 reads starts from its pack and builds its tuples only when they are read.
 A ``Batch`` addresses a split's triples by position, and ``gather`` takes
-what ``matcher`` scores or trains on from a pack. ``load_corpus`` reads
-the canonical form ``save_corpus`` writes by splitting bytes and parsing
-the ids in one array pass; the line reader reads any other file and words
-every error.
+what ``matcher`` scores or trains on from a pack. ``load_corpus`` reads a
+file once, a chunk of lines at a time, parsing each chunk's ids in one
+array pass; a chunk not in canonical form is first parsed line by line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, cycle, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -411,7 +411,10 @@ def _sample_split(rng, config: GenConfig, n: int, triples: bool) -> _Split:
     width, other = config.vocab_size // n_topics, int(n_topics > 2)
     n_resp, cut = (2, config.false_negative_rate) if triples else (
         config.n_candidates, _TEST_POSITIVE_PROB)
-    rows, marks, done, limit, misses, wait = [], [], 0, n, 0, 0
+    # The pack's ids and the marks, written in place: a context and a response row an item.
+    ids, marks = np.empty(n * (turns + n_resp) * k, np.intp), np.empty((n, n_resp), bool)
+    contexts, responses = (part.reshape(n, -1) for part in np.split(ids, [n * turns * k]))
+    done, limit, misses, wait = 0, n, 0, 0
 
     def word_at(h):  # the words h halves take from the chunk, the first buffered if p
         return (h - p + 1) // 2
@@ -468,8 +471,9 @@ def _sample_split(rng, config: GenConfig, n: int, triples: bool) -> _Split:
             same = triples and (tokens[:, -2 * k:-k] == tokens[:, -k:]).all(1)
             m = int(min([scanned, *np.searchsorted(at[:, 0] - 1, bad[:1], "right") - 1,
                          *np.flatnonzero(same)[:1]]))
-            rows.append(tokens[:m])
-            marks.append(own[:m, turns:])
+            contexts[done:done + m], responses[done:done + m] = np.split(
+                tokens[:m], [turns * k], 1)
+            marks[done:done + m] = own[:m, turns:]
             done, limit = done + m, 2 * limit if m == scanned else m + 1
             h, nw = spots[m]  # to item m's first word and buffered half
             bitgen.advance(word_at(h) + nw)
@@ -482,11 +486,9 @@ def _sample_split(rng, config: GenConfig, n: int, triples: bool) -> _Split:
         item = (_sample_triple if triples else _sample_test_group)(rng, config)
         pairs = ((item.pos_response, True), (item.neg_response, item.noise_flag)
                  ) if triples else item.candidates
-        rows.append(np.array([list(chain(*item.context, *(r for r, _ in pairs)))]))
-        marks.append(np.array([[mark for _, mark in pairs]], bool))
+        utterances, marks[done] = zip(*pairs)
+        contexts[done], responses[done] = list(chain(*item.context)), list(chain(*utterances))
         done += 1
-    rows, marks = np.concatenate(rows), np.concatenate(marks)
-    ids = np.concatenate([rows[:, :turns * k].ravel(), rows[:, turns * k:].ravel()])
     lengths, n_utts = np.full(ids.size // k, k), np.full(n, turns)
     pack = Packed(ids, lengths, lengths.cumsum() - lengths, n_utts,
                   n_utts.cumsum() - n_utts, np.full(n, n_resp), n * turns)
@@ -524,11 +526,10 @@ def generate_synthetic_corpus(config: GenConfig) -> Corpus:
 # line (one triple), a test block is n_candidates lines labelled 0 or 1
 # (one judged group). Generation metadata and the diagnostic noise flags
 # live in a sidecar meta.json, keeping the text format self-contained.
-# Two readers give equal splits and errors. A valid file in save_corpus's
-# canonical form (ASCII; one space, tab or "\n" after each id; ids of 1-18
-# digits) takes the canonical pass, which splits lines and fields as bytes,
-# parses all ids in one array pass and ends in the split's pack; any other
-# file the line reader, whose blocks are then packed.
+# The reader takes a chunk of lines in save_corpus's canonical form (one
+# space, tab or line end after each id of 1-19 ASCII digits, no leading
+# zero) straight to one array pass over its ids; any other chunk is first
+# parsed line by line, which words every error.
 # ----------------------------------------------------------------------
 
 _HEADER_PREFIX = "#vocab="
@@ -643,30 +644,21 @@ def _parse_header(line: str, path, line_no: int) -> tuple[int, int]:
     return vocab, cands
 
 
-def _parse_tokens(field: str, vocab_size: int, path, line_no: int) -> tuple[int, ...]:
-    try:
-        tokens = tuple(map(int, field.split()))
-    except ValueError as exc:
-        raise CorpusFormatError(path, line_no, f"non-integer token in {field!r}") from exc
-    if tokens and (min(tokens) < 0 or max(tokens) >= vocab_size):
-        bad = next(t for t in tokens if not 0 <= t < vocab_size)
-        raise CorpusFormatError(
-            path, line_no, f"token ID {bad} outside vocab of size {vocab_size}")
-    return tokens
-
-
-def read_text(path, first_line: bool = False) -> str:
-    """A file's UTF-8 text, or its first line's; invalid UTF-8 raises
-    CorpusFormatError."""
-    with open(path, "rb") as f:
-        data = f.readline() if first_line else f.read()
+def _decode(data: bytes, path, line_no: int = 0, offset: int = 0) -> str:
+    """``data``, from byte ``offset`` and after line ``line_no`` of ``path``,
+    as UTF-8 text; invalid UTF-8 raises CorpusFormatError."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The line of the first bad byte, counted as str.splitlines counts.
-        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise CorpusFormatError(
-            path, line_no, f"invalid UTF-8 at byte {exc.start}") from exc
+        line_no += len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise CorpusFormatError(path, line_no, f"invalid UTF-8 at byte {offset + exc.start}") from exc
+
+
+def read_text(path, first_line: bool = False) -> str:
+    """A file's UTF-8 text, or its first line's."""
+    with open(path, "rb") as f:
+        return _decode(f.readline() if first_line else f.read(), path)
 
 
 def parse_metric(cell: str) -> float:
@@ -685,126 +677,134 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_blocks(path, block):
-    """The header and the blocks of one corpus file, or (None, []) for a
-    missing or empty file. A block is (context, [(response, value), ...]),
-    laid out as ``block`` (_TRIPLE_BLOCK or _GROUP_BLOCK) says."""
-    if not path.exists():
-        return None, []
-    lines = read_text(path).splitlines()
-    if not lines:
-        return None, []
-    header = vocab_size, n_candidates = _parse_header(lines[0], path, 1)
-    lines = [(line_no, line) for line_no, line in enumerate(lines[1:], 2) if line]
-    size, allowed = block
-    size = size or n_candidates
-    if len(lines) % size:
-        raise CorpusFormatError(
-            path, lines[-1][0], f"dangling line: blocks hold {size} lines")
-    blocks = []
-    # Field text -> tokens, for this file only. A field that fails is never
-    # added, so every error is raised at the line it is on.
-    parsed = {}
-    for index, (line_no, line) in enumerate(lines):
-        position = index % size
-        label, *fields = line.split("\t")
-        labels = allowed[position % len(allowed)]
-        value = labels.get(label)
-        if value is None:
-            expected = "/".join(labels)
-            raise CorpusFormatError(path, line_no, f"expected label {expected}, got {label!r}")
-        if len(fields) < 2:
-            raise CorpusFormatError(
-                path, line_no, "need at least one utterance and a response")
-        tokens = []
-        for field in fields:
-            t = parsed.get(field)
-            if t is None:
-                t = _parse_tokens(field, vocab_size, path, line_no)
-                if not t:
-                    i = len(tokens) + 1
-                    raise CorpusFormatError(path, line_no, f"empty utterance {i}"
-                                            if i < len(fields) else "empty response")
-                parsed[field] = t
-            tokens.append(t)
-        context = tuple(tokens[:-1])
-        if not position:
-            first, candidates = context, []
-            blocks.append((context, candidates))
-        elif context != first:
-            raise CorpusFormatError(
-                path, line_no, "context differs from the first line of its block")
-        candidates.append((tokens[-1], value))
-    return header, blocks
+# Lines a corpus file is read in per pass, so the reader holds one chunk of
+# them. Cli-pipeline corpus, one CPU, medians of 25 alternating in-process
+# loads: valid and test took 1.06, 0.93 and 0.90 x the whole-file read's time
+# at 256, 512 and 1,024 lines; test.txt peaked at 5.3, 5.3, 5.4 against 9.5 MB.
+_LINES_PER_READ = 1024
 
 
-def _read_canonical(path, block):
-    """The header, pack and line values of a valid canonical file, else None."""
-    head, newline, body = (path.read_bytes() if path.exists() else b"").partition(b"\n")
-    try:
-        header = _parse_header(head.decode("ascii"), path, 1)
-    except (UnicodeError, CorpusFormatError):
-        return None
+def _parse_fields(fields, vocab_size: int, path, line_no: int, parsed: dict) -> list:
+    """One line's ``fields``, each a non-empty run of ids below ``vocab_size``, as
+    the bytes ``save_corpus`` writes for them; ``parsed`` caches those by text for
+    one chunk, never a field that fails, so every error is raised at its line."""
+    written = []
+    for i, field in enumerate(fields, 1):
+        if field not in parsed:
+            try:
+                if "_" in field:  # int() reads 2_2 as 22; an id is digits alone
+                    raise ValueError
+                tokens = tuple(map(int, field.split()))
+            except ValueError as exc:
+                raise CorpusFormatError(path, line_no, f"non-integer token in {field!r}") from exc
+            if not tokens:
+                raise CorpusFormatError(path, line_no, f"empty utterance {i}"
+                                        if i < len(fields) else "empty response")
+            if min(tokens) < 0 or max(tokens) >= min(vocab_size, 2**63):
+                bad = next(t for t in tokens if not 0 <= t < min(vocab_size, 2**63))
+                raise CorpusFormatError(path, line_no, f"token ID {bad} " + (
+                    "past int64" if 0 <= bad < vocab_size else f"outside vocab of size {vocab_size}"))
+            parsed[field] = " ".join(map(str, tokens)).encode()
+        written.append(parsed[field])
+    return written
+
+
+def _read_lines(path, lines, block, header, index, first, by_line: bool):
+    """A chunk's arrays as ``_read_split`` joins them, then the context of the
+    block open at its end, from its non-empty (line number, line) ``lines``
+    after ``index`` body lines, ``first`` the context of the block open there.
+    ``by_line``, lines are text, each field parsed on its line; else they are
+    bytes with their line ends, and a chunk not in canonical form raises."""
     size, allowed = block[0] or header[1], block[1]
-    *lines, after_last = body.split(b"\n")
-    del body
-    if (not newline or head != b"#vocab=%d candidates=%d" % header
-            or after_last or len(lines) % size):
-        return None
-    # Each position's labels as bytes; the table grows by one position a
-    # line read, so nothing is sized by the header's count.
-    encoded = [{text.encode(): value for text, value in labels.items()} for labels in allowed]
-    table = ((k, encoded[k % len(encoded)]) for k in range(size))
+    tab, tables = ("\t", allowed) if by_line else (b"\t", [
+        {label.encode(): value for label, value in labels.items()} for labels in allowed])
     # Later lines of a block repeat its first context, so only it is kept;
     # responses follow all contexts, as they do in a pack.
-    contexts, responses, n_utts, values = [], [], [], []
-    for (position, labels), line in zip(cycle(table), lines):
-        fields = line.split(b"\t")
-        value = labels.get(fields[0])
-        if value is None or len(fields) < 3:
-            return None
+    parsed, context, contexts, n_utts, responses, values = {}, first, [], [], [], []
+    for index, (line_no, line) in enumerate(lines, index):
+        position = index % size
+        fields = line.split(tab)
+        value = tables[position % len(tables)].get(fields[0])
+        if value is None:
+            expected = "/".join(allowed[position % len(allowed)])
+            raise CorpusFormatError(path, line_no, f"expected label {expected}, got {fields[0]!r}")
+        if len(fields) < 3:
+            raise CorpusFormatError(path, line_no, "need at least one utterance and a response")
+        if by_line:
+            fields[1:] = _parse_fields(fields[1:], header[0], path, line_no, parsed)
+            fields[-1] += b"\n"
         if not position:
             context = fields[1:-1]
             contexts += context
             n_utts.append(len(context))
         elif fields[1:-1] != context:
-            return None
+            raise CorpusFormatError(
+                path, line_no, "context differs from the first line of its block")
         responses.append(fields[-1])
         values.append(value)
-    n_ctx = len(contexts)
-    text = b"\t".join(contexts + responses + [b""])  # a tab ends the last field too
-    del lines, contexts, responses
-    # Ids are 1 to 18 ASCII digits, each ended by one space or tab.
+    # One array pass parses the ids: 1 to 19 ASCII digits, no leading zero, each
+    # ended by one space or by the tab or line end that ends its field; a tab leads.
+    text = b"\t".join([b""] + contexts + [b""]) + b"".join(responses).replace(b"\r\n", b"\n")
     chars = np.frombuffer(text, np.uint8)
     seps = np.flatnonzero((chars < 48) | (chars > 57))
-    kinds, digits = chars[seps], np.diff(seps, prepend=-1) - 1
-    if not (np.isin(kinds, (9, 32)).all()
-            and 1 <= digits.min(initial=1) <= digits.max(initial=1) <= 18):
-        return None
-    lengths = np.diff(np.flatnonzero(kinds == 9), prepend=-1)
-    ids = np.fromstring(text, np.int64, sep=" ")
-    del text, chars, seps, kinds, digits  # peak below the line reader's
-    if ids.max(initial=-1) >= header[0]:
-        return None
-    n_utts = np.array(n_utts, np.intp)
-    return header, Packed(ids, lengths, lengths.cumsum() - lengths, n_utts,
-                          n_utts.cumsum() - n_utts, np.full(n_utts.size, size),
-                          n_ctx), np.array(values, np.intp)
+    kinds, digits = chars[seps], np.diff(seps) - 1
+    if not (text.endswith(b"\n") and ((kinds == 32) | (kinds == 9) | (kinds == 10)).all()
+            and 1 <= digits.min(initial=1) <= digits.max(initial=1) <= 19
+            and not ((chars[seps[:-1] + 1] == 48) & (digits > 1)).any()) or int(
+                (ids := np.fromstring(text, np.uint64, sep=" ")).max(initial=0)
+            ) >= min(header[0], 2**63):
+        raise CorpusFormatError(path, line_no, "not in canonical form")
+    lengths, n = np.diff(np.flatnonzero(kinds != 32)), len(contexts)
+    ids, cut = ids.view(np.int64), int(lengths[:n].sum())
+    return (ids[:cut], lengths[:n], ids[cut:], lengths[n:], np.array(n_utts, np.intp),
+            np.array(values, np.intp), context)
 
 
 def _read_split(path, block, parse: bool):
     """The header, pack and line values of one corpus file, or its header
-    alone, read from its first line, if not ``parse``. The line reader
-    reads a file that the canonical pass does not take."""
+    alone if not ``parse``. The file is read once: its first line, then
+    ``_LINES_PER_READ`` lines at a time. A bad file raises what reading it
+    whole, line by line, would: its first invalid UTF-8, else a bad header,
+    a dangling line or its first bad line."""
     if not parse:
         lines = read_text(path, first_line=True).splitlines() if path.exists() else []
         return (_parse_header(lines[0], path, 1) if lines else None,)
-    canonical = _read_canonical(path, block)
-    if canonical is not None:
-        return canonical
-    header, blocks = _read_blocks(path, block)
-    return header, pack_groups([(c, [r for r, _ in lines]) for c, lines in blocks], None), (
-        np.fromiter((value for _, lines in blocks for _, value in lines), np.intp))
+    # Each part is a chunk's arrays and the context of the block open after it.
+    parts, header, error = [(np.zeros(0, np.intp),) * 6 + ([],)], None, None
+    line_no = n_lines = last = 0
+    with open(path, "rb") if path.exists() else io.BytesIO() as f:
+        for chunk in chain([[f.readline()]], iter(lambda: list(islice(f, _LINES_PER_READ)), [])):
+            body, part = list(enumerate(chunk, line_no + 1)), None
+            if header and not error:  # a chunk of canonical lines is read as bytes
+                with suppress(CorpusFormatError):
+                    part = _read_lines(path, body, block, header, n_lines, parts[-1][-1], False)
+            if not part:  # any other chunk is decoded and read line by line
+                data = b"".join(chunk)
+                chunk = _decode(data, path, line_no, f.tell() - len(data)).splitlines()
+                body = [(no, line) for no, line in enumerate(chunk, line_no + 1) if line and no > 1]
+                try:
+                    if chunk and not line_no:
+                        header = _parse_header(chunk[0], path, 1)
+                    if body and header and not error:
+                        part = _read_lines(path, body, block, header, n_lines, parts[-1][-1], True)
+                except CorpusFormatError as exc:
+                    error = exc
+            line_no, n_lines, last = line_no + len(chunk), n_lines + len(body), (
+                body[-1][0] if body else last)
+            if part:
+                parts.append(part)
+    size = header and (block[0] or header[1])
+    if size and n_lines % size:
+        raise CorpusFormatError(path, last, f"dangling line: blocks hold {size} lines")
+    if error:
+        raise error
+    ctx_ids, ctx_lengths, ids, lengths, n_utts, values, _ = map(list, zip(*parts))
+    lengths, n_utts = np.concatenate(ctx_lengths + lengths), np.concatenate(n_utts)
+    # Blocks of n_lines / n_blocks lines: the header's count may be past int64.
+    return header, Packed(np.concatenate(ctx_ids + ids), lengths, lengths.cumsum() - lengths,
+                          n_utts, n_utts.cumsum() - n_utts,
+                          np.full(n_utts.size, n_lines // max(n_utts.size, 1)),
+                          sum(map(len, ctx_lengths))), np.concatenate(values)
 
 
 def _noise_flags(meta, key, n_triples, meta_path) -> list:

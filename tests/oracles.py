@@ -4,12 +4,14 @@
 ``matcher.loss_and_grad`` through the module, so a test that swaps that
 attribute sees its checker use the swapped function.
 ``reference_corpus_files`` is the corpus writer's: each id formatted on its
-own with ``str``, a line at a time.
+own with ``str``, a line at a time. ``reference_read_split`` is the corpus
+reader's: the whole file decoded at once and parsed line by line.
 """
 
 import numpy as np
 
-from coteach import matcher
+from coteach import corpus, matcher
+from coteach.corpus import CorpusFormatError
 from coteach.losses import LearningProtocol
 from coteach.matcher import ModelState
 
@@ -68,3 +70,75 @@ def reference_corpus_files(corpus) -> dict:
         line(str(label), g.context, response)
         for g in corpus.test for response, label in g.candidates]) + "\n"
     return files
+
+
+def _parse_tokens(field: str, vocab_size: int, path, line_no: int) -> tuple[int, ...]:
+    try:
+        if "_" in field:  # int() reads 2_2 as 22; an id is digits alone
+            raise ValueError
+        tokens = tuple(map(int, field.split()))
+    except ValueError as exc:
+        raise CorpusFormatError(path, line_no, f"non-integer token in {field!r}") from exc
+    if tokens and (min(tokens) < 0 or max(tokens) >= vocab_size):
+        bad = next(t for t in tokens if not 0 <= t < vocab_size)
+        raise CorpusFormatError(
+            path, line_no, f"token ID {bad} outside vocab of size {vocab_size}")
+    return tokens
+
+
+def _read_blocks(path, block):
+    """The header and the blocks of one corpus file, or (None, []) for a
+    missing or empty file. A block is (context, [(response, value), ...]),
+    laid out as ``block`` says."""
+    if not path.exists():
+        return None, []
+    lines = corpus.read_text(path).splitlines()
+    if not lines:
+        return None, []
+    header = vocab_size, n_candidates = corpus._parse_header(lines[0], path, 1)
+    lines = [(line_no, line) for line_no, line in enumerate(lines[1:], 2) if line]
+    size, allowed = block
+    size = size or n_candidates
+    if len(lines) % size:
+        raise CorpusFormatError(
+            path, lines[-1][0], f"dangling line: blocks hold {size} lines")
+    blocks = []
+    for index, (line_no, line) in enumerate(lines):
+        position = index % size
+        label, *fields = line.split("\t")
+        labels = allowed[position % len(allowed)]
+        value = labels.get(label)
+        if value is None:
+            expected = "/".join(labels)
+            raise CorpusFormatError(path, line_no, f"expected label {expected}, got {label!r}")
+        if len(fields) < 2:
+            raise CorpusFormatError(
+                path, line_no, "need at least one utterance and a response")
+        tokens = []
+        for field in fields:
+            t = _parse_tokens(field, vocab_size, path, line_no)
+            if not t:
+                i = len(tokens) + 1
+                raise CorpusFormatError(path, line_no, f"empty utterance {i}"
+                                        if i < len(fields) else "empty response")
+            tokens.append(t)
+        context = tuple(tokens[:-1])
+        if not position:
+            first, candidates = context, []
+            blocks.append((context, candidates))
+        elif context != first:
+            raise CorpusFormatError(
+                path, line_no, "context differs from the first line of its block")
+        candidates.append((tokens[-1], value))
+    return header, blocks
+
+
+def reference_read_split(path, block, parse: bool):
+    """What ``corpus._read_split`` returns, from the whole file read line
+    by line and packed by ``pack_groups``; the header alone is read as
+    ``_read_split`` reads it."""
+    if not parse:
+        return corpus._read_split(path, block, parse)
+    header, blocks = _read_blocks(path, block)
+    return header, corpus.pack_groups([(c, [r for r, _ in lines]) for c, lines in blocks], None), (
+        np.fromiter((value for _, lines in blocks for _, value in lines), np.intp))

@@ -109,6 +109,19 @@ class TestGeneration:
             digest.update((tmp_path / name).read_bytes())
         assert digest.hexdigest() == expected
 
+    def test_19_digit_ids_take_the_array_pass(self, tiny_gen_config, tmp_path, monkeypatch):
+        # The pinned 2**63 - 1 corpus: its ids are up to 19 digits long.
+        generated = generate_synthetic_corpus(
+            replace(tiny_gen_config, vocab_size=2**63 - 1, tokens_per_utterance=1))
+        save_corpus(generated, tmp_path)
+        assert len(str(generated.test.pack.ids.max())) == 19
+
+        def no_line_parser(*args):
+            raise AssertionError("a canonical chunk went to the line parser")
+
+        monkeypatch.setattr(corpus, "_parse_fields", no_line_parser)
+        assert load_corpus(tmp_path) == generated
+
     def test_different_seed_changes_corpus(self, tiny_gen_config):
         other = generate_synthetic_corpus(replace(tiny_gen_config, seed=8))
         assert other != generate_synthetic_corpus(tiny_gen_config)
@@ -377,17 +390,25 @@ class TestFileIO:
                                                                tmp_path):
         # The cli-pipeline corpus, and one with 4x its test split: the writer
         # holds one chunk of groups at a time, not a file's text.
-        big = generate_synthetic_corpus(GenConfig(
-            vocab_size=1000, n_topics=10, n_train=2000, n_valid=500,
-            n_test_contexts=n_test_contexts, n_candidates=10, turns_per_context=3,
-            tokens_per_utterance=10, false_negative_rate=0.3, seed=5))
-        tracemalloc.start()
-        try:
-            save_corpus(big, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        big = generate_synthetic_corpus(_cli_pipeline_config(n_test_contexts))
+        peak, _ = _traced_peak(lambda: save_corpus(big, tmp_path))
         assert peak < 2.5e6
+
+    @pytest.mark.parametrize("n_test_contexts", [2000, 8000])
+    def test_load_memory_is_the_pack_and_one_chunk(self, n_test_contexts, tmp_path):
+        # The reader holds one chunk of lines and the chunks' arrays, which
+        # it joins into the pack: never a file's bytes or text.
+        save_corpus(generate_synthetic_corpus(_cli_pipeline_config(n_test_contexts)),
+                    tmp_path)
+        peak, loaded = _traced_peak(lambda: load_corpus(tmp_path, ("test",)))
+        assert peak <= 2 * _pack_bytes(loaded.test) + 2.5e6
+
+    @pytest.mark.parametrize("n_test_contexts", [2000, 8000])
+    def test_generate_memory_is_the_pack_and_one_chunk(self, n_test_contexts):
+        # Each chunk's token rows are written straight into the split's ids.
+        config = replace(_cli_pipeline_config(n_test_contexts), n_train=1, n_valid=1)
+        peak, generated = _traced_peak(lambda: generate_synthetic_corpus(config))
+        assert peak <= _pack_bytes(generated.test) + 2e6
 
     def test_round_trip_identity(self, tiny_corpus, tmp_path):
         save_corpus(tiny_corpus, tmp_path / "c")
@@ -451,6 +472,27 @@ class TestFileIO:
         for name in ("train.txt", "valid.txt", "test.txt", "meta.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+
+def _cli_pipeline_config(n_test_contexts):
+    return GenConfig(vocab_size=1000, n_topics=10, n_train=2000, n_valid=500,
+                     n_test_contexts=n_test_contexts, n_candidates=10, turns_per_context=3,
+                     tokens_per_utterance=10, false_negative_rate=0.3, seed=5)
+
+
+def _traced_peak(call):
+    """The tracemalloc peak while ``call()`` runs, and what it returns."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def _pack_bytes(groups) -> int:
+    """The bytes of a TestGroups split's pack and labels."""
+    return sum(np.asarray(field).nbytes for field in groups.pack) + groups.labels.nbytes
 
 
 def _saved(corpus, tmp_path):
@@ -601,6 +643,33 @@ class TestMalformedFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorpusFormatError, match=message):
             load_corpus(path.parent)
+
+    @pytest.mark.parametrize("token", ["2_2", "1_000", "_7", "7_"])
+    def test_underscore_in_an_id_rejected(self, tiny_corpus, tmp_path, token):
+        # int() reads "2_2" as 22, but an id is digits alone.
+        path = _saved(tiny_corpus, tmp_path) / "train.txt"
+        _replace_line(path, 3, lambda line: line + " " + token)
+        with pytest.raises(CorpusFormatError,
+                           match=rf"^.*train\.txt:4: non-integer token in '[0-9 ]*{token}'$"):
+            load_corpus(path.parent)
+
+    @pytest.mark.parametrize("token", [2**63 - 1, 2**63, 10**19 - 1])
+    def test_id_past_the_vocab_of_2_63_minus_1_rejected(self, tmp_path, token):
+        corpus = Corpus(train=(PairwiseTriple(((2**63 - 2,),), (0,), (1,)),), valid=(),
+                        test=(), vocab_size=2**63 - 1)
+        path = _saved(corpus, tmp_path) / "train.txt"
+        _replace_line(path, 2, lambda line: line[:-1] + str(token))
+        with pytest.raises(CorpusFormatError, match=rf"train\.txt:3: token ID {token} outside "
+                                                    rf"vocab of size {2**63 - 1}$"):
+            load_corpus(path.parent)
+
+    def test_id_past_int64_under_a_larger_vocab_rejected(self, tmp_path):
+        # The header allows the id, but a pack holds int64 ids.
+        (tmp_path / "train.txt").write_text(f"#vocab={10**20} candidates=1\n"
+                                            f"POS\t1\t{2**63}\nNEG\t1\t2\n")
+        with pytest.raises(CorpusFormatError,
+                           match=rf"train\.txt:2: token ID {2**63} past int64$"):
+            load_corpus(tmp_path)
 
     @pytest.mark.parametrize("header", ["#vocab=60 candidates=0",
                                         "#vocab=0 candidates=6"])

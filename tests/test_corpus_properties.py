@@ -2,10 +2,11 @@
 raises CorpusFormatError, corpora are saved as a reference writer formats
 them, id by id, whatever the writer's chunk size, and load back equal, a
 corpus that could not load back is refused before any file is written, the
-whole-file pass loads what the line reader loads, raising where it raises,
-the packs a load builds equal those ``pack_groups`` builds from the line
-reader's tuples, and the bulk generator draws the items, and leaves the
-generator in the state, that the per-call functions do."""
+chunked reader loads what the whole-file reference reader loads, raising
+where it raises, whatever its chunk size, the packs a load builds equal
+those ``pack_groups`` builds from the reference reader's tuples, and the
+bulk generator draws the items, and leaves the generator in the state,
+that the per-call functions do."""
 
 import re
 import tempfile
@@ -23,7 +24,7 @@ from coteach import corpus as corpus_module
 from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple, _sample_test_group,
                             _sample_triple, generate_synthetic_corpus)
 from coteach.corpus import TestGroup as CandidateGroup
-from oracles import reference_corpus_files
+from oracles import reference_corpus_files, reference_read_split
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -145,12 +146,12 @@ def test_save_writes_the_reference_bytes(corpus):
 
 
 # ---------------------------------------------------------------------------
-# The whole-file pass against the line reader
+# The chunked reader against the whole-file reference reader
 
-# Edits that take a canonical line off the whole-file pass: extra or
-# missing separators, line breaks that only str.splitlines knows, digits
-# and ids that int() reads but the pass does not, ids past the vocab or
-# past 18 digits, and labels valid elsewhere in a block or nowhere.
+# Edits that take a canonical line off the array pass: extra or missing
+# separators, line breaks that only str.splitlines knows, digits and ids
+# that int() reads but the pass does not, ids past the vocab or past 19
+# digits, and labels valid elsewhere in a block or nowhere.
 EDITS = st.sampled_from(["", "\t", " ", "  ", "\n", "\r", "\r\n", "\x0b", "\x1c",
                          "٣", "+", "-", "_", "0", "7", "12", "99", "00012",
                          "12345678901234567890", "POS", "NEG", "1", "2", "x"])
@@ -186,19 +187,90 @@ def _outcome(root):
         return str(exc)
 
 
+# Chunks of one line, of 7 (so a block of 2 to 6 lines straddles two), and
+# the module's own size.
+LINES_PER_READ = pytest.mark.parametrize("lines_per_read", [
+    1, 7, corpus_module._LINES_PER_READ])
+
+
+def _reference_outcome(root):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "_read_split", reference_read_split)
+        return _outcome(root)
+
+
+def _chunked_outcome(root, lines_per_read):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "_LINES_PER_READ", lines_per_read)
+        return _outcome(root)
+
+
+@LINES_PER_READ
 @settings(SETTINGS, max_examples=200)
 @given(files=edited_files())
-def test_whole_file_pass_loads_what_the_line_reader_loads(files):
+def test_whole_file_pass_loads_what_the_line_reader_loads(files, lines_per_read):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             (Path(tmp) / name).write_text(text, encoding="utf-8")
-        outcome = _outcome(tmp)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_module, "_read_canonical", lambda path, block: None)
-            assert outcome == _outcome(tmp)
+        assert _chunked_outcome(tmp, lines_per_read) == _reference_outcome(tmp)
 
 
-def _no_line_reader(path, block):
+def _edit_line(root, name, line_no, edit):
+    """Apply ``edit`` to line ``line_no`` (from 1) of a file's bytes."""
+    lines = (Path(root) / name).read_bytes().split(b"\n")
+    lines[line_no - 1] = edit(lines[line_no - 1])
+    (Path(root) / name).write_bytes(b"\n".join(lines))
+
+
+def _crlf_from(line_no):
+    def edit(root):
+        path = Path(root) / "train.txt"
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join(lines[:line_no - 1] + [
+            line + b"\r" if line else line for line in lines[line_no - 1:]]))
+    return edit
+
+
+# Edits that each sit in a later chunk than the first, whatever the chunk
+# size: with 7 lines a chunk, test.txt's 6-line block from line 92 straddles
+# the chunks from lines 86 and 93.
+LATER_CHUNK_EDITS = {
+    "bad-token": (lambda root: _edit_line(root, "test.txt", 80, lambda line: line + b" 60"),
+                  r"test\.txt:80: token ID 60 outside vocab"),
+    "bad-label": (lambda root: _edit_line(root, "train.txt", 100, lambda line: b"NEG" + line[3:]),
+                  r"train\.txt:100: expected label POS, got 'NEG'"),
+    "context-differs": (lambda root: _edit_line(root, "test.txt", 94,
+                                                lambda line: line.replace(b"\t", b"\t0 ", 1)),
+                        r"test\.txt:94: context differs from the first line of its block"),
+    "invalid-utf8": (lambda root: _edit_line(root, "valid.txt", 60, lambda line: b"\xc3(" + line),
+                     r"valid\.txt:60: invalid UTF-8 at byte \d+$"),
+    "dangling-after-a-bad-token": (
+        lambda root: (_edit_line(root, "train.txt", 100, lambda line: line + b" x"),
+                      _edit_line(root, "train.txt", 241, lambda line: b"")),
+        r"train\.txt:240: dangling line: blocks hold 2 lines"),
+    "crlf-after-canonical": (_crlf_from(150), None),
+}
+
+
+@LINES_PER_READ
+@pytest.mark.parametrize("case", LATER_CHUNK_EDITS)
+def test_later_chunk_reports_what_the_reference_reader_reports(tiny_corpus, tmp_path,
+                                                              case, lines_per_read):
+    edit, message = LATER_CHUNK_EDITS[case]
+    save_corpus(tiny_corpus, tmp_path)
+    edit(tmp_path)
+    outcome = _chunked_outcome(tmp_path, lines_per_read)
+    assert outcome == _reference_outcome(tmp_path)
+    if message is None:
+        assert outcome == tiny_corpus
+    else:
+        assert re.search(message, outcome), outcome
+    if case == "invalid-utf8":
+        offset = (tmp_path / "valid.txt").read_bytes().index(b"\xc3(")
+        assert outcome.endswith(f"at byte {offset}")
+
+
+def _no_line_reader(fields, vocab_size, path, *args):
     raise AssertionError(f"{path.name} went to the line reader")
 
 
@@ -207,7 +279,7 @@ def _no_line_reader(path, block):
 def test_saved_corpus_never_reaches_the_line_reader(corpus):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         save_corpus(corpus, tmp)
-        mp.setattr(corpus_module, "_read_blocks", _no_line_reader)
+        mp.setattr(corpus_module, "_parse_fields", _no_line_reader)
         assert load_corpus(tmp) == corpus
 
 
@@ -216,31 +288,25 @@ def test_generated_corpus_never_reaches_the_line_reader(tmp_path, monkeypatch):
         vocab_size=1000, n_train=50, n_valid=20, n_test_contexts=20,
         false_negative_rate=0.3, seed=4))
     save_corpus(corpus, tmp_path)
-    monkeypatch.setattr(corpus_module, "_read_blocks", _no_line_reader)
+    monkeypatch.setattr(corpus_module, "_parse_fields", _no_line_reader)
     assert load_corpus(tmp_path) == corpus
 
 
 # ---------------------------------------------------------------------------
-# The packs load_corpus builds against pack_groups of the line reader's tuples
+# The packs load_corpus builds against pack_groups of the reference reader's tuples
 
 
-def _line_reader_corpus(root):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corpus_module, "_read_canonical", lambda path, block: None)
-        return load_corpus(root)
-
-
+@LINES_PER_READ
 @settings(SETTINGS, max_examples=150)
 @given(files=edited_files() | corpora(least=st.just(1)).map(reference_corpus_files))
-def test_loaded_packs_equal_pack_groups_of_the_line_readers_tuples(files):
+def test_loaded_packs_equal_pack_groups_of_the_line_readers_tuples(files, lines_per_read):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             (Path(tmp) / name).write_text(text, encoding="utf-8")
-        try:
-            loaded = load_corpus(tmp)
-        except CorpusFormatError:
+        loaded = _chunked_outcome(tmp, lines_per_read)
+        if isinstance(loaded, str):
             return
-        by_lines = _line_reader_corpus(tmp)
+        by_lines = _reference_outcome(tmp)
     groups = {
         "train": [(t.context, (t.pos_response, t.neg_response)) for t in by_lines.train],
         "valid": [(t.context, (t.pos_response, t.neg_response)) for t in by_lines.valid],
