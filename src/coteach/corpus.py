@@ -13,8 +13,8 @@ by Lemire's method, whole words for ``random()``), into packs.
 
 This module owns the pack: a training or validation split is a
 ``Triples`` and the test split a ``TestGroups``. Each holds its items as
-flat int arrays, packed and checked once; a split that ``load_corpus``
-reads starts from its pack and builds its tuples only when they are read.
+flat int arrays, packed and checked once, when it is built; it builds its
+item tuples only when they are read.
 A ``Batch`` addresses a split's triples by position, and ``gather`` takes
 what ``matcher`` scores or trains on from a pack. ``load_corpus`` reads a
 file once, a chunk of lines at a time, parsing each chunk's ids in one
@@ -114,17 +114,18 @@ def pack_groups(groups, vocab_size: int | None) -> Packed:
 
 
 class _Split(Sequence):
-    """A split's items, given, or built from its ``pack`` and per-item
-    ``columns`` when first read; the pack of given items is built and checked
-    against ``vocab_size`` on first use. Compares as the tuple of its items."""
+    """A split's ``pack`` and per-item ``columns``; items given are packed,
+    and so checked against ``vocab_size``, when the split is built. Its item
+    tuples are built from them when first read. Compares as the tuple of
+    its items."""
 
     def __init__(self, items=(), vocab_size: int | None = None, pack=None, **columns):
         self.vocab_size = vocab_size
         if pack is None:
-            self._items = tuple(items)
-        else:
-            self.pack = pack
-            vars(self).update(columns)
+            groups, columns = self._unbuild(tuple(items))
+            pack = pack_groups(groups, vocab_size)
+        self.pack = pack
+        vars(self).update(columns)
 
     @cached_property
     def _items(self) -> tuple:
@@ -136,16 +137,12 @@ class _Split(Sequence):
                                                     self.pack.runs.tolist())))
 
     @cached_property
-    def pack(self) -> Packed:
-        return pack_groups(self._groups(), self.vocab_size)
-
-    @cached_property
     def top_id(self) -> int:
         """The largest token id in the pack, or -1."""
         return int(self.pack.ids.max(initial=-1))
 
     def __len__(self) -> int:
-        return len(self._items) if "_items" in vars(self) else len(self.pack.n_utts)
+        return len(self.pack.n_utts)
 
     def __getitem__(self, index):
         return self._items[index]
@@ -154,9 +151,6 @@ class _Split(Sequence):
         if not isinstance(other, (tuple, _Split)):
             return NotImplemented
         return self._items == tuple(other)
-
-    def __add__(self, other) -> tuple:
-        return self._items + tuple(other)
 
     def _gather(self, groups, responses, runs, vocab_size: int) -> Packed:
         """The Packed contexts at ``groups`` with the responses at positions
@@ -180,16 +174,14 @@ class Triples(_Split):
     example 2t + k (t's positive for k = 0, negative for k = 1) is segment
     ``n_ctx + 2t + k``; the column ``flags`` holds noise flags."""
 
-    def _groups(self):
-        return [(t.context, (t.pos_response, t.neg_response)) for t in self]
+    @staticmethod
+    def _unbuild(items):
+        return ([(t.context, (t.pos_response, t.neg_response)) for t in items],
+                dict(flags=[t.noise_flag for t in items]))
 
     def _build(self, groups):
         return (PairwiseTriple(context, pos, neg, flag)
                 for (context, (pos, neg)), flag in zip(groups, self.flags))
-
-    @cached_property
-    def flags(self) -> list:
-        return [t.noise_flag for t in self]
 
     def gather(self, examples: np.ndarray, vocab_size: int) -> Packed:
         """The Packed groups of the pointwise examples in each row of
@@ -203,17 +195,15 @@ class TestGroups(_Split):
     group (context, responses) of every group, and the column ``labels``
     holds the candidates' labels in the pack's response order."""
 
-    def _groups(self):
-        return [(g.context, [response for response, _ in g.candidates]) for g in self]
+    @staticmethod
+    def _unbuild(items):
+        return ([(g.context, [response for response, _ in g.candidates]) for g in items],
+                dict(labels=np.fromiter((y for g in items for _, y in g.candidates), np.intp)))
 
     def _build(self, groups):
         labels = iter(self.labels.tolist())
         return (TestGroup(context, tuple(zip(responses, labels)))
                 for context, responses in groups)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return np.fromiter((label for g in self for _, label in g.candidates), np.intp)
 
     def gather(self, index: np.ndarray, vocab_size: int) -> Packed:
         """The Packed groups at positions ``index``."""
@@ -270,7 +260,7 @@ def as_batch(triples) -> Batch:
 class Corpus:
     """``train`` and ``valid`` become Triples and ``test`` TestGroups over
     ``vocab_size``, or stay as they are, pack included, if they are; a bad
-    triple or group is rejected when its split is packed."""
+    triple or group is rejected when its split is built."""
 
     train: Triples
     valid: Triples
@@ -597,9 +587,9 @@ def _lines(pack: Packed, labels: tuple, codes: np.ndarray) -> np.ndarray:
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write ``corpus`` under directory ``path`` (created if needed), from
-    each split's pack, ``_GROUPS_PER_WRITE`` groups an array pass. Every
-    split is packed, and so checked, before the first file is written, and
-    a corpus that ``load_corpus`` could not read back raises ValueError."""
+    each split's pack, ``_GROUPS_PER_WRITE`` groups an array pass. A corpus
+    that ``load_corpus`` could not read back raises ValueError before the
+    first file is written."""
     splits = [getattr(corpus, name) for name in SPLITS]
     runs, labels = [split.pack.runs for split in splits], corpus.test.labels
     if min(corpus.vocab_size, corpus.n_candidates) <= 0:
@@ -650,15 +640,15 @@ def _decode(data: bytes, path, line_no: int = 0, offset: int = 0) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The line of the first bad byte, counted as str.splitlines counts.
-        line_no += len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        # The line of the first bad byte: one past the line ends before it.
+        line_no += data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(path, line_no, f"invalid UTF-8 at byte {offset + exc.start}") from exc
 
 
-def read_text(path, first_line: bool = False) -> str:
-    """A file's UTF-8 text, or its first line's."""
+def read_text(path) -> str:
+    """A file's UTF-8 text."""
     with open(path, "rb") as f:
-        return _decode(f.readline() if first_line else f.read(), path)
+        return _decode(f.read(), path)
 
 
 def parse_metric(cell: str) -> float:
@@ -761,26 +751,26 @@ def _read_lines(path, lines, block, header, index, first, by_line: bool):
 
 
 def _read_split(path, block, parse: bool):
-    """The header, pack and line values of one corpus file, or its header
-    alone if not ``parse``. The file is read once: its first line, then
-    ``_LINES_PER_READ`` lines at a time. A bad file raises what reading it
-    whole, line by line, would: its first invalid UTF-8, else a bad header,
-    a dangling line or its first bad line."""
-    if not parse:
-        lines = read_text(path, first_line=True).splitlines() if path.exists() else []
-        return (_parse_header(lines[0], path, 1) if lines else None,)
+    """The header, pack and line values of one corpus file, or of its first
+    line alone if not ``parse``. The file is read once: its first line, then
+    ``_LINES_PER_READ`` lines at a time; a line ends at "\\n", a "\\r" just
+    before it included. A bad file raises what reading it whole, line by
+    line, would: its first invalid UTF-8, else a bad header, a dangling line
+    or its first bad line."""
     # Each part is a chunk's arrays and the context of the block open after it.
     parts, header, error = [(np.zeros(0, np.intp),) * 6 + ([],)], None, None
     line_no = n_lines = last = 0
     with open(path, "rb") if path.exists() else io.BytesIO() as f:
-        for chunk in chain([[f.readline()]], iter(lambda: list(islice(f, _LINES_PER_READ)), [])):
+        chunks = chain([[f.readline()]], iter(lambda: list(islice(f, _LINES_PER_READ)), []))
+        for chunk in islice(chunks, None if parse else 1):
             body, part = list(enumerate(chunk, line_no + 1)), None
             if header and not error:  # a chunk of canonical lines is read as bytes
                 with suppress(CorpusFormatError):
                     part = _read_lines(path, body, block, header, n_lines, parts[-1][-1], False)
             if not part:  # any other chunk is decoded and read line by line
                 data = b"".join(chunk)
-                chunk = _decode(data, path, line_no, f.tell() - len(data)).splitlines()
+                *ended, rest = _decode(data, path, line_no, f.tell() - len(data)).split("\n")
+                chunk = [line.removesuffix("\r") for line in ended] + [rest][:bool(rest)]
                 body = [(no, line) for no, line in enumerate(chunk, line_no + 1) if line and no > 1]
                 try:
                     if chunk and not line_no:

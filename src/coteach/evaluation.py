@@ -29,18 +29,14 @@ _GROUPS_PER_CALL = 64
 
 class RankedGroup:
     """Candidates of one context sorted by descending model score, ties by
-    ascending candidate index; ``entries`` holds (index, score, human label)
-    and ``labels`` the labels as an array. Given ``columns``, the rank-ordered
-    arrays ``index``, ``score`` and ``labels``, it builds ``entries`` only when
-    they are read. Groups with equal context ids and entries are equal."""
+    ascending candidate index, as the rank-ordered arrays ``index``,
+    ``score`` and ``labels`` (human labels); ``entries`` holds them as
+    (index, score, label) tuples, built when first read. Groups with equal
+    context ids and entries are equal."""
 
-    def __init__(self, context_id: int, entries=(), columns=None):
+    def __init__(self, context_id: int, index, score, labels):
         self.context_id = context_id
-        if columns is None:
-            self.entries = tuple(entries)
-            self.labels = np.fromiter((y for *_, y in self.entries), np.intp, len(self.entries))
-        else:
-            self.index, self.score, self.labels = columns
+        self.index, self.score, self.labels = index, score, labels
 
     @cached_property
     def entries(self) -> tuple[tuple[int, float, int], ...]:
@@ -69,21 +65,20 @@ def _rows(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return rows
 
 
-def filter_degenerate(groups):
+def filter_degenerate(test: TestGroups):
     """Drop groups whose 0/1 labels are all equal; returns (kept, n_removed),
-    ``groups`` itself if it keeps all, else a list."""
-    test = groups if isinstance(groups, TestGroups) else TestGroups(groups)
+    ``test`` itself if it keeps all, else a TestGroups of the kept groups."""
     n_pos = (_rows(test.labels, test.pack.runs) == 1).sum(1)
     keep = ((0 < n_pos) & (n_pos < test.pack.runs)).tolist()
-    kept = groups if all(keep) else [g for g, k in zip(groups, keep) if k]
-    return kept, len(groups) - len(kept)
+    kept = test if all(keep) else TestGroups(
+        [g for g, k in zip(test, keep) if k], test.vocab_size)
+    return kept, len(test) - len(kept)
 
 
-def rank_test_groups(model: matcher.ModelState, groups) -> list[RankedGroup]:
+def rank_test_groups(model: matcher.ModelState, test: TestGroups) -> list[RankedGroup]:
     """Score and sort the candidates of every group; group i gets context
     id i. Each ``matcher.scores`` call takes ``_GROUPS_PER_CALL`` groups,
-    gathered from one pack of all groups, and pools each context once."""
-    test = groups if isinstance(groups, TestGroups) else TestGroups(groups)
+    gathered from the test pack, and pools each context once."""
     runs = test.pack.runs
     if not runs.all():
         raise ValueError("empty candidate list")
@@ -96,7 +91,7 @@ def rank_test_groups(model: matcher.ModelState, groups) -> list[RankedGroup]:
     position = np.arange(group.size) - (ends - runs)[group]
     order = np.lexsort((position, -scores, group))
     positions, scores, labels = position[order], scores[order], test.labels[order]
-    return [RankedGroup(i, (), (positions[end - n:end], scores[end - n:end], labels[end - n:end]))
+    return [RankedGroup(i, positions[end - n:end], scores[end - n:end], labels[end - n:end])
             for i, (n, end) in enumerate(zip(runs.tolist(), ends.tolist()))]
 
 

@@ -14,7 +14,7 @@ checkpoints and finite-difference checking trivial.
 Every computation is batched over a ``corpus.Packed`` batch of (context,
 responses) groups: training, teachers, validation and ranking gather it
 from the pack a ``corpus.Triples`` or ``corpus.TestGroups`` split built and
-checked once, and ``scores`` packs and checks the groups a caller builds.
+checked once, and ``score`` packs and checks the one dialogue it scores.
 One ``_forward`` serves scoring and training; scoring takes only the
 sigmoid of its logits, and ``_loss`` forms ds/dz where it is read. Both
 run in the dtype of the params, so the tests' finite-difference oracle
@@ -229,15 +229,11 @@ def _loss(loss_kind: str, z: np.ndarray, labels, coef):
     return ce.sum(), np.where(inside, coef * (s - labels), 0.0)
 
 
-def scores(model: ModelState, groups) -> np.ndarray:
-    """Matching scores s(c, r) in (0, 1) of a Packed batch gathered from a
-    checked split, or of a sequence of (context, responses) groups, which
-    it packs and checks; group by group in response order. Each group's
-    context is pooled once, and each entry equals, bit for bit, the score
-    of that dialogue alone."""
-    if not isinstance(groups, Packed):
-        groups = pack_groups(groups, model.spec.vocab_size)
-    return _sigmoid(_forward(model.spec, model.params, groups)[0])
+def scores(model: ModelState, packed: Packed) -> np.ndarray:
+    """Matching scores s(c, r) in (0, 1) of a Packed batch, group by group
+    in response order. Each group's context is pooled once, and each entry
+    equals, bit for bit, the score of that dialogue alone."""
+    return _sigmoid(_forward(model.spec, model.params, packed)[0])
 
 
 def example_scores(model: ModelState, split: Triples, examples: np.ndarray) -> np.ndarray:
@@ -249,8 +245,8 @@ def example_scores(model: ModelState, split: Triples, examples: np.ndarray) -> n
 
 
 def score(model: ModelState, context, response) -> float:
-    """Matching score s(c, r) in (0, 1) of one dialogue."""
-    return float(scores(model, [(context, (response,))])[0])
+    """Matching score s(c, r) in (0, 1) of one dialogue, packed and checked."""
+    return float(scores(model, pack_groups([(context, (response,))], model.spec.vocab_size))[0])
 
 
 def loss_and_grad(model: ModelState, protocol: LearningProtocol):

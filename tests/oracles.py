@@ -6,12 +6,15 @@ attribute sees its checker use the swapped function.
 ``reference_corpus_files`` is the corpus writer's: each id formatted on its
 own with ``str``, a line at a time. ``reference_read_split`` is the corpus
 reader's: the whole file decoded at once and parsed line by line.
+``ranked_group`` builds a ``RankedGroup`` from its (index, score, label)
+entries, as a ranking oracle writes them.
 """
 
 import numpy as np
 
 from coteach import corpus, matcher
 from coteach.corpus import CorpusFormatError
+from coteach.evaluation import RankedGroup
 from coteach.losses import LearningProtocol
 from coteach.matcher import ModelState
 
@@ -48,6 +51,14 @@ def finite_diff_check(model: ModelState, protocol: LearningProtocol,
         err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)
         worst = max(worst, err)
     return worst
+
+
+def ranked_group(context_id: int, entries) -> RankedGroup:
+    """The RankedGroup of rank-ordered (index, score, label) ``entries``."""
+    entries = tuple(entries)
+    return RankedGroup(context_id, np.array([i for i, _, _ in entries], np.intp),
+                       np.array([s for _, s, _ in entries], float),
+                       np.array([y for _, _, y in entries], np.intp))
 
 
 def reference_corpus_files(corpus) -> dict:
@@ -92,7 +103,9 @@ def _read_blocks(path, block):
     laid out as ``block`` says."""
     if not path.exists():
         return None, []
-    lines = corpus.read_text(path).splitlines()
+    # A line ends at "\n", and a "\r" just before it is part of its end.
+    *ended, rest = corpus.read_text(path).split("\n")
+    lines = [line[:-1] if line.endswith("\r") else line for line in ended] + [rest] * bool(rest)
     if not lines:
         return None, []
     header = vocab_size, n_candidates = corpus._parse_header(lines[0], path, 1)

@@ -20,7 +20,7 @@ from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
 
 from conftest import (BFirstStep, example, fix_teacher_scores, pairwise_protocol,
                       pointwise_protocol, random_dialogue, random_triple)
-from oracles import finite_diff_check
+from oracles import finite_diff_check, ranked_group
 
 
 def _report(capsys, n, ok, detail):
@@ -208,7 +208,7 @@ def test_4_metric_oracle(capsys):
         if len(set(labels)) != 2:
             continue
         entries = tuple((i, 1.0 - i * 1e-3, y) for i, y in enumerate(labels))
-        groups.append(evaluation.RankedGroup(len(groups), entries))
+        groups.append(ranked_group(len(groups), entries))
         oracle_rows.append(_oracle_metrics(labels))
 
     report = evaluation.compute_metrics(groups)
@@ -226,11 +226,11 @@ def test_4_metric_oracle(capsys):
                          ("R@2", report.r10_at_2), ("R@5", report.r10_at_5)])
 
     two_pos = evaluation.compute_metrics(
-        [groups[0].__class__(0, tuple((i, 1.0 - i * 0.1, y) for i, y in
-                                      enumerate([1, 0, 1] + [0] * 7)))])
+        [ranked_group(0, tuple((i, 1.0 - i * 0.1, y) for i, y in
+                               enumerate([1, 0, 1] + [0] * 7)))])
     rank3 = evaluation.compute_metrics(
-        [groups[0].__class__(0, tuple((i, 1.0 - i * 0.1, y) for i, y in
-                                      enumerate([0, 0, 1] + [0] * 7)))])
+        [ranked_group(0, tuple((i, 1.0 - i * 0.1, y) for i, y in
+                               enumerate([0, 0, 1] + [0] * 7)))])
     examples_ok = (round(two_pos.map, 6) == 0.833333
                    and round(rank3.mrr, 6) == 0.333333)
 

@@ -568,6 +568,57 @@ class TestPipeline:
         assert not (workdir / "run").exists()
 
 
+# The benchmark's cli-pipeline experiment at seed 5, with a two-point sweep.
+CLI_PIPELINE_CONFIG = """\
+vocab_size = 1000
+n_topics = 10
+n_train = 2000
+n_valid = 500
+n_test_contexts = 2000
+n_candidates = 10
+turns_per_context = 3
+tokens_per_utterance = 10
+embedding_dim = 16
+eval_every = 50
+false_negative_rate = 0.3
+seed = 5
+batch_size = 10
+pretrain_epochs = 1
+n_epochs = 1
+lambda = 0.5
+sweep_param = lambda
+sweep_values = 0.3,0.7
+"""
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the pipeline built tuples")
+
+
+def test_pipeline_builds_no_tuples(tmp_path, monkeypatch):
+    # Every split is born packed, and ranking ends in rank-ordered arrays:
+    # building an item tuple, a ranked entry or a pack of tuple groups
+    # fails the run.
+    from coteach import corpus, evaluation
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(CLI_PIPELINE_CONFIG)
+    for split in (corpus.Triples, corpus.TestGroups):
+        monkeypatch.setattr(split, "_build", _must_not_run)
+    monkeypatch.setattr(evaluation.RankedGroup, "entries", property(_must_not_run))
+    for module in (corpus, matcher):
+        real = module.pack_groups
+        monkeypatch.setattr(module, "pack_groups", lambda groups, vocab_size, real=real: (
+            _must_not_run() if len(groups) else real(groups, vocab_size)))
+    strategy = ["--config", "exp.cfg", "--strategy", "margin"]
+    for argv in (["generate", "--config", "exp.cfg"], ["pretrain", "--config", "exp.cfg"],
+                 ["coteach", *strategy],
+                 ["evaluate", *strategy, "--per-group-dump", "run/groups.csv"],
+                 ["evaluate", *strategy, "--baseline-dump", "run/groups.csv"],
+                 ["report", "--config", "exp.cfg"], ["sweep", *strategy]):
+        assert _run(*argv) == 0, argv
+    assert len((tmp_path / "run" / "sweep.csv").read_text().splitlines()) == 3
+
+
 class TestSplitsPerCommand:
     """pretrain and coteach parse the train and valid bodies, evaluate the
     valid and test bodies; every command that loads the corpus checks all

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from coteach import (Batch, GenConfig, MatcherSpec, TrainConfig, coteach_train, corpus,
-                     generate_synthetic_corpus, load_corpus, matcher, pretrain,
-                     save_corpus, select_model, strategies, validation_p_at_1)
+                     generate_synthetic_corpus, load_corpus, matcher, save_corpus,
+                     select_model, strategies, validation_p_at_1)
 from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple, Triples,
                             atomic_open, write_csv)
 from coteach.corpus import TestGroup as CandidateGroup
@@ -203,24 +203,23 @@ class TestSplitPack:
         (PairwiseTriple((), (3,), (4,)), "dialogue has no context utterances"),
     ], ids=["past-vocab", "negative", "empty-utterance", "empty-positive",
             "empty-negative", "no-utterances"])
-    def test_bad_triple_rejected_when_its_split_is_packed(self, triple, message):
-        data = _corpus_with(triple)  # building the corpus checks nothing yet
-        spec = MatcherSpec("mean-embedding-bilinear", vocab_size=10, embedding_dim=2)
+    def test_bad_triple_rejected_when_its_split_is_built(self, triple, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            data.train.pack
+            Triples([triple], vocab_size=10)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            pretrain(spec, data, TrainConfig(batch_size=2))
-        data.valid.pack  # the other split is fine
+            _corpus_with(triple)
+        _corpus_with(PairwiseTriple(((1,),), (3,), (4,)))  # a good triple is fine
 
     def test_each_split_is_packed_once(self, tiny_gen_config, monkeypatch):
-        # Splits of given items pack on first use; generated ones are born
-        # packed and never pack again.
+        # Splits of given items pack when they are built; generated ones are
+        # born packed, and no split packs again.
         generated = generate_synthetic_corpus(tiny_gen_config)
-        data = replace(generated, train=tuple(generated.train), valid=tuple(generated.valid))
         calls = []
         real = corpus.pack_groups
         monkeypatch.setattr(corpus, "pack_groups", lambda *args: (
             calls.append(len(args[0])) or real(*args)))
+        data = replace(generated, train=tuple(generated.train), valid=tuple(generated.valid))
+        assert calls == [len(data.train), len(data.valid)]
         spec = MatcherSpec("mean-embedding-bilinear", vocab_size=60, embedding_dim=4)
         config = TrainConfig(strategy="margin", lam=0.5, batch_size=10, eval_every=4)
         model = init_params(spec, 0)
@@ -236,9 +235,9 @@ class TestSplitPack:
                                         embedding_dim=2, hidden_dim=2), 0)
         for _ in range(2):
             with pytest.raises(ValueError, match="token ID out of range"):
-                matcher.scores(model, [(((1,),), ((10,),))])
+                matcher.scores(model, corpus.pack_groups([(((1,),), ((10,),))], 10))
             with pytest.raises(ValueError, match="empty response"):
-                matcher.scores(model, [(((1,),), ((),))])
+                matcher.scores(model, corpus.pack_groups([(((1,),), ((),))], 10))
 
 
 class TestModelVocab:
@@ -375,13 +374,14 @@ class TestFileIO:
             "no-candidates"])
     def test_refuses_a_corpus_it_could_not_read_back(self, tiny_corpus, tmp_path,
                                                      changes, message):
-        # Each of these saved once, and then failed to load; the old files stay.
+        # Each of these saved once, and then failed to load; the old files
+        # stay. A bad triple is refused when its split is built, the rest on save.
         save_corpus(tiny_corpus, tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         good = PairwiseTriple(((1, 2),), (3,), (4,))
-        corpus = Corpus(**{"train": (good,), "valid": (good,), "test": (),
-                           "vocab_size": 10, "n_candidates": 3, **changes})
         with pytest.raises(ValueError, match=f"^{message}$"):
+            corpus = Corpus(**{"train": (good,), "valid": (good,), "test": (),
+                               "vocab_size": 10, "n_candidates": 3, **changes})
             save_corpus(corpus, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -670,6 +670,22 @@ class TestMalformedFiles:
         with pytest.raises(CorpusFormatError,
                            match=rf"train\.txt:2: token ID {2**63} past int64$"):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("data, outcome", [
+        (None, None), (b"", None), (b"#vocab=60 candidates=6\r\n", (60, 6)),
+        (b"\n#vocab=60 candidates=6\n", ":1: expected header line, got ''"),
+        (b"#vocab=6\xff0 candidates=6\n", ":1: invalid UTF-8 at byte 8"),
+    ], ids=["missing", "empty", "crlf", "blank-first-line", "invalid-utf8"])
+    def test_unparsed_split_reads_the_header_as_a_parsed_one(self, tmp_path, data, outcome):
+        path = tmp_path / "train.txt"
+        if data is not None:
+            path.write_bytes(data)
+        for parse in (False, True):
+            if isinstance(outcome, str):
+                with pytest.raises(CorpusFormatError, match=f"^{path}{outcome}$"):
+                    corpus._read_split(path, corpus._TRIPLE_BLOCK, parse)
+            else:
+                assert corpus._read_split(path, corpus._TRIPLE_BLOCK, parse)[0] == outcome
 
     @pytest.mark.parametrize("header", ["#vocab=60 candidates=0",
                                         "#vocab=0 candidates=6"])

@@ -75,7 +75,8 @@ EDGE_IDS = [9, 10, 99, 100, 999, 1000, 10**18 - 1, 10**18, 2**63 - 2]
 
 
 @st.composite
-def corpora(draw, least=st.integers(0, 1), vocab=st.integers(1, 30)):
+def corpus_fields(draw, least=st.integers(0, 1), vocab=st.integers(1, 30)):
+    """The fields of a Corpus: its splits as tuples, its counts and metadata."""
     vocab = draw(vocab)
     n_candidates = draw(st.integers(1, 4))
     # Empty contexts, utterances and responses do not load, and are not
@@ -95,32 +96,38 @@ def corpora(draw, least=st.integers(0, 1), vocab=st.integers(1, 30)):
                                 st.lists(candidate, min_size=n_candidates,
                                          max_size=n_candidates).map(tuple)),
                       max_size=4).map(tuple)
-    return Corpus(train=draw(triples(draw(st.booleans()))),
-                  valid=draw(triples(draw(st.booleans()))),
-                  test=draw(groups), vocab_size=vocab, n_candidates=n_candidates,
-                  seed=draw(st.none() | st.integers(0, 2 ** 31)),
-                  noise_rate=draw(st.none() | st.floats(0.0, 1.0)))
+    return dict(train=draw(triples(draw(st.booleans()))),
+                valid=draw(triples(draw(st.booleans()))),
+                test=draw(groups), vocab_size=vocab, n_candidates=n_candidates,
+                seed=draw(st.none() | st.integers(0, 2 ** 31)),
+                noise_rate=draw(st.none() | st.floats(0.0, 1.0)))
+
+
+def corpora(**kwargs):
+    return corpus_fields(**kwargs).map(lambda fields: Corpus(**fields))
 
 
 @SETTINGS
-@given(corpus=corpora())
-def test_save_matches_reference_and_load_inverts_it(corpus):
+@given(fields=corpus_fields())
+def test_save_matches_reference_and_load_inverts_it(fields):
     with tempfile.TemporaryDirectory() as tmp:
         blocks = ([(t.context, (t.pos_response, t.neg_response))
-                   for t in corpus.train + corpus.valid]
-                  + [(g.context, [r for r, _ in g.candidates]) for g in corpus.test])
+                   for t in fields["train"] + fields["valid"]]
+                  + [(g.context, [r for r, _ in g.candidates]) for g in fields["test"]])
         # Only non-empty contexts, utterances and responses load back.
         if all(context and all(context) and all(responses)
                for context, responses in blocks):
+            corpus = Corpus(**fields)
             save_corpus(corpus, tmp)
             for name, text in reference_corpus_files(corpus).items():
                 assert (Path(tmp) / name).read_bytes() == text.encode(), name
             assert load_corpus(tmp) == corpus
         else:
+            # Such a corpus is refused when its splits are built.
             (Path(tmp) / "train.txt").write_bytes(b"before")
             with pytest.raises(ValueError, match="^(dialogue has no context utterances"
                                                  "|empty (utterance|response))$"):
-                save_corpus(corpus, tmp)
+                save_corpus(Corpus(**fields), tmp)
             assert {p.name: p.read_bytes() for p in Path(tmp).iterdir()} == {
                 "train.txt": b"before"}
 
@@ -268,6 +275,26 @@ def test_later_chunk_reports_what_the_reference_reader_reports(tiny_corpus, tmp_
     if case == "invalid-utf8":
         offset = (tmp_path / "valid.txt").read_bytes().index(b"\xc3(")
         assert outcome.endswith(f"at byte {offset}")
+
+
+# A line ends only at "\n" (a "\r" just before it is part of its end):
+# every other line break str.splitlines knows stays inside its line.
+REFUSED_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                       "\u2028", "\u2029"]
+
+
+@LINES_PER_READ
+@pytest.mark.parametrize("spelling", REFUSED_LINE_BREAKS,
+                         ids=lambda spelling: f"U+{ord(spelling):04X}")
+def test_only_a_newline_ends_a_line(tmp_path, spelling, lines_per_read):
+    path = tmp_path / "train.txt"
+    path.write_text(f"#vocab=10 candidates=2\nPOS\t1 2\t3{spelling}NEG\t1 2\t4\n",
+                    encoding="utf-8")
+    outcome = _chunked_outcome(tmp_path, lines_per_read)
+    assert outcome == _reference_outcome(tmp_path) == (
+        f"{path}:2: dangling line: blocks hold 2 lines")
+    path.write_text("#vocab=10 candidates=2\r\nPOS\t1 2\t3\r\nNEG\t1 2\t4\r\n")
+    assert len(_chunked_outcome(tmp_path, lines_per_read).train) == 1
 
 
 def _no_line_reader(fields, vocab_size, path, *args):

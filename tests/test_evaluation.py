@@ -15,9 +15,10 @@ from coteach import (compute_metrics, filter_degenerate, paired_t_test,
 from coteach.evaluation import MetricsReport, RankedGroup, ema
 import coteach
 from coteach import matcher
-from coteach.corpus import TestGroup as CandidateGroup
+from coteach.corpus import TestGroup as CandidateGroup, TestGroups as CandidateGroups
 
 from conftest import random_dialogue
+from oracles import ranked_group
 
 
 def _group(labels, scores=None, context_id=0):
@@ -25,30 +26,43 @@ def _group(labels, scores=None, context_id=0):
     if scores is None:
         scores = [1.0 - 0.05 * i for i in range(len(labels))]
     entries = tuple((i, s, y) for i, (s, y) in enumerate(zip(scores, labels)))
-    return RankedGroup(context_id, entries)
+    return ranked_group(context_id, entries)
 
 
 class TestFilterDegenerate:
     def test_all_positive_removed(self):
         groups = [CandidateGroup(((1,),), (((2,), 1), ((3,), 1)))]
-        kept, removed = filter_degenerate(groups)
-        assert kept == [] and removed == 1
+        kept, removed = filter_degenerate(CandidateGroups(groups))
+        assert list(kept) == [] and removed == 1
 
     def test_all_negative_removed(self):
         groups = [CandidateGroup(((1,),), (((2,), 0), ((3,), 0)))]
-        kept, removed = filter_degenerate(groups)
-        assert kept == [] and removed == 1
+        kept, removed = filter_degenerate(CandidateGroups(groups))
+        assert list(kept) == [] and removed == 1
 
     def test_mixed_kept_in_order(self):
         mixed = CandidateGroup(((1,),), (((2,), 1), ((3,), 0)))
         pure = CandidateGroup(((1,),), (((2,), 1), ((3,), 1)))
-        kept, removed = filter_degenerate([pure, mixed, pure])
-        assert kept == [mixed] and removed == 2
+        kept, removed = filter_degenerate(CandidateGroups([pure, mixed, pure]))
+        assert list(kept) == [mixed] and removed == 2
+
+    def test_kept_groups_are_the_test_groups_of_the_kept_items(self):
+        mixed = CandidateGroup(((1, 2), (3,)), (((4, 5), 0), ((6,), 1), ((7,), 0)))
+        other = CandidateGroup(((8,),), (((9,), 1), ((1, 1), 0)))
+        pure = CandidateGroup(((2,),), (((3,), 1), ((4,), 1)))
+        test = CandidateGroups([mixed, pure, other], vocab_size=10)
+        kept, removed = filter_degenerate(test)
+        expected = CandidateGroups([mixed, other], vocab_size=10)
+        assert isinstance(kept, CandidateGroups) and kept.vocab_size == 10 and removed == 1
+        for got, want in zip(kept.pack + (kept.labels,), expected.pack + (expected.labels,)):
+            assert np.array_equal(got, want)
+        assert filter_degenerate(expected)[0] is expected  # nothing to drop
 
 
 def _rank_one(model, context, candidates):
     """The ranking of a single group."""
-    (ranked,) = rank_test_groups(model, [CandidateGroup(context, tuple(candidates))])
+    (ranked,) = rank_test_groups(model, CandidateGroups([
+        CandidateGroup(context, tuple(candidates))]))
     return ranked
 
 
@@ -89,13 +103,13 @@ class TestRankGroup:
             groups.append(CandidateGroup(context, tuple(
                 (responses[int(rng.integers(4))], int(rng.integers(2)))
                 for _ in range(int(rng.integers(1, 9))))))
-        ranked = rank_test_groups(small_model, groups)
+        ranked = rank_test_groups(small_model, CandidateGroups(groups))
         n_tied = 0
         for i, (g, r) in enumerate(zip(groups, ranked)):
             s = [matcher.score(small_model, g.context, c) for c, _ in g.candidates]
             oracle = sorted(range(len(s)), key=lambda k: (-s[k], k))
-            assert r == RankedGroup(i, tuple((k, s[k], g.candidates[k][1])
-                                             for k in oracle))
+            assert r == ranked_group(i, tuple((k, s[k], g.candidates[k][1])
+                                              for k in oracle))
             assert r.entries == _rank_one(small_model, g.context, g.candidates).entries
             n_tied += len(set(s)) < len(s)
         assert n_tied >= 50
@@ -108,8 +122,18 @@ class TestRankGroup:
         rng = np.random.default_rng(1)
         groups = [CandidateGroup(random_dialogue(rng).context,
                             (((1,), 1), ((2,), 0))) for _ in range(3)]
-        ranked = rank_test_groups(small_model, groups)
+        ranked = rank_test_groups(small_model, CandidateGroups(groups))
         assert [g.context_id for g in ranked] == [0, 1, 2]
+
+
+class TestRankedGroup:
+    def test_columns_equal_the_entries_oracle(self):
+        group = RankedGroup(3, np.array([2, 0, 1]), np.array([0.9, 0.5, 0.5]),
+                            np.array([1, 0, 1]))
+        entries = ((2, 0.9, 1), (0, 0.5, 0), (1, 0.5, 1))
+        assert group == ranked_group(3, entries) and group.entries == entries
+        assert group != ranked_group(2, entries)
+        assert group != ranked_group(3, entries[:2] + ((1, 0.5, 0),))
 
 
 class TestComputeMetrics:

@@ -29,6 +29,11 @@ def _ragged_dialogue(rng):
     return Dialogue(context, _ragged_tokens(rng))
 
 
+def _scores(model, groups):
+    """``scores`` of (context, responses) groups, packed and checked."""
+    return scores(model, corpus.pack_groups(groups, model.spec.vocab_size))
+
+
 def _one_each(dialogues):
     """Dialogues as (context, responses) groups of one response each."""
     return [(d.context, (d.response,)) for d in dialogues]
@@ -174,7 +179,7 @@ class TestScore:
         rng = np.random.default_rng(12)
         for n in (1, 2, 5, 17, 40, 96, 200):
             dialogues = [_ragged_dialogue(rng) for _ in range(n)]
-            batched = scores(model, _one_each(dialogues))
+            batched = _scores(model, _one_each(dialogues))
             assert batched.tolist() == [score(model, *d) for d in dialogues]
 
     @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
@@ -183,7 +188,7 @@ class TestScore:
     def test_pooled_contexts_score_bit_for_bit_alone(self, kind, groups):
         model = init_params(MatcherSpec(kind, vocab_size=20, embedding_dim=8,
                                         hidden_dim=8), seed=14)
-        assert scores(model, groups).tolist() == [
+        assert _scores(model, groups).tolist() == [
             score(model, c, r) for c, rs in groups for r in rs]
         packed = corpus.pack_groups(groups, 20)
         assert packed.runs.tolist() == [len(rs) for _, rs in groups]
@@ -200,7 +205,7 @@ class TestScore:
         pooled = corpus.pack_groups(groups, 20)
         unpooled = corpus.pack_groups([(c, (r,)) for c, rs in groups for r in rs], 20)
         z, _ = matcher._forward(model.spec, model.params, unpooled)
-        assert scores(model, groups).tobytes() == matcher._sigmoid(z).tobytes()
+        assert _scores(model, groups).tobytes() == matcher._sigmoid(z).tobytes()
         for packed in (pooled, unpooled):
             assert packed.n_ctx == packed.n_utts.sum()
             assert packed.ids.size == packed.lengths.sum()
@@ -212,11 +217,11 @@ class TestScore:
         empty = (((1, 2), (3,)), ())
         full = (((4,), (5, 6)), ((7,), (8, 9)))
         for groups in ([], [empty], [empty, empty]):
-            assert scores(model, groups).shape == (0,)
-        assert (scores(model, [empty, full, empty]).tobytes()
-                == scores(model, [full]).tobytes())
+            assert _scores(model, groups).shape == (0,)
+        assert (_scores(model, [empty, full, empty]).tobytes()
+                == _scores(model, [full]).tobytes())
         with pytest.raises(ValueError, match="token ID out of range"):
-            scores(model, [(((99,),), ())])
+            _scores(model, [(((99,),), ())])
 
     def test_matches_per_dialogue_reference(self, small_spec):
         rng = np.random.default_rng(13)
@@ -224,7 +229,7 @@ class TestScore:
         model = ModelState(small_spec, rng.normal(0.0, 3.0, n_params(small_spec)))
         dialogues = [_ragged_dialogue(rng) for _ in range(40)]
         expected = [_reference_score(model, d) for d in dialogues]
-        assert np.allclose(scores(model, _one_each(dialogues)), expected,
+        assert np.allclose(_scores(model, _one_each(dialogues)), expected,
                            rtol=0, atol=1e-12)
 
 

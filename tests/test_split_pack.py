@@ -43,8 +43,8 @@ def _cases(draw):
 
 def _tuple_scores(model, triples, responses):
     """Scores of each triple's named responses through tuple groups."""
-    return matcher.scores(model, [(t.context, tuple(
-        (t.pos_response, t.neg_response)[k] for k in responses)) for t in triples])
+    return matcher.scores(model, corpus.pack_groups([(t.context, tuple(
+        (t.pos_response, t.neg_response)[k] for k in responses)) for t in triples], V))
 
 
 def _tuple_loss_and_grad(model, protocol):

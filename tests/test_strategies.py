@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coteach import curriculum_protocol, margin_protocol, weighting_protocol
-from coteach.corpus import PairwiseTriple, Triples
+from coteach.corpus import PairwiseTriple, Triples, pack_groups
 from coteach.matcher import init_params
 from coteach import matcher, strategies
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
@@ -206,7 +206,8 @@ class TestCurriculumProtocol:
         triples = [random_triple(rng, n_utts=int(rng.integers(1, 4)))
                    for _ in range(12)]
         examples = _pointwise_view(triples)
-        reference = matcher.scores(teacher, [(c, (r,)) for _, c, r in examples])
+        reference = matcher.scores(teacher, pack_groups([(c, (r,)) for _, c, r in examples],
+                                                        small_spec.vocab_size))
         teacher_losses = cross_entropy(np.array([y for y, _, _ in examples]), reference)
         order = np.argsort(teacher_losses, kind="stable")
         for delta in (0.3, 0.75, 1.0):
