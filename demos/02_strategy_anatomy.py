@@ -44,7 +44,8 @@ def example(e):
 
 print("== margin strategy: pairwise hinge with teacher-set margins ==")
 protocol = margin_protocol(teacher, sub_batch, lam=0.5)
-for ((pos, neg), margin), flag in zip(protocol.pairwise, flags):
+for (pos, neg), margin, flag in zip(protocol.examples.tolist(),
+                                     protocol.coef.tolist(), flags):
     s_pos = score(teacher, *example(pos)[1:])
     s_neg = score(teacher, *example(neg)[1:])
     note = "suspected false negative -> margin collapses" if margin == 0 else ""
@@ -53,7 +54,7 @@ for ((pos, neg), margin), flag in zip(protocol.pairwise, flags):
 
 print("\n== weighting strategy: soft down-weighting of dubious negatives ==")
 protocol = weighting_protocol(teacher, sub_batch)
-for e, weight in protocol.pointwise:
+for e, weight in zip(protocol.examples.tolist(), protocol.coef.tolist()):
     y, context, response = example(e)
     if y == 0:
         s = score(teacher, context, response)
@@ -66,8 +67,8 @@ losses = [cross_entropy(y, score(teacher, c, r))
           for y, c, r in map(example, examples)]
 for delta in (0.25, 0.5, 0.9):
     protocol = curriculum_protocol(teacher, sub_batch, delta=delta)
-    kept = {e for e, _ in protocol.pointwise}
+    kept = set(protocol.examples.tolist())
     kept_losses = [l for e, l in zip(examples, losses) if e in kept]
-    print(f"  delta={delta}: kept {len(protocol.pointwise)}/{len(examples)} "
+    print(f"  delta={delta}: kept {len(protocol.examples)}/{len(examples)} "
           f"examples, max kept loss {max(kept_losses):.3f} "
           f"(batch max {max(losses):.3f})")

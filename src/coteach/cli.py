@@ -27,7 +27,7 @@ import numpy as np
 from . import engine, evaluation, matcher
 from .corpus import (CorpusFormatError, GenConfig, generate_synthetic_corpus,
                      load_corpus, parse_metric, read_text, save_corpus, write_csv)
-from .evaluation import METRIC_KEYS
+from .evaluation import METRIC_KEYS, RECALL_KS
 
 
 class UsageError(Exception):
@@ -44,8 +44,6 @@ STRATEGY_LEARNING_RATES = {"margin": 1e-3, "weighting": 1e-4, "curriculum": 1e-4
                            "none": 1e-4}
 PRETRAIN_LEARNING_RATE = 1e-3
 
-METRICS_COLUMNS = ["run", "strategy", "MAP", "MRR", "P@1",
-                   "R10@1", "R10@2", "R10@5", "n_contexts"]
 
 # The keys a config may set, GenConfig's fields and those the commands read.
 CONFIG_KEYS = {f.name for f in fields(GenConfig)} | {
@@ -268,6 +266,11 @@ def cmd_coteach(config, args) -> int:
     return 0
 
 
+def _metrics_columns(n_candidates: int) -> list[str]:
+    return ["run", "strategy", "MAP", "MRR", "P@1",
+            *(f"R{n_candidates}@{k}" for k in RECALL_KS), "n_contexts"]
+
+
 def _metrics_row(run_name, strategy, report, stars=None):
     stars = stars or {}
     cells = [run_name, strategy]
@@ -345,10 +348,11 @@ def cmd_evaluate(config, args) -> int:
         _write_per_group_dump(per_group, args.per_group_dump)
 
     strategy = args.strategy or config.get("strategy", "none")
+    columns = _metrics_columns(corpus.n_candidates)
     row = _metrics_row(run_dir.name, strategy, report, stars)
-    print(",".join(METRICS_COLUMNS))
+    print(",".join(columns))
     print(",".join(row))
-    write_csv(run_dir / "metrics.csv", METRICS_COLUMNS, [row])
+    write_csv(run_dir / "metrics.csv", columns, [row])
     if n_removed:
         print(f"removed {n_removed} degenerate test contexts")
     return 0
@@ -386,7 +390,8 @@ def cmd_sweep(config, args) -> int:
         rows.append([param, repr(value)] + _metrics_row(run_dir.name, strategy, report))
         print(f"{param}={value}: P@1={report.p_at_1:.4f}")
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(run_dir / "sweep.csv", ["param", "value"] + METRICS_COLUMNS, rows)
+    write_csv(run_dir / "sweep.csv", ["param", "value", *_metrics_columns(corpus.n_candidates)],
+              rows)
     print(f"wrote {run_dir / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 

@@ -76,16 +76,15 @@ class TestGroup:
 class Packed(NamedTuple):
     """Flat token ids of all context utterances, context by context, then
     of every response. Segment k is ``ids[starts[k]:starts[k] + lengths[k]]``;
-    context j is the ``n_utts[j]`` segments from segment ``ctx_starts[j]``
-    on and serves the next ``runs[j]`` responses (``runs`` each, if it is
-    one count), whose segments start at segment ``n_ctx``."""
+    context j is the ``n_utts[j]`` segments from segment ``ctx_starts[j]`` on
+    and serves the next ``runs[j]`` responses; responses start at segment ``n_ctx``."""
 
     ids: np.ndarray
     lengths: np.ndarray
     starts: np.ndarray
     n_utts: np.ndarray
     ctx_starts: np.ndarray
-    runs: np.ndarray | int
+    runs: np.ndarray
     n_ctx: int
 
 
@@ -186,8 +185,8 @@ class Triples(_Split):
     def gather(self, examples: np.ndarray, vocab_size: int) -> Packed:
         """The Packed groups of the pointwise examples in each row of
         ``examples``, with the context of the row's first example."""
-        return self._gather(examples[:, 0] >> 1, examples.ravel(), examples.shape[1],
-                            vocab_size)
+        return self._gather(examples[:, 0] >> 1, examples.ravel(),
+                            np.full(len(examples), examples.shape[1]), vocab_size)
 
 
 class TestGroups(_Split):
@@ -216,14 +215,14 @@ def _spans(starts: np.ndarray, counts: np.ndarray):
     """The ranges [starts[i], starts[i] + counts[i]) concatenated, and the
     offset of each range in the result."""
     offsets = counts.cumsum() - counts
-    return (np.arange(offsets[-1] + counts[-1]) + (starts - offsets).repeat(counts),
-            offsets)
+    shifts = (starts - offsets).repeat(counts)
+    return np.arange(shifts.size) + shifts, offsets
 
 
 @dataclass(frozen=True, eq=False)
 class Batch:
     """The triples of a Triples ``split`` at the positions in ``index``, a
-    1-d integer array; a batch indexed by positions is a batch too."""
+    non-empty 1-d integer array; a batch indexed by positions is a batch too."""
 
     split: Triples
     index: np.ndarray
@@ -233,7 +232,9 @@ class Batch:
         if not (isinstance(self.split, Triples) and index.ndim == 1
                 and index.dtype.kind in "iu"):
             raise TypeError("a batch is a Triples split and a 1-d integer index array")
-        if index.size and not (0 <= index.min() and index.max() < len(self.split)):
+        if not index.size:
+            raise ValueError("empty batch of triples")
+        if not (0 <= index.min() and index.max() < len(self.split)):
             raise ValueError("batch position outside the split")
         object.__setattr__(self, "index", index)
 
@@ -246,14 +247,6 @@ class Batch:
     def examples(self) -> np.ndarray:
         """A row per triple: the pointwise positions of its positive, negative."""
         return 2 * self.index[:, None] + (0, 1)
-
-
-def as_batch(triples) -> Batch:
-    """A Batch as it is, or a whole Triples split as a Batch; raises if empty."""
-    batch = triples if isinstance(triples, Batch) else Batch(triples, np.arange(len(triples)))
-    if not len(batch):
-        raise ValueError("empty batch of triples")
-    return batch
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matcher, strategies
-from .corpus import Batch, Corpus, as_batch, parse_metric, read_text, write_csv
+from .corpus import Batch, Corpus, Triples, parse_metric, read_text, write_csv
 
 STRATEGIES = ("margin", "weighting", "curriculum", "none")
 
@@ -174,12 +174,12 @@ def split_batch(batch, rng: np.random.Generator):
     return batch[perm[:half]], batch[perm[half:]]
 
 
-def validation_p_at_1(model: matcher.ModelState, triples) -> float:
-    """P@1 over the triples of a Triples split or a Batch, framed as
-    2-candidate ranking; a score tie ranks the positive first."""
-    batch = as_batch(triples)
-    s = matcher.example_scores(model, batch.split, batch.examples())
-    return int(np.count_nonzero(s[0::2] >= s[1::2])) / len(batch)
+def validation_p_at_1(model: matcher.ModelState, split: Triples) -> float:
+    """P@1 over the triples of a Triples split, framed as 2-candidate
+    ranking; a score tie ranks the positive first."""
+    batch = Batch(split, np.arange(len(split)))
+    s = matcher.example_scores(model, split, batch.examples())
+    return int(np.count_nonzero(s[0::2] >= s[1::2])) / len(split)
 
 
 def _batches(corpus: Corpus, config: TrainConfig):
@@ -371,8 +371,8 @@ def coteach_train(init_a: matcher.ModelState, init_b: matcher.ModelState,
 
 
 def select_model(model_a: matcher.ModelState, model_b: matcher.ModelState,
-                 valid) -> matcher.ModelState:
-    """Return the peer with higher validation P@1; ties go to A."""
+                 valid: Triples) -> matcher.ModelState:
+    """Return the peer with higher P@1 on the ``valid`` split; ties go to A."""
     p_a = validation_p_at_1(model_a, valid)
     p_b = validation_p_at_1(model_b, valid)
     return model_a if p_a >= p_b else model_b

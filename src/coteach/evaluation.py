@@ -67,11 +67,12 @@ def _rows(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def filter_degenerate(test: TestGroups):
     """Drop groups whose 0/1 labels are all equal; returns (kept, n_removed),
-    ``test`` itself if it keeps all, else a TestGroups of the kept groups."""
+    ``test`` itself if it keeps all, else its kept groups gathered from its pack."""
     n_pos = (_rows(test.labels, test.pack.runs) == 1).sum(1)
-    keep = ((0 < n_pos) & (n_pos < test.pack.runs)).tolist()
-    kept = test if all(keep) else TestGroups(
-        [g for g, k in zip(test, keep) if k], test.vocab_size)
+    keep = (0 < n_pos) & (n_pos < test.pack.runs)
+    kept = test if keep.all() else TestGroups(
+        vocab_size=test.vocab_size, pack=test.gather(np.flatnonzero(keep), test.top_id + 1),
+        labels=test.labels[keep.repeat(test.pack.runs)])
     return kept, len(test) - len(kept)
 
 

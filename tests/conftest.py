@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coteach import GenConfig, MatcherSpec, engine, generate_synthetic_corpus, matcher
-from coteach.corpus import PairwiseTriple, Triples
+from coteach.corpus import Batch, PairwiseTriple, Triples
 from coteach.losses import LearningProtocol
 from coteach.matcher import init_params
 
@@ -56,6 +56,13 @@ def random_triple(rng, vocab_size=20, n_utts=2, n_tokens=3):
     while neg == d.response:
         neg = tuple(int(t) for t in rng.integers(0, vocab_size, size=n_tokens))
     return PairwiseTriple(d.context, d.response, neg)
+
+
+def whole_batch(triples):
+    """A Batch of every triple of ``triples``, a Triples split or a list of
+    PairwiseTriples; strategies take a Batch."""
+    split = triples if isinstance(triples, Triples) else Triples(triples)
+    return Batch(split, np.arange(len(split)))
 
 
 def pairwise_protocol(triples, margins):

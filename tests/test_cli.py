@@ -6,6 +6,7 @@ import shutil
 from collections import defaultdict
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -441,7 +442,7 @@ class TestPipeline:
     def test_metrics_row_shape(self, workdir):
         _pipeline(workdir, "run", "weighting")
         header, row = (workdir / "run" / "metrics.csv").read_text().splitlines()
-        assert header == "run,strategy,MAP,MRR,P@1,R10@1,R10@2,R10@5,n_contexts"
+        assert header == "run,strategy,MAP,MRR,P@1,R6@1,R6@2,R6@5,n_contexts"
         cells = row.split(",")
         assert cells[:2] == ["run", "weighting"]
         for cell in cells[2:8]:
@@ -542,6 +543,7 @@ class TestPipeline:
         assert _run("sweep", "--config", "swp.cfg") == 0
         lines = (workdir / "swp" / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("param,value,run,strategy,MAP")
+        assert lines[0].endswith(",R6@1,R6@2,R6@5,n_contexts")
         assert len(lines) == 3
         assert lines[1].split(",")[:2] == ["delta", "0.5"]
 
@@ -595,13 +597,10 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("the pipeline built tuples")
 
 
-def test_pipeline_builds_no_tuples(tmp_path, monkeypatch):
-    # Every split is born packed, and ranking ends in rank-ordered arrays:
-    # building an item tuple, a ranked entry or a pack of tuple groups
-    # fails the run.
+def _forbid_tuples(monkeypatch):
+    """Make building an item tuple, a ranked entry or a pack of tuple
+    groups fail the run."""
     from coteach import corpus, evaluation
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "exp.cfg").write_text(CLI_PIPELINE_CONFIG)
     for split in (corpus.Triples, corpus.TestGroups):
         monkeypatch.setattr(split, "_build", _must_not_run)
     monkeypatch.setattr(evaluation.RankedGroup, "entries", property(_must_not_run))
@@ -609,6 +608,13 @@ def test_pipeline_builds_no_tuples(tmp_path, monkeypatch):
         real = module.pack_groups
         monkeypatch.setattr(module, "pack_groups", lambda groups, vocab_size, real=real: (
             _must_not_run() if len(groups) else real(groups, vocab_size)))
+
+
+def test_pipeline_builds_no_tuples(tmp_path, monkeypatch):
+    # Every split is born packed, and ranking ends in rank-ordered arrays.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(CLI_PIPELINE_CONFIG)
+    _forbid_tuples(monkeypatch)
     strategy = ["--config", "exp.cfg", "--strategy", "margin"]
     for argv in (["generate", "--config", "exp.cfg"], ["pretrain", "--config", "exp.cfg"],
                  ["coteach", *strategy],
@@ -617,6 +623,44 @@ def test_pipeline_builds_no_tuples(tmp_path, monkeypatch):
                  ["report", "--config", "exp.cfg"], ["sweep", *strategy]):
         assert _run(*argv) == 0, argv
     assert len((tmp_path / "run" / "sweep.csv").read_text().splitlines()) == 3
+
+
+def _label_test_groups(path, groups, label, n_candidates=10):
+    """Give every candidate of the test groups at ``groups`` in the corpus
+    file ``path`` the label ``label``."""
+    lines = path.read_bytes().split(b"\n")
+    for line in (1 + g * n_candidates + i for g in groups for i in range(n_candidates)):
+        lines[line] = label + lines[line][1:]
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_degenerate_test_groups_are_dropped_from_the_pack(tmp_path, monkeypatch, capsys):
+    # A corpus file may hold groups whose candidates are all positive; they
+    # are dropped by a gather from the test pack, with no tuple built. A test
+    # split of such groups alone is a data error.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(CLI_PIPELINE_CONFIG.replace(
+        "sweep_values = 0.3,0.7", "sweep_values = 0.5"))
+    _forbid_tuples(monkeypatch)
+    strategy = ["--config", "exp.cfg", "--strategy", "margin"]
+    for argv in (["generate", "--config", "exp.cfg"], ["pretrain", "--config", "exp.cfg"],
+                 ["coteach", *strategy]):
+        assert _run(*argv) == 0, argv
+    _label_test_groups(tmp_path / "corpus" / "test.txt", [0], b"1")
+    capsys.readouterr()
+    assert _run("evaluate", *strategy) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "run,strategy,MAP,MRR,P@1,R10@1,R10@2,R10@5,n_contexts"
+    assert out[1].endswith(",1999") and out[2] == "removed 1 degenerate test contexts"
+    assert (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:] == [out[1]]
+    assert _run("sweep", *strategy) == 0
+    _, row = (tmp_path / "run" / "sweep.csv").read_text().splitlines()
+    assert row.startswith("lambda,0.5,run,margin,") and row.endswith(",1999")
+    _label_test_groups(tmp_path / "corpus" / "test.txt", range(2000), b"1")
+    capsys.readouterr()
+    assert _run("evaluate", *strategy) == 2
+    assert _one_line_error(capsys, "data error: ") == (
+        "data error: all test groups are degenerate\n")
 
 
 class TestSplitsPerCommand:
@@ -866,7 +910,7 @@ class TestArtifactBytes:
         # Everything before the writers is replaced by fixed results; the
         # run directory is where the faked checkpoints would live.
         (workdir / "run").mkdir()
-        monkeypatch.setattr(cli, "_load_corpus", lambda *args: None)
+        monkeypatch.setattr(cli, "_load_corpus", lambda *args: SimpleNamespace(n_candidates=10))
         monkeypatch.setattr(cli, "_load_checkpoint", lambda *args: None)
         monkeypatch.setattr(cli, "_rank_test_set", lambda *args: ([None] * 2, 0))
         calls = []

@@ -15,8 +15,10 @@ from coteach import (Batch, GenConfig, MatcherSpec, TrainConfig, coteach_train, 
                      select_model, strategies, validation_p_at_1)
 from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple, Triples,
                             atomic_open, write_csv)
-from coteach.corpus import TestGroup as CandidateGroup
+from coteach.corpus import TestGroup as CandidateGroup, TestGroups as CandidateGroups
 from coteach.matcher import init_params
+
+from conftest import whole_batch
 
 
 class TestGenConfigValidation:
@@ -170,7 +172,7 @@ class TestPointwiseView:
 
     def test_single_triple_yields_labels_one_zero(self):
         t = PairwiseTriple(((1, 2),), (3,), (4,))
-        protocol = strategies.none_protocol(Triples([t]))
+        protocol = strategies.none_protocol(whole_batch([t]))
         packed, labels, _ = matcher._protocol_arrays(protocol, 5)
         assert labels.tolist() == [1, 0]
         assert packed.ids.tolist() == [1, 2, 1, 2, 3, 4]
@@ -178,12 +180,13 @@ class TestPointwiseView:
 
     def test_labels_alternate(self):
         triples = [PairwiseTriple(((i,),), (i, 1), (i, 2)) for i in range(3)]
-        protocol = strategies.none_protocol(Triples(triples))
+        protocol = strategies.none_protocol(whole_batch(triples))
         assert [e for e, _ in protocol.pointwise] == list(range(6))
         assert matcher._protocol_arrays(protocol, 5)[1].tolist() == [1, 0, 1, 0, 1, 0]
 
     def test_balanced_labels(self, tiny_corpus):
-        labels = matcher._protocol_arrays(strategies.none_protocol(tiny_corpus.train), 60)[1]
+        protocol = strategies.none_protocol(whole_batch(tiny_corpus.train))
+        labels = matcher._protocol_arrays(protocol, 60)[1]
         ones = int(labels.sum())
         assert ones == len(labels) - ones == len(tiny_corpus.train)
 
@@ -229,6 +232,14 @@ class TestSplitPack:
                 validation_p_at_1(model, split_source.valid)
         assert calls == [len(data.train), len(data.valid)]
         assert replace(data, seed=None).train.pack is data.train.pack
+
+    def test_gather_of_no_groups_is_an_empty_pack(self):
+        test = CandidateGroups([CandidateGroup(((1, 2), (3,)), (((4,), 1), ((5, 6), 0)))],
+                               vocab_size=10)
+        pack = test.gather(np.zeros(0, np.intp), 10)
+        for got, want in zip(pack, corpus.pack_groups([], 10)):
+            assert np.array_equal(got, want)
+        assert pack.ids.size == pack.runs.size == pack.n_ctx == 0
 
     def test_caller_built_groups_are_checked_on_every_call(self):
         model = init_params(MatcherSpec("interaction-mlp", vocab_size=10,

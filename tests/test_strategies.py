@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from coteach import curriculum_protocol, margin_protocol, weighting_protocol
-from coteach.corpus import PairwiseTriple, Triples, pack_groups
+from coteach.corpus import PairwiseTriple, pack_groups
 from coteach.matcher import init_params
 from coteach import matcher, strategies
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
 
-from conftest import example, fix_teacher_scores, random_triple
+from conftest import example, fix_teacher_scores, random_triple, whole_batch
 
 
 def _pointwise_view(triples):
@@ -35,7 +35,7 @@ class TestMarginProtocol:
         rng = np.random.default_rng(0)
         sub_batch = [random_triple(rng) for _ in range(10)]
         lam = 0.5
-        protocol = margin_protocol(teacher, Triples(sub_batch), lam)
+        protocol = margin_protocol(teacher, whole_batch(sub_batch), lam)
         assert protocol.loss_kind == HINGE_WITH_MARGIN
         assert [pair for pair, _ in protocol.pairwise] == [
             (2 * i, 2 * i + 1) for i in range(10)]
@@ -50,34 +50,34 @@ class TestMarginProtocol:
     def test_confident_teacher_example(self, teacher, monkeypatch):
         triple = PairwiseTriple(((1,),), (2,), (3,))
         fix_teacher_scores(monkeypatch, {(2,): 0.9, (3,): 0.1})
-        protocol = margin_protocol(teacher, Triples([triple]), lam=0.5)
+        protocol = margin_protocol(teacher, whole_batch([triple]), lam=0.5)
         assert protocol.pairwise[0][1] == pytest.approx(0.4)
 
     def test_misranked_pair_gets_zero_margin(self, teacher, monkeypatch):
         # teacher thinks the negative is better: likely a false negative
         triple = PairwiseTriple(((1,),), (2,), (3,))
         fix_teacher_scores(monkeypatch, {(2,): 0.2, (3,): 0.7})
-        protocol = margin_protocol(teacher, Triples([triple]), lam=0.5)
+        protocol = margin_protocol(teacher, whole_batch([triple]), lam=0.5)
         assert protocol.pairwise[0][1] == 0.0
 
     def test_margin_homogeneous_in_lambda(self, teacher):
         rng = np.random.default_rng(1)
         sub_batch = [random_triple(rng) for _ in range(5)]
-        one = margin_protocol(teacher, Triples(sub_batch), 1.0)
-        half = margin_protocol(teacher, Triples(sub_batch), 0.5)
+        one = margin_protocol(teacher, whole_batch(sub_batch), 1.0)
+        half = margin_protocol(teacher, whole_batch(sub_batch), 0.5)
         for (_, m1), (_, m05) in zip(one.pairwise, half.pairwise):
             assert m05 == pytest.approx(0.5 * m1, abs=1e-15)
 
     def test_nonpositive_lambda_rejected(self, teacher):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
-            margin_protocol(teacher, Triples([random_triple(rng)]), 0.0)
+            margin_protocol(teacher, whole_batch([random_triple(rng)]), 0.0)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf], ids=["nan", "inf"])
     def test_nonfinite_lambda_rejected(self, teacher, lam):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match="lambda must be positive and finite"):
-            margin_protocol(teacher, Triples([random_triple(rng)]), lam)
+            margin_protocol(teacher, whole_batch([random_triple(rng)]), lam)
 
     def test_margins_equal_per_dialogue_oracle_bit_for_bit(
             self, small_spec, monkeypatch):
@@ -94,7 +94,7 @@ class TestMarginProtocol:
         real_scores = matcher.example_scores
         monkeypatch.setattr(matcher, "example_scores", lambda model, split, examples: (
             scored.append((split, examples)) or real_scores(model, split, examples)))
-        margins = [m for _, m in margin_protocol(teacher, Triples(sub_batch), lam).pairwise]
+        margins = [m for _, m in margin_protocol(teacher, whole_batch(sub_batch), lam).pairwise]
         assert np.array(margins).tobytes() == np.array(expected).tobytes()
         # One call scoring each triple's two responses: one pooled context.
         [(split, examples)] = scored
@@ -104,7 +104,7 @@ class TestMarginProtocol:
     def test_pure_function(self, teacher):
         rng = np.random.default_rng(3)
         sub_batch = [random_triple(rng) for _ in range(4)]
-        one, two = (margin_protocol(teacher, Triples(sub_batch), 0.5) for _ in range(2))
+        one, two = (margin_protocol(teacher, whole_batch(sub_batch), 0.5) for _ in range(2))
         assert one.pairwise == two.pairwise and one.split == two.split
 
 
@@ -112,7 +112,7 @@ class TestWeightingProtocol:
     def test_positives_always_weight_one(self, teacher):
         rng = np.random.default_rng(3)
         sub_batch = [random_triple(rng) for _ in range(5)]
-        protocol = weighting_protocol(teacher, Triples(sub_batch))
+        protocol = weighting_protocol(teacher, whole_batch(sub_batch))
         assert protocol.loss_kind == CROSS_ENTROPY
         assert _kept(protocol) == _pointwise_view(sub_batch)
         assert all(w == 1.0 for e, w in protocol.pointwise if e % 2 == 0)
@@ -120,20 +120,20 @@ class TestWeightingProtocol:
     def test_negative_weight_is_one_minus_teacher_score(self, teacher, monkeypatch):
         triple = PairwiseTriple(((1,),), (3,), (2,))
         fix_teacher_scores(monkeypatch, {(2,): 0.7})
-        protocol = weighting_protocol(teacher, Triples([triple]))
+        protocol = weighting_protocol(teacher, whole_batch([triple]))
         assert protocol.pointwise[0][1] == 1.0
         assert protocol.pointwise[1][1] == pytest.approx(0.3)
 
     def test_certain_false_negative_effectively_removed(self, teacher, monkeypatch):
         triple = PairwiseTriple(((1,),), (3,), (2,))
         fix_teacher_scores(monkeypatch, {(2,): 1.0 - 1e-12})
-        protocol = weighting_protocol(teacher, Triples([triple]))
+        protocol = weighting_protocol(teacher, whole_batch([triple]))
         assert protocol.pointwise[1][1] == pytest.approx(0.0, abs=1e-9)
 
     def test_weights_bounded_and_order_preserved(self, teacher):
         rng = np.random.default_rng(4)
         sub_batch = [random_triple(rng) for _ in range(6)]
-        protocol = weighting_protocol(teacher, Triples(sub_batch))
+        protocol = weighting_protocol(teacher, whole_batch(sub_batch))
         assert _kept(protocol) == _pointwise_view(sub_batch)
         for e, w in protocol.pointwise:
             assert 0.0 <= w <= 1.0
@@ -157,7 +157,7 @@ def _triples_with_losses(monkeypatch, losses):
 class TestCurriculumProtocol:
     def test_small_loss_selection(self, teacher, monkeypatch):
         triples, examples = _triples_with_losses(monkeypatch, [0.2, 0.9, 0.1, 0.5])
-        protocol = curriculum_protocol(teacher, Triples(triples), delta=0.5)
+        protocol = curriculum_protocol(teacher, whole_batch(triples), delta=0.5)
         assert protocol.loss_kind == CROSS_ENTROPY
         # losses 0.1 and 0.2 win; kept in original pointwise order
         assert _kept(protocol) == [examples[0], examples[2]]
@@ -165,7 +165,7 @@ class TestCurriculumProtocol:
 
     def test_delta_one_keeps_everything_in_order(self, teacher, monkeypatch):
         triples, examples = _triples_with_losses(monkeypatch, [0.5, 0.1, 0.9, 0.3])
-        protocol = curriculum_protocol(teacher, Triples(triples), delta=1.0)
+        protocol = curriculum_protocol(teacher, whole_batch(triples), delta=1.0)
         assert _kept(protocol) == examples
 
     def test_cardinality_is_ceiling(self, teacher, monkeypatch):
@@ -173,12 +173,12 @@ class TestCurriculumProtocol:
                                    (2, 0.1, 1), (6, 0.34, 3)]:
             triples, _ = _triples_with_losses(
                 monkeypatch, list(np.linspace(0.1, 1.0, n)))
-            protocol = curriculum_protocol(teacher, Triples(triples), delta)
+            protocol = curriculum_protocol(teacher, whole_batch(triples), delta)
             assert len(protocol.pointwise) == expected == math.ceil(delta * n)
 
     def test_ties_prefer_earlier_examples(self, teacher, monkeypatch):
         triples, examples = _triples_with_losses(monkeypatch, [0.3, 0.3, 0.3, 0.3])
-        protocol = curriculum_protocol(teacher, Triples(triples), delta=0.5)
+        protocol = curriculum_protocol(teacher, whole_batch(triples), delta=0.5)
         assert _kept(protocol) == examples[:2]
 
     def test_matches_full_sort_oracle(self, teacher):
@@ -193,7 +193,7 @@ class TestCurriculumProtocol:
             keep = math.ceil(delta * len(examples))
             order = np.argsort(np.array(teacher_losses), kind="stable")
             expected = [examples[i] for i in sorted(order[:keep])]
-            protocol = curriculum_protocol(teacher, Triples(triples), delta)
+            protocol = curriculum_protocol(teacher, whole_batch(triples), delta)
             assert _kept(protocol) == expected
 
     def test_pooled_teacher_equals_unpooled_reference(self, small_spec, monkeypatch):
@@ -216,7 +216,7 @@ class TestCurriculumProtocol:
             monkeypatch.setattr(matcher, "example_scores", lambda model, split, rows: (
                 scored.append((split, rows, real_scores(model, split, rows)))
                 or scored[-1][2]))
-            protocol = curriculum_protocol(teacher, Triples(triples), delta)
+            protocol = curriculum_protocol(teacher, whole_batch(triples), delta)
             monkeypatch.undo()
             keep = math.ceil(delta * len(examples))
             assert protocol.loss_kind == CROSS_ENTROPY
@@ -229,7 +229,7 @@ class TestCurriculumProtocol:
     def test_kept_losses_never_exceed_dropped(self, teacher):
         rng = np.random.default_rng(6)
         triples = [random_triple(rng) for _ in range(10)]
-        protocol = curriculum_protocol(teacher, Triples(triples), delta=0.4)
+        protocol = curriculum_protocol(teacher, whole_batch(triples), delta=0.4)
         kept = _kept(protocol)
         dropped = [e for e in _pointwise_view(triples) if e not in kept]
         assert (len(kept), len(dropped)) == (8, 12)
@@ -244,11 +244,11 @@ class TestCurriculumProtocol:
         triples, _ = _triples_with_losses(monkeypatch, [0.1, 0.2])
         for delta in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                curriculum_protocol(teacher, Triples(triples), delta)
+                curriculum_protocol(teacher, whole_batch(triples), delta)
 
     def test_empty_sub_batch_rejected(self, teacher):
         with pytest.raises(ValueError):
-            curriculum_protocol(teacher, Triples([]), delta=0.5)
+            curriculum_protocol(teacher, whole_batch([]), delta=0.5)
 
 
 class TestNoneProtocol:
@@ -260,7 +260,7 @@ class TestNoneProtocol:
         monkeypatch.setattr(matcher, "example_scores", no_teacher)
         rng = np.random.default_rng(7)
         sub_batch = [random_triple(rng) for _ in range(3)]
-        protocol = strategies.none_protocol(Triples(sub_batch))
+        protocol = strategies.none_protocol(whole_batch(sub_batch))
         assert protocol.loss_kind == CROSS_ENTROPY
         assert protocol.pointwise == tuple((e, 1.0) for e in range(6))
         assert _kept(protocol) == _pointwise_view(sub_batch)
