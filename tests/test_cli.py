@@ -625,11 +625,11 @@ def test_pipeline_builds_no_tuples(tmp_path, monkeypatch):
     assert len((tmp_path / "run" / "sweep.csv").read_text().splitlines()) == 3
 
 
-def _label_test_groups(path, groups, label, n_candidates=10):
-    """Give every candidate of the test groups at ``groups`` in the corpus
-    file ``path`` the label ``label``."""
+def _label_test_groups(path, groups, label):
+    """Give every candidate of the test groups at ``groups`` in the
+    10-candidate corpus file ``path`` the label ``label``."""
     lines = path.read_bytes().split(b"\n")
-    for line in (1 + g * n_candidates + i for g in groups for i in range(n_candidates)):
+    for line in (1 + 10 * g + i for g in groups for i in range(10)):
         lines[line] = label + lines[line][1:]
     path.write_bytes(b"\n".join(lines))
 
