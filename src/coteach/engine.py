@@ -177,8 +177,7 @@ def split_batch(batch, rng: np.random.Generator):
 def validation_p_at_1(model: matcher.ModelState, split: Triples) -> float:
     """P@1 over the triples of a Triples split, framed as 2-candidate
     ranking; a score tie ranks the positive first."""
-    batch = Batch(split, np.arange(len(split)))
-    s = matcher.example_scores(model, split, batch.examples())
+    s = matcher.split_scores(model, split, Batch(split, np.arange(len(split))).examples())
     return int(np.count_nonzero(s[0::2] >= s[1::2])) / len(split)
 
 

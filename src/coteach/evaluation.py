@@ -19,12 +19,6 @@ from .corpus import TestGroups
 RECALL_KS = (1, 2, 5)
 # Per-group metric names, in the order of MetricsReport's fields.
 METRIC_KEYS = ("AP", "RR", "P@1", "R@1", "R@2", "R@5")
-# Groups ranked per scoring call, each call gathered from the test pack. At
-# 10 candidates a group and d = 16, a call takes about 1 MB of embedding
-# rows; ranking 2,000 such groups in one call took 49 ms against 25 ms and
-# peaked at 39 MB against 3 MB, and 32 to 96 groups a call were within
-# noise of 64 (one pinned CPU).
-_GROUPS_PER_CALL = 64
 
 
 class RankedGroup:
@@ -78,16 +72,13 @@ def filter_degenerate(test: TestGroups):
 
 def rank_test_groups(model: matcher.ModelState, test: TestGroups) -> list[RankedGroup]:
     """Score and sort the candidates of every group; group i gets context
-    id i. Each ``matcher.scores`` call takes ``_GROUPS_PER_CALL`` groups,
-    gathered from the test pack, and pools each context once."""
+    id i. ``matcher.split_scores`` scores them in chunks gathered from the
+    test pack, pooling each context once."""
     runs = test.pack.runs
     if not runs.all():
         raise ValueError("empty candidate list")
     index, ends = np.arange(runs.size), runs.cumsum()
-    scores = np.concatenate([np.zeros(0)] + [
-        matcher.scores(model, test.gather(index[lo:lo + _GROUPS_PER_CALL],
-                                          model.spec.vocab_size))
-        for lo in range(0, runs.size, _GROUPS_PER_CALL)])
+    scores = matcher.split_scores(model, test, index)
     group = index.repeat(runs)
     position = np.arange(group.size) - (ends - runs)[group]
     order = np.lexsort((position, -scores, group))

@@ -33,7 +33,7 @@ class LearningProtocol:
 
     The instances fix the loss: a row of two positions in ``examples``
     trains with the hinge loss, the first ranked above the second, and a
-    margin >= 0; a single position with cross-entropy and a weight in
+    finite margin >= 0; a single position with cross-entropy and a weight in
     [0, 1], all 1 for plain cross-entropy.
     """
 
@@ -50,8 +50,9 @@ class LearningProtocol:
                              "one instance")
         if examples.min() < 0 or examples.max() >= 2 * len(self.split):
             raise ValueError("instance position outside the split")
-        if examples.ndim == 2 and (coef < 0).any():
-            raise ValueError(f"negative margin {coef.min()}")
+        if examples.ndim == 2 and not (coef.min() >= 0 and coef.sum() < np.inf):
+            raise ValueError(f"negative margin {coef.min()}" if np.isfinite(coef).all()
+                             else "non-finite margin")
         if examples.ndim == 1 and not ((0.0 <= coef) & (coef <= 1.0)).all():
             raise ValueError("weight outside [0, 1]")
         object.__setattr__(self, "examples", examples)

@@ -12,9 +12,9 @@ Parameters live in a single flat float64 vector with a fixed layout
 checkpoints and finite-difference checking trivial.
 
 Every computation is batched over a ``corpus.Packed`` batch of (context,
-responses) groups: training, teachers, validation and ranking gather it
-from the pack a ``corpus.Triples`` or ``corpus.TestGroups`` split built and
-checked once, and ``score`` packs and checks the one dialogue it scores.
+responses) groups, gathered from the pack a ``corpus.Triples`` or
+``corpus.TestGroups`` split built and checked once (``split_scores`` scores
+any split's rows in 1 MiB calls); ``score`` packs and checks one dialogue.
 One ``_forward`` serves scoring and training; scoring takes only the
 sigmoid of its logits, and ``_loss`` forms ds/dz where it is read. Both
 run in the dtype of the params, so the tests' finite-difference oracle
@@ -30,7 +30,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import losses
-from .corpus import Packed, Triples, atomic_open, pack_groups
+from .corpus import Packed, TestGroups, Triples, atomic_open, pack_groups
 from .losses import LearningProtocol
 
 MEAN_EMBEDDING_BILINEAR = "mean-embedding-bilinear"
@@ -40,6 +40,11 @@ MATCHER_KINDS = (MEAN_EMBEDDING_BILINEAR, INTERACTION_MLP)
 # Sigmoid input clamp; keeps exp() finite and makes score deterministic for
 # any finite parameters.
 _Z_CLAMP = 30.0
+# Float64 embedding entries (tokens x embedding_dim) a ``split_scores`` call
+# gathers, 1 MiB. One pinned CPU, medians of 40-60 rounds: noise-experiment
+# validation 1.19 ms at 163 triples a call, 2.59 in one, 1.23 at 64, 1.35 at 256;
+# cli-pipeline ranking 18.1 ms at 63 groups, 18.0 at 64; large-vocab one call.
+_CALL_ENTRIES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -236,12 +241,14 @@ def scores(model: ModelState, packed: Packed) -> np.ndarray:
     return _sigmoid(_forward(model.spec, model.params, packed)[0])
 
 
-def example_scores(model: ModelState, split: Triples, examples: np.ndarray) -> np.ndarray:
-    """Scores of the pointwise examples of ``split`` in the rows of
-    ``examples``, row by row, each row's triple context pooled once; each
-    entry equals ``score`` of that dialogue, bit for bit."""
-    packed = split.gather(examples, model.spec.vocab_size)
-    return _sigmoid(_forward(model.spec, model.params, packed)[0])
+def split_scores(model: ModelState, split: Triples | TestGroups, rows: np.ndarray) -> np.ndarray:
+    """``scores`` of the groups ``split.gather(rows, ...)`` packs, in calls of about
+    ``_CALL_ENTRIES`` gathered entries; each equals ``score`` of its dialogue, bit for bit."""
+    step = max(1, _CALL_ENTRIES * len(split) // max(
+        1, model.spec.embedding_dim * split.pack.ids.size))
+    parts = [scores(model, split.gather(rows[lo:lo + step], model.spec.vocab_size))
+             for lo in range(0, len(rows), step)]
+    return parts[0] if len(parts) == 1 else np.concatenate([np.zeros(0), *parts])
 
 
 def score(model: ModelState, context, response) -> float:

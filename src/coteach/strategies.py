@@ -24,11 +24,13 @@ def margin_protocol(teacher: matcher.ModelState, sub_batch: Batch,
     place, with hinge margin max(0, lam * (s_T(c, r+) - s_T(c, r-))) from
     the teacher's scores. A teacher that ranks the negative above the
     positive (a likely false negative) hands the student margin 0,
-    flattening that instance's loss."""
+    flattening that instance's loss; a teacher that scores NaN has diverged."""
     if not 0 < lam < math.inf:  # also rejects nan
         raise ValueError("lambda must be positive and finite")
     examples = sub_batch.examples()
-    s = matcher.example_scores(teacher, sub_batch.split, examples)
+    s = matcher.split_scores(teacher, sub_batch.split, examples)
+    if not math.isfinite(s.sum()):
+        raise FloatingPointError("non-finite teacher score")
     return LearningProtocol(sub_batch.split, examples,
                             np.maximum(0.0, lam * (s[0::2] - s[1::2])))
 
@@ -38,7 +40,7 @@ def weighting_protocol(teacher: matcher.ModelState, sub_batch: Batch) -> Learnin
     positives keep weight 1, a negative gets 1 - s_T(c, r), so negatives the
     teacher scores highly (suspected false negatives) weigh almost 0."""
     examples, weights = sub_batch.examples(), np.ones(2 * len(sub_batch))
-    weights[1::2] = 1.0 - matcher.example_scores(teacher, sub_batch.split, examples[:, 1:])
+    weights[1::2] = 1.0 - matcher.split_scores(teacher, sub_batch.split, examples[:, 1:])
     return LearningProtocol(sub_batch.split, examples.ravel(), weights)
 
 
@@ -51,7 +53,7 @@ def curriculum_protocol(teacher: matcher.ModelState, sub_batch: Batch,
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     examples = sub_batch.examples()
-    s = matcher.example_scores(teacher, sub_batch.split, examples)
+    s = matcher.split_scores(teacher, sub_batch.split, examples)
     examples = examples.ravel()
     teacher_losses = losses.cross_entropy(1 - (examples & 1), s)
     keep = math.ceil(delta * examples.size)

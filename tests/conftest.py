@@ -90,13 +90,19 @@ def example(split, position):
 
 
 def fix_teacher_scores(monkeypatch, table):
-    """Make matcher.example_scores score each response as table[response],
+    """Make matcher.split_scores score each response as table[response],
     whatever the model."""
 
     def fake(model, split, examples):
         return np.array([table[example(split, e)[2]] for e in examples.ravel()])
 
-    monkeypatch.setattr(matcher, "example_scores", fake)
+    monkeypatch.setattr(matcher, "split_scores", fake)
+
+
+def call_entries(split, rows_per_call, embedding_dim):
+    """A ``matcher._CALL_ENTRIES`` at which ``matcher.split_scores`` scores
+    ``rows_per_call`` rows of ``split`` a call."""
+    return -(-rows_per_call * embedding_dim * split.pack.ids.size // len(split))
 
 
 class BFirstStep:

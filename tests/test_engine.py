@@ -16,7 +16,7 @@ from coteach.engine import (HistoryRecord, OptimizerState, RunHistory, adam_upda
                             write_history)
 from coteach.matcher import init_params
 
-from conftest import BFirstStep, fix_teacher_scores
+from conftest import BFirstStep, call_entries, fix_teacher_scores
 
 
 SPEC = MatcherSpec("mean-embedding-bilinear", vocab_size=60, embedding_dim=8)
@@ -243,19 +243,32 @@ class TestValidationP1:
         pairs = [(matcher.score(model, t.context, t.pos_response),
                   matcher.score(model, t.context, t.neg_response))
                  for t in triples]
-        scored = []
-        real_scores = matcher.example_scores
-        monkeypatch.setattr(matcher, "example_scores", lambda m, split, examples: (
-            scored.append((split, examples, real_scores(m, split, examples)))
+        # Calls of 25 triples: the 60 triples take three, the last of 10.
+        monkeypatch.setattr(matcher, "_CALL_ENTRIES",
+                            call_entries(triples, 25, SPEC.embedding_dim))
+        scored, packs = [], []
+        real_split_scores, real_scores = matcher.split_scores, matcher.scores
+        monkeypatch.setattr(matcher, "split_scores", lambda m, split, examples: (
+            scored.append((split, examples, real_split_scores(m, split, examples)))
             or scored[-1][2]))
+        monkeypatch.setattr(matcher, "scores", lambda m, packed: (
+            packs.append(packed) or real_scores(m, packed)))
         p1 = validation_p_at_1(model, triples)
         assert p1 == sum(pos >= neg for pos, neg in pairs) / len(triples)
-        # One call over the kept pack of the whole split, each triple's
-        # context pooled once; every score is the per-dialogue one.
+        # One scorer call over the kept pack of the whole split, each
+        # triple's context pooled once; every score is the per-dialogue one.
         [(split, examples, s)] = scored
         assert split is triples
         assert examples.ravel().tolist() == list(range(2 * len(triples)))
         assert s.tobytes() == np.array(pairs).ravel().tobytes()
+        # Its scoring calls cover the examples in order, each within the size.
+        lo = 0
+        for packed in packs:
+            assert packed.ids.size * SPEC.embedding_dim <= matcher._CALL_ENTRIES
+            expected = split.gather(examples[lo:lo + len(packed.runs)], SPEC.vocab_size)
+            assert all(np.array_equal(a, b) for a, b in zip(packed, expected))
+            lo += len(packed.runs)
+        assert [len(p.runs) for p in packs] == [25, 25, 10] and lo == len(triples)
         validation_p_at_1(model, triples)
         assert scored[1][0].pack is split.pack
 

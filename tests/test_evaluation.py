@@ -17,7 +17,7 @@ import coteach
 from coteach import matcher
 from coteach.corpus import TestGroup as CandidateGroup, TestGroups as CandidateGroups
 
-from conftest import random_dialogue
+from conftest import call_entries, random_dialogue
 from oracles import ranked_group
 
 
@@ -93,17 +93,22 @@ class TestRankGroup:
             oracle = sorted(range(10), key=lambda i: (-scores[i], i))
             assert [idx for idx, _, _ in ranked.entries] == oracle
 
-    def test_rank_test_groups_matches_per_group_sort_oracle(self, small_model):
+    def test_rank_test_groups_matches_per_group_sort_oracle(self, small_model,
+                                                            monkeypatch):
         rng = np.random.default_rng(6)
         responses = [random_dialogue(rng).response for _ in range(4)]
         groups = []
-        for _ in range(150):  # more than one scoring call's worth
+        for _ in range(150):
             context = random_dialogue(rng, n_utts=int(rng.integers(1, 4))).context
             # Few distinct responses, so most groups hold tied scores.
             groups.append(CandidateGroup(context, tuple(
                 (responses[int(rng.integers(4))], int(rng.integers(2)))
                 for _ in range(int(rng.integers(1, 9))))))
-        ranked = rank_test_groups(small_model, CandidateGroups(groups))
+        test = CandidateGroups(groups)
+        # 64 groups a scoring call: three calls, the last one partial.
+        monkeypatch.setattr(matcher, "_CALL_ENTRIES", call_entries(
+            test, 64, small_model.spec.embedding_dim))
+        ranked = rank_test_groups(small_model, test)
         n_tied = 0
         for i, (g, r) in enumerate(zip(groups, ranked)):
             s = [matcher.score(small_model, g.context, c) for c, _ in g.candidates]

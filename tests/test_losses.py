@@ -93,6 +93,11 @@ class TestLearningProtocol:
         with pytest.raises(ValueError, match="negative margin"):
             _pairwise(0.0, -0.2)
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_margin(self, margin):
+        with pytest.raises(ValueError, match="^non-finite margin$"):
+            _pairwise(margin, 0.5)
+
     def test_rejects_weight_outside_unit_interval(self):
         for weight in (1.5, -0.1, math.nan):
             with pytest.raises(ValueError, match="outside"):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coteach import MatcherSpec, score
+from coteach import MatcherSpec, engine, evaluation, score
 from coteach import corpus, matcher
-from coteach.corpus import PairwiseTriple
+from coteach.corpus import PairwiseTriple, Triples
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, LearningProtocol
 from coteach.matcher import (ModelState, init_params, load_checkpoint, loss_and_grad,
                              n_params, param_layout, save_checkpoint, scores)
 
-from conftest import (Dialogue, pairwise_protocol, pointwise_protocol,
+from conftest import (Dialogue, call_entries, pairwise_protocol, pointwise_protocol,
                       random_dialogue, random_triple)
 from oracles import finite_diff_check
 
@@ -231,6 +231,55 @@ class TestScore:
         expected = [_reference_score(model, d) for d in dialogues]
         assert np.allclose(_scores(model, _one_each(dialogues)), expected,
                            rtol=0, atol=1e-12)
+
+
+class TestSplitScores:
+    """However many calls ``split_scores`` makes, every score is the one-call
+    score, bit for bit, and so are validation P@1 and the ranked groups."""
+
+    N = 41
+
+    @pytest.fixture(scope="class")
+    def splits(self):
+        rng = np.random.default_rng(21)
+        triples = Triples([_ragged_triple(rng) for _ in range(self.N)], vocab_size=20)
+        groups = corpus.TestGroups([corpus.TestGroup(_ragged_dialogue(rng).context, tuple(
+            (_ragged_tokens(rng), int(rng.integers(2))) for _ in range(rng.integers(1, 7))))
+            for _ in range(self.N)], vocab_size=20)
+        return ((triples, 2 * np.arange(self.N)[:, None] + (0, 1)),
+                (groups, np.arange(self.N)))
+
+    @staticmethod
+    def _at(monkeypatch, model, split, rows_per_call):
+        """Size calls to ``rows_per_call`` rows; returns the list each
+        ``matcher.scores`` call appends its row count to."""
+        monkeypatch.setattr(matcher, "_CALL_ENTRIES", call_entries(
+            split, rows_per_call, model.spec.embedding_dim))
+        calls, real_scores = [], matcher.scores
+        monkeypatch.setattr(matcher, "scores", lambda m, packed: (
+            calls.append(len(packed.runs)) or real_scores(m, packed)))
+        return calls
+
+    # One call; two calls, the last partial; one group a call; 3 a call with
+    # a partial last call.
+    @pytest.mark.parametrize("rows_per_call", [N, 21, 1, 3])
+    def test_chunking_cannot_change_a_score(self, small_model, splits, rows_per_call,
+                                            monkeypatch):
+        (triples, _), (groups, _) = splits
+        results = {}
+        for size in (self.N, rows_per_call):
+            for split, rows in splits:
+                calls = self._at(monkeypatch, small_model, split, size)
+                s = matcher.split_scores(small_model, split, rows)
+                assert calls == [size] * (self.N // size) + (
+                    [self.N % size] if self.N % size else [])
+                results.setdefault(size, []).append(s.tobytes())
+            self._at(monkeypatch, small_model, triples, size)
+            results[size].append(engine.validation_p_at_1(small_model, triples))
+            self._at(monkeypatch, small_model, groups, size)
+            results[size].append(evaluation.rank_test_groups(small_model, groups))
+            monkeypatch.undo()
+        assert results[rows_per_call] == results[self.N]
 
 
 def _pointwise_protocol(rng, weighted=True, n=4, make_dialogue=random_dialogue):

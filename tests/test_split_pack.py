@@ -78,7 +78,7 @@ def test_packed_path_equals_tuple_path_bit_for_bit(kind, case):
     triples = [data.train[i] for i in batch.index]
 
     pairs = _tuple_scores(model, triples, (0, 1))
-    assert matcher.example_scores(model, data.train, batch.examples()).tobytes() == (
+    assert matcher.split_scores(model, data.train, batch.examples()).tobytes() == (
         pairs.tobytes())
     margins = np.maximum(0.0, lam * (pairs[0::2] - pairs[1::2]))
     weights = np.ones(2 * len(triples))

@@ -60,6 +60,12 @@ class TestMarginProtocol:
         protocol = margin_protocol(teacher, whole_batch([triple]), lam=0.5)
         assert protocol.pairwise[0][1] == 0.0
 
+    def test_diverged_teacher_is_reported_as_divergence(self, teacher, monkeypatch):
+        triple = PairwiseTriple(((1,),), (2,), (3,))
+        fix_teacher_scores(monkeypatch, {(2,): math.nan, (3,): 0.1})
+        with pytest.raises(FloatingPointError, match="^non-finite teacher score$"):
+            margin_protocol(teacher, whole_batch([triple]), lam=0.5)
+
     def test_margin_homogeneous_in_lambda(self, teacher):
         rng = np.random.default_rng(1)
         sub_batch = [random_triple(rng) for _ in range(5)]
@@ -91,8 +97,8 @@ class TestMarginProtocol:
             - matcher.score(teacher, t.context, t.neg_response)))
             for t in sub_batch]
         scored = []
-        real_scores = matcher.example_scores
-        monkeypatch.setattr(matcher, "example_scores", lambda model, split, examples: (
+        real_scores = matcher.split_scores
+        monkeypatch.setattr(matcher, "split_scores", lambda model, split, examples: (
             scored.append((split, examples)) or real_scores(model, split, examples)))
         margins = [m for _, m in margin_protocol(teacher, whole_batch(sub_batch), lam).pairwise]
         assert np.array(margins).tobytes() == np.array(expected).tobytes()
@@ -212,8 +218,8 @@ class TestCurriculumProtocol:
         order = np.argsort(teacher_losses, kind="stable")
         for delta in (0.3, 0.75, 1.0):
             scored = []
-            real_scores = matcher.example_scores
-            monkeypatch.setattr(matcher, "example_scores", lambda model, split, rows: (
+            real_scores = matcher.split_scores
+            monkeypatch.setattr(matcher, "split_scores", lambda model, split, rows: (
                 scored.append((split, rows, real_scores(model, split, rows)))
                 or scored[-1][2]))
             protocol = curriculum_protocol(teacher, whole_batch(triples), delta)
@@ -257,7 +263,7 @@ class TestNoneProtocol:
             raise AssertionError("the none protocol scored with a teacher")
 
         monkeypatch.setattr(matcher, "scores", no_teacher)
-        monkeypatch.setattr(matcher, "example_scores", no_teacher)
+        monkeypatch.setattr(matcher, "split_scores", no_teacher)
         rng = np.random.default_rng(7)
         sub_batch = [random_triple(rng) for _ in range(3)]
         protocol = strategies.none_protocol(whole_batch(sub_batch))
