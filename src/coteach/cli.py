@@ -219,19 +219,12 @@ def _load_checkpoint(path, corpus, hint=""):
     return model
 
 
-def _init_peers(config, run_dir, corpus):
-    """Clone the pre-trained checkpoint, or load two distinct checkpoints
-    when the two-network mode keys are present."""
-    ckpt_a = config.get("checkpoint_a")
-    ckpt_b = config.get("checkpoint_b")
-    if (ckpt_a is None) != (ckpt_b is None):
+def _peer_checkpoints(config, run_dir):
+    """A's and B's initial checkpoints: the pre-trained one, or two networks'."""
+    if ("checkpoint_a" in config) != ("checkpoint_b" in config):
         raise UsageError("two-network mode needs both checkpoint_a and checkpoint_b")
-    hint = ""
-    if ckpt_a is None:
-        ckpt_a = ckpt_b = run_dir / "pretrained.ckpt"
-        hint = " (run 'coteach pretrain')"
-    return (_load_checkpoint(ckpt_a, corpus, hint),
-            _load_checkpoint(ckpt_b, corpus, hint))
+    pretrained = run_dir / "pretrained.ckpt"
+    return config.get("checkpoint_a", pretrained), config.get("checkpoint_b", pretrained)
 
 
 def _strategy(config, args) -> str:
@@ -244,8 +237,10 @@ def _strategy(config, args) -> str:
 
 
 def _coteach(config, run_dir, corpus, train_config, checkpoint_dir=None):
-    """Co-teach the initial peers."""
-    model_a, model_b = _init_peers(config, run_dir, corpus)
+    """Co-teach the peers loaded from their ``_peer_checkpoints``."""
+    hint = "" if "checkpoint_a" in config else " (run 'coteach pretrain')"
+    model_a, model_b = (_load_checkpoint(path, corpus, hint)
+                        for path in _peer_checkpoints(config, run_dir))
     with _training("learning_rate"):
         return engine.coteach_train(model_a, model_b, corpus, train_config,
                                     checkpoint_dir=checkpoint_dir)
@@ -311,23 +306,29 @@ def _read_per_group_dump(path):
     return columns
 
 
-def _rank_test_set(model_a, model_b, corpus):
+def _rank_test_set(model_a, model_b, corpus, checkpoints):
     """Rank the non-degenerate test groups with the peer that wins on
-    validation; returns (ranked groups, number of groups removed)."""
-    model = engine.select_model(model_a, model_b, corpus.valid)
+    validation; returns (ranked groups, number of groups removed). A non-finite
+    score is a data error naming the peers' ``checkpoints``."""
     groups, n_removed = evaluation.filter_degenerate(corpus.test)
     if not groups:
         raise DataError("all test groups are degenerate")
-    return evaluation.rank_test_groups(model, groups), n_removed
+    try:
+        with np.errstate(all="ignore"):  # numpy's overflow warnings
+            model = engine.select_model(model_a, model_b, corpus.valid)
+            return evaluation.rank_test_groups(model, groups), n_removed
+    except FloatingPointError as exc:
+        names = " and ".join(dict.fromkeys(map(str, checkpoints)))
+        raise DataError(f"{exc} from the models of {names}") from exc
 
 
 def cmd_evaluate(config, args) -> int:
     corpus = _load_corpus(_corpus_dir(config), ("valid", "test"))
     run_dir = _run_dir(config, args)
     hint = " (run 'coteach coteach')"
+    paths = run_dir / "A_final.ckpt", run_dir / "B_final.ckpt"
     ranked, n_removed = _rank_test_set(
-        _load_checkpoint(run_dir / "A_final.ckpt", corpus, hint),
-        _load_checkpoint(run_dir / "B_final.ckpt", corpus, hint), corpus)
+        *(_load_checkpoint(path, corpus, hint) for path in paths), corpus, paths)
     per_group = evaluation.per_group_metrics(ranked)
     report = evaluation.mean_metrics(per_group)
 
@@ -385,7 +386,8 @@ def cmd_sweep(config, args) -> int:
         point_config["strategy"] = strategy
         train_config = _train_config(point_config, args, strategy)
         model_a, model_b, _ = _coteach(config, run_dir, corpus, train_config)
-        ranked, _ = _rank_test_set(model_a, model_b, corpus)
+        ranked, _ = _rank_test_set(model_a, model_b, corpus,
+                                   _peer_checkpoints(config, run_dir))
         report = evaluation.compute_metrics(ranked)
         rows.append([param, repr(value)] + _metrics_row(run_dir.name, strategy, report))
         print(f"{param}={value}: P@1={report.p_at_1:.4f}")

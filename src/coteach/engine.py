@@ -90,8 +90,8 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
-                lr: float):
+def adam_update(params: np.ndarray, grad: np.ndarray | matcher.RowGrad,
+                state: OptimizerState, lr: float):
     """One bias-corrected Adam step on float64 vectors; returns (new params,
     new state). The step is::
 
@@ -104,14 +104,16 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
     cache. Every element takes the same IEEE operations, on the same
     operands and in the same order, as the one-line whole-vector form, so
     the result is bit-for-bit the same whatever the block size. The inputs
-    are never written: callers keep them as snapshots.
+    are never written: callers keep them as snapshots. A ``matcher.RowGrad``
+    steps as its dense vector does: the table takes the step of a +0.0
+    gradient, ``BETA1*m + 0.0`` and ``BETA2*v + 0.0``, then its rows and head.
 
     Finiteness is checked per block, on the new params while in cache. A
-    non-finite gradient entry always makes its parameter non-finite, so a
-    failing block sends the whole gradient through the check: the
+    non-finite gradient entry always makes its parameter non-finite, so only
+    a failing step sends the whole gradient through the check: the
     ``FloatingPointError`` names the first non-finite gradient entry if
-    there is one, else the block's first non-finite parameter. The invalid
-    and divide-by-zero results on the way raise no numpy warning.
+    there is one, else the first non-finite parameter. The invalid and
+    divide-by-zero results on the way raise no numpy warning.
     """
     if params.shape != grad.shape:
         raise ValueError("params/grad length mismatch")
@@ -119,25 +121,49 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
         raise ValueError(
             f"optimizer state shapes {state.m.shape}/{state.v.shape} do not "
             f"match params {params.shape}")
-    t = state.t + 1
-    c1 = 1.0 - BETA1 ** t
-    c2 = 1.0 - BETA2 ** t
-    n = params.size
+    t, n = state.t + 1, params.size
     m, v, new_params = np.empty(n), np.empty(n), np.empty(n)
+    if isinstance(grad, matcher.RowGrad):
+        d, table = grad.rows.shape[1], n - grad.head.size
+        at = np.concatenate([(grad.ids[:, None] * d + np.arange(d)).ravel(), np.arange(table, n)])
+        g, out = np.concatenate([grad.rows.ravel(), grad.head]), np.empty((3, at.size))
+        finite = _adam_blocks(params[:table], None, state.m[:table], state.v[:table],
+                              m[:table], v[:table], new_params[:table], t, lr)
+        finite &= _adam_blocks(params[at], g, state.m[at], state.v[at], *out, t, lr)
+        m[at], v[at], new_params[at] = out
+    else:
+        finite = _adam_blocks(params, grad, state.m, state.v, m, v, new_params, t, lr)
+    if not finite:  # a non-finite gradient entry is named before a parameter
+        for what, values in (("gradient entry", np.asarray(grad)), ("parameter", new_params)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise FloatingPointError(f"non-finite {what} at index {int(bad[0])}")
+    return new_params, OptimizerState(m, v, t)
+
+
+def _adam_blocks(params, grad, m0, v0, m, v, new_params, t: int, lr: float) -> bool:
+    """``adam_update``'s step ``t`` from ``params``, ``m0`` and ``v0`` into ``m``, ``v``
+    and ``new_params``; ``grad`` None is +0.0. Whether every new param is finite."""
+    c1, c2, n = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t, params.size
     a, b = np.empty(min(ADAM_BLOCK, n)), np.empty(min(ADAM_BLOCK, n))
-    finite = np.empty(min(ADAM_BLOCK, n), dtype=bool)
+    finite, ok = np.empty(min(ADAM_BLOCK, n), dtype=bool), True
     with np.errstate(invalid="ignore", divide="ignore"):
         for lo in range(0, n, ADAM_BLOCK):
             s = slice(lo, lo + ADAM_BLOCK)
-            g, mb, vb, pb = grad[s], m[s], v[s], new_params[s]
-            ta, tb, fb = a[:g.size], b[:g.size], finite[:g.size]
-            np.multiply(BETA1, state.m[s], out=mb)
-            np.multiply(1.0 - BETA1, g, out=ta)
-            np.add(mb, ta, out=mb)
-            np.multiply(BETA2, state.v[s], out=vb)
-            np.multiply(1.0 - BETA2, g, out=ta)
-            np.multiply(ta, g, out=ta)
-            np.add(vb, ta, out=vb)
+            mb, vb, pb = m[s], v[s], new_params[s]
+            ta, tb, fb = a[:pb.size], b[:pb.size], finite[:pb.size]
+            np.multiply(BETA1, m0[s], out=mb)
+            np.multiply(BETA2, v0[s], out=vb)
+            if grad is None:
+                np.add(mb, 0.0, out=mb)
+                np.add(vb, 0.0, out=vb)
+            else:
+                g = grad[s]
+                np.multiply(1.0 - BETA1, g, out=ta)
+                np.add(mb, ta, out=mb)
+                np.multiply(1.0 - BETA2, g, out=ta)
+                np.multiply(ta, g, out=ta)
+                np.add(vb, ta, out=vb)
             np.divide(mb, c1, out=ta)
             np.divide(vb, c2, out=tb)
             np.sqrt(tb, out=tb)
@@ -145,20 +171,11 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
             np.multiply(lr, ta, out=ta)
             np.divide(ta, tb, out=ta)
             np.subtract(params[s], ta, out=pb)
-            if not np.logical_and.reduce(np.isfinite(pb, out=fb)):
-                _raise_first_nonfinite(grad, "gradient entry")
-                _raise_first_nonfinite(pb, "parameter", lo)
-    return new_params, OptimizerState(m, v, t)
+            ok &= bool(np.logical_and.reduce(np.isfinite(pb, out=fb)))
+    return ok
 
 
-def _raise_first_nonfinite(values: np.ndarray, what: str, offset: int = 0):
-    """Raise FloatingPointError naming the first non-finite entry, if any."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise FloatingPointError(f"non-finite {what} at index {offset + int(bad[0])}")
-
-
-def _apply_update(model: matcher.ModelState, grad: np.ndarray,
+def _apply_update(model: matcher.ModelState, grad: np.ndarray | matcher.RowGrad,
                   opt: OptimizerState, config: TrainConfig):
     params, opt = adam_update(model.params, grad, opt, config.learning_rate)
     # adam_update has checked every new parameter, and kept the shape.

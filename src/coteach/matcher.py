@@ -23,6 +23,7 @@ can difference the loss in extended precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -45,6 +46,10 @@ _Z_CLAMP = 30.0
 # validation 1.19 ms at 163 triples a call, 2.59 in one, 1.23 at 64, 1.35 at 256;
 # cli-pipeline ranking 18.1 ms at 63 groups, 18.0 at 64; large-vocab one call.
 _CALL_ENTRIES = 2 ** 17
+# ``_backward`` returns a ``RowGrad`` when the batch's tokens times this are below
+# the vocab size: the forms break even at a vocab of 15x the tokens (60, d=32) and
+# 5.5x (400, d=16); one pinned CPU, medians of 150-200 alternating step rounds.
+_ROW_GRAD_RATIO = 16
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,23 @@ class ModelState:
         return model
 
 
+@dataclass(frozen=True, eq=False)
+class RowGrad:
+    """A gradient of ``shape``: ``rows`` at embedding rows ``ids`` (sorted, unique),
+    +0.0 in the rest of the table, then ``head``. ``np.asarray`` gives it flat."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    head: np.ndarray
+    shape: tuple[int]
+
+    def __array__(self, dtype=None, copy=None):
+        grad, table = np.zeros(self.shape, dtype), self.shape[0] - self.head.size
+        grad[:table].reshape(-1, self.rows.shape[1])[self.ids] = self.rows
+        grad[table:] = self.head
+        return grad
+
+
 def init_params(spec: MatcherSpec, seed: int) -> ModelState:
     """Initialize weights ~ uniform(-0.1, 0.1) and biases to 0."""
     rng = np.random.default_rng(seed)
@@ -170,14 +192,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _backward(spec: MatcherSpec, packed: Packed, cache,
-              dL_dz: np.ndarray) -> np.ndarray:
-    """sum_i dL_dz[i] * dz_i/dtheta as a new flat vector (same layout).
+              dL_dz: np.ndarray) -> np.ndarray | RowGrad:
+    """sum_i dL_dz[i] * dz_i/dtheta as a new flat vector (same layout), or
+    as its ``RowGrad`` when ``_ROW_GRAD_RATIO`` says so.
 
     ``packed`` holds groups of one response each, so every dialogue's
-    context tokens get their own rows. One ``np.bincount`` over
-    ``id * d + column`` scatters the token rows into the whole vector: each
-    entry starts at 0.0 and takes its rows in token order, as a sequential
-    scatter-add into zeros would, so the sums match that scatter bit for bit."""
+    context tokens get their own rows. One ``np.bincount`` over ``id * d +
+    column`` (or over ``k * d + column``, k an id's rank among the ids)
+    scatters the token rows: each entry starts at 0.0 and takes its rows in
+    token order, as a sequential scatter-add into zeros would, so the sums
+    match that scatter, and each other, bit for bit."""
     d = spec.embedding_dim
     layout = param_layout(spec)
     c = dL_dz[:, None]
@@ -200,11 +224,17 @@ def _backward(spec: MatcherSpec, packed: Packed, cache,
         (du / packed.n_utts[:, None]).repeat(packed.n_utts, axis=0), dv])
     seg_grad /= packed.lengths[:, None]
     rows = seg_grad.repeat(packed.lengths, axis=0)
-    grad = np.bincount((packed.ids[:, None] * d + np.arange(d)).ravel(),
-                       weights=rows.ravel(), minlength=layout["_total"].stop)
+    n, off, bins = layout["_total"].stop, 0, packed.ids
+    rowwise = packed.ids.size * _ROW_GRAD_RATIO < spec.vocab_size
+    if rowwise:
+        ids, bins = np.unique(packed.ids, return_inverse=True)
+        off = layout["E"].stop
+    flat = np.bincount((bins[:, None] * d + np.arange(d)).ravel(), weights=rows.ravel(),
+                       minlength=ids.size * d if rowwise else n)
+    grad = np.zeros(n - off) if rowwise else flat
     for name, g in heads:
-        grad[layout[name]] += g
-    return grad
+        grad[layout[name].start - off:layout[name].stop - off] += g
+    return RowGrad(ids, flat.reshape(-1, d), grad, (n,)) if rowwise else grad
 
 
 def _protocol_arrays(protocol: LearningProtocol, vocab_size: int):
@@ -243,12 +273,17 @@ def scores(model: ModelState, packed: Packed) -> np.ndarray:
 
 def split_scores(model: ModelState, split: Triples | TestGroups, rows: np.ndarray) -> np.ndarray:
     """``scores`` of the groups ``split.gather(rows, ...)`` packs, in calls of about
-    ``_CALL_ENTRIES`` gathered entries; each equals ``score`` of its dialogue, bit for bit."""
-    step = max(1, _CALL_ENTRIES * len(split) // max(
-        1, model.spec.embedding_dim * split.pack.ids.size))
-    parts = [scores(model, split.gather(rows[lo:lo + step], model.spec.vocab_size))
-             for lo in range(0, len(rows), step)]
-    return parts[0] if len(parts) == 1 else np.concatenate([np.zeros(0), *parts])
+    ``_CALL_ENTRIES`` entries, each ``score``'s bit for bit; a non-finite one raises."""
+    spec, entries = model.spec, model.spec.embedding_dim * split.pack.ids.size
+    if len(rows) * entries <= _CALL_ENTRIES * len(split):
+        s = scores(model, split.gather(rows, spec.vocab_size))
+    else:
+        step = max(1, _CALL_ENTRIES * len(split) // entries)
+        s = np.concatenate([scores(model, split.gather(rows[lo:lo + step], spec.vocab_size))
+                            for lo in range(0, len(rows), step)])
+    if not math.isfinite(s.sum()):
+        raise FloatingPointError("non-finite score")
+    return s
 
 
 def score(model: ModelState, context, response) -> float:
@@ -257,8 +292,8 @@ def score(model: ModelState, context, response) -> float:
 
 
 def loss_and_grad(model: ModelState, protocol: LearningProtocol):
-    """Total protocol loss and its analytic gradient w.r.t. the flat params;
-    no gradient flows through the teacher's margins and weights."""
+    """Total protocol loss and its analytic gradient w.r.t. the flat params, as
+    ``_backward`` forms it; no gradient flows through the teacher's margins and weights."""
     packed, labels, coef = _protocol_arrays(protocol, model.spec.vocab_size)
     z, cache = _forward(model.spec, model.params, packed)
     total, dL_dz = _loss(protocol.loss_kind, z, labels, coef)

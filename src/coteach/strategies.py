@@ -24,13 +24,11 @@ def margin_protocol(teacher: matcher.ModelState, sub_batch: Batch,
     place, with hinge margin max(0, lam * (s_T(c, r+) - s_T(c, r-))) from
     the teacher's scores. A teacher that ranks the negative above the
     positive (a likely false negative) hands the student margin 0,
-    flattening that instance's loss; a teacher that scores NaN has diverged."""
+    flattening that instance's loss."""
     if not 0 < lam < math.inf:  # also rejects nan
         raise ValueError("lambda must be positive and finite")
     examples = sub_batch.examples()
     s = matcher.split_scores(teacher, sub_batch.split, examples)
-    if not math.isfinite(s.sum()):
-        raise FloatingPointError("non-finite teacher score")
     return LearningProtocol(sub_batch.split, examples,
                             np.maximum(0.0, lam * (s[0::2] - s[1::2])))
 

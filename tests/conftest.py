@@ -8,7 +8,7 @@ import pytest
 from coteach import GenConfig, MatcherSpec, engine, generate_synthetic_corpus, matcher
 from coteach.corpus import Batch, PairwiseTriple, Triples
 from coteach.losses import LearningProtocol
-from coteach.matcher import init_params
+from coteach.matcher import ModelState, init_params
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +32,12 @@ def small_spec(request):
 @pytest.fixture
 def small_model(small_spec):
     return init_params(small_spec, seed=11)
+
+
+def diverged(model):
+    """``model`` with its parameters alternately -1e300 and +1e300: finite,
+    but every score overflows to NaN (u, v and W hold both signs)."""
+    return ModelState(model.spec, np.where(np.arange(model.params.size) % 2, 1e300, -1e300))
 
 
 class Dialogue(NamedTuple):

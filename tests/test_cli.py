@@ -17,6 +17,8 @@ from coteach.matcher import load_checkpoint
 from coteach.cli import main, parse_config
 from coteach.corpus import GenConfig
 
+from conftest import diverged
+
 TINY_CONFIG = """\
 # desk-scale experiment
 vocab_size = 60
@@ -196,9 +198,50 @@ class TestExitCodes:
         # A teacher past the float range scores NaN before its student's
         # gradient is formed; a NaN margin never reaches a protocol.
         err = _one_line_error(capsys, "error: training diverged (non-finite "
-                                      "teacher score); ")
+                                      "score); ")
         assert "'learning_rate'" in err
         assert not (workdir / "run" / "history.csv").exists()
+
+    @pytest.mark.parametrize("strategy", ["weighting", "curriculum"])
+    def test_diverged_teacher_is_divergence(self, workdir, capsys, strategy):
+        # Not a NaN weight outside [0, 1], and no training on NaN losses.
+        (workdir / "div.cfg").write_text(TINY_CONFIG + "learning_rate = 1e300\n")
+        assert _run("generate", "--config", "div.cfg") == 0
+        assert _run("pretrain", "--config", "div.cfg") == 0
+        capsys.readouterr()
+        assert _run("coteach", "--config", "div.cfg", "--strategy", strategy) == 1
+        _one_line_error(capsys, "error: training diverged (non-finite score); "
+                                "try a lower 'learning_rate'\n")
+        assert not (workdir / "run" / "history.csv").exists()
+
+    @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
+    def test_diverged_checkpoints_are_data_error(self, workdir, capsys, kind):
+        # The MLP's u * v overflows on the way, which must not warn either.
+        (workdir / "exp.cfg").write_text(TINY_CONFIG + f"matcher_kind = {kind}\n")
+        assert _run("generate", "--config", "exp.cfg") == 0
+        _pipeline(workdir, "run", "margin")
+        for name in ("A_final.ckpt", "B_final.ckpt"):
+            matcher.save_checkpoint(diverged(load_checkpoint(workdir / "run" / name)),
+                                    workdir / "run" / name)
+        (workdir / "run" / "metrics.csv").unlink()
+        capsys.readouterr()
+        assert _run("evaluate", "--config", "exp.cfg", "--strategy", "margin") == 2
+        _one_line_error(capsys, "data error: non-finite score from the models of "
+                                "run/A_final.ckpt and run/B_final.ckpt\n")
+        assert not (workdir / "run" / "metrics.csv").exists()
+
+    def test_sweep_of_diverged_models_is_data_error(self, workdir, capsys, monkeypatch):
+        (workdir / "sw.cfg").write_text(
+            TINY_CONFIG + "sweep_param = lambda\nsweep_values = 0.5\n")
+        assert _run("generate", "--config", "sw.cfg") == 0
+        assert _run("pretrain", "--config", "sw.cfg") == 0
+        monkeypatch.setattr(engine, "coteach_train", lambda a, b, *rest, **kw: (
+            diverged(a), diverged(b), engine.RunHistory()))
+        capsys.readouterr()
+        assert _run("sweep", "--config", "sw.cfg") == 2
+        _one_line_error(capsys, "data error: non-finite score from the models of "
+                                "run/pretrained.ckpt\n")
+        assert not (workdir / "run" / "sweep.csv").exists()
 
     def test_parameter_overflow_with_finite_gradient_is_divergence(
             self, workdir, capsys):

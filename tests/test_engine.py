@@ -1,5 +1,6 @@
 """Unit tests for the training engine: Adam, the co-teaching loop, history."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from coteach.engine import (HistoryRecord, OptimizerState, RunHistory, adam_upda
                             write_history)
 from coteach.matcher import init_params
 
-from conftest import BFirstStep, call_entries, fix_teacher_scores
+from conftest import BFirstStep, call_entries, diverged, fix_teacher_scores
 
 
 SPEC = MatcherSpec("mean-embedding-bilinear", vocab_size=60, embedding_dim=8)
@@ -198,6 +199,109 @@ class TestAdam:
                         OptimizerState(np.zeros(3), np.zeros(size), 0), lr=0.1)
 
 
+# An embedding table of 3 blocks and a part, rows of 24 entries; row ids in
+# its first and last block, rows across block edges (682 and 1365), and none
+# at all (a head-only gradient).
+ROW_DIM = 24
+ROW_VOCAB = 3 * B // ROW_DIM + 5
+ROW_IDS = {"first-last": [0, 3, ROW_VOCAB - 1], "straddle": [681, 682, 1365],
+           "head-only": []}
+
+
+def _row_case(kind, ids, seed):
+    """(params, RowGrad, state) of a ``kind`` matcher whose params, moments
+    and gradient hold -0.0, subnormal and huge entries among normal ones."""
+    spec = MatcherSpec(kind, vocab_size=ROW_VOCAB, embedding_dim=ROW_DIM, hidden_dim=8)
+    n, table = matcher.n_params(spec), ROW_VOCAB * ROW_DIM
+    rng = np.random.default_rng(seed)
+
+    def values(size, scale, special):
+        out = rng.standard_normal(size) * scale
+        for value in special if size else ():
+            out[rng.integers(0, size, max(1, size // 50))] = value
+        return out
+
+    specials = (-0.0, 5e-324, -5e-324, 2.2e-308)
+    params = values(n, 0.1, (*specials, 1e300, -1e300))
+    state = OptimizerState(values(n, 0.01, (*specials, 1e300, -1e300)),
+                           np.abs(values(n, 1e-3, (5e-324, 2.2e-308, 1e300))), 4)
+    state.v[rng.integers(0, n, 20)] = -0.0
+    ids = np.array(ROW_IDS[ids], np.intp)
+    grad = matcher.RowGrad(ids, values(ids.size * ROW_DIM, 1.0, (*specials, 1e150))
+                           .reshape(-1, ROW_DIM), values(n - table, 1.0, specials),
+                           (n,))
+    return params, grad, state
+
+
+def _adam_outcome(params, grad, state, lr=1e-3):
+    """What ``adam_update`` gives: the new params and moments as bytes, or
+    its error's text. Overflow in v = g*g is part of the cases."""
+    try:
+        with np.errstate(over="ignore"):
+            new, st = adam_update(params, grad, state, lr=lr)
+    except FloatingPointError as exc:
+        return str(exc)
+    return new.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t
+
+
+class TestAdamRowForm:
+    """A ``matcher.RowGrad`` steps exactly as its dense vector does."""
+
+    @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
+    @pytest.mark.parametrize("ids", sorted(ROW_IDS))
+    def test_bit_identical_to_dense_form(self, kind, ids):
+        params, grad, state = _row_case(kind, ids, len(ids) + len(kind))
+        dense = np.asarray(grad)
+        assert dense.shape == grad.shape == params.shape
+        rows = _adam_outcome(params, grad, state)
+        assert not isinstance(rows, str), rows
+        assert rows == _adam_outcome(params, dense, state)
+
+    def test_dense_form_holds_rows_and_head(self):
+        params, grad, _ = _row_case(matcher.INTERACTION_MLP, "first-last", 0)
+        dense = np.asarray(grad)
+        table = dense[:ROW_VOCAB * ROW_DIM].reshape(ROW_VOCAB, ROW_DIM)
+        assert table[grad.ids].tobytes() == grad.rows.tobytes()
+        assert not np.delete(table, grad.ids, axis=0).any()
+        assert dense[table.size:].tobytes() == grad.head.tobytes()
+
+    @pytest.mark.parametrize("case", ["row", "head", "row-after-parameter",
+                                      "untouched-parameter", "touched-parameter"])
+    def test_same_error_as_dense_form(self, case):
+        params, grad, state = _row_case(matcher.MEAN_EMBEDDING_BILINEAR, "first-last", 1)
+        table, lr = ROW_VOCAB * ROW_DIM, 1e-3
+        row_entry = 3 * ROW_DIM + 5  # row 1 (id 3), column 5
+        if case == "row":
+            grad.rows[1, 5] = np.nan
+            expected = f"non-finite gradient entry at index {row_entry}$"
+        elif case == "head":
+            grad.head[7] = -np.inf
+            expected = f"non-finite gradient entry at index {table + 7}$"
+        else:
+            # A step near the float maximum overflows one parameter; with a
+            # non-finite row entry as well, the gradient is named first.
+            at = {"row-after-parameter": 20, "untouched-parameter": B + 9,
+                  "touched-parameter": row_entry}[case]
+            params[:], state.m[:], state.v[:], grad.rows[:], grad.head[:] = 0.0, 0.0, 1.0, 0.0, 0.0
+            params[at], state.m[at], lr = -1.7e308, 1.0, 1e308
+            expected = f"non-finite parameter at index {at}$"
+            if case == "row-after-parameter":
+                grad.rows[2, 1] = np.inf
+                expected = f"non-finite gradient entry at index {(ROW_VOCAB - 1) * ROW_DIM + 1}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _adam_outcome(params, grad, state, lr)
+            assert rows == _adam_outcome(params, np.asarray(grad), state, lr)
+        assert re.search(expected, rows), rows
+
+    def test_inputs_are_not_written(self):
+        params, grad, state = _row_case(matcher.INTERACTION_MLP, "straddle", 2)
+        inputs = (params, grad.ids, grad.rows, grad.head, state.m, state.v)
+        before = [a.tobytes() for a in inputs]
+        _adam_outcome(params, grad, state)
+        assert [a.tobytes() for a in inputs] == before
+
+
 class TestSplitBatch:
     def test_halves_are_disjoint_and_cover(self):
         rng = np.random.default_rng(0)
@@ -235,6 +339,17 @@ class TestValidationP1:
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
             validation_p_at_1(init_params(SPEC, 0), Triples([]))
+
+    @pytest.mark.parametrize("call_entries", [None, 1], ids=["one-call", "a-row-a-call"])
+    def test_diverged_model_is_reported(self, corpus, monkeypatch, call_entries):
+        if call_entries:
+            monkeypatch.setattr(matcher, "_CALL_ENTRIES", call_entries)
+        model = diverged(init_params(SPEC, 0))
+        for judge in (lambda: validation_p_at_1(model, corpus.valid),
+                      lambda: select_model(init_params(SPEC, 1), model, corpus.valid)):
+            with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                          match="^non-finite score$"):
+                judge()
 
     def test_equals_per_dialogue_oracle_bit_for_bit(self, corpus, monkeypatch):
         rng = np.random.default_rng(8)
@@ -468,6 +583,32 @@ class TestPretrain:
                       tokens_per_utterance=5, false_negative_rate=0.0, seed=2))
         model = pretrain(SPEC, corpus, _config(n_epochs=5, eval_every=50))
         assert validation_p_at_1(model, corpus.valid) > 0.9
+
+
+class TestGradientForms:
+    """Forcing either gradient form (``matcher._ROW_GRAD_RATIO`` 0 gives
+    rows on every step, 10**9 a dense vector) trains to the same bytes."""
+
+    @staticmethod
+    def _train(corpus, monkeypatch, ratio, kind, strategy, settings):
+        monkeypatch.setattr(matcher, "_ROW_GRAD_RATIO", ratio)
+        forms = set()
+        monkeypatch.setattr(engine, "adam_update", lambda params, grad, *rest: (
+            forms.add(type(grad)) or adam_update(params, grad, *rest)))
+        spec = MatcherSpec(kind, vocab_size=60, embedding_dim=8, hidden_dim=4)
+        base = pretrain(spec, corpus, _config(eval_every=4))
+        a, b, history = coteach_train(base, init_params(spec, 3), corpus, _config(
+            strategy=strategy, learning_rate=1e-2, eval_every=4, **settings))
+        return forms, [m.params.tobytes() for m in (base, a, b)], history.records
+
+    @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
+    @pytest.mark.parametrize("strategy,settings", STRATEGY_SETTINGS)
+    def test_both_forms_train_the_same_bytes(self, corpus, monkeypatch, kind,
+                                             strategy, settings):
+        rows = self._train(corpus, monkeypatch, 0, kind, strategy, settings)
+        dense = self._train(corpus, monkeypatch, 10 ** 9, kind, strategy, settings)
+        assert rows[0] == {matcher.RowGrad} and dense[0] == {np.ndarray}
+        assert rows[1:] == dense[1:]
 
 
 class TestSelectModel:

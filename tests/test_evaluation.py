@@ -17,7 +17,7 @@ import coteach
 from coteach import matcher
 from coteach.corpus import TestGroup as CandidateGroup, TestGroups as CandidateGroups
 
-from conftest import call_entries, random_dialogue
+from conftest import call_entries, diverged, random_dialogue
 from oracles import ranked_group
 
 
@@ -122,6 +122,14 @@ class TestRankGroup:
     def test_empty_candidates_rejected(self, small_model):
         with pytest.raises(ValueError):
             _rank_one(small_model, ((1,),), [])
+
+    def test_diverged_model_is_reported(self, small_model):
+        rng = np.random.default_rng(2)
+        groups = CandidateGroups([CandidateGroup(random_dialogue(rng).context,
+                                                 (((1,), 1), ((2,), 0)))])
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                      match="^non-finite score$"):
+            rank_test_groups(diverged(small_model), groups)
 
     def test_rank_test_groups_assigns_context_ids(self, small_model):
         rng = np.random.default_rng(1)

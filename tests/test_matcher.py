@@ -1,6 +1,7 @@
 """Unit tests for the matcher architectures, gradients and checkpoints."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -364,8 +365,15 @@ class TestLossAndGrad:
             protocols.append(LearningProtocol(protocol.split, protocol.examples,
                                               np.ones(len(protocol.coef))))
         for p in protocols:
-            assert np.array_equal(loss_and_grad(model, p)[1],
-                                  _add_at_gradient(model, p))
+            grad = loss_and_grad(model, p)[1]
+            assert isinstance(grad, np.ndarray)
+            assert np.array_equal(grad, _add_at_gradient(model, p))
+            # The row form, forced, holds the same vector byte for byte.
+            with mock.patch.object(matcher, "_ROW_GRAD_RATIO", 0):
+                rows = loss_and_grad(model, p)[1]
+            assert isinstance(rows, matcher.RowGrad)
+            assert np.array_equal(rows.ids, np.unique(matcher._protocol_arrays(p, _V)[0].ids))
+            assert np.asarray(rows).tobytes() == grad.tobytes()
 
     def test_satisfied_hinge_is_flat(self, small_spec):
         # Teacher margin 0 and positive already ahead: loss 0, zero gradient.

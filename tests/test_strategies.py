@@ -11,7 +11,7 @@ from coteach.matcher import init_params
 from coteach import matcher, strategies
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, cross_entropy
 
-from conftest import example, fix_teacher_scores, random_triple, whole_batch
+from conftest import diverged, example, fix_teacher_scores, random_triple, whole_batch
 
 
 def _pointwise_view(triples):
@@ -28,6 +28,20 @@ def _kept(protocol):
 @pytest.fixture
 def teacher(small_spec):
     return init_params(small_spec, seed=3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda teacher, batch: margin_protocol(teacher, batch, lam=0.5),
+    weighting_protocol,
+    lambda teacher, batch: curriculum_protocol(teacher, batch, delta=0.9)],
+    ids=["margin", "weighting", "curriculum"])
+def test_diverged_teacher_is_reported_as_divergence(teacher, build):
+    # Finite params past the float range score NaN; no teacher hands its
+    # peer NaN margins or weights, or sorts NaN losses last.
+    batch = whole_batch([random_triple(np.random.default_rng(4)) for _ in range(5)])
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                  match="^non-finite score$"):
+        build(diverged(teacher), batch)
 
 
 class TestMarginProtocol:
@@ -59,12 +73,6 @@ class TestMarginProtocol:
         fix_teacher_scores(monkeypatch, {(2,): 0.2, (3,): 0.7})
         protocol = margin_protocol(teacher, whole_batch([triple]), lam=0.5)
         assert protocol.pairwise[0][1] == 0.0
-
-    def test_diverged_teacher_is_reported_as_divergence(self, teacher, monkeypatch):
-        triple = PairwiseTriple(((1,),), (2,), (3,))
-        fix_teacher_scores(monkeypatch, {(2,): math.nan, (3,): 0.1})
-        with pytest.raises(FloatingPointError, match="^non-finite teacher score$"):
-            margin_protocol(teacher, whole_batch([triple]), lam=0.5)
 
     def test_margin_homogeneous_in_lambda(self, teacher):
         rng = np.random.default_rng(1)
