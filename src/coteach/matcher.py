@@ -46,10 +46,10 @@ _Z_CLAMP = 30.0
 # validation 1.19 ms at 163 triples a call, 2.59 in one, 1.23 at 64, 1.35 at 256;
 # cli-pipeline ranking 18.1 ms at 63 groups, 18.0 at 64; large-vocab one call.
 _CALL_ENTRIES = 2 ** 17
-# ``_backward`` returns a ``RowGrad`` when the batch's tokens times this are below
-# the vocab size: the forms break even at a vocab of 15x the tokens (60, d=32) and
-# 5.5x (400, d=16); one pinned CPU, medians of 150-200 alternating step rounds.
-_ROW_GRAD_RATIO = 16
+# ``_backward`` returns a ``RowGrad`` when the batch's tokens times this are below the
+# vocab size. Whole runs from init break even at a vocab of about 100x the tokens (60,
+# d=32, 200 steps) and 200x (400, d=16, 500 steps); one pinned CPU, 3-7 alternations.
+_ROW_GRAD_RATIO = 128
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def _chunked_outcome(root, lines_per_read):
 @LINES_PER_READ
 @settings(SETTINGS, max_examples=200)
 @given(files=edited_files())
-def test_whole_file_pass_loads_what_the_line_reader_loads(files, lines_per_read):
+def test_chunked_reader_loads_what_the_reference_reader_loads(files, lines_per_read):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             (Path(tmp) / name).write_text(text, encoding="utf-8")

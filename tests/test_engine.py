@@ -234,13 +234,15 @@ def _row_case(kind, ids, seed):
 
 
 def _adam_outcome(params, grad, state, lr=1e-3):
-    """What ``adam_update`` gives: the new params and moments as bytes, or
-    its error's text. Overflow in v = g*g is part of the cases."""
+    """What ``adam_update`` gives: the new params and the dense view of the
+    moments as bytes, or its error's text. Overflow in v = g*g is part of
+    the cases."""
     try:
         with np.errstate(over="ignore"):
             new, st = adam_update(params, grad, state, lr=lr)
     except FloatingPointError as exc:
         return str(exc)
+    st = st.dense(params.size)
     return new.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t
 
 
@@ -300,6 +302,161 @@ class TestAdamRowForm:
         before = [a.tobytes() for a in inputs]
         _adam_outcome(params, grad, state)
         assert [a.tobytes() for a in inputs] == before
+
+
+def _row_grads(spec, steps, rng):
+    """``steps`` random ``RowGrad``s of ``spec``'s layout, some touching no row."""
+    n, d = matcher.n_params(spec), spec.embedding_dim
+    for _ in range(steps):
+        ids = np.unique(rng.integers(0, spec.vocab_size, rng.integers(0, 40)))
+        yield matcher.RowGrad(ids, rng.standard_normal((ids.size, d)),
+                              rng.standard_normal(n - spec.vocab_size * d), (n,))
+
+
+def _compact_case(kind, seed):
+    """(spec, params holding -0.0 entries, and the compact state of two row
+    steps from ``init_optimizer``) for the cases below."""
+    spec = MatcherSpec(kind, vocab_size=ROW_VOCAB, embedding_dim=ROW_DIM, hidden_dim=8)
+    rng = np.random.default_rng(seed)
+    params = rng.standard_normal(matcher.n_params(spec)) * 0.1
+    params[rng.integers(0, params.size, 200)] = -0.0
+    state = init_optimizer(params.size)
+    for grad in _row_grads(spec, 2, rng):
+        params, state = adam_update(params, grad, state, lr=1e-3)
+    return spec, params, state
+
+
+# (state form, gradient form) of a step: every pairing adam_update takes.
+FORMS = [("dense", "dense"), ("dense", "rows"), ("rows", "rows"), ("rows", "dense")]
+
+
+def _in_form(params, grad, state, forms):
+    return (state.dense(params.size) if forms[0] == "dense" else state,
+            np.asarray(grad) if forms[1] == "dense" else grad)
+
+
+class TestCompactState:
+    """A row step stores moments only for the rows it or earlier steps
+    touched; every entry still ends with the bits of the dense formula."""
+
+    @pytest.mark.parametrize("kind", matcher.MATCHER_KINDS)
+    @pytest.mark.parametrize("forms", ["RRRRRR", "RRDDRR", "DRRDRD"])
+    def test_steps_from_init_match_the_dense_formula(self, kind, forms):
+        spec, params, _ = _compact_case(kind, len(forms))
+        n, rng = params.size, np.random.default_rng(len(kind))
+        state, ref = init_optimizer(n), (params, np.zeros(n), np.zeros(n), 0)
+        for form, grad in zip(forms, _row_grads(spec, len(forms), rng)):
+            params, state = adam_update(params, grad if form == "R" else np.asarray(grad),
+                                        state, lr=1e-3)
+            ref = _adam_reference(ref[0], np.asarray(grad), OptimizerState(*ref[1:]), 1e-3)
+            assert (state.rows is None) == (form == "D")
+            dense = state.dense(n)
+            assert params.tobytes() == ref[0].tobytes()
+            assert (dense.m.tobytes(), dense.v.tobytes(), dense.t) == (
+                ref[1].tobytes(), ref[2].tobytes(), ref[3])
+
+    def test_rows_are_the_union_of_the_steps_ids(self):
+        spec, params, _ = _compact_case(matcher.INTERACTION_MLP, 0)
+        state, seen = init_optimizer(params.size), np.zeros(0, np.intp)
+        assert state.rows.size == state.m.size == state.v.size == 0
+        for grad in _row_grads(spec, 8, np.random.default_rng(1)):
+            params, state = adam_update(params, grad, state, lr=1e-3)
+            seen = np.union1d(seen, grad.ids)
+            assert state.rows.tolist() == seen.tolist()
+            assert state.m.size == state.v.size == seen.size * ROW_DIM + grad.head.size
+
+    def test_row_step_on_a_dense_state_keeps_every_special_moment(self):
+        spec, params, _ = _compact_case(matcher.MEAN_EMBEDDING_BILINEAR, 2)
+        n, table = params.size, ROW_VOCAB * ROW_DIM
+        m, v = np.zeros(n), np.zeros(n)
+        specials = {5: (m, -0.0), 9: (v, -0.0), 11: (m, 5e-324), 700: (v, 2.2e-308),
+                    1200: (m, 1e300), 1201: (m, -1e300), 1202: (v, 1e300)}
+        for row, (moment, value) in specials.items():
+            moment[row * ROW_DIM + 3] = value
+        m[table:], v[table:] = 0.01, 1e-4
+        state = OptimizerState(m, v, 7)
+        grad = next(_row_grads(spec, 1, np.random.default_rng(3)))
+        assert _adam_outcome(params, grad, state) == _adam_outcome(params, np.asarray(grad), state)
+        _, new = adam_update(params, grad, state, lr=1e-3)
+        assert new.rows.tolist() == sorted({*specials, *grad.ids.tolist()})
+
+    def test_a_fresh_row_keeps_negative_zero_params(self):
+        spec = MatcherSpec(matcher.INTERACTION_MLP, vocab_size=ROW_VOCAB,
+                           embedding_dim=ROW_DIM, hidden_dim=8)
+        params, ids = np.full(matcher.n_params(spec), -0.0), np.array([3, 4, ROW_VOCAB - 1])
+        grad = matcher.RowGrad(ids, np.ones((3, ROW_DIM)),
+                               np.zeros(params.size - ROW_VOCAB * ROW_DIM), params.shape)
+        new, state = adam_update(params, grad, init_optimizer(params.size), lr=1e-3)
+        table = new[:ROW_VOCAB * ROW_DIM].reshape(ROW_VOCAB, ROW_DIM)
+        untouched = np.delete(table, ids, axis=0)
+        assert not untouched.any() and np.signbit(untouched).all()
+        assert (table[ids] < 0).all() and state.rows.tolist() == ids.tolist()
+        assert _adam_outcome(params, grad, init_optimizer(params.size)) == _adam_outcome(
+            params, np.asarray(grad), OptimizerState(np.zeros(params.size), np.zeros(params.size)))
+
+    @pytest.mark.parametrize("case", ["row", "head", "unstored-parameter",
+                                      "overflowed-parameter", "parameter-then-row"])
+    def test_same_error_in_every_form(self, case):
+        spec, params, state = _compact_case(matcher.MEAN_EMBEDDING_BILINEAR, 4)
+        grad, lr = next(_row_grads(spec, 1, np.random.default_rng(4))), 1e-3
+        table = ROW_VOCAB * ROW_DIM
+        unstored = int(np.setdiff1d(np.arange(ROW_VOCAB), np.union1d(state.rows, grad.ids))[0])
+        row_entry = int(grad.ids[1]) * ROW_DIM + 2
+        if case == "row":
+            grad.rows[1, 2] = np.nan
+            expected = f"non-finite gradient entry at index {row_entry}$"
+        elif case == "head":
+            grad.head[5] = -np.inf
+            expected = f"non-finite gradient entry at index {table + 5}$"
+        elif case == "overflowed-parameter":
+            params[row_entry], lr = -1.7e308, 1e308
+            grad.rows[1, 2] = 1.0
+            expected = f"non-finite parameter at index {row_entry}$"
+        else:
+            params[unstored * ROW_DIM + 1] = np.inf
+            expected = f"non-finite parameter at index {unstored * ROW_DIM + 1}$"
+            if case == "parameter-then-row":
+                grad.rows[-1, 0] = np.nan
+                expected = f"non-finite gradient entry at index {int(grad.ids[-1]) * ROW_DIM}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = {_adam_outcome(params, *_in_form(params, grad, state, forms)[::-1], lr)
+                        for forms in FORMS}
+        assert len(outcomes) == 1
+        assert re.search(expected, outcomes.pop())
+
+    @pytest.mark.parametrize("forms", FORMS)
+    def test_no_input_array_is_written(self, forms):
+        spec, params, state = _compact_case(matcher.INTERACTION_MLP, 5)
+        state, grad = _in_form(params, next(_row_grads(spec, 1, np.random.default_rng(5))),
+                               state, forms)
+        arrays = [params, state.m, state.v, *(() if state.rows is None else (state.rows,)),
+                  *((grad,) if forms[1] == "dense" else (grad.ids, grad.rows, grad.head))]
+        before = [a.tobytes() for a in arrays]
+        adam_update(params, grad, state, lr=1e-3)
+        assert [a.tobytes() for a in arrays] == before
+
+    @pytest.mark.parametrize("lr,t", [(-0.0, 3), (-1e-3, 3), (1e-3, -1)],
+                             ids=["minus-zero-lr", "negative-lr", "step-zero"])
+    def test_a_row_step_outside_the_identity_steps_every_entry(self, lr, t):
+        # Here an unstored row's step is not the identity: a -0.0 param may
+        # become +0.0, or every entry nan.
+        spec, params, state = _compact_case(matcher.INTERACTION_MLP, 6)
+        state = replace(state, t=t)
+        grad = next(_row_grads(spec, 1, np.random.default_rng(6)))
+        with np.errstate(all="ignore"):
+            rows = _adam_outcome(params, grad, state, lr)
+            assert rows == _adam_outcome(params, np.asarray(grad), state.dense(params.size), lr)
+            if not isinstance(rows, str):
+                assert adam_update(params, grad, state, lr)[1].rows is None
+
+    def test_mis_sized_compact_state_rejected(self):
+        spec, params, state = _compact_case(matcher.INTERACTION_MLP, 7)
+        grad = next(_row_grads(spec, 1, np.random.default_rng(7)))
+        for bad in (replace(state, m=state.m[:-1]), replace(state, v=state.v[:-1]),
+                    replace(state, rows=state.rows[:-1])):
+            with pytest.raises(ValueError, match="optimizer state"):
+                adam_update(params, grad, bad, lr=1e-3)
 
 
 class TestSplitBatch:
