@@ -70,23 +70,32 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adam's moments and step counter. With ``rows`` set (sorted, unique
-    embedding-row ids), ``m`` and ``v`` hold those rows' moments, ``dim``
-    entries each, then the head's, or nothing; every other moment is +0.0."""
+    """Adam's moments and step counter. With ``rows`` set (sorted, unique ids of
+    rows of an embedding table of shape ``table``), ``m`` and ``v`` hold those
+    rows' moments, then the head's; every other moment is +0.0. A state whose
+    ``table`` is None stores nothing."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     rows: np.ndarray | None = None
-    dim: int = 0
+    table: tuple[int, int] | None = None
 
     def dense(self, n: int) -> OptimizerState:
         """This state with dense moment vectors of ``n`` entries."""
         if self.rows is None:
             return self
-        kd, d = self.rows.size * self.dim, self.dim or 1  # laid out as a RowGrad
-        return OptimizerState(*(np.asarray(matcher.RowGrad(
-            self.rows, x[:kd].reshape(-1, d), x[kd:], (n,))) for x in (self.m, self.v)), self.t)
+        if self.table is None:  # it stores nothing
+            return OptimizerState(np.zeros(n), np.zeros(n), self.t)
+        return OptimizerState(*(_spread(x, self.rows, self.table[1], n) for x in (self.m, self.v)),
+                              self.t)
+
+
+def _spread(x: np.ndarray, at: np.ndarray, d: int, n: int) -> np.ndarray:
+    """``x``'s rows of ``d`` entries at rows ``at`` of ``n`` entries, +0.0 in the other
+    rows, then the rest of ``x`` (a head)."""
+    kd = at.size * d
+    return np.asarray(matcher.RowGrad(at, x[:kd].reshape(-1, d), x[kd:], (n,)))
 
 
 def init_optimizer(n: int) -> OptimizerState:
@@ -101,6 +110,11 @@ ADAM_BLOCK = 16384
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# The largest share of the table's rows a compact state stores (see ``adam_update``).
+# Past it a row step on the compact state costs more than on dense vectors: every step
+# of a run timed both ways breaks even at about 0.33 (20,000 rows of 32, 60 tokens a
+# step) and 0.28 (40,000 rows of 16, 400 tokens); one pinned CPU.
+_STORED_SHARE = 0.3
 
 
 def adam_update(params: np.ndarray, grad: np.ndarray | matcher.RowGrad,
@@ -119,11 +133,14 @@ def adam_update(params: np.ndarray, grad: np.ndarray | matcher.RowGrad,
     the result is bit-for-bit the same whatever the block size. The inputs
     are never written: callers keep them as snapshots.
 
-    A ``matcher.RowGrad`` steps the head and the rows the state stores or
-    the gradient touches, and returns a state storing those rows. Any other
-    row has +0.0 gradient and moments, so for ``t >= 1`` and a finite
-    ``lr >= +0.0`` its step would give back its params, -0.0 included, and
-    +0.0 moments: it is skipped. Otherwise every entry steps, on dense moments.
+    A ``matcher.RowGrad`` on a compact state (``rows`` set) steps the head and
+    the rows the state stores or the gradient touches, and returns a state
+    storing those rows. Any other row has +0.0 gradient and moments, so for
+    ``t >= 1`` and a finite ``lr >= +0.0`` its step would give back its
+    params, -0.0 included, and +0.0 moments: it is skipped. Otherwise, or once
+    the state would store more than ``_STORED_SHARE`` of the rows, or on a
+    dense state, the step is dense: the table takes the step of a +0.0
+    gradient, ``BETA1*m + 0.0`` and ``BETA2*v + 0.0``, then its rows and head.
 
     Finiteness is checked per block, on the new params while in cache. A
     non-finite gradient entry always makes its parameter non-finite, so only
@@ -134,18 +151,30 @@ def adam_update(params: np.ndarray, grad: np.ndarray | matcher.RowGrad,
     """
     if params.shape != grad.shape:
         raise ValueError("params/grad length mismatch")
-    if state.rows is None and (state.m.shape != params.shape or state.v.shape != params.shape):
-        raise ValueError(
-            f"optimizer state shapes {state.m.shape}/{state.v.shape} do not "
-            f"match params {params.shape}")
-    t, n = state.t + 1, params.size
-    if isinstance(grad, matcher.RowGrad) and t > 0 and not np.signbit(lr) and lr < np.inf:
-        new_params, state, finite = _row_step(params, grad, state, t, lr)
-    else:
-        grad, state = np.asarray(grad), state.dense(n)
+    t, n, (r, d) = state.t + 1, params.size, state.table or (0, 0)
+    size = n if state.rows is None else state.rows.size * d + (n - r * d if state.table else 0)
+    if state.m.shape != (size,) or state.v.shape != (size,):
+        raise ValueError(f"optimizer state shapes {state.m.shape}/{state.v.shape} do not "
+                         f"match the {size} entries it stores of params {params.shape}")
+    rowwise = isinstance(grad, matcher.RowGrad)
+    step = None
+    if rowwise and state.rows is not None and t > 0 and not np.signbit(lr) and lr < np.inf:
+        step = _row_step(params, grad, state, t, lr)
+    if step is None:
+        state = state.dense(n)
         m, v, new_params = np.empty(n), np.empty(n), np.empty(n)
-        finite = _adam_blocks(params, grad, state.m, state.v, m, v, new_params, t, lr)
-        state = OptimizerState(m, v, t)
+        if rowwise:
+            d, table = grad.rows.shape[1], n - grad.head.size
+            at = np.concatenate([(grad.ids[:, None] * d + np.arange(d)).ravel(), np.arange(table, n)])
+            g, out = np.concatenate([grad.rows.ravel(), grad.head]), np.empty((3, at.size))
+            finite = _adam_blocks(params[:table], None, state.m[:table], state.v[:table],
+                                  m[:table], v[:table], new_params[:table], t, lr)
+            finite &= _adam_blocks(params[at], g, state.m[at], state.v[at], *out, t, lr)
+            m[at], v[at], new_params[at] = out
+        else:
+            finite = _adam_blocks(params, grad, state.m, state.v, m, v, new_params, t, lr)
+        step = new_params, OptimizerState(m, v, t), finite
+    new_params, state, finite = step
     if not finite:  # a non-finite gradient entry is named before a parameter
         for what, values in (("gradient entry", np.asarray(grad)), ("parameter", new_params)):
             bad = np.flatnonzero(~np.isfinite(values))
@@ -155,55 +184,55 @@ def adam_update(params: np.ndarray, grad: np.ndarray | matcher.RowGrad,
 
 
 def _row_step(params, grad: matcher.RowGrad, state: OptimizerState, t: int, lr: float):
-    """``adam_update`` of a ``RowGrad``: (new params, new state, all new params finite)."""
+    """``adam_update`` of a ``RowGrad`` on a compact state: (new params, new state, all
+    new params finite), or None when it would store more than ``_STORED_SHARE``."""
     d, h = grad.rows.shape[1], grad.head.size
-    table = params.size - h
-
-    def gather(x, rows):  # x's entries in the embedding rows ``rows``, then the head's
-        return np.concatenate((np.take(x[:table].reshape(-1, d), rows, axis=0).ravel(), x[table:]))
-
-    if state.rows is None:  # a dense state stores each row with a nonzero bit in m or v
-        bits = (state.m[:table].view(np.uint64) | state.v[:table].view(np.uint64)).reshape(-1, d)
-        keep = np.flatnonzero(bits.any(axis=1))
-        state = OptimizerState(gather(state.m, keep), gather(state.v, keep), state.t, keep, d)
-    fresh = grad.ids[np.append(state.rows, -1)[np.searchsorted(state.rows, grad.ids)] != grad.ids]
-    at, zero = np.searchsorted(state.rows, fresh), np.zeros(d)  # where the fresh rows go in
-    rows = np.insert(state.rows, at, fresh)
-    old = (state.m, state.v) if state.m.size else np.zeros((2, h))
-    m0, v0 = (np.concatenate([q for piece in np.split(x, at * d) for q in (zero, piece)][1:])
-              for x in old) if fresh.size else old
-    kd = rows.size * d
-    if m0.shape != v0.shape or m0.size != kd + h:
-        raise ValueError(f"optimizer state of {state.m.size} entries does not fit "
-                         f"{state.rows.size} rows of {d} and a head of {h}")
-    g, (m, v), p = np.zeros(kd + h), np.empty((2, kd + h)), np.empty(kd + h)
-    g[:kd].reshape(-1, d)[np.searchsorted(rows, grad.ids)] = grad.rows
-    g[kd:] = grad.head
-    finite = _adam_blocks(gather(params, rows), g, m0, v0, m, v, p, t, lr)
-    new_params = np.concatenate((params[:table], p[kd:]))
-    new_params[:table].reshape(-1, d)[rows] = p[:kd].reshape(-1, d)
+    cut = params.size - h
+    table = cut // d, d
+    if state.table is None:  # it stores nothing
+        state = OptimizerState(np.zeros(h), np.zeros(h), state.t, np.zeros(0, np.intp), table)
+    if state.table != table:
+        raise ValueError(f"optimizer state of a {state.table} table does not fit {table}")
+    stored = np.zeros(table[0], bool)
+    stored[state.rows] = stored[grad.ids] = True
+    rows = np.flatnonzero(stored)
+    if rows.size > _STORED_SHARE * table[0]:
+        return None
+    kd, at = rows.size * d, np.searchsorted(rows, state.rows)
+    m0, v0 = (_spread(x, at, d, kd + h) for x in (state.m, state.v))
+    g = np.asarray(matcher.RowGrad(np.searchsorted(rows, grad.ids), grad.rows, grad.head, (kd + h,)))
+    m, v, p = np.empty(kd + h), np.empty(kd + h), np.empty(kd + h)
+    gathered = np.concatenate((np.take(params[:cut].reshape(-1, d), rows, axis=0).ravel(), params[cut:]))
+    finite = _adam_blocks(gathered, g, m0, v0, m, v, p, t, lr)
+    new_params = np.concatenate((params[:cut], p[kd:]))
+    new_params[:cut].reshape(-1, d)[rows] = p[:kd].reshape(-1, d)
     finite &= bool(np.isfinite(params).all())  # an unstored row keeps its params
-    return new_params, OptimizerState(m, v, t, rows, d), finite
+    return new_params, OptimizerState(m, v, t, rows, table), finite
 
 
 def _adam_blocks(params, grad, m0, v0, m, v, new_params, t: int, lr: float) -> bool:
-    """``adam_update``'s step ``t`` from ``params``, ``grad``, ``m0`` and ``v0`` into
-    ``m``, ``v`` and ``new_params``. Whether every new param is finite."""
+    """``adam_update``'s step ``t`` from ``params``, ``m0`` and ``v0`` into ``m``, ``v``
+    and ``new_params``; ``grad`` None is +0.0. Whether every new param is finite."""
     c1, c2, n = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t, params.size
     a, b = np.empty(min(ADAM_BLOCK, n)), np.empty(min(ADAM_BLOCK, n))
     finite, ok = np.empty(min(ADAM_BLOCK, n), dtype=bool), True
     with np.errstate(invalid="ignore", divide="ignore"):
         for lo in range(0, n, ADAM_BLOCK):
             s = slice(lo, lo + ADAM_BLOCK)
-            mb, vb, pb, g = m[s], v[s], new_params[s], grad[s]
+            mb, vb, pb = m[s], v[s], new_params[s]
             ta, tb, fb = a[:pb.size], b[:pb.size], finite[:pb.size]
             np.multiply(BETA1, m0[s], out=mb)
             np.multiply(BETA2, v0[s], out=vb)
-            np.multiply(1.0 - BETA1, g, out=ta)
-            np.add(mb, ta, out=mb)
-            np.multiply(1.0 - BETA2, g, out=ta)
-            np.multiply(ta, g, out=ta)
-            np.add(vb, ta, out=vb)
+            if grad is None:
+                np.add(mb, 0.0, out=mb)
+                np.add(vb, 0.0, out=vb)
+            else:
+                g = grad[s]
+                np.multiply(1.0 - BETA1, g, out=ta)
+                np.add(mb, ta, out=mb)
+                np.multiply(1.0 - BETA2, g, out=ta)
+                np.multiply(ta, g, out=ta)
+                np.add(vb, ta, out=vb)
             np.divide(mb, c1, out=ta)
             np.divide(vb, c2, out=tb)
             np.sqrt(tb, out=tb)

@@ -47,9 +47,9 @@ _Z_CLAMP = 30.0
 # cli-pipeline ranking 18.1 ms at 63 groups, 18.0 at 64; large-vocab one call.
 _CALL_ENTRIES = 2 ** 17
 # ``_backward`` returns a ``RowGrad`` when the batch's tokens times this are below the
-# vocab size. Whole runs from init break even at a vocab of about 100x the tokens (60,
-# d=32, 200 steps) and 200x (400, d=16, 500 steps); one pinned CPU, 3-7 alternations.
-_ROW_GRAD_RATIO = 128
+# vocab size. Whole runs from init break even at a vocab of about 16x the tokens at
+# both 60 tokens (d=32, 200 steps) and 400 (d=16, 500 steps); one pinned CPU, 4 alternations.
+_ROW_GRAD_RATIO = 16
 
 
 @dataclass(frozen=True)

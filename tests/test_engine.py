@@ -345,11 +345,11 @@ class TestCompactState:
         spec, params, _ = _compact_case(kind, len(forms))
         n, rng = params.size, np.random.default_rng(len(kind))
         state, ref = init_optimizer(n), (params, np.zeros(n), np.zeros(n), 0)
-        for form, grad in zip(forms, _row_grads(spec, len(forms), rng)):
+        for i, (form, grad) in enumerate(zip(forms, _row_grads(spec, len(forms), rng))):
             params, state = adam_update(params, grad if form == "R" else np.asarray(grad),
                                         state, lr=1e-3)
             ref = _adam_reference(ref[0], np.asarray(grad), OptimizerState(*ref[1:]), 1e-3)
-            assert (state.rows is None) == (form == "D")
+            assert (state.rows is None) == ("D" in forms[:i + 1])  # a dense state stays dense
             dense = state.dense(n)
             assert params.tobytes() == ref[0].tobytes()
             assert (dense.m.tobytes(), dense.v.tobytes(), dense.t) == (
@@ -365,6 +365,26 @@ class TestCompactState:
             assert state.rows.tolist() == seen.tolist()
             assert state.m.size == state.v.size == seen.size * ROW_DIM + grad.head.size
 
+    def test_a_run_past_the_stored_share_steps_densely(self, monkeypatch):
+        spec, params, _ = _compact_case(matcher.INTERACTION_MLP, 8)
+        monkeypatch.setattr(engine, "_STORED_SHARE", 0.05)  # about 103 of the 2,053 rows
+        n, rng = params.size, np.random.default_rng(8)
+        state, ref = init_optimizer(n), (params, np.zeros(n), np.zeros(n), 0)
+        seen = np.zeros(0, np.intp)  # the rows a compact state stores; None once dense
+        for grad in _row_grads(spec, 12, rng):
+            params, state = adam_update(params, grad, state, lr=1e-3)
+            ref = _adam_reference(ref[0], np.asarray(grad), OptimizerState(*ref[1:]), 1e-3)
+            if seen is not None:
+                seen = np.union1d(seen, grad.ids)
+                seen = seen if seen.size <= 0.05 * ROW_VOCAB else None
+            assert (state.rows is None) == (seen is None)
+            if seen is not None:
+                assert state.rows.tolist() == seen.tolist()
+            dense = state.dense(n)
+            assert (params.tobytes(), dense.m.tobytes(), dense.v.tobytes()) == (
+                ref[0].tobytes(), ref[1].tobytes(), ref[2].tobytes())
+        assert state.rows is None
+
     def test_row_step_on_a_dense_state_keeps_every_special_moment(self):
         spec, params, _ = _compact_case(matcher.MEAN_EMBEDDING_BILINEAR, 2)
         n, table = params.size, ROW_VOCAB * ROW_DIM
@@ -377,8 +397,7 @@ class TestCompactState:
         state = OptimizerState(m, v, 7)
         grad = next(_row_grads(spec, 1, np.random.default_rng(3)))
         assert _adam_outcome(params, grad, state) == _adam_outcome(params, np.asarray(grad), state)
-        _, new = adam_update(params, grad, state, lr=1e-3)
-        assert new.rows.tolist() == sorted({*specials, *grad.ids.tolist()})
+        assert adam_update(params, grad, state, lr=1e-3)[1].rows is None
 
     def test_a_fresh_row_keeps_negative_zero_params(self):
         spec = MatcherSpec(matcher.INTERACTION_MLP, vocab_size=ROW_VOCAB,
@@ -453,10 +472,15 @@ class TestCompactState:
     def test_mis_sized_compact_state_rejected(self):
         spec, params, state = _compact_case(matcher.INTERACTION_MLP, 7)
         grad = next(_row_grads(spec, 1, np.random.default_rng(7)))
+        head = np.zeros(params.size - ROW_VOCAB * ROW_DIM)
+        halved = OptimizerState(head, head, 2, np.zeros(0, np.intp), (2 * ROW_VOCAB, ROW_DIM // 2))
         for bad in (replace(state, m=state.m[:-1]), replace(state, v=state.v[:-1]),
-                    replace(state, rows=state.rows[:-1])):
-            with pytest.raises(ValueError, match="optimizer state"):
-                adam_update(params, grad, bad, lr=1e-3)
+                    replace(state, rows=state.rows[:-1]),
+                    replace(state, table=(ROW_VOCAB - 1, ROW_DIM)), halved):
+            # Only a RowGrad has a table that the halved one contradicts.
+            for g in (grad, *(() if bad is halved else (np.asarray(grad),))):
+                with pytest.raises(ValueError, match="optimizer state"):
+                    adam_update(params, g, bad, lr=1e-3)
 
 
 class TestSplitBatch:
