@@ -70,10 +70,10 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adam's moments and step counter. With ``rows`` set (sorted, unique ids of
-    rows of an embedding table of shape ``table``), ``m`` and ``v`` hold those
-    rows' moments, then the head's; every other moment is +0.0. A state whose
-    ``table`` is None stores nothing."""
+    """Adam's moments and step counter. With ``rows`` set (unique ids of rows of an
+    embedding table of shape ``table``, in slot order: each row keeps the slot that
+    first stored it), ``m`` and ``v`` hold those rows' moments, then the head's;
+    every other moment is +0.0. A state whose ``table`` is None stores nothing."""
 
     m: np.ndarray
     v: np.ndarray
@@ -87,15 +87,15 @@ class OptimizerState:
             return self
         if self.table is None:  # it stores nothing
             return OptimizerState(np.zeros(n), np.zeros(n), self.t)
-        return OptimizerState(*(_spread(x, self.rows, self.table[1], n) for x in (self.m, self.v)),
-                              self.t)
+        kd, d = self.rows.size * self.table[1], self.table[1]
+        return OptimizerState(*(np.asarray(matcher.RowGrad(self.rows, x[:kd].reshape(-1, d),
+                                                           x[kd:], (n,)))
+                                for x in (self.m, self.v)), self.t)
 
 
-def _spread(x: np.ndarray, at: np.ndarray, d: int, n: int) -> np.ndarray:
-    """``x``'s rows of ``d`` entries at rows ``at`` of ``n`` entries, +0.0 in the other
-    rows, then the rest of ``x`` (a head)."""
-    kd = at.size * d
-    return np.asarray(matcher.RowGrad(at, x[:kd].reshape(-1, d), x[kd:], (n,)))
+def _entries(rows: np.ndarray, d: int) -> np.ndarray:
+    """The flat indices of rows ``rows`` of a table of ``d`` columns."""
+    return (rows[:, None] * d + np.arange(d)).ravel()
 
 
 def init_optimizer(n: int) -> OptimizerState:
@@ -110,11 +110,9 @@ ADAM_BLOCK = 16384
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-# The largest share of the table's rows a compact state stores (see ``adam_update``).
-# Past it a row step on the compact state costs more than on dense vectors: every step
-# of a run timed both ways breaks even at about 0.33 (20,000 rows of 32, 60 tokens a
-# step) and 0.28 (40,000 rows of 16, 400 tokens); one pinned CPU.
-_STORED_SHARE = 0.3
+# The largest share of the table's rows a compact state stores (see ``adam_update``), set
+# from whole runs of two shapes, fastest at 0.6-0.7 (README, optimizer paragraph).
+_STORED_SHARE = 0.6
 
 
 def adam_update(params: np.ndarray, grad: np.ndarray | matcher.RowGrad,
@@ -134,13 +132,13 @@ def adam_update(params: np.ndarray, grad: np.ndarray | matcher.RowGrad,
     are never written: callers keep them as snapshots.
 
     A ``matcher.RowGrad`` on a compact state (``rows`` set) steps the head and
-    the rows the state stores or the gradient touches, and returns a state
-    storing those rows. Any other row has +0.0 gradient and moments, so for
-    ``t >= 1`` and a finite ``lr >= +0.0`` its step would give back its
-    params, -0.0 included, and +0.0 moments: it is skipped. Otherwise, or once
-    the state would store more than ``_STORED_SHARE`` of the rows, or on a
-    dense state, the step is dense: the table takes the step of a +0.0
-    gradient, ``BETA1*m + 0.0`` and ``BETA2*v + 0.0``, then its rows and head.
+    the rows the state stores or the gradient touches, a fresh row in the next
+    slot. Any other row has +0.0 gradient and moments, so for ``t >= 1`` and a
+    finite ``lr >= +0.0`` its step would give back its params, -0.0 included,
+    and +0.0 moments: it is skipped. Otherwise, or once the state would store
+    more than ``_STORED_SHARE`` of the rows, or on a dense state, the step is
+    dense. Both forms step the stored rows (or the table) with a +0.0 gradient,
+    ``BETA1*m + 0.0`` and ``BETA2*v + 0.0``, then the touched rows and head.
 
     Finiteness is checked per block, on the new params while in cache. A
     non-finite gradient entry always makes its parameter non-finite, so only
@@ -157,21 +155,18 @@ def adam_update(params: np.ndarray, grad: np.ndarray | matcher.RowGrad,
         raise ValueError(f"optimizer state shapes {state.m.shape}/{state.v.shape} do not "
                          f"match the {size} entries it stores of params {params.shape}")
     rowwise = isinstance(grad, matcher.RowGrad)
-    step = None
-    if rowwise and state.rows is not None and t > 0 and not np.signbit(lr) and lr < np.inf:
-        step = _row_step(params, grad, state, t, lr)
+    compact = rowwise and state.rows is not None and t > 0 and not np.signbit(lr) and lr < np.inf
+    step = _row_step(params, grad, state, t, lr) if compact else None
     if step is None:
         state = state.dense(n)
-        m, v, new_params = np.empty(n), np.empty(n), np.empty(n)
         if rowwise:
-            d, table = grad.rows.shape[1], n - grad.head.size
-            at = np.concatenate([(grad.ids[:, None] * d + np.arange(d)).ravel(), np.arange(table, n)])
-            g, out = np.concatenate([grad.rows.ravel(), grad.head]), np.empty((3, at.size))
-            finite = _adam_blocks(params[:table], None, state.m[:table], state.v[:table],
-                                  m[:table], v[:table], new_params[:table], t, lr)
-            finite &= _adam_blocks(params[at], g, state.m[at], state.v[at], *out, t, lr)
-            m[at], v[at], new_params[at] = out
+            table = n - grad.head.size
+            at = np.concatenate((_entries(grad.ids, grad.rows.shape[1]), np.arange(table, n)))
+            m, v, new_params, finite = _two_pass(
+                n, (params[:table], state.m[:table], state.v[:table]), at,
+                (params[at], grad.rows, grad.head, state.m[at], state.v[at]), t, lr)
         else:
+            m, v, new_params = np.empty(n), np.empty(n), np.empty(n)
             finite = _adam_blocks(params, grad, state.m, state.v, m, v, new_params, t, lr)
         step = new_params, OptimizerState(m, v, t), finite
     new_params, state, finite = step
@@ -186,28 +181,44 @@ def adam_update(params: np.ndarray, grad: np.ndarray | matcher.RowGrad,
 def _row_step(params, grad: matcher.RowGrad, state: OptimizerState, t: int, lr: float):
     """``adam_update`` of a ``RowGrad`` on a compact state: (new params, new state, all
     new params finite), or None when it would store more than ``_STORED_SHARE``."""
-    d, h = grad.rows.shape[1], grad.head.size
-    cut = params.size - h
+    d, h, cut = grad.rows.shape[1], grad.head.size, params.size - grad.head.size
     table = cut // d, d
     if state.table is None:  # it stores nothing
         state = OptimizerState(np.zeros(h), np.zeros(h), state.t, np.zeros(0, np.intp), table)
     if state.table != table:
         raise ValueError(f"optimizer state of a {state.table} table does not fit {table}")
-    stored = np.zeros(table[0], bool)
-    stored[state.rows] = stored[grad.ids] = True
-    rows = np.flatnonzero(stored)
+    slot = np.full(table[0], -1)
+    slot[state.rows] = np.arange(state.rows.size)
+    fresh = slot[grad.ids] < 0
+    rows = np.concatenate((state.rows, grad.ids[fresh]))  # a fresh row takes the next slot
     if rows.size > _STORED_SHARE * table[0]:
         return None
-    kd, at = rows.size * d, np.searchsorted(rows, state.rows)
-    m0, v0 = (_spread(x, at, d, kd + h) for x in (state.m, state.v))
-    g = np.asarray(matcher.RowGrad(np.searchsorted(rows, grad.ids), grad.rows, grad.head, (kd + h,)))
-    m, v, p = np.empty(kd + h), np.empty(kd + h), np.empty(kd + h)
-    gathered = np.concatenate((np.take(params[:cut].reshape(-1, d), rows, axis=0).ravel(), params[cut:]))
-    finite = _adam_blocks(gathered, g, m0, v0, m, v, p, t, lr)
-    new_params = np.concatenate((params[:cut], p[kd:]))
-    new_params[:cut].reshape(-1, d)[rows] = p[:kd].reshape(-1, d)
+    # The touched rows in slot order, the stored ones first, then the head.
+    order = np.argsort(fresh, kind="stable")
+    kd, size, old = state.rows.size * d, rows.size * d + h, _entries(slot[grad.ids[~fresh]], d)
+    src = np.concatenate((_entries(grad.ids[order], d), np.arange(cut, params.size)))
+    m0, v0 = (np.concatenate((x[old], np.zeros(size - h - kd), x[kd:])) for x in (state.m, state.v))
+    gathered = np.take(params[:cut].reshape(-1, d), state.rows, axis=0).ravel()
+    m, v, p, finite = _two_pass(size, (gathered, state.m[:kd], state.v[:kd]),
+                                np.concatenate((old, np.arange(kd, size))),
+                                (params[src], grad.rows[order], grad.head, m0, v0), t, lr)
+    new_params = np.concatenate((params[:cut], p[size - h:]))
+    new_params[:cut].reshape(-1, d)[rows] = p[:size - h].reshape(-1, d)
     finite &= bool(np.isfinite(params).all())  # an unstored row keeps its params
     return new_params, OptimizerState(m, v, t, rows, table), finite
+
+
+def _two_pass(size: int, stored, at, touched, t: int, lr: float):
+    """Fresh (m, v, params) of ``size`` entries, and whether all are finite: the step of a
+    +0.0 gradient, ``BETA1*m + 0.0`` and ``BETA2*v + 0.0``, of ``stored`` (params, m, v) into
+    the first entries, then the full step of ``touched`` (params, rows, head, m, v) at ``at``."""
+    m, v, p, out = np.empty(size), np.empty(size), np.empty(size), np.empty((3, at.size))
+    finite = _adam_blocks(stored[0], None, *stored[1:],
+                          *(x[:stored[0].size] for x in (m, v, p)), t, lr)
+    g = np.concatenate((touched[1].ravel(), touched[2]))  # the touched rows, then the head
+    finite &= _adam_blocks(touched[0], g, *touched[3:], *out, t, lr)
+    m[at], v[at], p[at] = out
+    return m, v, p, finite
 
 
 def _adam_blocks(params, grad, m0, v0, m, v, new_params, t: int, lr: float) -> bool:

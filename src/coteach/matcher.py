@@ -123,8 +123,8 @@ class ModelState:
 
 @dataclass(frozen=True, eq=False)
 class RowGrad:
-    """A gradient of ``shape``: ``rows`` at embedding rows ``ids`` (sorted, unique),
-    +0.0 in the rest of the table, then ``head``. ``np.asarray`` gives it flat."""
+    """A gradient of ``shape``: ``rows`` at unique embedding rows ``ids`` (``loss_and_grad``
+    sorts them), +0.0 in the rest of the table, then ``head``. ``np.asarray`` gives it flat."""
 
     ids: np.ndarray
     rows: np.ndarray

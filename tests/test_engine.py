@@ -360,10 +360,18 @@ class TestCompactState:
         state, seen = init_optimizer(params.size), np.zeros(0, np.intp)
         assert state.rows.size == state.m.size == state.v.size == 0
         for grad in _row_grads(spec, 8, np.random.default_rng(1)):
-            params, state = adam_update(params, grad, state, lr=1e-3)
+            prev, (params, state) = state, adam_update(params, grad, state, lr=1e-3)
             seen = np.union1d(seen, grad.ids)
-            assert state.rows.tolist() == seen.tolist()
+            assert np.sort(state.rows).tolist() == seen.tolist()
             assert state.m.size == state.v.size == seen.size * ROW_DIM + grad.head.size
+            # A stored row keeps its slot: the stored rows are a prefix of the new
+            # ones, and an untouched one's moments decay at the same offset.
+            k = prev.rows.size
+            assert state.rows[:k].tolist() == prev.rows.tolist()
+            untouched = ~np.isin(prev.rows, grad.ids)
+            for was, now, beta in ((prev.m, state.m, engine.BETA1), (prev.v, state.v, engine.BETA2)):
+                was, now = (x[:k * ROW_DIM].reshape(k, ROW_DIM)[untouched] for x in (was, now))
+                assert now.tobytes() == (beta * was + 0.0).tobytes()
 
     def test_a_run_past_the_stored_share_steps_densely(self, monkeypatch):
         spec, params, _ = _compact_case(matcher.INTERACTION_MLP, 8)
@@ -379,7 +387,7 @@ class TestCompactState:
                 seen = seen if seen.size <= 0.05 * ROW_VOCAB else None
             assert (state.rows is None) == (seen is None)
             if seen is not None:
-                assert state.rows.tolist() == seen.tolist()
+                assert np.sort(state.rows).tolist() == seen.tolist()
             dense = state.dense(n)
             assert (params.tobytes(), dense.m.tobytes(), dense.v.tobytes()) == (
                 ref[0].tobytes(), ref[1].tobytes(), ref[2].tobytes())
@@ -398,6 +406,31 @@ class TestCompactState:
         grad = next(_row_grads(spec, 1, np.random.default_rng(3)))
         assert _adam_outcome(params, grad, state) == _adam_outcome(params, np.asarray(grad), state)
         assert adam_update(params, grad, state, lr=1e-3)[1].rows is None
+
+    def test_row_step_on_a_compact_state_keeps_every_special_moment(self):
+        spec, params, _ = _compact_case(matcher.MEAN_EMBEDDING_BILINEAR, 3)
+        grad = next(_row_grads(spec, 1, np.random.default_rng(9)))
+        n, h, ids = params.size, grad.head.size, grad.ids.tolist()
+        # Stored rows out of id order: untouched ones around half of the touched ones.
+        rows = np.array([1200, 5, *ids[::2], 700, 9, 1201, 11, 1202], np.intp)
+        touched = np.isin(rows, grad.ids)
+        assert touched[2:4].all() and not touched[[0, 1, -3, -2, -1]].any()
+        m, v = np.zeros(rows.size * ROW_DIM + h), np.zeros(rows.size * ROW_DIM + h)
+        k = rows.size
+        specials = {0: (m, -0.0), 1: (v, -0.0), 2: (m, 5e-324), 3: (v, 2.2e-308),
+                    k - 3: (m, 1e300), k - 2: (m, -1e300), k - 1: (v, 1e300)}
+        for slot, (moment, value) in specials.items():
+            moment[slot * ROW_DIM + 3] = value  # in untouched and touched stored rows
+        m[rows.size * ROW_DIM:], v[rows.size * ROW_DIM:] = 0.01, 1e-4
+        state = OptimizerState(m, v, 7, rows, (ROW_VOCAB, ROW_DIM))
+        dense = state.dense(n)
+        assert _adam_outcome(params, grad, state) == _adam_outcome(params, np.asarray(grad), dense)
+        ref = _adam_reference(params, np.asarray(grad), dense, 1e-3)
+        new, after = adam_update(params, grad, state, lr=1e-3)
+        assert after.rows[:rows.size].tolist() == rows.tolist()
+        after = after.dense(n)
+        assert (new.tobytes(), after.m.tobytes(), after.v.tobytes()) == (
+            ref[0].tobytes(), ref[1].tobytes(), ref[2].tobytes())
 
     def test_a_fresh_row_keeps_negative_zero_params(self):
         spec = MatcherSpec(matcher.INTERACTION_MLP, vocab_size=ROW_VOCAB,
@@ -790,6 +823,37 @@ class TestGradientForms:
         dense = self._train(corpus, monkeypatch, 10 ** 9, kind, strategy, settings)
         assert rows[0] == {matcher.RowGrad} and dense[0] == {np.ndarray}
         assert rows[1:] == dense[1:]
+
+
+class TestStoredShare:
+    """``engine._STORED_SHARE`` only chooses how fast a run steps: a run whose
+    state turns dense at its first row step (0) trains the same bytes as one
+    that stays compact (1)."""
+
+    @staticmethod
+    def _train(corpus, monkeypatch, share):
+        monkeypatch.setattr(matcher, "_ROW_GRAD_RATIO", 0)
+        monkeypatch.setattr(engine, "_STORED_SHARE", share)
+        forms = set()
+
+        def spy(params, grad, state, lr):
+            new, state = adam_update(params, grad, state, lr)
+            forms.add((type(grad), state.rows is None))
+            return new, state
+
+        monkeypatch.setattr(engine, "adam_update", spy)
+        peers = [init_params(MatcherSpec(kind, vocab_size=60, embedding_dim=8, hidden_dim=4),
+                             seed) for seed, kind in enumerate(matcher.MATCHER_KINDS)]
+        a, b, history = coteach_train(*peers, corpus, _config(
+            strategy="weighting", learning_rate=1e-2, n_epochs=2, eval_every=4))
+        return forms, [m.params.tobytes() for m in (a, b)], history.records
+
+    def test_dense_and_compact_runs_train_the_same_bytes(self, corpus, monkeypatch):
+        dense = self._train(corpus, monkeypatch, 0)
+        compact = self._train(corpus, monkeypatch, 1)
+        assert dense[0] == {(matcher.RowGrad, True)}
+        assert compact[0] == {(matcher.RowGrad, False)}
+        assert dense[1:] == compact[1:]
 
 
 class TestSelectModel:
