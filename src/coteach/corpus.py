@@ -12,9 +12,9 @@ PCG64 words in bulk (32-bit halves through PCG64's one-half buffer mapped
 by Lemire's method, whole words for ``random()``), into packs.
 
 This module owns the pack: a training or validation split is a
-``Triples`` and the test split a ``TestGroups``. Each holds its items as
-flat int arrays, packed and checked once, when it is built; it builds its
-item tuples only when they are read.
+``Triples`` and the test split a ``TestGroups``, each built from its pack
+alone: flat int arrays, drawn in range or checked once where they are read
+or packed. A split builds its item tuples only when they are read.
 A ``Batch`` addresses a split's triples by position, and ``gather`` takes
 what ``matcher`` scores or trains on from a pack. ``load_corpus`` reads a
 file once, a chunk of lines at a time, parsing each chunk's ids in one
@@ -113,17 +113,12 @@ def pack_groups(groups, vocab_size: int | None) -> Packed:
 
 
 class _Split(Sequence):
-    """A split's ``pack`` and per-item ``columns``; items given are packed,
-    and so checked against ``vocab_size``, when the split is built. Its item
-    tuples are built from them when first read. Compares as the tuple of
-    its items."""
+    """A split's ``pack``, its tokens checked against ``vocab_size`` where
+    it was packed, and its per-item ``columns``. Its item tuples are built
+    from them when first read. Compares equal by its pack and its column."""
 
-    def __init__(self, items=(), vocab_size: int | None = None, pack=None, **columns):
-        self.vocab_size = vocab_size
-        if pack is None:
-            groups, columns = self._unbuild(tuple(items))
-            pack = pack_groups(groups, vocab_size)
-        self.pack = pack
+    def __init__(self, vocab_size: int | None, pack: Packed, **columns):
+        self.vocab_size, self.pack = vocab_size, pack
         vars(self).update(columns)
 
     @cached_property
@@ -147,9 +142,10 @@ class _Split(Sequence):
         return self._items[index]
 
     def __eq__(self, other):
-        if not isinstance(other, (tuple, _Split)):
+        if type(other) is not type(self):
             return NotImplemented
-        return self._items == tuple(other)
+        return all(map(np.array_equal, (*self.pack, getattr(self, self._column)),
+                       (*other.pack, getattr(other, other._column))))
 
     def _gather(self, groups, responses, runs, vocab_size: int) -> Packed:
         """The Packed contexts at ``groups`` with the responses at positions
@@ -173,10 +169,7 @@ class Triples(_Split):
     example 2t + k (t's positive for k = 0, negative for k = 1) is segment
     ``n_ctx + 2t + k``; the column ``flags`` holds noise flags."""
 
-    @staticmethod
-    def _unbuild(items):
-        return ([(t.context, (t.pos_response, t.neg_response)) for t in items],
-                dict(flags=[t.noise_flag for t in items]))
+    _column = "flags"
 
     def _build(self, groups):
         return (PairwiseTriple(context, pos, neg, flag)
@@ -194,10 +187,7 @@ class TestGroups(_Split):
     group (context, responses) of every group, and the column ``labels``
     holds the candidates' labels in the pack's response order."""
 
-    @staticmethod
-    def _unbuild(items):
-        return ([(g.context, [response for response, _ in g.candidates]) for g in items],
-                dict(labels=np.fromiter((y for g in items for _, y in g.candidates), np.intp)))
+    _column = "labels"
 
     def _build(self, groups):
         labels = iter(self.labels.tolist())
@@ -251,9 +241,8 @@ class Batch:
 
 @dataclass(frozen=True)
 class Corpus:
-    """``train`` and ``valid`` become Triples and ``test`` TestGroups over
-    ``vocab_size``, or stay as they are, pack included, if they are; a bad
-    triple or group is rejected when its split is built."""
+    """``train`` and ``valid`` Triples and ``test`` TestGroups, each over
+    ``vocab_size``; a split of another kind or vocabulary raises."""
 
     train: Triples
     valid: Triples
@@ -267,7 +256,8 @@ class Corpus:
         for name, kind in (("train", Triples), ("valid", Triples), ("test", TestGroups)):
             split = getattr(self, name)
             if not (isinstance(split, kind) and split.vocab_size == self.vocab_size):
-                object.__setattr__(self, name, kind(split, self.vocab_size))
+                raise ValueError(f"{name} must be a {kind.__name__} split over vocab "
+                                 f"{self.vocab_size}")
 
 
 @dataclass(frozen=True)
@@ -331,7 +321,7 @@ def _other_topic(rng, config: GenConfig, topic: int) -> int:
     return other + (other >= topic)
 
 
-def _sample_triple(rng, config: GenConfig) -> PairwiseTriple:
+def _sample_triple(rng, config: GenConfig):
     topic = int(rng.integers(config.n_topics))
     context = _sample_context(rng, config, topic)
     pos = _sample_utterance(rng, config, topic)
@@ -340,7 +330,7 @@ def _sample_triple(rng, config: GenConfig) -> PairwiseTriple:
     neg = _sample_utterance(rng, config, neg_topic)
     while neg == pos:
         neg = _sample_utterance(rng, config, neg_topic)
-    return PairwiseTriple(context, pos, neg, noise_flag=is_noise)
+    return context, ((pos, True), (neg, is_noise))
 
 
 # Probability that a test candidate is drawn from the context's own topic.
@@ -348,7 +338,7 @@ def _sample_triple(rng, config: GenConfig) -> PairwiseTriple:
 _TEST_POSITIVE_PROB = 0.25
 
 
-def _sample_test_group(rng, config: GenConfig) -> TestGroup:
+def _sample_test_group(rng, config: GenConfig):
     topic = int(rng.integers(config.n_topics))
     context = _sample_context(rng, config, topic)
     while True:
@@ -360,7 +350,7 @@ def _sample_test_group(rng, config: GenConfig) -> TestGroup:
             candidates.append((response, int(cand_topic == topic)))
         labels = {label for _, label in candidates}
         if len(labels) == 2:  # regenerate degenerate groups
-            return TestGroup(context, tuple(candidates))
+            return context, tuple(candidates)
 
 
 _CHUNK_WORDS = 1 << 14  # the most words a chunk draws, whatever the config
@@ -466,18 +456,16 @@ def _sample_split(rng, config: GenConfig, n: int, triples: bool) -> _Split:
             if m == scanned:
                 continue
             wait = done + 1 + misses  # the items before the next chunk, drawn per call
-        item = (_sample_triple if triples else _sample_test_group)(rng, config)
-        pairs = ((item.pos_response, True), (item.neg_response, item.noise_flag)
-                 ) if triples else item.candidates
+        context, pairs = (_sample_triple if triples else _sample_test_group)(rng, config)
         utterances, marks[done] = zip(*pairs)
-        contexts[done], responses[done] = list(chain(*item.context)), list(chain(*utterances))
+        contexts[done], responses[done] = list(chain(*context)), list(chain(*utterances))
         done += 1
     lengths, n_utts = np.full(ids.size // k, k), np.full(n, turns)
     pack = Packed(ids, lengths, lengths.cumsum() - lengths, n_utts,
                   n_utts.cumsum() - n_utts, np.full(n, n_resp), n * turns)
     kind, column = (Triples, dict(flags=marks[:, 1].tolist())) if triples else (
         TestGroups, dict(labels=marks.ravel().astype(np.intp)))
-    return kind(vocab_size=config.vocab_size, pack=pack, **column)
+    return kind(config.vocab_size, pack, **column)
 
 
 def generate_synthetic_corpus(config: GenConfig) -> Corpus:
@@ -820,11 +808,12 @@ def _read_meta(path) -> dict:
 
 def load_corpus(path, splits=SPLITS) -> Corpus:
     """Load a corpus directory written by :func:`save_corpus`, parsing only
-    the named ``splits``; the others load empty, but all three headers are
-    read and must agree."""
-    path = Path(path)
-    meta_path = path / "meta.json"
-    meta = _read_meta(meta_path)
+    the named ``splits``; the others load as empty splits, but all three
+    headers are read and must agree."""
+    path, splits = Path(path), tuple(splits)
+    if unknown := [name for name in splits if name not in SPLITS]:
+        raise ValueError(f"unknown split {unknown[0]!r}: splits are names from {SPLITS}")
+    meta = _read_meta(meta_path := path / "meta.json")
     read = {name: _read_split(path / f"{name}.txt", block, name in splits)
             for name, block in zip(SPLITS, (_TRIPLE_BLOCK, _TRIPLE_BLOCK, _GROUP_BLOCK))}
 
@@ -835,15 +824,11 @@ def load_corpus(path, splits=SPLITS) -> Corpus:
         raise CorpusFormatError(path, 1, f"inconsistent headers across files: {headers}")
     vocab_size, n_candidates = headers[0]
 
-    def triples(name):
-        if name not in splits:
-            return ()
-        pack = read[name][1]
-        return Triples(vocab_size=vocab_size, pack=pack, flags=_noise_flags(
-            meta, f"{name}_noise_flags", len(pack.n_utts), meta_path))
-
-    test = (TestGroups(vocab_size=vocab_size, pack=read["test"][1], labels=read["test"][2])
-            if "test" in splits else ())
-    return Corpus(train=triples("train"), valid=triples("valid"), test=test,
+    # A split not parsed is the empty pack of its header-only read, its meta flags unread.
+    train, valid = (Triples(vocab_size, read[name][1], flags=_noise_flags(
+        meta, f"{name}_noise_flags", len(read[name][1].n_utts), meta_path)
+        if name in splits else []) for name in SPLITS[:2])
+    test = TestGroups(vocab_size, read["test"][1], labels=read["test"][2])
+    return Corpus(train=train, valid=valid, test=test,
                   vocab_size=vocab_size, n_candidates=n_candidates,
                   seed=meta.get("seed"), noise_rate=meta.get("noise_rate"))

@@ -9,6 +9,7 @@ from coteach import GenConfig, MatcherSpec, engine, generate_synthetic_corpus, m
 from coteach.corpus import Batch, PairwiseTriple, Triples
 from coteach.losses import LearningProtocol
 from coteach.matcher import ModelState, init_params
+from oracles import build_split
 
 
 @pytest.fixture(scope="session")
@@ -67,13 +68,13 @@ def random_triple(rng, vocab_size=20, n_utts=2, n_tokens=3):
 def whole_batch(triples):
     """A Batch of every triple of ``triples``, a Triples split or a list of
     PairwiseTriples; strategies take a Batch."""
-    split = triples if isinstance(triples, Triples) else Triples(triples)
+    split = triples if isinstance(triples, Triples) else build_split(triples)
     return Batch(split, np.arange(len(split)))
 
 
 def pairwise_protocol(triples, margins):
     """The hinge protocol of ``triples``, in order, with ``margins``."""
-    return LearningProtocol(Triples(triples), 2 * np.arange(len(triples))[:, None]
+    return LearningProtocol(build_split(triples), 2 * np.arange(len(triples))[:, None]
                             + (0, 1), np.array(margins, dtype=float))
 
 
@@ -84,7 +85,7 @@ def pointwise_protocol(examples, weights):
     triples = [PairwiseTriple(c, r, (0,)) if y else PairwiseTriple(c, (0,), r)
                for y, c, r in examples]
     return LearningProtocol(
-        Triples(triples), np.array([2 * i + 1 - y for i, (y, _, _) in enumerate(examples)]),
+        build_split(triples), np.array([2 * i + 1 - y for i, (y, _, _) in enumerate(examples)]),
         np.array(weights, dtype=float))
 
 

@@ -7,7 +7,9 @@ attribute sees its checker use the swapped function.
 own with ``str``, a line at a time. ``reference_read_split`` is the corpus
 reader's: the whole file decoded at once and parsed line by line.
 ``ranked_group`` builds a ``RankedGroup`` from its (index, score, label)
-entries, as a ranking oracle writes them.
+entries, as a ranking oracle writes them. ``build_split`` and
+``build_corpus`` pack hand-written ``PairwiseTriple`` and ``TestGroup``
+items into the splits a corpus holds.
 """
 
 import numpy as np
@@ -59,6 +61,29 @@ def ranked_group(context_id: int, entries) -> RankedGroup:
     return RankedGroup(context_id, np.array([i for i, _, _ in entries], np.intp),
                        np.array([s for _, s, _ in entries], float),
                        np.array([y for _, _, y in entries], np.intp))
+
+
+def build_split(items, vocab_size: int | None = None, kind=corpus.Triples):
+    """The ``kind`` split of ``items``, PairwiseTriples for a Triples and
+    TestGroups for a TestGroups, packed by ``corpus.pack_groups``, which
+    checks every token against ``vocab_size`` and rejects an empty context,
+    utterance or response."""
+    items = tuple(items)
+    if kind is corpus.Triples:
+        return kind(vocab_size, corpus.pack_groups(
+            [(t.context, (t.pos_response, t.neg_response)) for t in items], vocab_size),
+            flags=[t.noise_flag for t in items])
+    return kind(vocab_size, corpus.pack_groups(
+        [(g.context, [response for response, _ in g.candidates]) for g in items], vocab_size),
+        labels=np.fromiter((y for g in items for _, y in g.candidates), np.intp))
+
+
+def build_corpus(train=(), valid=(), test=(), *, vocab_size: int, **fields) -> corpus.Corpus:
+    """The Corpus over ``vocab_size`` of the items ``train``, ``valid`` and
+    ``test``, each split built by ``build_split``, with its other ``fields``."""
+    return corpus.Corpus(build_split(train, vocab_size), build_split(valid, vocab_size),
+                         build_split(test, vocab_size, corpus.TestGroups),
+                         vocab_size=vocab_size, **fields)
 
 
 def reference_corpus_files(corpus) -> dict:

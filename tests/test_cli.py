@@ -11,7 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coteach import cli, engine, load_corpus, matcher
+from coteach import (cli, engine, generate_synthetic_corpus, load_corpus, matcher,
+                     save_corpus)
 from coteach.evaluation import MetricsReport
 from coteach.matcher import load_checkpoint
 from coteach.cli import main, parse_config
@@ -644,15 +645,15 @@ def _must_not_run(*args, **kwargs):
 
 def _forbid_tuples(monkeypatch):
     """Make building an item tuple, a ranked entry or a pack of tuple
-    groups fail the run."""
+    groups, even of none, fail the run."""
     from coteach import corpus, evaluation
     for split in (corpus.Triples, corpus.TestGroups):
         monkeypatch.setattr(split, "_build", _must_not_run)
+    for item in ("PairwiseTriple", "TestGroup"):
+        monkeypatch.setattr(corpus, item, _must_not_run)
     monkeypatch.setattr(evaluation.RankedGroup, "entries", property(_must_not_run))
     for module in (corpus, matcher):
-        real = module.pack_groups
-        monkeypatch.setattr(module, "pack_groups", lambda groups, vocab_size, real=real: (
-            _must_not_run() if len(groups) else real(groups, vocab_size)))
+        monkeypatch.setattr(module, "pack_groups", _must_not_run)
 
 
 def test_pipeline_builds_no_tuples(tmp_path, monkeypatch):
@@ -668,6 +669,24 @@ def test_pipeline_builds_no_tuples(tmp_path, monkeypatch):
                  ["report", "--config", "exp.cfg"], ["sweep", *strategy]):
         assert _run(*argv) == 0, argv
     assert len((tmp_path / "run" / "sweep.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("vocab_size", [60, 2**40], ids=["bulk", "per-call"])
+def test_generate_and_load_pack_no_tuple_groups(tmp_path, monkeypatch, vocab_size):
+    # Generation writes its packs in place, also where it draws an item per
+    # call, and a load joins the packs it reads; a split a partial load
+    # does not parse is its header-only read's empty pack.
+    _forbid_tuples(monkeypatch)
+    data = generate_synthetic_corpus(GenConfig(
+        vocab_size=vocab_size, n_topics=3, n_train=30, n_valid=10, n_test_contexts=8,
+        n_candidates=4, false_negative_rate=0.3, seed=3))
+    save_corpus(data, tmp_path)
+    assert load_corpus(tmp_path) == data
+    for splits in (("train", "valid"), ("valid", "test")):
+        loaded = load_corpus(tmp_path, splits)
+        for name in ("train", "valid", "test"):
+            split = getattr(loaded, name)
+            assert (split == getattr(data, name)) if name in splits else not len(split)
 
 
 def _label_test_groups(path, groups, label):

@@ -19,6 +19,7 @@ from coteach.corpus import TestGroup as CandidateGroup, TestGroups as CandidateG
 from coteach.matcher import init_params
 
 from conftest import whole_batch
+from oracles import build_corpus, build_split
 
 
 class TestGenConfigValidation:
@@ -167,7 +168,7 @@ class TestGeneration:
 
 class TestPointwiseView:
     def test_empty(self):
-        pack = Triples([]).pack
+        pack = build_split([]).pack
         assert pack.ids.size == pack.lengths.size == pack.n_ctx == 0
 
     def test_single_triple_yields_labels_one_zero(self):
@@ -193,7 +194,7 @@ class TestPointwiseView:
 
 def _corpus_with(triple, vocab_size=10):
     good = PairwiseTriple(((1, 2),), (3,), (4,))
-    return Corpus(train=(good, triple), valid=(good,), test=(), vocab_size=vocab_size)
+    return build_corpus((good, triple), (good,), vocab_size=vocab_size)
 
 
 class TestSplitPack:
@@ -208,20 +209,22 @@ class TestSplitPack:
             "empty-negative", "no-utterances"])
     def test_bad_triple_rejected_when_its_split_is_built(self, triple, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            Triples([triple], vocab_size=10)
+            build_split([triple], 10)
         with pytest.raises(ValueError, match=f"^{message}$"):
             _corpus_with(triple)
         _corpus_with(PairwiseTriple(((1,),), (3,), (4,)))  # a good triple is fine
 
     def test_each_split_is_packed_once(self, tiny_gen_config, monkeypatch):
-        # Splits of given items pack when they are built; generated ones are
-        # born packed, and no split packs again.
+        # Splits of given items pack when the oracle builds them; generated
+        # ones are born packed, and no split packs again.
         generated = generate_synthetic_corpus(tiny_gen_config)
         calls = []
         real = corpus.pack_groups
         monkeypatch.setattr(corpus, "pack_groups", lambda *args: (
             calls.append(len(args[0])) or real(*args)))
-        data = replace(generated, train=tuple(generated.train), valid=tuple(generated.valid))
+        vocab = tiny_gen_config.vocab_size
+        data = replace(generated, train=build_split(generated.train, vocab),
+                       valid=build_split(generated.valid, vocab))
         assert calls == [len(data.train), len(data.valid)]
         spec = MatcherSpec("mean-embedding-bilinear", vocab_size=60, embedding_dim=4)
         config = TrainConfig(strategy="margin", lam=0.5, batch_size=10, eval_every=4)
@@ -233,9 +236,41 @@ class TestSplitPack:
         assert calls == [len(data.train), len(data.valid)]
         assert replace(data, seed=None).train.pack is data.train.pack
 
+    @pytest.mark.parametrize("name, split, kind", [
+        ("train", (PairwiseTriple(((1,),), (2,), (3,)),), "Triples"),
+        ("train", build_split([], 10, CandidateGroups), "Triples"),
+        ("test", build_split([], 10), "TestGroups"),
+        ("valid", build_split([PairwiseTriple(((1,),), (2,), (3,))], 20), "Triples"),
+        ("valid", build_split([PairwiseTriple(((1,),), (2,), (3,))]), "Triples"),
+    ], ids=["tuple", "test-groups-as-train", "triples-as-test", "other-vocab", "no-vocab"])
+    def test_corpus_refuses_a_split_it_would_have_to_convert(self, name, split, kind):
+        # A corpus holds its splits as they were built: it never packs one.
+        triples = build_split([PairwiseTriple(((1,),), (2,), (3,))], 10)
+        splits = dict(train=triples, valid=triples, test=build_split([], 10, CandidateGroups))
+        assert Corpus(**splits, vocab_size=10).train is triples
+        with pytest.raises(ValueError, match=f"^{name} must be a {kind} split over vocab 10$"):
+            Corpus(**{**splits, name: split}, vocab_size=10)
+
+    def test_a_split_compares_by_its_pack_and_column(self, tiny_corpus):
+        # Equal arrays are equal splits, whatever the vocab they were checked
+        # against; a flag, a label, a segment boundary or the kind tells two
+        # apart, and a split never equals a tuple of its items.
+        train, test = tiny_corpus.train, tiny_corpus.test
+        assert train == build_split(train) and test == build_split(test, kind=CandidateGroups)
+        assert train != build_split([replace(t, noise_flag=not t.noise_flag) if i == 3 else t
+                                     for i, t in enumerate(train)])
+        first = test[0]
+        relabelled = replace(first, candidates=(
+            (first.candidates[0][0], 1 - first.candidates[0][1]),) + first.candidates[1:])
+        assert test != build_split((relabelled, *test[1:]), kind=CandidateGroups)
+        assert build_split([PairwiseTriple(((1, 2),), (3,), (4,))]) != build_split(
+            [PairwiseTriple(((1,), (2,)), (3,), (4,))])
+        assert train != tuple(train) and train != build_split(train[:-1])
+        assert build_split([]) != build_split([], kind=CandidateGroups)
+
     def test_gather_of_no_groups_is_an_empty_pack(self):
-        test = CandidateGroups([CandidateGroup(((1, 2), (3,)), (((4,), 1), ((5, 6), 0)))],
-                               vocab_size=10)
+        test = build_split([CandidateGroup(((1, 2), (3,)), (((4,), 1), ((5, 6), 0)))], 10,
+                           CandidateGroups)
         pack = test.gather(np.zeros(0, np.intp), 10)
         for got, want in zip(pack, corpus.pack_groups([], 10)):
             assert np.array_equal(got, want)
@@ -252,7 +287,7 @@ class TestSplitPack:
 
 
 class TestModelVocab:
-    SPLIT = Triples([PairwiseTriple(((1,),), (2,), (7,))] * 2, vocab_size=10)
+    SPLIT = build_split([PairwiseTriple(((1,),), (2,), (7,))] * 2, 10)
     MODEL = init_params(MatcherSpec("mean-embedding-bilinear", vocab_size=5,
                                     embedding_dim=2), 0)
 
@@ -270,19 +305,19 @@ class TestModelVocab:
             call(self.MODEL, Batch(self.SPLIT, np.array([1, 0])))
 
     def test_split_within_the_model_vocab_is_scored(self):
-        split = Triples([PairwiseTriple(((1,),), (2,), (4,))], vocab_size=10)
+        split = build_split([PairwiseTriple(((1,),), (2,), (4,))], 10)
         assert validation_p_at_1(self.MODEL, split) in (0.0, 1.0)
 
 
 class TestBatch:
     @pytest.mark.parametrize("index", [[-1], [0, 3], [1, -2]])
     def test_positions_outside_the_split_rejected(self, index):
-        split = Triples([PairwiseTriple(((1,),), (2,), (3,))] * 3)
+        split = build_split([PairwiseTriple(((1,),), (2,), (3,))] * 3)
         with pytest.raises(ValueError, match="batch position outside the split"):
             Batch(split, np.array(index))
 
     def test_positions_must_be_a_1d_integer_array(self):
-        split = Triples([PairwiseTriple(((1,),), (2,), (3,))] * 3)
+        split = build_split([PairwiseTriple(((1,),), (2,), (3,))] * 3)
         assert Batch(split, [2, 0]).examples().tolist() == [[4, 5], [0, 1]]
         # A boolean mask would read as positions 0 and 1.
         for index in (np.array([True, False, True]), np.array([0.0, 1.0]),
@@ -293,7 +328,7 @@ class TestBatch:
             Batch(list(split), np.array([0]))
 
     def test_indexing_a_batch_keeps_its_split(self):
-        split = Triples([PairwiseTriple(((i,),), (2,), (3,)) for i in range(4)])
+        split = build_split([PairwiseTriple(((i,),), (2,), (3,)) for i in range(4)])
         batch = Batch(split, np.array([3, 1, 2]))[np.array([2, 0])]
         assert batch.split is split and batch.index.tolist() == [2, 3]
         assert batch.examples().tolist() == [[4, 5], [6, 7]]
@@ -391,8 +426,8 @@ class TestFileIO:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         good = PairwiseTriple(((1, 2),), (3,), (4,))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            corpus = Corpus(**{"train": (good,), "valid": (good,), "test": (),
-                               "vocab_size": 10, "n_candidates": 3, **changes})
+            corpus = build_corpus(**{"train": (good,), "valid": (good,), "test": (),
+                                     "vocab_size": 10, "n_candidates": 3, **changes})
             save_corpus(corpus, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -426,9 +461,8 @@ class TestFileIO:
         assert load_corpus(tmp_path / "c") == tiny_corpus
 
     def test_round_trip_without_noise_flags(self, tmp_path):
-        corpus = Corpus(
-            train=(PairwiseTriple(((1, 2), (3,)), (4,), (5,)),),
-            valid=(), test=(), vocab_size=10)
+        corpus = build_corpus(train=(PairwiseTriple(((1, 2), (3,)), (4,), (5,)),),
+                              vocab_size=10)
         save_corpus(corpus, tmp_path / "c")
         loaded = load_corpus(tmp_path / "c")
         assert loaded.train == corpus.train
@@ -438,7 +472,34 @@ class TestFileIO:
         save_corpus(tiny_corpus, tmp_path / "c")
         (tmp_path / "c" / "train.txt").write_text("#vocab=60 candidates=6\n")
         (tmp_path / "c" / "meta.json").write_text("{}")
-        assert load_corpus(tmp_path / "c").train == ()
+        assert load_corpus(tmp_path / "c").train == build_split([], 60)
+
+    @pytest.mark.parametrize("splits", [("train", "valid"), ("valid", "test"), ("test",), ()],
+                             ids=["train-valid", "valid-test", "test", "none"])
+    def test_a_split_not_parsed_loads_as_an_empty_split(self, tiny_corpus, tmp_path, splits):
+        # meta.json lists flags for train and valid, which are only read
+        # for a split that is parsed. Any iterable of names will do.
+        save_corpus(tiny_corpus, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["train_noise_flags"] and meta["valid_noise_flags"]
+        loaded = load_corpus(tmp_path, iter(splits))
+        for name, kind in (("train", Triples), ("valid", Triples), ("test", CandidateGroups)):
+            split = getattr(loaded, name)
+            assert type(split) is kind and split.vocab_size == 60, name
+            assert split == (getattr(tiny_corpus, name) if name in splits
+                             else build_split([], 60, kind)), name
+
+    @pytest.mark.parametrize("splits, name", [
+        (("tran",), "tran"), (("valid", "tests"), "tests"), ("test", "t"), ("trainvalid", "t"),
+    ], ids=["misspelt", "second", "string", "joined-string"])
+    def test_a_split_name_outside_the_corpus_rejected(self, tiny_corpus, tmp_path, splits,
+                                                      name):
+        # A string is not a collection of names: its first character is
+        # named, so "trainvalid" cannot load two splits by substring.
+        save_corpus(tiny_corpus, tmp_path)
+        with pytest.raises(ValueError, match=f"^unknown split '{name}': splits are names "
+                                             r"from \('train', 'valid', 'test'\)$"):
+            load_corpus(tmp_path, splits)
 
     def test_malformed_line_names_location(self, tiny_corpus, tmp_path):
         save_corpus(tiny_corpus, tmp_path / "c")
@@ -666,8 +727,8 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("token", [2**63 - 1, 2**63, 10**19 - 1])
     def test_id_past_the_vocab_of_2_63_minus_1_rejected(self, tmp_path, token):
-        corpus = Corpus(train=(PairwiseTriple(((2**63 - 2,),), (0,), (1,)),), valid=(),
-                        test=(), vocab_size=2**63 - 1)
+        corpus = build_corpus(train=(PairwiseTriple(((2**63 - 2,),), (0,), (1,)),),
+                              vocab_size=2**63 - 1)
         path = _saved(corpus, tmp_path) / "train.txt"
         _replace_line(path, 2, lambda line: line[:-1] + str(token))
         with pytest.raises(CorpusFormatError, match=rf"train\.txt:3: token ID {token} outside "

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 from coteach import GenConfig, load_corpus, save_corpus
 from coteach import corpus as corpus_module
-from coteach.corpus import (Corpus, CorpusFormatError, PairwiseTriple, _sample_test_group,
+from coteach.corpus import (CorpusFormatError, PairwiseTriple, Triples, _sample_test_group,
                             _sample_triple, generate_synthetic_corpus)
-from coteach.corpus import TestGroup as CandidateGroup
-from oracles import reference_corpus_files, reference_read_split
+from coteach.corpus import TestGroup as CandidateGroup, TestGroups as CandidateGroups
+from oracles import build_corpus, build_split, reference_corpus_files, reference_read_split
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -76,7 +76,8 @@ EDGE_IDS = [9, 10, 99, 100, 999, 1000, 10**18 - 1, 10**18, 2**63 - 2]
 
 @st.composite
 def corpus_fields(draw, least=st.integers(0, 1), vocab=st.integers(1, 30)):
-    """The fields of a Corpus: its splits as tuples, its counts and metadata."""
+    """The fields of ``oracles.build_corpus``: a Corpus's splits as tuples of
+    items, its counts and metadata."""
     vocab = draw(vocab)
     n_candidates = draw(st.integers(1, 4))
     # Empty contexts, utterances and responses do not load, and are not
@@ -104,7 +105,7 @@ def corpus_fields(draw, least=st.integers(0, 1), vocab=st.integers(1, 30)):
 
 
 def corpora(**kwargs):
-    return corpus_fields(**kwargs).map(lambda fields: Corpus(**fields))
+    return corpus_fields(**kwargs).map(lambda fields: build_corpus(**fields))
 
 
 @SETTINGS
@@ -117,7 +118,7 @@ def test_save_matches_reference_and_load_inverts_it(fields):
         # Only non-empty contexts, utterances and responses load back.
         if all(context and all(context) and all(responses)
                for context, responses in blocks):
-            corpus = Corpus(**fields)
+            corpus = build_corpus(**fields)
             save_corpus(corpus, tmp)
             for name, text in reference_corpus_files(corpus).items():
                 assert (Path(tmp) / name).read_bytes() == text.encode(), name
@@ -127,15 +128,15 @@ def test_save_matches_reference_and_load_inverts_it(fields):
             (Path(tmp) / "train.txt").write_bytes(b"before")
             with pytest.raises(ValueError, match="^(dialogue has no context utterances"
                                                  "|empty (utterance|response))$"):
-                save_corpus(Corpus(**fields), tmp)
+                save_corpus(build_corpus(**fields), tmp)
             assert {p.name: p.read_bytes() for p in Path(tmp).iterdir()} == {
                 "train.txt": b"before"}
 
 
 @settings(SETTINGS, max_examples=100)
 @given(corpus=corpora(least=st.just(1), vocab=st.sampled_from([2, 1000, 2**40, 2**63 - 1])))
-@example(corpus=Corpus(
-    train=(PairwiseTriple(((2**63 - 2,),), (0,), (10**18,), True),) * 7, valid=(),
+@example(corpus=build_corpus(
+    train=(PairwiseTriple(((2**63 - 2,),), (0,), (10**18,), True),) * 7,
     test=(CandidateGroup(((9,),), (((2**63 - 2,), 1), ((10,), 0))),) * 5,
     vocab_size=2**63 - 1, n_candidates=2))
 def test_save_writes_the_reference_bytes(corpus):
@@ -382,6 +383,22 @@ def _config(**changes):
                    **changes)
 
 
+def _drawn_items(rng, config, sample, n):
+    """The items ``n`` calls of ``sample`` draw from ``rng``, each a context
+    and its (response, mark) pairs, as the PairwiseTriples or TestGroups
+    they stand for; a triple's positive is marked True."""
+    items = []
+    for _ in range(n):
+        context, pairs = sample(rng, config)
+        if sample is _sample_triple:
+            (pos, mark), (neg, flag) = pairs
+            assert mark is True
+            items.append(PairwiseTriple(context, pos, neg, flag))
+        else:
+            items.append(CandidateGroup(context, pairs))
+    return tuple(items)
+
+
 @settings(max_examples=200, deadline=None)
 @given(config=gen_configs(), chunk=st.sampled_from([8, 40, 1 << 14]))
 @example(config=_config(tokens_per_utterance=3), chunk=1 << 14)
@@ -398,7 +415,7 @@ def _config(**changes):
 @example(config=_config(false_negative_rate=1.0), chunk=8)
 def test_bulk_generator_draws_the_per_call_stream(config, chunk):
     rng = np.random.default_rng(config.seed)
-    expected = [(tuple(sample(rng, config) for _ in range(n)), sample is _sample_triple)
+    expected = [(_drawn_items(rng, config, sample, n), sample is _sample_triple)
                 for sample, n in ((_sample_triple, config.n_train),
                                   (_sample_triple, config.n_valid),
                                   (_sample_test_group, config.n_test_contexts))]
@@ -407,7 +424,8 @@ def test_bulk_generator_draws_the_per_call_stream(config, chunk):
         mp.setattr(corpus_module, "_CHUNK_WORDS", chunk)
         for items, triples in expected:
             split = corpus_module._sample_split(bulk, config, len(items), triples)
-            assert split == items
+            assert split == build_split(items, config.vocab_size,
+                                        Triples if triples else CandidateGroups)
             groups = [(t.context, (t.pos_response, t.neg_response)) if triples
                       else (t.context, tuple(r for r, _ in t.candidates)) for t in items]
             reference = corpus_module.pack_groups(groups, config.vocab_size)
@@ -420,7 +438,7 @@ def test_bulk_generator_draws_the_per_call_stream(config, chunk):
                 assert split.labels.tolist() == [y for g in items for _, y in g.candidates]
     assert bulk.bit_generator.state == rng.bit_generator.state
     if chunk == 1 << 14:
-        assert generate_synthetic_corpus(config) == Corpus(
+        assert generate_synthetic_corpus(config) == build_corpus(
             *(items for items, _ in expected), vocab_size=config.vocab_size,
             n_candidates=config.n_candidates, seed=config.seed,
             noise_rate=config.false_negative_rate)

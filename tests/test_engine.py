@@ -11,13 +11,14 @@ from coteach import (Batch, GenConfig, MatcherSpec, TrainConfig, coteach_train,
                      generate_synthetic_corpus, pretrain, select_model,
                      validation_p_at_1)
 from coteach import engine, matcher
-from coteach.corpus import PairwiseTriple, Triples
+from coteach.corpus import PairwiseTriple
 from coteach.engine import (HistoryRecord, OptimizerState, RunHistory, adam_update,
                             coteach_step, init_optimizer, read_history, split_batch,
                             write_history)
 from coteach.matcher import init_params
 
 from conftest import BFirstStep, call_entries, diverged, fix_teacher_scores
+from oracles import build_split
 
 
 SPEC = MatcherSpec("mean-embedding-bilinear", vocab_size=60, embedding_dim=8)
@@ -543,16 +544,16 @@ class TestValidationP1:
                    PairwiseTriple(((1,),), (4,), (5,))]
         fix_teacher_scores(monkeypatch, {(2,): 0.8, (3,): 0.2, (4,): 0.1, (5,): 0.9})
         model = init_params(SPEC, 0)
-        assert validation_p_at_1(model, Triples(triples)) == 0.5
+        assert validation_p_at_1(model, build_split(triples)) == 0.5
 
     def test_tie_counts_for_positive(self, monkeypatch):
         triples = [PairwiseTriple(((1,),), (2,), (3,))]
         fix_teacher_scores(monkeypatch, {(2,): 0.5, (3,): 0.5})
-        assert validation_p_at_1(init_params(SPEC, 0), Triples(triples)) == 1.0
+        assert validation_p_at_1(init_params(SPEC, 0), build_split(triples)) == 1.0
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
-            validation_p_at_1(init_params(SPEC, 0), Triples([]))
+            validation_p_at_1(init_params(SPEC, 0), build_split([]))
 
     @pytest.mark.parametrize("call_entries", [None, 1], ids=["one-call", "a-row-a-call"])
     def test_diverged_model_is_reported(self, corpus, monkeypatch, call_entries):
@@ -732,7 +733,8 @@ class TestCoteachTrain:
     def test_noise_flags_never_reach_a_protocol(self, corpus, tmp_path, monkeypatch,
                                                 strategy, extra):
         def flip(triples):
-            return tuple(replace(t, noise_flag=not t.noise_flag) for t in triples)
+            return build_split([replace(t, noise_flag=not t.noise_flag) for t in triples],
+                               corpus.vocab_size)
 
         def flagless(protocol):
             assert protocol.split is data.train
@@ -759,7 +761,7 @@ class TestCoteachTrain:
         assert history == flipped_history
 
     def test_training_set_smaller_than_batch_rejected(self, corpus, tmp_path):
-        small = replace(corpus, train=corpus.train[:4])
+        small = replace(corpus, train=build_split(corpus.train[:4], corpus.vocab_size))
         init = init_params(SPEC, 0)
         with pytest.raises(ValueError, match="smaller than one batch"):
             coteach_train(init, init, small, _config(batch_size=10),
@@ -786,7 +788,7 @@ class TestPretrain:
             pretrain(SPEC, corpus, _config(strategy="margin", lam=0.5))
 
     def test_training_set_smaller_than_batch_rejected(self, corpus):
-        small = replace(corpus, train=corpus.train[:4])
+        small = replace(corpus, train=build_split(corpus.train[:4], corpus.vocab_size))
         with pytest.raises(ValueError, match="smaller than one batch"):
             pretrain(SPEC, small, _config(batch_size=10))
 

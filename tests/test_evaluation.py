@@ -18,7 +18,7 @@ from coteach import matcher
 from coteach.corpus import TestGroup as CandidateGroup, TestGroups as CandidateGroups
 
 from conftest import call_entries, diverged, random_dialogue
-from oracles import ranked_group
+from oracles import build_split, ranked_group
 
 
 def _group(labels, scores=None, context_id=0):
@@ -32,27 +32,27 @@ def _group(labels, scores=None, context_id=0):
 class TestFilterDegenerate:
     def test_all_positive_removed(self):
         groups = [CandidateGroup(((1,),), (((2,), 1), ((3,), 1)))]
-        kept, removed = filter_degenerate(CandidateGroups(groups))
+        kept, removed = filter_degenerate(build_split(groups, kind=CandidateGroups))
         assert list(kept) == [] and removed == 1
 
     def test_all_negative_removed(self):
         groups = [CandidateGroup(((1,),), (((2,), 0), ((3,), 0)))]
-        kept, removed = filter_degenerate(CandidateGroups(groups))
+        kept, removed = filter_degenerate(build_split(groups, kind=CandidateGroups))
         assert list(kept) == [] and removed == 1
 
     def test_mixed_kept_in_order(self):
         mixed = CandidateGroup(((1,),), (((2,), 1), ((3,), 0)))
         pure = CandidateGroup(((1,),), (((2,), 1), ((3,), 1)))
-        kept, removed = filter_degenerate(CandidateGroups([pure, mixed, pure]))
+        kept, removed = filter_degenerate(build_split([pure, mixed, pure], kind=CandidateGroups))
         assert list(kept) == [mixed] and removed == 2
 
     def test_kept_groups_are_the_test_groups_of_the_kept_items(self):
         mixed = CandidateGroup(((1, 2), (3,)), (((4, 5), 0), ((6,), 1), ((7,), 0)))
         other = CandidateGroup(((8,),), (((9,), 1), ((1, 1), 0)))
         pure = CandidateGroup(((2,),), (((3,), 1), ((4,), 1)))
-        test = CandidateGroups([mixed, pure, other], vocab_size=10)
+        test = build_split([mixed, pure, other], 10, CandidateGroups)
         kept, removed = filter_degenerate(test)
-        expected = CandidateGroups([mixed, other], vocab_size=10)
+        expected = build_split([mixed, other], 10, CandidateGroups)
         assert isinstance(kept, CandidateGroups) and kept.vocab_size == 10 and removed == 1
         for got, want in zip(kept.pack + (kept.labels,), expected.pack + (expected.labels,)):
             assert np.array_equal(got, want)
@@ -61,8 +61,8 @@ class TestFilterDegenerate:
 
 def _rank_one(model, context, candidates):
     """The ranking of a single group."""
-    (ranked,) = rank_test_groups(model, CandidateGroups([
-        CandidateGroup(context, tuple(candidates))]))
+    (ranked,) = rank_test_groups(model, build_split(
+        [CandidateGroup(context, tuple(candidates))], kind=CandidateGroups))
     return ranked
 
 
@@ -104,7 +104,7 @@ class TestRankGroup:
             groups.append(CandidateGroup(context, tuple(
                 (responses[int(rng.integers(4))], int(rng.integers(2)))
                 for _ in range(int(rng.integers(1, 9))))))
-        test = CandidateGroups(groups)
+        test = build_split(groups, kind=CandidateGroups)
         # 64 groups a scoring call: three calls, the last one partial.
         monkeypatch.setattr(matcher, "_CALL_ENTRIES", call_entries(
             test, 64, small_model.spec.embedding_dim))
@@ -125,8 +125,8 @@ class TestRankGroup:
 
     def test_diverged_model_is_reported(self, small_model):
         rng = np.random.default_rng(2)
-        groups = CandidateGroups([CandidateGroup(random_dialogue(rng).context,
-                                                 (((1,), 1), ((2,), 0)))])
+        groups = build_split([CandidateGroup(random_dialogue(rng).context,
+                                             (((1,), 1), ((2,), 0)))], kind=CandidateGroups)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
                                                       match="^non-finite score$"):
             rank_test_groups(diverged(small_model), groups)
@@ -135,7 +135,7 @@ class TestRankGroup:
         rng = np.random.default_rng(1)
         groups = [CandidateGroup(random_dialogue(rng).context,
                             (((1,), 1), ((2,), 0))) for _ in range(3)]
-        ranked = rank_test_groups(small_model, CandidateGroups(groups))
+        ranked = rank_test_groups(small_model, build_split(groups, kind=CandidateGroups))
         assert [g.context_id for g in ranked] == [0, 1, 2]
 
 

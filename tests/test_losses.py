@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from coteach import cross_entropy
-from coteach.corpus import PairwiseTriple, Triples
+from coteach.corpus import PairwiseTriple
 from coteach.losses import (CE_EPS, CROSS_ENTROPY, HINGE_WITH_MARGIN, LearningProtocol,
                             hinge)
+from oracles import build_split
 
 # Two triples: pointwise examples 0 and 2 are positives, 1 and 3 negatives.
-SPLIT = Triples([PairwiseTriple(((1, 2),), (3,), (4,))] * 2)
+SPLIT = build_split([PairwiseTriple(((1, 2),), (3,), (4,))] * 2)
 
 
 def _pairwise(*margins, pairs=((0, 1), (2, 3))):

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from coteach import MatcherSpec, engine, evaluation, score
 from coteach import corpus, matcher
-from coteach.corpus import PairwiseTriple, Triples
+from coteach.corpus import PairwiseTriple
 from coteach.losses import CROSS_ENTROPY, HINGE_WITH_MARGIN, LearningProtocol
 from coteach.matcher import (ModelState, init_params, load_checkpoint, loss_and_grad,
                              n_params, param_layout, save_checkpoint, scores)
 
 from conftest import (Dialogue, call_entries, pairwise_protocol, pointwise_protocol,
                       random_dialogue, random_triple)
-from oracles import finite_diff_check
+from oracles import build_split, finite_diff_check
 
 
 def _ragged_tokens(rng, vocab_size=20):
@@ -243,10 +243,10 @@ class TestSplitScores:
     @pytest.fixture(scope="class")
     def splits(self):
         rng = np.random.default_rng(21)
-        triples = Triples([_ragged_triple(rng) for _ in range(self.N)], vocab_size=20)
-        groups = corpus.TestGroups([corpus.TestGroup(_ragged_dialogue(rng).context, tuple(
+        triples = build_split([_ragged_triple(rng) for _ in range(self.N)], 20)
+        groups = build_split([corpus.TestGroup(_ragged_dialogue(rng).context, tuple(
             (_ragged_tokens(rng), int(rng.integers(2))) for _ in range(rng.integers(1, 7))))
-            for _ in range(self.N)], vocab_size=20)
+            for _ in range(self.N)], 20, corpus.TestGroups)
         return ((triples, 2 * np.arange(self.N)[:, None] + (0, 1)),
                 (groups, np.arange(self.N)))
 

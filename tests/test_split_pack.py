@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coteach import Batch, MatcherSpec, corpus, engine, matcher
-from coteach.corpus import Corpus, PairwiseTriple
+from coteach.corpus import PairwiseTriple
 from coteach.matcher import ModelState
 from coteach.losses import HINGE_WITH_MARGIN, cross_entropy
 
 from conftest import example
+from oracles import build_corpus
 
 V = 15
 _SEGMENTS = st.lists(st.integers(0, V - 1), min_size=1, max_size=6).map(tuple)
@@ -33,8 +34,8 @@ def _cases(draw):
     """A ragged corpus, a sub-batch of its training split, a model seed,
     lambda and delta."""
     train = draw(st.lists(_TRIPLES, min_size=1, max_size=10))
-    data = Corpus(train=train, valid=draw(st.lists(_TRIPLES, min_size=1, max_size=6)),
-                  test=(), vocab_size=V)
+    data = build_corpus(train, draw(st.lists(_TRIPLES, min_size=1, max_size=6)),
+                        vocab_size=V)
     index = draw(st.lists(st.integers(0, len(train) - 1), min_size=1,
                           max_size=6, unique=True))
     return (data, Batch(data.train, np.array(index)), draw(st.integers(0, 2 ** 16)),
